@@ -77,7 +77,8 @@ def cmd_solve(args) -> int:
     forms = assembly.assemble_forms(mesh, coeff)
     n = forms.A.shape[0]
     if args.method == "dense" or (
-        args.method == "auto" and n <= eigensolve.DENSE_DIMENSION_CAP
+        args.method == "auto"
+        and eigensolve.boundary_rank(forms.B) <= eigensolve.DENSE_DIMENSION_CAP
     ):
         spec = eigensolve.solve_dense(forms.A, forms.B)
     else:

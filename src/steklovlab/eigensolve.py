@@ -2,9 +2,15 @@
 
 ``A`` is the SPD energy matrix, ``B`` the (possibly sign-indefinite) boundary
 weight matrix; the eigenvalues μ are the Rayleigh-quotient spectrum of
-weight/energy.  The near-zero cluster coming from interior modes (B is
-boundary-supported, so its rank is at most the boundary node count) is
-dropped by a relative threshold.
+weight/energy.  B is boundary-supported, so at most ``boundary_rank(B)`` of
+the n eigenvalues are nonzero; the other n − nb are structural zeros.
+
+``solve_dense`` never forms the n × n pencil.  It condenses A onto the nb
+weighted nodes (the Schur complement S = A_bb − A_bi A_ii⁻¹ A_ib, the
+discrete Dirichlet-to-Neumann map), eigendecomposes the nb × nb pencil
+(B_bb, S) densely and lifts each eigenvector back to all n unknowns, so its
+residuals are those of the full pencil.  ``solve_iterative`` runs Lanczos on
+the full pencil for a few pairs of one branch.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ __all__ = [
     "EigensolveError",
     "Spectrum",
     "TailEstimate",
+    "boundary_rank",
     "solve_dense",
     "solve_iterative",
     "merge_spectra",
@@ -30,7 +37,8 @@ __all__ = [
     "spectrum_from_csv",
 ]
 
-DENSE_DIMENSION_CAP = 8000
+DENSE_DIMENSION_CAP = 8000  # caps nb = boundary_rank(B)
+SCHUR_BLOCK = 64  # columns per block: dense work arrays stay n × 64
 DENSE_RESIDUAL_TOL = 1e-8
 ITERATIVE_RESIDUAL_TOL = 1e-6
 ZERO_THRESHOLD_REL = 1e-12
@@ -97,9 +105,14 @@ def _as_csr(mat) -> sp.csr_matrix:
     return sp.csr_matrix(np.asarray(mat, dtype=float))
 
 
-def _boundary_rank(B: sp.csr_matrix) -> int:
-    d = np.asarray(np.abs(B).sum(axis=1)).ravel()
-    return int(np.count_nonzero(d > 0))
+def _weighted_rows(B: sp.csr_matrix) -> np.ndarray:
+    return np.asarray(np.abs(B).sum(axis=1)).ravel() > 0
+
+
+def boundary_rank(B) -> int:
+    """Number of nonzero rows of B, an upper bound on the number of nonzero
+    pencil eigenvalues; the dense solve runs on a pencil of this size."""
+    return int(np.count_nonzero(_weighted_rows(_as_csr(B))))
 
 
 def _residuals(A, B, mu, X):
@@ -107,31 +120,81 @@ def _residuals(A, B, mu, X):
     return np.linalg.norm(R, axis=0)
 
 
+def _factor_interior(A_ii):
+    """Sparse LU of the interior block with a symmetric ordering and diagonal
+    pivots only, so that P A_ii Pᵀ = L D Lᵀ with D = diag(U).  By Sylvester's
+    law of inertia A_ii is SPD exactly when every pivot is positive."""
+    try:
+        lu = spla.splu(
+            A_ii.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise EigensolveError("energy matrix is not SPD (singular interior block)") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c) or not np.all(lu.U.diagonal() > 0):
+        raise EigensolveError("energy matrix is not SPD (interior block)")
+    return lu
+
+
 def solve_dense(A, B) -> Spectrum:
-    """All pencil eigenvalues via Cholesky reduction A = LLᵀ and a symmetric
-    eigendecomposition of L⁻¹BL⁻ᵀ (whose spectrum is exactly the ratio
-    spectrum)."""
+    """All nonzero pencil eigenvalues via the boundary-condensed pencil.
+
+    Nodes split by the row support of B into weighted (b, nb of them) and
+    interior (i).  One sparse LU of A_ii builds the Schur complement
+    S = A_bb − A_bi A_ii⁻¹ A_ib in column blocks; the Cholesky reduction
+    S = LLᵀ and a symmetric eigendecomposition of L⁻¹B_bbL⁻ᵀ give every
+    nonzero μ.  Each eigenvector is lifted with x_i = −A_ii⁻¹ A_ib x_b, which
+    keeps it A-normalized, and its residual is taken on the full pencil.
+    The n − nb structural zeros count in ``n_dropped``.  Raises
+    ``EigensolveError`` when nb exceeds ``DENSE_DIMENSION_CAP`` or when A is
+    not SPD (a nonpositive interior pivot or a failed Cholesky of S)."""
     A = _as_csr(A)
     B = _as_csr(B)
     n = A.shape[0]
-    if n > DENSE_DIMENSION_CAP:
+    weighted = _weighted_rows(B)
+    b = np.flatnonzero(weighted)
+    i = np.flatnonzero(~weighted)
+    nb = len(b)
+    if nb > DENSE_DIMENSION_CAP:
         raise EigensolveError(
-            f"dense solve capped at {DENSE_DIMENSION_CAP} unknowns (got {n})"
+            f"dense solve capped at {DENSE_DIMENSION_CAP} boundary unknowns (got {nb})"
         )
-    Ad = A.toarray()
+    A_b = A[b]
+    S = A_b[:, b].toarray()
+    lu = None
+    if len(i):
+        A_i = A[i]
+        lu = _factor_interior(A_i[:, i])
+        A_ib = A_i[:, b].tocsc()
+        A_bi = A_b[:, i]
+        for c in range(0, nb, SCHUR_BLOCK):
+            cols = slice(c, c + SCHUR_BLOCK)
+            S[:, cols] -= A_bi @ lu.solve(A_ib[:, cols].toarray())
+    S = 0.5 * (S + S.T)
     try:
-        L = np.linalg.cholesky(Ad)
+        L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise EigensolveError("energy matrix is not SPD") from exc
-    Bd = B.toarray()
-    Y = sla.solve_triangular(L, Bd, lower=True)
+    Y = sla.solve_triangular(L, B[b][:, b].toarray(), lower=True)
     C = sla.solve_triangular(L, Y.T, lower=True)
     C = 0.5 * (C + C.T)
     w, V = np.linalg.eigh(C)
-    X = sla.solve_triangular(L, V, lower=True, trans="T")
-    res = _residuals(A, B, w, X)
+    Xb = sla.solve_triangular(L, V, lower=True, trans="T")
+    res = np.empty(nb)
+    for c in range(0, nb, SCHUR_BLOCK):
+        cols = slice(c, c + SCHUR_BLOCK)
+        Xc = Xb[:, cols]
+        X = np.zeros((n, Xc.shape[1]))
+        X[b] = Xc
+        if lu is not None:
+            X[i] = -lu.solve(A_ib @ Xc)
+        res[cols] = _residuals(A, B, w[cols], X)
     zero_threshold = ZERO_THRESHOLD_REL * float(np.abs(w).max(initial=0.0))
-    return _split_branches(w, res, "dense", zero_threshold, _boundary_rank(B))
+    spec = _split_branches(w, res, "dense", zero_threshold, nb)
+    spec.n_dropped += n - nb
+    return spec
 
 
 def solve_iterative(A, B, k: int, *, sign: str = "+", seed: int = 0, maxiter=None) -> Spectrum:
@@ -143,7 +206,7 @@ def solve_iterative(A, B, k: int, *, sign: str = "+", seed: int = 0, maxiter=Non
     A = _as_csr(A)
     B = _as_csr(B)
     n = A.shape[0]
-    rank = _boundary_rank(B)
+    rank = boundary_rank(B)
     if B.nnz == 0 or rank == 0:
         return Spectrum(
             np.array([]), np.array([]), np.array([]), np.array([]),

@@ -18,7 +18,9 @@ become lists.  Schema (defaults in parentheses):
     coeff.v0                potential name ("constant"), coeff.v0.<p> forwarded
     rho.name                boundary weight name ("constant"), rho.<p> forwarded
     mesh.levels             strictly decreasing h values
-    solver.method           auto | dense | iterative ("auto")
+    solver.method           auto | dense | iterative ("auto": dense, condensed
+                            onto the boundary, when the boundary rank is at
+                            most eigensolve.DENSE_DIMENSION_CAP, else Lanczos)
     solver.count            iterative pair count (0 = derived from tail window)
     tail.kmin, tail.kmax    tail-fit window (0 = [5, boundary_rank/4])
     tolerance.deviation     Weyl-fit relative tolerance (0.10)
@@ -274,16 +276,15 @@ def _stamp(cfg: ExperimentConfig) -> str:
 
 
 def _solve_pencil(forms, cfg: ExperimentConfig, *, need: int, both: bool):
-    """Dense when it fits (or when forced), otherwise one-sided Lanczos runs
-    merged across branches."""
+    """Dense when the boundary rank fits (or when forced), otherwise one-sided
+    Lanczos runs merged across branches."""
     method = str(cfg.get("solver.method", "auto"))
-    n = forms.A.shape[0]
-    if method == "dense" or (method == "auto" and n <= eigensolve.DENSE_DIMENSION_CAP):
+    rank = eigensolve.boundary_rank(forms.B)
+    if method == "dense" or (method == "auto" and rank <= eigensolve.DENSE_DIMENSION_CAP):
         return eigensolve.solve_dense(forms.A, forms.B)
     if method not in ("auto", "iterative"):
         raise HarnessError(f"unknown solver.method {method!r}")
     count = int(cfg.get("solver.count", 0)) or need
-    rank = eigensolve._boundary_rank(forms.B.tocsr())
     count = min(count, max(rank - 2, 1))
     pos = eigensolve.solve_iterative(forms.A, forms.B, count, sign="+", seed=cfg.seed)
     if not both:
@@ -310,8 +311,8 @@ def _fit_level(mesh, coeff, cfg, *, d: int = 1) -> dict:
     plus the spectrum for downstream use."""
     forms = assembly.assemble_forms(mesh, coeff)
     window_hint = int(cfg.get("tail.kmax", 0))
-    rank_hint = int((np.abs(forms.B).sum(axis=1) > 0).sum())
-    need = int(1.25 * (window_hint or max(5, rank_hint // 4))) + 5
+    rank = eigensolve.boundary_rank(forms.B)
+    need = int(1.25 * (window_hint or max(5, rank // 4))) + 5
     both = _weight_has_negative_part(coeff, mesh)
     spec = _solve_pencil(forms, cfg, need=need, both=both)
     row = {

@@ -1,17 +1,21 @@
-"""Pencil eigensolver: exactness on diagonal pencils, agreement between the
-dense and iterative paths, the Bessel-quotient oracle on a disk, counting and
-tail-extraction semantics, and the CSV round trip."""
+"""Pencil eigensolver: exactness on diagonal pencils, the condensed dense
+solve against a full generalized eigh on small meshes and its SPD guard,
+agreement between the dense and iterative paths, the Bessel-quotient oracle
+on a disk, counting and tail-extraction semantics, and the CSV round trip."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from steklovlab import assembly, geometry
 from steklovlab.eigensolve import (
+    DENSE_RESIDUAL_TOL,
     EigensolveError,
     Spectrum,
+    boundary_rank,
     counting,
     merge_spectra,
     solve_dense,
@@ -85,6 +89,85 @@ def test_dense_cap_guards_memory():
     A = sp.identity(n, format="csr")
     with pytest.raises(EigensolveError, match="capped"):
         solve_dense(A, A)
+
+
+def _mesh_pencil(domain, kw, h, rho):
+    mesh = geometry.triangulate(geometry.make_domain(domain, **kw), h)
+    coeff = assembly.CoefficientField(
+        assembly.constant_matrix(1.0), assembly.constant_potential(1.0), rho
+    )
+    forms = assembly.assemble_forms(mesh, coeff)
+    return mesh, forms.A, forms.B
+
+
+def _square_pencil():
+    return _mesh_pencil("square", {}, 0.2, assembly.constant_weight(1.0))
+
+
+def _indefinite_interior_pencil():
+    # flip one interior diagonal entry: the weighted rows are untouched, so
+    # only the SPD check on the interior block can see the defect
+    mesh, A, B = _square_pencil()
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_edges)
+    A = A.tolil()
+    A[interior[0], interior[0]] *= -1.0
+    return A.tocsr(), B
+
+
+@pytest.mark.parametrize(
+    "make_pencil",
+    [
+        lambda: _diag_pencil([1.0, 2.0, -1.0], [1.0, 3.0, 0.0]),
+        lambda: _diag_pencil([1.0, 2.0, 0.0], [1.0, 3.0, 0.0]),
+        _indefinite_interior_pencil,
+    ],
+    ids=["diagonal", "singular", "mesh"],
+)
+def test_non_spd_interior_block_raises(make_pencil):
+    A, B = make_pencil()
+    with pytest.raises(EigensolveError, match="SPD"):
+        solve_dense(A, B)
+
+
+def test_boundary_rank_counts_weighted_rows():
+    assert boundary_rank(sp.diags([0.0, 2.0, -1.0, 0.0])) == 2
+    mesh, _, B = _square_pencil()
+    assert boundary_rank(B) == len(np.unique(mesh.boundary_edges))
+
+
+# ---------------------------------------------------------------------------
+# the condensed dense solve against an independent full generalized eigh
+
+
+@pytest.mark.parametrize(
+    "domain,kw,h,rho",
+    [
+        ("square", {}, 0.1, assembly.constant_weight(1.0)),
+        ("lshape", {}, 0.1, assembly.constant_weight(1.0)),
+        ("square", {}, 0.1, assembly.segment_weight([1.0, 1.0, -1.0, -1.0])),
+        ("lshape", {}, 0.1, assembly.segment_weight([1.0, 2.0, 1.0, 1.0, 1.0, 0.0])),
+        ("regular-ngon", {"n": 8}, 2.0, assembly.constant_weight(1.0)),
+    ],
+    ids=["square", "lshape", "sign-split", "partial-support", "no-interior"],
+)
+def test_dense_matches_full_generalized_eigh(domain, kw, h, rho):
+    _, A, B = _mesh_pencil(domain, kw, h, rho)
+    n = A.shape[0]
+    spec = solve_dense(A, B)
+    ref = sla.eigh(B.toarray(), A.toarray(), eigvals_only=True)
+    thr = 1e-12 * np.abs(ref).max()
+    ref_pos = np.sort(ref[ref > thr])[::-1]
+    ref_neg = np.sort(ref[ref < -thr])
+    assert len(spec.positive) == len(ref_pos)
+    assert len(spec.negative) == len(ref_neg)
+    for got, want in ((spec.positive, ref_pos), (spec.negative, ref_neg)):
+        if len(want):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+    retained = len(spec.positive) + len(spec.negative)
+    assert spec.n_dropped == n - retained
+    assert spec.boundary_rank == boundary_rank(B)
+    assert np.all(spec.residuals_positive < DENSE_RESIDUAL_TOL)
+    assert np.all(spec.residuals_negative < DENSE_RESIDUAL_TOL)
 
 
 def test_iterative_rejects_k_beyond_weight_rank():

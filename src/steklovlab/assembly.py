@@ -8,21 +8,16 @@ Builds sparse symmetric matrices for the quadratic forms
 over hat functions on a triangle mesh, plus the coefficient catalog (named
 SPD matrix fields, scalar potentials, boundary weights) and the pullback of
 coefficients under a piecewise-affine straightening map.
-
-Hot loops run through numba when available; a pure-numpy path is selected by
-the ``STEKLOVLAB_BACKEND`` environment flag (see ``_accel``).
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import _accel
 from .geometry import PolygonDomain, StraighteningMap, TriangleMesh
 
 __all__ = [
@@ -50,7 +45,6 @@ __all__ = [
     "assemble_boundary_weight",
     "assemble_forms",
     "pullback_coefficients",
-    "export_matrix_text",
 ]
 
 
@@ -437,10 +431,10 @@ _BARY_FINE, _W_FINE = _refined_rule(_BARY_MID, _W_MID, levels=1)
 
 
 # ---------------------------------------------------------------------------
-# element kernels (numba + numpy pair)
+# element kernel
 
 
-def _element_forms_loop(coords, a_sym, v_vals, bary, wq):
+def _element_forms(coords, a_sym, v_vals, bary, wq):
     """Per-element stiffness and mass blocks.
 
     coords: (m, 3, 2) triangle vertices; a_sym: (m, nq, 3) packed SPD samples
@@ -448,58 +442,6 @@ def _element_forms_loop(coords, a_sym, v_vals, bary, wq):
     barycentric quadrature points with weights wq summing to 1.
     Returns (m, 3, 3) stiffness and mass blocks.
     """
-    m = coords.shape[0]
-    nq = wq.shape[0]
-    K = np.zeros((m, 3, 3))
-    M = np.zeros((m, 3, 3))
-    for e in range(m):
-        x0 = coords[e, 0, 0]
-        y0 = coords[e, 0, 1]
-        x1 = coords[e, 1, 0]
-        y1 = coords[e, 1, 1]
-        x2 = coords[e, 2, 0]
-        y2 = coords[e, 2, 1]
-        det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-        area = 0.5 * det
-        # hat gradients: grad phi_i = (b_i, c_i) / det
-        b0 = y1 - y2
-        b1 = y2 - y0
-        b2 = y0 - y1
-        c0 = x2 - x1
-        c1 = x0 - x2
-        c2 = x1 - x0
-        a11 = 0.0
-        a12 = 0.0
-        a22 = 0.0
-        for q in range(nq):
-            a11 += wq[q] * a_sym[e, q, 0]
-            a12 += wq[q] * a_sym[e, q, 1]
-            a22 += wq[q] * a_sym[e, q, 2]
-        gb = (b0, b1, b2)
-        gc = (c0, c1, c2)
-        for i in range(3):
-            for j in range(3):
-                gi_x = gb[i]
-                gi_y = gc[i]
-                gj_x = gb[j]
-                gj_y = gc[j]
-                flux = (
-                    a11 * gj_x * gi_x
-                    + a12 * (gj_x * gi_y + gj_y * gi_x)
-                    + a22 * gj_y * gi_y
-                )
-                K[e, i, j] = flux * area / (det * det)
-                acc = 0.0
-                for q in range(nq):
-                    acc += wq[q] * v_vals[e, q] * bary[q, i] * bary[q, j]
-                M[e, i, j] = acc * area
-    return K, M
-
-
-_element_forms_numba = _accel.njit(cache=True)(_element_forms_loop)
-
-
-def _element_forms_numpy(coords, a_sym, v_vals, bary, wq):
     d1 = coords[:, 1, :] - coords[:, 0, :]
     d2 = coords[:, 2, :] - coords[:, 0, :]
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -533,15 +475,6 @@ def _element_forms_numpy(coords, a_sym, v_vals, bary, wq):
     return K, M
 
 
-def _element_forms(coords, a_sym, v_vals, bary, wq, backend=None):
-    chosen = backend or _accel.active_backend()
-    if chosen == "numba":
-        if not _accel.HAS_NUMBA:
-            raise AssemblyError("numba backend requested but numba is missing")
-        return _element_forms_numba(coords, a_sym, v_vals, bary, wq)
-    return _element_forms_numpy(coords, a_sym, v_vals, bary, wq)
-
-
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -571,9 +504,7 @@ def _quad_rule_for(coeff: CoefficientField):
     return _BARY_FINE, _W_FINE
 
 
-def assemble_energy_split(
-    mesh: TriangleMesh, coeff: CoefficientField, backend: str | None = None
-):
+def assemble_energy_split(mesh: TriangleMesh, coeff: CoefficientField):
     """Stiffness and potential-mass parts of the energy form, separately.
 
     ``A = K + M`` is the full energy matrix; callers that sweep the potential
@@ -602,7 +533,7 @@ def assemble_energy_split(
         axis=1,
     ).reshape(m, nq, 3)
     v_vals = v_raw.reshape(m, nq)
-    K_e, M_e = _element_forms(coords, a_sym, v_vals, bary, wq, backend=backend)
+    K_e, M_e = _element_forms(coords, a_sym, v_vals, bary, wq)
 
     n = mesh.n_nodes
     tri = mesh.triangles
@@ -615,11 +546,9 @@ def assemble_energy_split(
     return K, M
 
 
-def assemble_energy(
-    mesh: TriangleMesh, coeff: CoefficientField, backend: str | None = None
-) -> sp.csr_matrix:
+def assemble_energy(mesh: TriangleMesh, coeff: CoefficientField) -> sp.csr_matrix:
     """Sparse SPD matrix of the energy form ⟨a∇u,∇u⟩ + v₀u²."""
-    K, M = assemble_energy_split(mesh, coeff, backend=backend)
+    K, M = assemble_energy_split(mesh, coeff)
     return (K + M).tocsr()
 
 
@@ -653,10 +582,8 @@ class AssembledForms:
     quadrature_order: int = 2
 
 
-def assemble_forms(
-    mesh: TriangleMesh, coeff: CoefficientField, backend: str | None = None
-) -> AssembledForms:
-    A = assemble_energy(mesh, coeff, backend=backend)
+def assemble_forms(mesh: TriangleMesh, coeff: CoefficientField) -> AssembledForms:
+    A = assemble_energy(mesh, coeff)
     B = assemble_boundary_weight(mesh, coeff.rho)
     return AssembledForms(A, B, np.arange(mesh.n_nodes), 2)
 
@@ -747,19 +674,3 @@ def pullback_coefficients(
         bound=np.inf,
     )
     return CoefficientField(a_out, v_out, rho_out)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def export_matrix_text(mat) -> str:
-    """Coordinate text format: one ``row col value`` line per stored entry,
-    17 significant digits, sorted by (row, col)."""
-    coo = sp.coo_matrix(mat)
-    order = np.lexsort((coo.col, coo.row))
-    out = io.StringIO()
-    out.write(f"steklovlab-matrix 1 {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-    for k in order:
-        out.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}\n")
-    return out.getvalue()

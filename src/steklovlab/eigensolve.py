@@ -324,18 +324,28 @@ def spectrum_to_csv(spec: Spectrum) -> str:
 
 
 def spectrum_from_csv(text: str) -> Spectrum:
+    """Inverse of ``spectrum_to_csv``; leading ``#`` comment lines (the
+    harness stamp) are skipped."""
     pos, neg, rp, rn = [], [], [], []
     lines = text.strip().splitlines()
-    if lines[0] != "index,branch,eigenvalue,residual":
+    while lines and lines[0].startswith("#"):
+        lines.pop(0)
+    if not lines or lines[0] != "index,branch,eigenvalue,residual":
         raise EigensolveError("not a spectrum CSV")
     for line in lines[1:]:
-        _, br, mu, r = line.split(",")
-        if br == "+":
-            pos.append(float(mu))
-            rp.append(float(r))
+        fields = line.split(",")
+        if len(fields) != 4 or fields[1] not in ("+", "-"):
+            raise EigensolveError(f"bad spectrum CSV row {line!r}")
+        try:
+            mu, r = float(fields[2]), float(fields[3])
+        except ValueError as exc:
+            raise EigensolveError(f"bad spectrum CSV row {line!r}") from exc
+        if fields[1] == "+":
+            pos.append(mu)
+            rp.append(r)
         else:
-            neg.append(float(mu))
-            rn.append(float(r))
+            neg.append(mu)
+            rn.append(r)
     return Spectrum(
         np.array(pos), np.array(neg), np.array(rp), np.array(rn),
         "csv", 0.0,

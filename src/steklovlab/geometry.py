@@ -29,7 +29,6 @@ __all__ = [
     "surface_measure",
     "triangulate",
     "refine_mesh",
-    "structured_rectangle_mesh",
     "build_straightening",
     "build_matched_meshes",
 ]
@@ -517,30 +516,6 @@ def refine_mesh(mesh: TriangleMesh) -> TriangleMesh:
         normals[2 * i] = normals[2 * i + 1] = mesh.boundary_normals[i]
     piece = np.repeat(mesh.collar_piece, 4)
     return TriangleMesh(nodes, tris, edges, parents, normals, mesh.h / 2, piece)
-
-
-def structured_rectangle_mesh(x_stations, y_stations) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-grid triangulation of a rectangle: returns (nodes, triangles).
-
-    Node (i, j) sits at (x_stations[i], y_stations[j]); cells split along the
-    (i, j) -> (i+1, j+1) diagonal.  Used for collar-compatible meshing and
-    interface-aligned coefficient tests.
-    """
-    xs = np.asarray(x_stations, dtype=float)
-    ys = np.asarray(y_stations, dtype=float)
-    nx, ny = xs.size, ys.size
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
-
-    def nid(i, j):
-        return i * ny + j
-
-    tris = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            tris.append((nid(i, j), nid(i + 1, j), nid(i + 1, j + 1)))
-            tris.append((nid(i, j), nid(i + 1, j + 1), nid(i, j + 1)))
-    return nodes, np.array(tris, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from . import __version__, _accel, assembly, eigensolve, geometry, potentials, weyl
+from . import __version__, assembly, eigensolve, geometry, potentials, weyl
 
 __all__ = [
     "HarnessError",
@@ -234,7 +234,6 @@ def _versions() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "steklovlab": __version__,
-        "backend": _accel.active_backend(),
     }
 
 

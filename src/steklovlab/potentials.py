@@ -24,7 +24,6 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.legendre import leggauss
 
-from . import _accel
 from .geometry import PolygonDomain
 
 __all__ = [
@@ -136,78 +135,14 @@ def _build_panels(domain: PolygonDomain, panels_per_edge: int) -> PanelSet:
 
 
 # ---------------------------------------------------------------------------
-# kernel fills (numba-accelerated with a numpy fallback)
+# kernel fills
 
 _GAUSS_X, _GAUSS_W = leggauss(4)
 
 
-def _log_primitive(w, v):
-    """Antiderivative of log(w² + v²) in w."""
-    if v == 0.0:
-        if w == 0.0:
-            return 0.0
-        return w * math.log(w * w) - 2.0 * w
-    return w * math.log(w * w + v * v) - 2.0 * w + 2.0 * v * math.atan(w / v)
-
-
-def _fill_loop(mid, tangent, normal, length, gx, gw):
+def _fill(mid, tangent, normal, length):
     """Galerkin single layer (outer Gauss × exact inner) and collocated
     double layer, both over straight panels."""
-    n = mid.shape[0]
-    S = np.zeros((n, n))
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                li = length[i]
-                S[i, i] = -(li * li) * (math.log(li) - 1.5) / (2.0 * math.pi)
-                continue
-            aj = 0.5 * length[j]
-            dxm = mid[i, 0] - mid[j, 0]
-            dym = mid[i, 1] - mid[j, 1]
-            um = dxm * tangent[j, 0] + dym * tangent[j, 1]
-            vm = dxm * normal[j, 0] + dym * normal[j, 1]
-            if vm == 0.0:
-                dv = 0.0
-            else:
-                dv = (
-                    math.atan((aj - um) / vm) + math.atan((aj + um) / vm)
-                ) / (2.0 * math.pi)
-            D[i, j] = dv
-            acc = 0.0
-            ai = 0.5 * length[i]
-            for q in range(gx.shape[0]):
-                xq0 = mid[i, 0] + gx[q] * ai * tangent[i, 0]
-                xq1 = mid[i, 1] + gx[q] * ai * tangent[i, 1]
-                dx = xq0 - mid[j, 0]
-                dy = xq1 - mid[j, 1]
-                u = dx * tangent[j, 0] + dy * tangent[j, 1]
-                v = dx * normal[j, 0] + dy * normal[j, 1]
-                wa = aj - u
-                wb = -aj - u
-                if v == 0.0:
-                    pa = 0.0 if wa == 0.0 else wa * math.log(wa * wa) - 2.0 * wa
-                    pb = 0.0 if wb == 0.0 else wb * math.log(wb * wb) - 2.0 * wb
-                else:
-                    pa = (
-                        wa * math.log(wa * wa + v * v)
-                        - 2.0 * wa
-                        + 2.0 * v * math.atan(wa / v)
-                    )
-                    pb = (
-                        wb * math.log(wb * wb + v * v)
-                        - 2.0 * wb
-                        + 2.0 * v * math.atan(wb / v)
-                    )
-                acc += gw[q] * ai * (pa - pb)
-            S[i, j] = -acc / (4.0 * math.pi)
-    return S, D
-
-
-_fill_numba = _accel.njit(cache=True)(_fill_loop)
-
-
-def _fill_numpy(mid, tangent, normal, length, gx, gw):
     n = mid.shape[0]
     S = np.zeros((n, n))
     D = np.zeros((n, n))
@@ -238,7 +173,7 @@ def _fill_numpy(mid, tangent, normal, length, gx, gw):
         hi = min(n, lo + block)
         xi = (
             mid[lo:hi, None, :]
-            + gx[None, :, None] * (a[lo:hi, None, None] * tangent[lo:hi, None, :])
+            + _GAUSS_X[None, :, None] * (a[lo:hi, None, None] * tangent[lo:hi, None, :])
         )  # (b, q, 2)
         dxq = xi[:, :, None, 0] - mid[None, None, :, 0]
         dyq = xi[:, :, None, 1] - mid[None, None, :, 1]
@@ -247,17 +182,11 @@ def _fill_numpy(mid, tangent, normal, length, gx, gw):
         inner = primitive(a[None, None, :] - uq, vq) - primitive(
             -a[None, None, :] - uq, vq
         )
-        acc = np.einsum("q,bqj->bj", gw, inner) * a[lo:hi, None]
+        acc = np.einsum("q,bqj->bj", _GAUSS_W, inner) * a[lo:hi, None]
         S[lo:hi] = -acc / (4.0 * math.pi)
     li = length
     np.fill_diagonal(S, -(li * li) * (np.log(li) - 1.5) / (2.0 * math.pi))
     return S, D
-
-
-def _fill(mid, tangent, normal, length, backend=None):
-    chosen = backend or _accel.active_backend()
-    fn = _fill_numba if chosen == "numba" else _fill_numpy
-    return fn(mid, tangent, normal, length, _GAUSS_X, _GAUSS_W)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +230,6 @@ def build_layer_operators(
     panels_per_edge: int,
     *,
     rescale_diameter: float | None = 0.8,
-    backend: str | None = None,
 ) -> NystromOperator:
     """Panelize the boundary and fill the layer matrices.
 
@@ -318,9 +246,7 @@ def build_layer_operators(
         scale = rescale_diameter / domain.diameter
         dom = domain.scaled(scale)
     panels = _build_panels(dom, panels_per_edge)
-    Sg, Draw = _fill(
-        panels.mid, panels.tangent, panels.normal, panels.length, backend
-    )
+    Sg, Draw = _fill(panels.mid, panels.tangent, panels.normal, panels.length)
     s = np.sqrt(panels.length)
     S = Sg / (s[:, None] * s[None, :])
     S = 0.5 * (S + S.T)
@@ -413,19 +339,31 @@ def nd_operator(op: NystromOperator) -> NDResult:
     S(½ + D*)⁻¹ with the *adjoint* double layer.  On a circle D and D*
     both vanish on mean-zero densities, so only corner domains separate
     the two; using D here converges to a wrong limit.
+
+    One LU factorization of A = ½I + D̂* serves both routes (each solves
+    Aᵀ Yᵀ = Xᵀ) and the condition estimate, which is LAPACK's 1-norm
+    estimate from that factor with ‖A‖₁ floored at ½.  The floor measures
+    distance to singularity against the ½I part of the operator: a D̂* that
+    cancels it leaves A at roundoff size, whose scale-invariant condition
+    number can look harmless.
     """
     Q = _mean_zero_basis(op)
     Shat = Q.T @ op.S @ Q
     Dhat = Q.T @ op.Dstar @ Q
     A = 0.5 * np.eye(Dhat.shape[0]) + Dhat
-    cond = float(np.linalg.cond(A, 1))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    anorm = max(float(np.abs(A).sum(axis=0).max()), 0.5)
+    factor = sla.lu_factor(A, check_finite=False)
+    gecon = sla.get_lapack_funcs("gecon", (A,))
+    rcond, _ = gecon(factor[0], anorm, norm="1")
+    cond = 1.0 / rcond if rcond > 0 else math.inf
+    if cond > CONDITION_LIMIT:
         raise PotentialsError(
             f"half-plus-double-layer is near singular (cond ≈ {cond:.3e})"
         )
-    Ainv_applied = sla.solve(A.T, Shat.T).T  # Shat @ A^{-1}
-    route1 = Ainv_applied
-    route2 = 2.0 * Shat - 2.0 * (Shat @ Dhat) @ sla.inv(A)
+    route1 = sla.lu_solve(factor, Shat.T, trans=1, check_finite=False).T
+    route2 = 2.0 * Shat - 2.0 * sla.lu_solve(
+        factor, (Shat @ Dhat).T, trans=1, check_finite=False
+    ).T
     denom = np.linalg.norm(route1)
     gap = float(np.linalg.norm(route1 - route2) / denom)
     if gap > 1e-10:

@@ -310,5 +310,18 @@ def test_spectrum_csv_round_trip():
     back = spectrum_from_csv(spectrum_to_csv(spec))
     assert np.array_equal(back.positive, spec.positive)
     assert np.array_equal(back.negative, spec.negative)
-    with pytest.raises(EigensolveError, match="CSV"):
-        spectrum_from_csv("nonsense\n1,2,3")
+    stamped = spectrum_from_csv("# experiment=x seed=0\n" + spectrum_to_csv(spec))
+    assert np.array_equal(stamped.positive, spec.positive)
+    assert np.array_equal(stamped.negative, spec.negative)
+    header = "index,branch,eigenvalue,residual\n"
+    bad_inputs = (
+        "nonsense\n1,2,3",
+        "",
+        "# stamp only\n",
+        header + "1,x,0.5,1e-9",
+        header + "1,+,0.5",
+        header + "1,+,abc,1e-9",
+    )
+    for bad in bad_inputs:
+        with pytest.raises(EigensolveError, match="CSV"):
+            spectrum_from_csv(bad)

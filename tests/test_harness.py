@@ -158,7 +158,7 @@ def test_weyl_run_writes_outputs_and_is_reproducible(tmp_path):
     csv = (d1 / "eigenvalues.csv").read_text().splitlines()
     assert csv[0].startswith("# experiment=weyl-verification")
     assert csv[1] == "index,branch,eigenvalue,residual"
-    spec = spectrum_from_csv("\n".join(csv[1:]))
+    spec = spectrum_from_csv((d1 / "eigenvalues.csv").read_text())
     assert len(spec.positive) > 20
 
     weyl_rows = (d1 / "weyl.csv").read_text().splitlines()

@@ -2,13 +2,14 @@
 identity, circle spectra of the single layer and of the Neumann-to-Dirichlet
 map, symmetry/adjointness structure, and the composition diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from steklovlab import _accel, geometry
+from steklovlab import geometry
 from steklovlab.potentials import (
     PANEL_BUDGET,
     PotentialsError,
@@ -148,6 +149,14 @@ def test_neumann_to_dirichlet_converges_at_second_order():
     assert errs[0] / errs[1] > 3.0
 
 
+def test_neumann_to_dirichlet_rejects_singular_system():
+    # D* = −½I cancels the ½I part, leaving ½I + D̂* at roundoff size
+    op = build_layer_operators(geometry.make_domain("square"), 4)
+    bad = dataclasses.replace(op, Dstar=-0.5 * np.eye(op.n))
+    with pytest.raises(PotentialsError, match="near singular"):
+        nd_operator(bad)
+
+
 # ---------------------------------------------------------------------------
 # structure: adjointness, symmetry, mean-zero basis
 
@@ -223,7 +232,7 @@ def test_composed_operator_is_strictly_smoother(square_op):
 
 
 # ---------------------------------------------------------------------------
-# export and backends
+# export
 
 
 def test_operator_text_round_trip(circle_op):
@@ -234,12 +243,3 @@ def test_operator_text_round_trip(circle_op):
     assert (rows, cols) == (circle_op.n, circle_op.n)
     parsed = np.array([[float(x) for x in ln.split()] for ln in lines[2:]])
     assert np.array_equal(parsed, circle_op.S)
-
-
-@pytest.mark.skipif(not _accel.HAS_NUMBA, reason="compiled backend unavailable")
-def test_fill_backends_agree():
-    dom = geometry.make_domain("square")
-    a = build_layer_operators(dom, 8, backend="numpy")
-    b = build_layer_operators(dom, 8, backend="numba")
-    assert np.abs(a.S - b.S).max() < 1e-14
-    assert np.abs(a.D - b.D).max() < 1e-14

@@ -12,6 +12,7 @@ coefficients under a piecewise-affine straightening map.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -286,10 +287,32 @@ def mollified(base: MatrixField, eps: float) -> MatrixField:
     )
 
 
+def _catalog(kind: str):
+    """Make a catalog dispatcher report an entry parameter that is unknown,
+    missing or of the wrong type as an ``AssemblyError`` naming the entry."""
+
+    def wrap(dispatch):
+        @functools.wraps(dispatch)
+        def checked(name, **params):
+            try:
+                return dispatch(name, **params)
+            except AssemblyError:
+                raise
+            except KeyError as exc:
+                raise AssemblyError(f"{kind} {name!r} needs parameter {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise AssemblyError(f"{kind} {name!r}: {exc}") from exc
+
+        return checked
+
+    return wrap
+
+
+@_catalog("matrix coefficient")
 def make_matrix_field(name: str, *, domain: PolygonDomain | None = None, **params) -> MatrixField:
     """Catalog dispatch: constant, diagonal, rotated-diagonal, checkerboard,
     boundary-matched-rough, mollified."""
-    key = name.strip().lower().replace("_", "-")
+    key = str(name).strip().lower().replace("_", "-")
     if key == "constant":
         return constant_matrix(**params)
     if key == "diagonal":
@@ -350,6 +373,7 @@ def bump_potential(center=(0.0, 0.0), radius: float = 0.5, height: float = 1.0) 
     )
 
 
+@_catalog("potential")
 def make_potential(name: str, **params) -> ScalarField:
     key = name.strip().lower().replace("_", "-")
     if key == "constant":
@@ -385,6 +409,7 @@ def segment_weight(values) -> BoundaryWeight:
     )
 
 
+@_catalog("boundary weight")
 def make_weight(name: str, **params) -> BoundaryWeight:
     key = name.strip().lower().replace("_", "-")
     if key == "constant":

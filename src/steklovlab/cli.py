@@ -76,13 +76,7 @@ def cmd_solve(args) -> int:
     coeff = _coeff(args, dom)
     forms = assembly.assemble_forms(mesh, coeff)
     n = forms.A.shape[0]
-    if args.method == "dense" or (
-        args.method == "auto"
-        and eigensolve.boundary_rank(forms.B) <= eigensolve.DENSE_DIMENSION_CAP
-    ):
-        spec = eigensolve.solve_dense(forms.A, forms.B)
-    else:
-        spec = eigensolve.solve_iterative(forms.A, forms.B, args.count, seed=args.seed)
+    spec = eigensolve.solve(forms.A, forms.B, args.count, method=args.method, seed=args.seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(eigensolve.spectrum_to_csv(spec))
@@ -171,7 +165,7 @@ def main(argv=None) -> int:
     _add_domain_args(p)
     _add_coeff_args(p)
     p.add_argument("--h", type=float, required=True)
-    p.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto")
+    p.add_argument("--method", choices=eigensolve.METHODS, default="auto")
     p.add_argument("--count", type=int, default=12, help="eigenvalues to report")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="", help="write the spectrum CSV")

@@ -10,7 +10,8 @@ weighted nodes (the Schur complement S = A_bb − A_bi A_ii⁻¹ A_ib, the
 discrete Dirichlet-to-Neumann map), eigendecomposes the nb × nb pencil
 (B_bb, S) densely and lifts each eigenvector back to all n unknowns, so its
 residuals are those of the full pencil.  ``solve_iterative`` runs Lanczos on
-the full pencil for a few pairs of one branch.
+the full pencil for a few pairs of one branch.  ``solve`` chooses between
+them.
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ __all__ = [
     "solve_dense",
     "solve_iterative",
     "merge_spectra",
+    "solve",
     "counting",
     "tail_coefficient",
     "spectrum_to_csv",
     "spectrum_from_csv",
 ]
 
+METHODS = ("auto", "dense", "iterative")
 DENSE_DIMENSION_CAP = 8000  # caps nb = boundary_rank(B)
 SCHUR_BLOCK = 64  # columns per block: dense work arrays stay n × 64
 DENSE_RESIDUAL_TOL = 1e-8
@@ -242,6 +245,24 @@ def merge_spectra(pos: Spectrum, neg: Spectrum) -> Spectrum:
         n_dropped=pos.n_dropped + neg.n_dropped,
         boundary_rank=pos.boundary_rank,
     )
+
+
+def solve(A, B, count: int, *, method: str = "auto", both: bool = False, seed: int = 0) -> Spectrum:
+    """The pencil solve ``method`` names: ``dense`` gives every nonzero pair;
+    ``iterative`` gives the ``count`` largest positive pairs (and as many
+    negative ones when ``both``) by Lanczos, ``count`` capped below the
+    boundary rank; ``auto`` is dense while the boundary rank is at most
+    ``DENSE_DIMENSION_CAP``, else iterative."""
+    if method not in METHODS:
+        raise EigensolveError(f"unknown method {method!r}; expected one of {METHODS}")
+    rank = boundary_rank(B)
+    if method == "dense" or (method == "auto" and rank <= DENSE_DIMENSION_CAP):
+        return solve_dense(A, B)
+    count = min(count, max(rank - 2, 1))
+    pos = solve_iterative(A, B, count, sign="+", seed=seed)
+    if not both:
+        return pos
+    return merge_spectra(pos, solve_iterative(A, B, count, sign="-", seed=seed))
 
 
 def counting(spec: Spectrum, lam: float, sign: str = "+") -> int:

@@ -325,13 +325,19 @@ _CATALOG = {
 
 def make_domain(name: str, **params) -> PolygonDomain:
     """Build a catalog domain: regular-ngon, square, lshape, sawtooth-square,
-    koch-prefractal."""
+    koch-prefractal.  An unknown parameter or one of the wrong type raises
+    ``GeometryError`` naming the domain."""
     key = name.strip().lower().replace("_", "-")
     if key not in _CATALOG:
         raise GeometryError(
             f"unknown domain {name!r}; catalog: {sorted(_CATALOG)}"
         )
-    return _CATALOG[key](**params)
+    try:
+        return _CATALOG[key](**params)
+    except GeometryError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise GeometryError(f"domain {key!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

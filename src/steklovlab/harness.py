@@ -17,11 +17,9 @@ become lists.  Schema (defaults in parentheses):
                             coeff.a.interior.cell = 0.1
     coeff.v0                potential name ("constant"), coeff.v0.<p> forwarded
     rho.name                boundary weight name ("constant"), rho.<p> forwarded
-    mesh.levels             strictly decreasing h values
-    solver.method           auto | dense | iterative ("auto": dense, condensed
-                            onto the boundary, when the boundary rank is at
-                            most eigensolve.DENSE_DIMENSION_CAP, else Lanczos)
-    solver.count            iterative pair count (0 = derived from tail window)
+    mesh.levels             positive, strictly decreasing h values
+    solver.method           auto | dense | iterative, as in eigensolve.solve
+                            ("auto": dense while the boundary rank fits)
     tail.kmin, tail.kmax    tail-fit window (0 = [5, boundary_rank/4])
     tolerance.deviation     Weyl-fit relative tolerance (0.10)
     tolerance.pair          cross-method eigenvalue tolerance (0.02)
@@ -30,12 +28,20 @@ become lists.  Schema (defaults in parentheses):
     interior.a, interior.a.<p>   contrasting interior field (boundary-only)
     blend.width             boundary-blend collar width (0.1)
     blend.sweep             optional widths for the degradation curve
-    moll.scales             mollification scales, decreasing (0.16,0.08,0.04,0.02)
+    moll.scales             mollification scales, positive and strictly
+                            decreasing (0.16,0.08,0.04,0.02)
     moll.floor              SPD floor as a fraction of the declared ellipticity (0.5)
     collar.depth            straightening collar depth (0.2)
     collar.resolution       straightening piece resolution (optional)
     bem.panels-per-edge     Nystrom panels per polygon edge (boundary route)
     bem.count               compared eigenvalue count (20)
+
+Config errors raise: a missing key, a value of the wrong type, or an unknown
+catalog entry or parameter ends ``run_experiment`` in ``HarnessError`` (or the
+catalog's ``GeometryError``/``AssemblyError``) before the first stage starts,
+and nothing is written.  Once a stage has started, every experiment turns a
+failure into ``report.error`` and writes a partial ``report.json`` (and no
+CSV or SVG) holding what was computed up to the failure.
 
 Reports never widen a tolerance at runtime: the numbers in the JSON are the
 numbers the pass/fail verdict was computed from.  CSV outputs are bitwise
@@ -44,6 +50,8 @@ reproducible for a fixed config; wall-clock timings live only in report.json.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import io
 import json
 import math
@@ -51,6 +59,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -61,23 +70,10 @@ __all__ = [
     "HarnessError",
     "ExperimentConfig",
     "Report",
-    "run_weyl_verification",
-    "run_boundary_only_dependence",
-    "run_mollification_convergence",
-    "run_bilipschitz_invariance",
-    "run_bem_crosscheck",
     "run_experiment",
     "write_outputs",
     "svg_loglog",
 ]
-
-EXPERIMENTS = (
-    "weyl-verification",
-    "boundary-only-dependence",
-    "mollification-convergence",
-    "bilipschitz-invariance",
-    "bem-crosscheck",
-)
 
 
 class HarnessError(RuntimeError):
@@ -126,6 +122,21 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+def _finite(key: str, val) -> float:
+    """``val`` as a float; a bool, text or non-finite value is an error."""
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            if math.isfinite(val):
+                return float(val)
+    raise HarnessError(f"{key} must be a finite number (got {val!r})")
+
+
+def _positive_decreasing(key: str, values: list) -> list:
+    if any(v <= 0 for v in values) or any(b >= a for a, b in zip(values, values[1:])):
+        raise HarnessError(f"{key} must be positive and strictly decreasing (got {values})")
+    return values
+
+
 @dataclass
 class ExperimentConfig:
     values: dict
@@ -140,18 +151,35 @@ class ExperimentConfig:
             return cls.from_text(fh.read())
 
     def __post_init__(self):
-        exp = self.values.get("experiment")
-        if exp not in EXPERIMENTS:
-            raise HarnessError(
-                f"experiment must be one of {', '.join(EXPERIMENTS)} (got {exp!r})"
-            )
-        levels = self.mesh_levels()
-        if levels is not None:
-            if any(b >= a for a, b in zip(levels, levels[1:])):
-                raise HarnessError("mesh.levels must be strictly decreasing")
+        self.get_choice("experiment", tuple(_EXPERIMENTS))
+        _positive_decreasing("mesh.levels", self.get_floats("mesh.levels", []))
 
     def get(self, key, default=None):
         return self.values.get(key, default)
+
+    # Typed accessors: ``default`` when the key is absent, otherwise the value
+    # checked for its type; a mismatch raises HarnessError naming the key.
+
+    def get_int(self, key: str, default: int) -> int:
+        val = self.values.get(key, default)
+        if isinstance(val, int) and not isinstance(val, bool):
+            return val
+        raise HarnessError(f"{key} must be an integer (got {val!r})")
+
+    def get_float(self, key: str, default: float | None) -> float | None:
+        val = self.values.get(key)
+        return default if val is None else _finite(key, val)
+
+    def get_floats(self, key: str, default: list) -> list:
+        """A single number reads as a one-element list."""
+        val = self.values.get(key, default)
+        return [_finite(key, v) for v in (val if isinstance(val, list) else [val])]
+
+    def get_choice(self, key: str, choices: tuple, default=None):
+        val = self.values.get(key, default)
+        if val not in choices:
+            raise HarnessError(f"{key} must be one of {', '.join(choices)} (got {val!r})")
+        return val
 
     @property
     def experiment(self) -> str:
@@ -159,19 +187,17 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.values.get("seed", 0))
+        return self.get_int("seed", 0)
 
     @property
     def output_dir(self) -> str:
         return str(self.values.get("output.dir", "out"))
 
-    def mesh_levels(self):
-        raw = self.values.get("mesh.levels")
-        if raw is None:
-            return None
-        if not isinstance(raw, list):
-            raw = [raw]
-        return [float(x) for x in raw]
+    def mesh_levels(self) -> list:
+        levels = self.get_floats("mesh.levels", [])
+        if not levels:
+            raise HarnessError(f"{self.experiment} needs mesh.levels")
+        return levels
 
     def group(self, prefix: str) -> dict:
         """Sub-keys of ``prefix.`` with one extra nesting level folded into
@@ -196,12 +222,10 @@ class ExperimentConfig:
 
 
 def _domain_from(cfg: ExperimentConfig) -> geometry.PolygonDomain:
-    name = cfg.get("domain.name")
-    if name is None:
-        raise HarnessError("config needs domain.name")
     params = cfg.group("domain")
-    params.pop("name", None)
-    return geometry.make_domain(str(name), **params)
+    if "name" not in params:
+        raise HarnessError("config needs domain.name")
+    return geometry.make_domain(str(params.pop("name")), **params)
 
 
 def _matrix_from(cfg: ExperimentConfig, domain, prefix="coeff.a") -> assembly.MatrixField:
@@ -214,14 +238,9 @@ def _coeff_from(cfg: ExperimentConfig, domain) -> assembly.CoefficientField:
     v0 = assembly.make_potential(
         str(cfg.get("coeff.v0", "constant")), **cfg.group("coeff.v0")
     )
-    rho = _weight_from(cfg)
-    return assembly.CoefficientField(a=a, v0=v0, rho=rho)
-
-
-def _weight_from(cfg: ExperimentConfig) -> assembly.BoundaryWeight:
     params = cfg.group("rho")
-    params.pop("name", None)
-    return assembly.make_weight(str(cfg.get("rho.name", "constant")), **params)
+    rho = assembly.make_weight(str(params.pop("name", "constant")), **params)
+    return assembly.CoefficientField(a=a, v0=v0, rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +258,9 @@ def _versions() -> dict:
 
 @dataclass
 class Report:
+    """Verdict of one run.  The fields up to ``error`` are its report.json;
+    the rest carry what the CSV and SVG writers draw and are not serialized."""
+
     experiment: str
     passed: bool
     tolerances: dict
@@ -248,6 +270,9 @@ class Report:
     summary: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     error: str | None = None
+    spectrum: eigensolve.Spectrum | None = None
+    weyl_data: weyl.WeylData | None = None
+    gaps: np.ndarray | None = None  # relative gap per index k
 
     def to_json(self) -> str:
         payload = {
@@ -264,56 +289,34 @@ class Report:
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _stamp(cfg: ExperimentConfig) -> str:
-    """Comment line prepended to every CSV so the run is identifiable without
-    the JSON."""
-    return f"# experiment={cfg.experiment} seed={cfg.seed}\n"
-
-
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
 
-def _solve_pencil(forms, cfg: ExperimentConfig, *, need: int, both: bool):
-    """Dense when the boundary rank fits (or when forced), otherwise one-sided
-    Lanczos runs merged across branches."""
-    method = str(cfg.get("solver.method", "auto"))
-    rank = eigensolve.boundary_rank(forms.B)
-    if method == "dense" or (method == "auto" and rank <= eigensolve.DENSE_DIMENSION_CAP):
-        return eigensolve.solve_dense(forms.A, forms.B)
-    if method not in ("auto", "iterative"):
-        raise HarnessError(f"unknown solver.method {method!r}")
-    count = int(cfg.get("solver.count", 0)) or need
-    count = min(count, max(rank - 2, 1))
-    pos = eigensolve.solve_iterative(forms.A, forms.B, count, sign="+", seed=cfg.seed)
-    if not both:
-        return pos
-    neg = eigensolve.solve_iterative(forms.A, forms.B, count, sign="-", seed=cfg.seed)
-    return eigensolve.merge_spectra(pos, neg)
+def _tail(cfg: ExperimentConfig) -> tuple:
+    """Configured (kmin, kmax) of the tail window; 0 = chosen by ``_window``."""
+    return (cfg.get_int("tail.kmin", 0), cfg.get_int("tail.kmax", 0))
 
 
-def _tail_window(cfg: ExperimentConfig, spec, sign: str = "+") -> tuple:
-    kmin = int(cfg.get("tail.kmin", 0))
-    kmax = int(cfg.get("tail.kmax", 0))
-    if kmin and kmax:
-        return (kmin, kmax)
-    auto_max = max(5, len(spec.branch(sign)) // 4)
-    return (kmin or 5, kmax or auto_max)
+def _window(tail: tuple, resolved: int) -> tuple:
+    """Tail window over the first ``resolved`` eigenvalues of a branch."""
+    return (tail[0] or 5, min(tail[1] or max(5, resolved // 4), resolved))
 
 
-def _weight_has_negative_part(coeff, mesh) -> bool:
-    return bool((coeff.rho.edge_values(mesh) < 0).any())
-
-
-def _fit_level(mesh, coeff, cfg, *, d: int = 1) -> dict:
+def _fit_level(mesh, coeff, cfg: ExperimentConfig, tail: tuple) -> tuple:
     """Assemble, solve, and tail-fit one mesh level; returns the level row
-    plus the spectrum for downstream use."""
+    and the spectrum."""
     forms = assembly.assemble_forms(mesh, coeff)
-    window_hint = int(cfg.get("tail.kmax", 0))
     rank = eigensolve.boundary_rank(forms.B)
-    need = int(1.25 * (window_hint or max(5, rank // 4))) + 5
-    both = _weight_has_negative_part(coeff, mesh)
-    spec = _solve_pencil(forms, cfg, need=need, both=both)
+    need = int(1.25 * (tail[1] or max(5, rank // 4))) + 5
+    spec = eigensolve.solve(
+        forms.A,
+        forms.B,
+        need,
+        method=cfg.get_choice("solver.method", eigensolve.METHODS, "auto"),
+        both=bool((coeff.rho.edge_values(mesh) < 0).any()),
+        seed=cfg.seed,
+    )
     row = {
         "h": mesh.h,
         "dofs": int(forms.A.shape[0]),
@@ -326,21 +329,18 @@ def _fit_level(mesh, coeff, cfg, *, d: int = 1) -> dict:
             )
         ),
     }
-    fits = {}
     for sign, key in (("+", "plus"), ("-", "minus")):
         branch = spec.branch(sign)
         if len(branch) == 0:
             continue
-        window = _tail_window(cfg, spec, sign)
-        kmax = min(window[1], len(branch))
-        if kmax < window[0]:
+        kmin, kmax = _window(tail, len(branch))
+        if kmax < kmin:
             continue
-        t = eigensolve.tail_coefficient(spec, d=d, window=(window[0], kmax), sign=sign)
-        fits[key] = t
+        t = eigensolve.tail_coefficient(spec, window=(kmin, kmax), sign=sign)
         row[f"fit_{key}"] = t.estimate
         row[f"band_{key}"] = [t.lower, t.upper]
         row[f"window_{key}"] = [int(t.window[0]), int(t.window[1])]
-    return row, spec, fits
+    return row, spec
 
 
 def _deviation(fit: float, predicted: float) -> float:
@@ -349,73 +349,50 @@ def _deviation(fit: float, predicted: float) -> float:
 
 # ---------------------------------------------------------------------------
 # experiments
+#
+# Each body reads its config first, so a config error raises before anything
+# is computed; ``stage(name)`` then times one step into provenance.timings.
 
 
-def run_weyl_verification(cfg: ExperimentConfig) -> Report:
-    tol = float(cfg.get("tolerance.deviation", 0.10))
-    report = Report(
-        experiment=cfg.experiment,
-        passed=False,
-        tolerances={"deviation": tol},
-        provenance={"config": cfg.echo(), "seed": cfg.seed, "versions": _versions()},
-    )
+def _weyl_verification(cfg: ExperimentConfig, report: Report, stage) -> None:
+    tol = cfg.get_float("tolerance.deviation", 0.10)
+    report.tolerances = {"deviation": tol}
     domain = _domain_from(cfg)
     coeff = _coeff_from(cfg, domain)
+    levels = cfg.mesh_levels()
+    tail = _tail(cfg)
     wd = weyl.weyl_coefficient(domain, coeff)
+    report.weyl_data = wd
     report.predicted = {"w_plus": wd.w_plus, "w_minus": wd.w_minus}
     report.summary["surface_measure"] = domain.perimeter
-    levels = cfg.mesh_levels()
-    if not levels:
-        raise HarnessError("weyl-verification needs mesh.levels")
-    timings = {}
-    spec = None
-    try:
-        for h in levels:
-            t0 = time.perf_counter()
+    for h in levels:
+        with stage(f"level_h={h:g}"):
             mesh = geometry.triangulate(domain, h)
-            row, spec, fits = _fit_level(mesh, coeff, cfg)
-            timings[f"level_h={h:g}"] = time.perf_counter() - t0
-            report.levels.append(row)
-    except Exception as exc:  # partial report on a failed level
-        report.error = f"{type(exc).__name__}: {exc}"
-        report.provenance["timings"] = timings
-        return report
+            row, report.spectrum = _fit_level(mesh, coeff, cfg, tail)
+        report.levels.append(row)
     last = report.levels[-1]
-    devs = {}
-    ok = True
-    for key, pred in (("plus", wd.w_plus), ("minus", wd.w_minus)):
-        if pred <= 0:
-            continue
-        fit = last.get(f"fit_{key}")
-        if fit is None:
-            ok = False
-            devs[key] = None
-            continue
-        devs[key] = _deviation(fit, pred)
-        ok = ok and devs[key] <= tol
-    report.fitted = {
-        k: last.get(f"fit_{k}") for k in ("plus", "minus") if f"fit_{k}" in last
+    report.fitted = {k: last[f"fit_{k}"] for k in ("plus", "minus") if f"fit_{k}" in last}
+    # a predicted branch without a fit fails the run
+    devs = {
+        key: _deviation(report.fitted[key], pred) if key in report.fitted else None
+        for key, pred in (("plus", wd.w_plus), ("minus", wd.w_minus))
+        if pred > 0
     }
     report.summary["deviation"] = devs
-    report.passed = ok and report.error is None
-    report.provenance["timings"] = timings
-    report.summary["_spectrum"] = spec
-    report.summary["_weyl_data"] = wd
-    return report
+    report.passed = all(d is not None and d <= tol for d in devs.values())
 
 
-def run_boundary_only_dependence(cfg: ExperimentConfig) -> Report:
-    tol = float(cfg.get("tolerance.deviation", 0.10))
-    report = Report(
-        experiment=cfg.experiment,
-        passed=False,
-        tolerances={"deviation": tol},
-        provenance={"config": cfg.echo(), "seed": cfg.seed, "versions": _versions()},
-    )
+def _boundary_only_dependence(cfg: ExperimentConfig, report: Report, stage) -> None:
+    tol = cfg.get_float("tolerance.deviation", 0.10)
+    report.tolerances = {"deviation": tol}
     domain = _domain_from(cfg)
-    trace_field = _matrix_from(cfg, domain)
+    smooth = _coeff_from(cfg, domain)
+    trace_field = smooth.a
     interior_field = _matrix_from(cfg, domain, prefix="interior.a")
-    width = float(cfg.get("blend.width", 0.1))
+    width = cfg.get_float("blend.width", 0.1)
+    widths = cfg.get_floats("blend.sweep", [])
+    h = cfg.mesh_levels()[-1]
+    tail = _tail(cfg)
     rough = assembly.boundary_matched_rough(domain, interior_field, trace_field, width)
 
     # reject mismatched traces up front
@@ -444,31 +421,19 @@ def run_boundary_only_dependence(cfg: ExperimentConfig) -> Report:
     ).max()
     report.summary["interior_contrast"] = float(contrast)
 
-    v0 = assembly.make_potential(str(cfg.get("coeff.v0", "constant")), **cfg.group("coeff.v0"))
-    rho = _weight_from(cfg)
-    coeff1 = assembly.CoefficientField(trace_field, v0, rho)
-    coeff2 = assembly.CoefficientField(rough, v0, rho)
-    wd = weyl.weyl_coefficient(domain, coeff1)
+    wd = weyl.weyl_coefficient(domain, smooth)
+    report.weyl_data = wd
     report.predicted = {"w_plus": wd.w_plus, "w_minus": wd.w_minus}
 
-    levels = cfg.mesh_levels()
-    if not levels:
-        raise HarnessError("boundary-only-dependence needs mesh.levels")
-    h = levels[-1]
-    timings = {}
-    t0 = time.perf_counter()
-    mesh = geometry.triangulate(domain, h)
-    timings["mesh"] = time.perf_counter() - t0
+    with stage("mesh"):
+        mesh = geometry.triangulate(domain, h)
     fits = {}
-    spec_keep = None
-    for tag, coeff in (("smooth", coeff1), ("rough", coeff2)):
-        t0 = time.perf_counter()
-        row, spec, _ = _fit_level(mesh, coeff, cfg)
-        timings[tag] = time.perf_counter() - t0
+    for tag, coeff in (("smooth", smooth), ("rough", smooth.with_(a=rough))):
+        with stage(tag):
+            row, report.spectrum = _fit_level(mesh, coeff, cfg, tail)
         row["field"] = tag
         report.levels.append(row)
         fits[tag] = row["fit_plus"]
-        spec_keep = spec
     dev1 = _deviation(fits["smooth"], wd.w_plus)
     dev2 = _deviation(fits["rough"], wd.w_plus)
     mutual = abs(fits["smooth"] - fits["rough"]) / fits["smooth"]
@@ -476,20 +441,13 @@ def run_boundary_only_dependence(cfg: ExperimentConfig) -> Report:
     report.summary["deviation"] = {"smooth": dev1, "rough": dev2, "mutual": mutual}
     report.passed = max(dev1, dev2, mutual) <= tol
 
-    sweep = cfg.get("blend.sweep")
-    if sweep:
-        widths = [float(w) for w in (sweep if isinstance(sweep, list) else [sweep])]
+    if widths:
         curve = []
         for w in widths:
             f2 = assembly.boundary_matched_rough(domain, interior_field, trace_field, w)
-            c2 = assembly.CoefficientField(f2, v0, rho)
-            row, _, _ = _fit_level(mesh, c2, cfg)
+            row, _ = _fit_level(mesh, smooth.with_(a=f2), cfg, tail)
             curve.append({"width": w, "fit_plus": row["fit_plus"]})
         report.summary["blend_sweep"] = curve
-    report.provenance["timings"] = timings
-    report.summary["_spectrum"] = spec_keep
-    report.summary["_weyl_data"] = wd
-    return report
 
 
 def _spd_floored(fld: assembly.MatrixField, floor: float) -> assembly.MatrixField:
@@ -526,51 +484,32 @@ def _spd_floored(fld: assembly.MatrixField, floor: float) -> assembly.MatrixFiel
     return out, fired
 
 
-def run_mollification_convergence(cfg: ExperimentConfig) -> Report:
-    tol = float(cfg.get("tolerance.drift", 0.02))
-    report = Report(
-        experiment=cfg.experiment,
-        passed=False,
-        tolerances={"drift": tol, "monotone_slack": 0.02},
-        provenance={"config": cfg.echo(), "seed": cfg.seed, "versions": _versions()},
-    )
+def _mollification_convergence(cfg: ExperimentConfig, report: Report, stage) -> None:
+    tol = cfg.get_float("tolerance.drift", 0.02)
+    report.tolerances = {"drift": tol, "monotone_slack": 0.02}
     domain = _domain_from(cfg)
-    base = _matrix_from(cfg, domain)
-    v0 = assembly.make_potential(str(cfg.get("coeff.v0", "constant")), **cfg.group("coeff.v0"))
-    rho = _weight_from(cfg)
-    scales = cfg.get("moll.scales", [0.16, 0.08, 0.04, 0.02])
-    scales = [float(s) for s in (scales if isinstance(scales, list) else [scales])]
-    if any(b >= a for a, b in zip(scales, scales[1:])):
-        raise HarnessError("moll.scales must be strictly decreasing")
-    floor_frac = float(cfg.get("moll.floor", 0.5))
-    levels = cfg.mesh_levels()
-    if not levels:
-        raise HarnessError("mollification-convergence needs mesh.levels")
-    h = levels[-1]
-    timings = {}
-    t0 = time.perf_counter()
-    mesh = geometry.triangulate(domain, h)
-    timings["mesh"] = time.perf_counter() - t0
-
-    coeff0 = assembly.CoefficientField(base, v0, rho)
-    t0 = time.perf_counter()
-    row0, spec0, _ = _fit_level(mesh, coeff0, cfg)
-    timings["reference"] = time.perf_counter() - t0
+    coeff0 = _coeff_from(cfg, domain)
+    scales = _positive_decreasing(
+        "moll.scales", cfg.get_floats("moll.scales", [0.16, 0.08, 0.04, 0.02])
+    )
+    floor = cfg.get_float("moll.floor", 0.5) * coeff0.a.ellipticity
+    h = cfg.mesh_levels()[-1]
+    tail = _tail(cfg)
+    with stage("mesh"):
+        mesh = geometry.triangulate(domain, h)
+    with stage("reference"):
+        row0, report.spectrum = _fit_level(mesh, coeff0, cfg, tail)
     row0["eps"] = 0.0
     report.levels.append(row0)
-    window = _tail_window(cfg, spec0)
-    kmax = min(window[1], len(spec0.positive))
-    ref = spec0.positive[:kmax]
+    kmax = _window(tail, len(report.spectrum.positive))[1]
+    ref = report.spectrum.positive[:kmax]
 
     drifts = []
     projections = 0
     for eps in scales:
-        t0 = time.perf_counter()
-        fld = assembly.mollified(base, eps)
-        fld, fired = _spd_floored(fld, floor_frac * base.ellipticity)
-        coeff = assembly.CoefficientField(fld, v0, rho)
-        row, spec, _ = _fit_level(mesh, coeff, cfg)
-        timings[f"eps={eps:g}"] = time.perf_counter() - t0
+        with stage(f"eps={eps:g}"):
+            fld, fired = _spd_floored(assembly.mollified(coeff0.a, eps), floor)
+            row, spec = _fit_level(mesh, coeff0.with_(a=fld), cfg, tail)
         cur = spec.positive[:kmax]
         drift = float(np.max(np.abs(cur - ref) / ref))
         row["eps"] = eps
@@ -578,58 +517,37 @@ def run_mollification_convergence(cfg: ExperimentConfig) -> Report:
         report.levels.append(row)
         drifts.append(drift)
         projections += fired["count"]
-    monotone = all(
-        b <= a * 1.02 + 1e-12 for a, b in zip(drifts, drifts[1:])
-    )
+    monotone = all(b <= a * 1.02 + 1e-12 for a, b in zip(drifts, drifts[1:]))
     report.fitted = {"drift": drifts}
     report.summary["scales"] = scales
     report.summary["spd_projections"] = projections
     report.summary["monotone"] = monotone
     report.summary["final_drift"] = drifts[-1]
     report.passed = monotone and drifts[-1] <= tol
-    report.provenance["timings"] = timings
-    report.summary["_spectrum"] = spec0
-    return report
 
 
-def run_bilipschitz_invariance(cfg: ExperimentConfig) -> Report:
-    tol = float(cfg.get("tolerance.invariance", 1e-8))
-    report = Report(
-        experiment=cfg.experiment,
-        passed=False,
-        tolerances={"invariance": tol},
-        provenance={"config": cfg.echo(), "seed": cfg.seed, "versions": _versions()},
-    )
+def _bilipschitz_invariance(cfg: ExperimentConfig, report: Report, stage) -> None:
+    tol = cfg.get_float("tolerance.invariance", 1e-8)
+    report.tolerances = {"invariance": tol}
     domain = _domain_from(cfg)
     if not domain.charts:
         raise HarnessError(f"domain {domain.name!r} carries no boundary chart")
-    chart = domain.charts[0]
-    depth = float(cfg.get("collar.depth", 0.2))
-    resolution = cfg.get("collar.resolution")
-    smap = geometry.build_straightening(
-        domain, chart, depth, resolution=None if resolution is None else float(resolution)
-    )
-    levels = cfg.mesh_levels()
-    if not levels:
-        raise HarnessError("bilipschitz-invariance needs mesh.levels")
-    h = levels[-1]
-    timings = {}
-    t0 = time.perf_counter()
-    mesh_pre, mesh_post = geometry.build_matched_meshes(smap, h)
-    timings["mesh"] = time.perf_counter() - t0
+    depth = cfg.get_float("collar.depth", 0.2)
+    resolution = cfg.get_float("collar.resolution", None)
+    h = cfg.mesh_levels()[-1]
+    coeff = _coeff_from(cfg, domain)
+    smap = geometry.build_straightening(domain, domain.charts[0], depth, resolution=resolution)
+    pulled = assembly.pullback_coefficients(coeff, smap)
+    with stage("mesh"):
+        mesh_pre, mesh_post = geometry.build_matched_meshes(smap, h)
     if not np.array_equal(mesh_pre.triangles, mesh_post.triangles):
         raise HarnessError("matched meshes disagree on connectivity")
-
-    coeff = _coeff_from(cfg, domain)
-    pulled = assembly.pullback_coefficients(coeff, smap)
-    t0 = time.perf_counter()
-    forms_pre = assembly.assemble_forms(mesh_pre, coeff)
-    forms_post = assembly.assemble_forms(mesh_post, pulled)
-    timings["assembly"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    spec_pre = eigensolve.solve_dense(forms_pre.A, forms_pre.B)
-    spec_post = eigensolve.solve_dense(forms_post.A, forms_post.B)
-    timings["solve"] = time.perf_counter() - t0
+    with stage("assembly"):
+        forms_pre = assembly.assemble_forms(mesh_pre, coeff)
+        forms_post = assembly.assemble_forms(mesh_post, pulled)
+    with stage("solve"):
+        spec_pre = eigensolve.solve_dense(forms_pre.A, forms_pre.B)
+        spec_post = eigensolve.solve_dense(forms_post.A, forms_post.B)
 
     mu1 = spec_pre.positive[0]
     resolved = spec_pre.positive >= 1e-4 * mu1
@@ -644,12 +562,8 @@ def run_bilipschitz_invariance(cfg: ExperimentConfig) -> Report:
     bad = assembly.assemble_forms(mesh_post, misuse)
     spec_bad = eigensolve.solve_dense(bad.A, bad.B)
     kb = min(k, len(spec_bad.positive))
-    misuse_gap = float(
-        np.max(
-            np.abs(spec_pre.positive[:kb] - spec_bad.positive[:kb])
-            / spec_pre.positive[:kb]
-        )
-    )
+    ref = spec_pre.positive[:kb]
+    misuse_gap = float(np.max(np.abs(ref - spec_bad.positive[:kb]) / ref))
 
     report.levels.append(
         {
@@ -665,48 +579,37 @@ def run_bilipschitz_invariance(cfg: ExperimentConfig) -> Report:
     report.summary["misuse_gap"] = misuse_gap
     report.summary["misuse_detectable"] = misuse_gap > 100 * tol
     report.passed = max_rel <= tol and misuse_gap > 100 * tol
-    report.provenance["timings"] = timings
-    report.summary["_spectrum"] = spec_pre
-    report.summary["_gap_series"] = rel
-    return report
+    report.spectrum = spec_pre
+    report.gaps = rel
 
 
-def run_bem_crosscheck(cfg: ExperimentConfig) -> Report:
-    tol = float(cfg.get("tolerance.pair", 0.02))
-    report = Report(
-        experiment=cfg.experiment,
-        passed=False,
-        tolerances={"pair": tol, "route_gap": 1e-10},
-        provenance={"config": cfg.echo(), "seed": cfg.seed, "versions": _versions()},
-    )
+def _bem_crosscheck(cfg: ExperimentConfig, report: Report, stage) -> None:
+    tol = cfg.get_float("tolerance.pair", 0.02)
+    report.tolerances = {"pair": tol, "route_gap": 1e-10}
     domain = _domain_from(cfg)
-    k = int(cfg.get("bem.count", 20))
-    ppe = int(cfg.get("bem.panels-per-edge", 0))
+    k = cfg.get_int("bem.count", 20)
+    ppe = cfg.get_int("bem.panels-per-edge", 0)
     if ppe < 1:
         raise HarnessError("bem-crosscheck needs bem.panels-per-edge >= 1")
-    timings = {}
-    t0 = time.perf_counter()
-    op = potentials.build_layer_operators(domain, ppe)
-    nd = potentials.nd_operator(op)
-    timings["bem"] = time.perf_counter() - t0
-    bem_eigs = nd.eigenvalues[:k]
-
     levels = cfg.mesh_levels()
-    if not levels:
-        raise HarnessError("bem-crosscheck needs mesh.levels")
     coeff = assembly.CoefficientField(
         assembly.constant_matrix(1.0),
         assembly.constant_potential(1.0),
         assembly.constant_weight(1.0),
     )
+    with stage("bem"):
+        op = potentials.build_layer_operators(domain, ppe)
+        nd = potentials.nd_operator(op)
+    bem_eigs = nd.eigenvalues[:k]
 
     def fem_at(h: float):
         mesh = geometry.triangulate(domain, h)
         K, M = assembly.assemble_energy_split(mesh, coeff)
         B = assembly.assemble_boundary_weight(mesh, coeff.rho)
+        method = cfg.get_choice("solver.method", eigensolve.METHODS, "auto")
         mus = {}
         for v0 in (1.0, 0.5, 0.25):
-            spec = _solve_pencil_from(K + v0 * M, B, cfg, need=k + 8)
+            spec = eigensolve.solve(K + v0 * M, B, k + 8, method=method, seed=cfg.seed)
             mus[v0] = spec.positive[: k + 4]
         m = min(len(mus[v]) for v in mus)
         sig = {v: 1.0 / mus[v][:m] for v in mus}
@@ -714,18 +617,17 @@ def run_bem_crosscheck(cfg: ExperimentConfig) -> Report:
         # the leading pencil mode collapses to the constant as v0 -> 0; drop it
         return 1.0 / sig_hat[1:], np.abs(mus[1.0][1:m] - mus[0.5][1:m])
 
-    t0 = time.perf_counter()
-    fem, shift = fem_at(levels[-1])
-    if len(levels) >= 2:
-        # second-order Richardson step across the two finest meshes; the
-        # boundary spectrum converges like h^2 in the resolved range, so
-        # this removes most of the tail's discretisation bias
-        h_c, h_f = levels[-2], levels[-1]
-        fem_c, _ = fem_at(h_c)
-        m = min(len(fem), len(fem_c))
-        fem = (fem[:m] * h_c**2 - fem_c[:m] * h_f**2) / (h_c**2 - h_f**2)
-        shift = shift[:m]
-    timings["fem"] = time.perf_counter() - t0
+    with stage("fem"):
+        fem, shift = fem_at(levels[-1])
+        if len(levels) >= 2:
+            # second-order Richardson step across the two finest meshes; the
+            # boundary spectrum converges like h^2 in the resolved range, so
+            # this removes most of the tail's discretisation bias
+            h_c, h_f = levels[-2], levels[-1]
+            fem_c, _ = fem_at(h_c)
+            m = min(len(fem), len(fem_c))
+            fem = (fem[:m] * h_c**2 - fem_c[:m] * h_f**2) / (h_c**2 - h_f**2)
+            shift = shift[:m]
 
     kk = min(k, len(fem), len(bem_eigs))
     fem = fem[:kk]
@@ -734,7 +636,7 @@ def run_bem_crosscheck(cfg: ExperimentConfig) -> Report:
     compared = fem >= 10.0 * shift
     rel = np.abs(fem - bem_k) / bem_k
     max_rel = float(rel[compared].max()) if compared.any() else None
-    table = [
+    report.levels = [
         {
             "k": i + 1,
             "fem": float(fem[i]),
@@ -745,36 +647,13 @@ def run_bem_crosscheck(cfg: ExperimentConfig) -> Report:
         }
         for i in range(kk)
     ]
-    report.levels = table
     report.fitted = {"max_relative": max_rel}
     report.summary["route_gap"] = nd.route_gap
     report.summary["condition"] = nd.condition
     report.summary["nd_asymmetry"] = nd.asymmetry
     report.summary["compared_count"] = int(compared.sum())
-    report.passed = (
-        max_rel is not None and max_rel <= tol and nd.route_gap <= 1e-10
-    )
-    report.provenance["timings"] = timings
-    report.summary["_rel_series"] = rel
-    report.summary["_fem"] = fem
-    report.summary["_bem"] = bem_k
-    return report
-
-
-def _solve_pencil_from(A, B, cfg: ExperimentConfig, *, need: int):
-    forms = assembly.AssembledForms(
-        A.tocsr(), B.tocsr(), np.arange(A.shape[0]), 2
-    )
-    return _solve_pencil(forms, cfg, need=need, both=False)
-
-
-RUNNERS = {
-    "weyl-verification": run_weyl_verification,
-    "boundary-only-dependence": run_boundary_only_dependence,
-    "mollification-convergence": run_mollification_convergence,
-    "bilipschitz-invariance": run_bilipschitz_invariance,
-    "bem-crosscheck": run_bem_crosscheck,
-}
+    report.passed = max_rel is not None and max_rel <= tol and nd.route_gap <= 1e-10
+    report.gaps = rel
 
 
 # ---------------------------------------------------------------------------
@@ -903,89 +782,119 @@ def svg_loglog(
     return out.getvalue()
 
 
-def _plot_for(report: Report, cfg: ExperimentConfig) -> str:
-    comment = f"experiment={cfg.experiment} seed={cfg.seed}"
-    exp = report.experiment
-    if exp in ("weyl-verification", "boundary-only-dependence", "mollification-convergence"):
-        spec = report.summary.get("_spectrum")
-        if spec is None or len(spec.positive) == 0:
-            raise HarnessError("no spectrum to plot")
-        series = []
-        k = np.arange(1, len(spec.positive) + 1)
+# ---------------------------------------------------------------------------
+# plots
+
+
+def _tail_plot(report: Report, comment: str) -> str:
+    spec = report.spectrum
+    if len(spec.positive) == 0:
+        raise HarnessError("no spectrum to plot")
+    series = []
+    k = np.arange(1, len(spec.positive) + 1)
+    series.append(
+        {"x": spec.positive, "y": k * spec.positive, "label": "k·μ_k (+)"}
+    )
+    if len(spec.negative):
+        kn = np.arange(1, len(spec.negative) + 1)
         series.append(
-            {"x": spec.positive, "y": k * spec.positive, "label": "k·μ_k (+)"}
+            {
+                "x": np.abs(spec.negative),
+                "y": kn * np.abs(spec.negative),
+                "label": "k·|μ_k| (−)",
+            }
         )
-        if len(spec.negative):
-            kn = np.arange(1, len(spec.negative) + 1)
-            series.append(
-                {
-                    "x": np.abs(spec.negative),
-                    "y": kn * np.abs(spec.negative),
-                    "label": "k·|μ_k| (−)",
-                }
-            )
-        hl = []
-        if report.predicted.get("w_plus", 0) > 0:
-            hl.append((report.predicted["w_plus"], "predicted W+"))
-        if report.predicted.get("w_minus", 0) > 0:
-            hl.append((report.predicted["w_minus"], "predicted W-"))
+    hl = [
+        (report.predicted[key], f"predicted {name}")
+        for key, name in (("w_plus", "W+"), ("w_minus", "W-"))
+        if report.predicted.get(key, 0) > 0
+    ]
+    return svg_loglog(
+        series,
+        hlines=hl,
+        title=f"counting-function tail — {report.experiment}",
+        xlabel="λ",
+        ylabel="n(λ)·λ",
+        comment=comment,
+    )
+
+
+def _gap_plot(tolerance: str, label: str, title: str, ylabel: str):
+    """Plot of ``report.gaps`` against ``report.tolerances[tolerance]``."""
+
+    def plot(report: Report, comment: str) -> str:
+        k = np.arange(1, len(report.gaps) + 1)
         return svg_loglog(
-            series,
-            hlines=hl,
-            title=f"counting-function tail — {exp}",
-            xlabel="λ",
-            ylabel="n(λ)·λ",
-            comment=comment,
-        )
-    if exp == "bilipschitz-invariance":
-        rel = report.summary.get("_gap_series")
-        k = np.arange(1, len(rel) + 1)
-        series = [{"x": k, "y": np.maximum(rel, 1e-17), "label": "relative gap"}]
-        return svg_loglog(
-            series,
-            hlines=[(report.tolerances["invariance"], "tolerance")],
-            title="straightening invariance",
+            [{"x": k, "y": np.maximum(report.gaps, 1e-17), "label": label}],
+            hlines=[(report.tolerances[tolerance], "tolerance")],
+            title=title,
             xlabel="k",
-            ylabel="relative eigenvalue gap",
+            ylabel=ylabel,
             comment=comment,
         )
-    if exp == "bem-crosscheck":
-        rel = report.summary.get("_rel_series")
-        k = np.arange(1, len(rel) + 1)
-        series = [{"x": k, "y": np.maximum(rel, 1e-17), "label": "|FEM-BEM|/BEM"}]
-        return svg_loglog(
-            series,
-            hlines=[(report.tolerances["pair"], "tolerance")],
-            title="boundary-integral vs finite-element spectra",
-            xlabel="k",
-            ylabel="relative difference",
-            comment=comment,
-        )
-    raise HarnessError(f"no plot defined for {exp}")
+
+    return plot
 
 
 # ---------------------------------------------------------------------------
-# output files
+# eigenvalue tables
 
 
-def _eigenvalues_csv(report: Report, cfg: ExperimentConfig) -> str:
-    spec = report.summary.get("_spectrum")
-    if spec is None:
-        fem = report.summary.get("_fem")
-        bem = report.summary.get("_bem")
-        out = io.StringIO()
-        out.write(_stamp(cfg))
-        out.write("index,fem,bem,relative\n")
-        rel = report.summary["_rel_series"]
-        for i, (f, b, r) in enumerate(zip(fem, bem, rel), 1):
-            out.write(f"{i},{float(f)!r},{float(b)!r},{float(r)!r}\n")
-        return out.getvalue()
-    return _stamp(cfg) + eigensolve.spectrum_to_csv(spec)
+def _spectrum_table(report: Report) -> str:
+    return eigensolve.spectrum_to_csv(report.spectrum)
+
+
+def _route_table(report: Report) -> str:
+    out = io.StringIO()
+    out.write("index,fem,bem,relative\n")
+    for row in report.levels:
+        out.write(f"{row['k']},{row['fem']!r},{row['bem']!r},{row['relative']!r}\n")
+    return out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# registry
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    body: Callable  # (cfg, report, stage) -> None; fills the report
+    table: Callable = _spectrum_table  # report -> eigenvalues.csv body
+    plot: Callable = _tail_plot  # (report, comment) -> plot.svg
+
+
+_EXPERIMENTS = {
+    "weyl-verification": _Experiment(_weyl_verification),
+    "boundary-only-dependence": _Experiment(_boundary_only_dependence),
+    "mollification-convergence": _Experiment(_mollification_convergence),
+    "bilipschitz-invariance": _Experiment(
+        _bilipschitz_invariance,
+        plot=_gap_plot(
+            "invariance", "relative gap", "straightening invariance", "relative eigenvalue gap"
+        ),
+    ),
+    "bem-crosscheck": _Experiment(
+        _bem_crosscheck,
+        _route_table,
+        _gap_plot(
+            "pair",
+            "|FEM-BEM|/BEM",
+            "boundary-integral vs finite-element spectra",
+            "relative difference",
+        ),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# output files and the runner
 
 
 def write_outputs(report: Report, cfg: ExperimentConfig, outdir=None) -> dict:
-    """Write eigenvalues.csv, weyl.csv (when applicable), report.json, and
-    plot.svg; returns the path map."""
+    """Write report.json and, unless the run failed, eigenvalues.csv,
+    plot.svg and (when the report carries Weyl data) weyl.csv; returns the
+    path map."""
+    experiment = _EXPERIMENTS[report.experiment]
     outdir = outdir or cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     paths = {}
@@ -997,21 +906,52 @@ def write_outputs(report: Report, cfg: ExperimentConfig, outdir=None) -> dict:
         paths[name] = p
 
     if report.error is None:
-        put("eigenvalues.csv", _eigenvalues_csv(report, cfg))
-        wd = report.summary.get("_weyl_data")
-        if wd is not None:
-            put("weyl.csv", _stamp(cfg) + wd.to_csv())
-        put("plot.svg", _plot_for(report, cfg))
-    # strip private plotting payloads before serializing
-    report.summary = {k: v for k, v in report.summary.items() if not k.startswith("_")}
+        # identifies the run in every artifact without the JSON
+        stamp = f"experiment={cfg.experiment} seed={cfg.seed}"
+        put("eigenvalues.csv", f"# {stamp}\n" + experiment.table(report))
+        if report.weyl_data is not None:
+            put("weyl.csv", f"# {stamp}\n" + report.weyl_data.to_csv())
+        put("plot.svg", experiment.plot(report, stamp))
     put("report.json", report.to_json() + "\n")
     return paths
 
 
-def run_experiment(cfg: ExperimentConfig, outdir=None) -> Report:
-    runner = RUNNERS[cfg.experiment]
+@contextlib.contextmanager
+def _stage(timings: dict, name: str):
+    """Time one stage into ``timings[name]``, also when it fails."""
     t0 = time.perf_counter()
-    report = runner(cfg)
-    report.provenance.setdefault("timings", {})["total"] = time.perf_counter() - t0
+    try:
+        yield
+    finally:
+        timings[name] = time.perf_counter() - t0
+
+
+def run_experiment(cfg: ExperimentConfig, outdir=None) -> Report:
+    """Run the configured experiment and write its outputs.
+
+    A config error raises before the first stage and writes nothing.  Any
+    failure after that sets ``report.error`` and fails the report, which is
+    still written as report.json with what was computed so far."""
+    t0 = time.perf_counter()
+    timings: dict = {}
+    report = Report(
+        cfg.experiment,
+        passed=False,
+        tolerances={},
+        provenance={
+            "config": cfg.echo(),
+            "seed": cfg.seed,
+            "versions": _versions(),
+            "timings": timings,
+        },
+    )
+    try:
+        _EXPERIMENTS[cfg.experiment].body(cfg, report, functools.partial(_stage, timings))
+    except Exception as exc:
+        if not timings:  # no stage has started: the config is at fault
+            raise
+        report.passed = False
+        report.error = f"{type(exc).__name__}: {exc}"
+    timings["total"] = time.perf_counter() - t0
     write_outputs(report, cfg, outdir)
     return report

@@ -8,9 +8,12 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from steklovlab import cli
-from steklovlab.eigensolve import spectrum_from_csv
+from steklovlab import cli, harness
+from steklovlab.assembly import AssemblyError
+from steklovlab.eigensolve import METHODS, spectrum_from_csv
+from steklovlab.geometry import GeometryError
 from steklovlab.harness import (
     ExperimentConfig,
     HarnessError,
@@ -31,7 +34,7 @@ def test_config_coercion_types():
         # full-line comment
         experiment = weyl-verification
         mesh.levels = 0.1, 0.05
-        solver.count = 40
+        bem.count = 40
         tolerance.deviation = 0.08
         verbose = true
         quiet = off
@@ -39,7 +42,7 @@ def test_config_coercion_types():
         """
     )
     assert out["mesh.levels"] == [0.1, 0.05]
-    assert out["solver.count"] == 40 and isinstance(out["solver.count"], int)
+    assert out["bem.count"] == 40 and isinstance(out["bem.count"], int)
     assert out["tolerance.deviation"] == 0.08
     assert out["verbose"] is True and out["quiet"] is False
     assert out["domain.name"] == "square"
@@ -64,10 +67,11 @@ def test_config_rejects_unknown_experiment():
 
 
 def test_config_rejects_non_decreasing_mesh_levels():
-    with pytest.raises(HarnessError, match="strictly decreasing"):
-        ExperimentConfig.from_text(
-            "experiment = weyl-verification\nmesh.levels = 0.05, 0.05"
-        )
+    for levels in ("0.05, 0.05", "-0.1", "0.1, 0"):
+        with pytest.raises(HarnessError, match="positive and strictly decreasing"):
+            ExperimentConfig.from_text(
+                f"experiment = weyl-verification\nmesh.levels = {levels}"
+            )
 
 
 def test_config_defaults_and_groups():
@@ -186,9 +190,20 @@ def test_straightened_collar_run_detects_weight_misuse(tmp_path):
     assert rep.summary["misuse_gap"] > 0.1
 
 
-def test_failed_level_yields_partial_report(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        WEYL_SQUARE,
+        "experiment = boundary-only-dependence\ndomain.name = square\nmesh.levels = 0.1\n",
+        "experiment = mollification-convergence\ndomain.name = square\nmesh.levels = 0.1\n",
+        "experiment = bem-crosscheck\ndomain.name = square\nmesh.levels = 0.1\n"
+        "bem.panels-per-edge = 8\n",
+    ],
+    ids=["weyl-verification", "boundary-only-dependence", "mollification-convergence", "bem-crosscheck"],
+)
+def test_failed_level_yields_partial_report(tmp_path, text):
     cfg = ExperimentConfig.from_text(
-        WEYL_SQUARE + "solver.method = sideways\n"
+        text + "solver.method = sideways\n"
     )
     rep = run_experiment(cfg, str(tmp_path))
     assert not rep.passed
@@ -196,6 +211,7 @@ def test_failed_level_yields_partial_report(tmp_path):
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["error"] == rep.error
     assert not (tmp_path / "eigenvalues.csv").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_runs_demand_their_required_keys():
@@ -275,6 +291,13 @@ def test_cli_experiment_exit_codes(tmp_path, capsys):
     assert rc == 1
     assert "[FAIL]" in capsys.readouterr().out
 
+    failed = tmp_path / "failed.cfg"
+    failed.write_text(WEYL_SQUARE + "solver.method = sideways\n")
+    rc = cli.main(["experiment", "--config", str(failed), "--out-dir", str(tmp_path / "f")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "[FAIL]" in out and "error:" in out and "solver.method" in out
+
 
 def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
     broken = tmp_path / "broken.cfg"
@@ -294,3 +317,117 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "steklovlab: error:" in captured.err
+
+    # values of the wrong type, for the harness and for the domain catalog
+    base = "experiment = bem-crosscheck\ndomain.name = square\nbem.panels-per-edge = 4\n"
+    for line, named in (
+        ("mesh.levels = abc", "mesh.levels"),
+        ("mesh.levels = 0.1\nseed = abc", "seed"),
+        ("mesh.levels = 0.1\ntolerance.pair = abc", "tolerance.pair"),
+        ("mesh.levels = 0.1\ntolerance.pair = yes", "tolerance.pair"),
+        ("mesh.levels = 0.1\nbem.count = abc", "bem.count"),
+        ("mesh.levels = 0.1\ndomain.bogus = 3", "square"),
+    ):
+        broken.write_text(base + line + "\n")
+        rc = cli.main(["experiment", "--config", str(broken)])
+        captured = capsys.readouterr()
+        assert rc == 1, line
+        assert "steklovlab: error:" in captured.err and named in captured.err, line
+    for text, named in (
+        (WEYL_SQUARE + "tolerance.deviation = abc\n", "tolerance.deviation"),
+        (WEYL_SQUARE.replace("square", "regular-ngon") + "domain.n = abc\n", "regular-ngon"),
+        (
+            "experiment = mollification-convergence\ndomain.name = square\n"
+            "mesh.levels = 0.1\nmoll.scales = a, b\n",
+            "moll.scales",
+        ),
+        (
+            "experiment = bem-crosscheck\ndomain.name = square\nmesh.levels = 0.1\n"
+            "bem.panels-per-edge = abc\n",
+            "bem.panels-per-edge",
+        ),
+    ):
+        broken.write_text(text)
+        rc = cli.main(["experiment", "--config", str(broken)])
+        captured = capsys.readouterr()
+        assert rc == 1, text
+        assert "steklovlab: error:" in captured.err and named in captured.err, text
+    for param in ("bogus=3", "n=abc"):
+        rc = cli.main(["mesh", "--domain", "regular-ngon", "--param", param, "--h", "0.1"])
+        captured = capsys.readouterr()
+        assert rc == 1, param
+        assert "steklovlab: error:" in captured.err and "regular-ngon" in captured.err
+
+
+# Schema keys of the harness docstring, catalog parameters, and junk.
+FUZZ_KEYS = (
+    "seed", "output.dir", "domain.name", "domain.n", "domain.radius", "domain.side",
+    "domain.notch", "domain.teeth", "domain.slope", "domain.level", "domain.bogus",
+    "coeff.a", "coeff.a.p", "coeff.a.q", "coeff.a.angle", "coeff.a.cell",
+    "coeff.a.origin", "coeff.a.interior", "coeff.a.interior.cell", "coeff.a.base",
+    "coeff.a.eps", "coeff.v0", "coeff.v0.value", "coeff.v0.center", "rho.name",
+    "rho.value", "rho.values", "mesh.levels", "solver.method", "tail.kmin",
+    "tail.kmax", "tolerance.deviation", "tolerance.pair", "tolerance.drift",
+    "tolerance.invariance", "interior.a", "interior.a.cell", "blend.width",
+    "blend.sweep", "moll.scales", "moll.floor", "collar.depth", "collar.resolution",
+    "bem.panels-per-edge", "bem.count", "junk", "junk.key",
+)
+INT_KEYS = ("seed", "tail.kmin", "tail.kmax", "bem.count", "bem.panels-per-edge")
+FLOAT_KEYS = (
+    "tolerance.deviation", "tolerance.pair", "tolerance.drift", "tolerance.invariance",
+    "blend.width", "moll.floor", "collar.depth", "collar.resolution",
+)
+LIST_KEYS = ("mesh.levels", "moll.scales", "blend.sweep")
+WORDS = (
+    "abc", "yes", "off", "nan", "-inf", "", "square", "regular-ngon", "lshape",
+    "sawtooth-square", "koch-prefractal", "constant", "diagonal", "checkerboard",
+    "rotated-diagonal", "boundary-matched-rough", "mollified", "bump", "per-segment",
+    "auto", "dense", "sideways",
+)
+_scalar = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(-2.0, 2.0).map(repr),
+    st.sampled_from(WORDS),
+)
+_value = st.one_of(_scalar, st.lists(_scalar, min_size=2, max_size=4).map(", ".join))
+
+
+def _value_or_typed_error(fn, *args):
+    try:
+        return fn(*args)
+    except (HarnessError, GeometryError, AssemblyError):
+        return None
+
+
+@given(
+    experiment=st.one_of(
+        st.sampled_from(
+            (
+                "weyl-verification",
+                "boundary-only-dependence",
+                "mollification-convergence",
+                "bilipschitz-invariance",
+                "bem-crosscheck",
+            )
+        ),
+        _value,
+    ),
+    entries=st.dictionaries(st.sampled_from(FUZZ_KEYS), _value, max_size=8),
+)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_config_surface_raises_only_typed_errors(experiment, entries):
+    text = "\n".join(f"{k} = {v}" for k, v in {"experiment": experiment, **entries}.items())
+    cfg = _value_or_typed_error(ExperimentConfig.from_text, text)
+    if cfg is None:
+        return
+    _value_or_typed_error(lambda: cfg.seed)
+    for key in INT_KEYS:
+        _value_or_typed_error(cfg.get_int, key, 0)
+    for key in FLOAT_KEYS:
+        _value_or_typed_error(cfg.get_float, key, None)
+    for key in LIST_KEYS:
+        _value_or_typed_error(cfg.get_floats, key, [])
+    _value_or_typed_error(cfg.get_choice, "solver.method", METHODS, "auto")
+    domain = _value_or_typed_error(harness._domain_from, cfg)
+    _value_or_typed_error(harness._coeff_from, cfg, domain)
+    _value_or_typed_error(harness._matrix_from, cfg, domain, "interior.a")

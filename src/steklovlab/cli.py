@@ -28,7 +28,7 @@ def _coeff(args, domain=None) -> assembly.CoefficientField:
     a = assembly.make_matrix_field(args.a, domain=domain, **_kv_pairs(args.a_param))
     v0 = assembly.constant_potential(args.v0)
     if args.rho_values:
-        rho = assembly.segment_weight([float(x) for x in args.rho_values.split(",")])
+        rho = assembly.make_weight("per-segment", values=args.rho_values.split(","))
     else:
         rho = assembly.constant_weight(args.rho)
     return assembly.CoefficientField(a=a, v0=v0, rho=rho)
@@ -76,7 +76,7 @@ def cmd_solve(args) -> int:
     coeff = _coeff(args, dom)
     forms = assembly.assemble_forms(mesh, coeff)
     n = forms.A.shape[0]
-    spec = eigensolve.solve(forms.A, forms.B, args.count, method=args.method, seed=args.seed)
+    spec = eigensolve.solve_dense(forms.A, forms.B)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(eigensolve.spectrum_to_csv(spec))
@@ -165,9 +165,7 @@ def main(argv=None) -> int:
     _add_domain_args(p)
     _add_coeff_args(p)
     p.add_argument("--h", type=float, required=True)
-    p.add_argument("--method", choices=eigensolve.METHODS, default="auto")
-    p.add_argument("--count", type=int, default=12, help="eigenvalues to report")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=12, help="eigenvalues to print")
     p.add_argument("--out", default="", help="write the spectrum CSV")
     p.set_defaults(fn=cmd_solve)
 

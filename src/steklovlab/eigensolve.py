@@ -5,19 +5,18 @@ weight matrix; the eigenvalues μ are the Rayleigh-quotient spectrum of
 weight/energy.  B is boundary-supported, so at most ``boundary_rank(B)`` of
 the n eigenvalues are nonzero; the other n − nb are structural zeros.
 
-``solve_dense`` never forms the n × n pencil.  It condenses A onto the nb
-weighted nodes (the Schur complement S = A_bb − A_bi A_ii⁻¹ A_ib, the
-discrete Dirichlet-to-Neumann map), eigendecomposes the nb × nb pencil
-(B_bb, S) densely and lifts each eigenvector back to all n unknowns, so its
-residuals are those of the full pencil.  ``solve_iterative`` runs Lanczos on
-the full pencil for a few pairs of one branch.  ``solve`` chooses between
-them.
+``solve_dense`` is the one pencil solver.  It never forms the n × n pencil:
+it condenses A onto the nb weighted nodes (the Schur complement
+S = A_bb − A_bi A_ii⁻¹ A_ib, the discrete Dirichlet-to-Neumann map),
+eigendecomposes the nb × nb pencil (B_bb, S) densely and lifts each
+eigenvector back to all n unknowns, so it returns every nonzero pair of both
+branches with residuals on the full pencil.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,20 +29,15 @@ __all__ = [
     "TailEstimate",
     "boundary_rank",
     "solve_dense",
-    "solve_iterative",
-    "merge_spectra",
-    "solve",
     "counting",
     "tail_coefficient",
     "spectrum_to_csv",
     "spectrum_from_csv",
 ]
 
-METHODS = ("auto", "dense", "iterative")
 DENSE_DIMENSION_CAP = 8000  # caps nb = boundary_rank(B)
 SCHUR_BLOCK = 64  # columns per block: dense work arrays stay n × 64
 DENSE_RESIDUAL_TOL = 1e-8
-ITERATIVE_RESIDUAL_TOL = 1e-6
 ZERO_THRESHOLD_REL = 1e-12
 
 
@@ -78,10 +72,10 @@ class Spectrum:
 
     @property
     def residual_tolerance(self) -> float:
-        return DENSE_RESIDUAL_TOL if self.method == "dense" else ITERATIVE_RESIDUAL_TOL
+        return DENSE_RESIDUAL_TOL
 
 
-def _split_branches(mu, res, method, zero_threshold, boundary_rank):
+def _split_branches(mu, res, zero_threshold, boundary_rank):
     mu = np.asarray(mu, dtype=float)
     res = np.asarray(res, dtype=float)
     keep = np.abs(mu) > zero_threshold
@@ -95,7 +89,7 @@ def _split_branches(mu, res, method, zero_threshold, boundary_rank):
         negative=mu[~pos][order_n],
         residuals_positive=res[pos][order_p],
         residuals_negative=res[~pos][order_n],
-        method=method,
+        method="dense",
         zero_threshold=zero_threshold,
         n_dropped=dropped,
         boundary_rank=boundary_rank,
@@ -142,7 +136,8 @@ def _factor_interior(A_ii):
 
 
 def solve_dense(A, B) -> Spectrum:
-    """All nonzero pencil eigenvalues via the boundary-condensed pencil.
+    """Every nonzero pencil eigenvalue of both branches, via the
+    boundary-condensed pencil; the package's only pencil solver.
 
     Nodes split by the row support of B into weighted (b, nb of them) and
     interior (i).  One sparse LU of A_ii builds the Schur complement
@@ -151,8 +146,9 @@ def solve_dense(A, B) -> Spectrum:
     nonzero μ.  Each eigenvector is lifted with x_i = −A_ii⁻¹ A_ib x_b, which
     keeps it A-normalized, and its residual is taken on the full pencil.
     The n − nb structural zeros count in ``n_dropped``.  Raises
-    ``EigensolveError`` when nb exceeds ``DENSE_DIMENSION_CAP`` or when A is
-    not SPD (a nonpositive interior pivot or a failed Cholesky of S)."""
+    ``EigensolveError`` when nb exceeds ``DENSE_DIMENSION_CAP`` (a memory
+    guard: the work arrays are nb × nb) or when A is not SPD (a nonpositive
+    interior pivot or a failed Cholesky of S)."""
     A = _as_csr(A)
     B = _as_csr(B)
     n = A.shape[0]
@@ -195,74 +191,9 @@ def solve_dense(A, B) -> Spectrum:
             X[i] = -lu.solve(A_ib @ Xc)
         res[cols] = _residuals(A, B, w[cols], X)
     zero_threshold = ZERO_THRESHOLD_REL * float(np.abs(w).max(initial=0.0))
-    spec = _split_branches(w, res, "dense", zero_threshold, nb)
+    spec = _split_branches(w, res, zero_threshold, nb)
     spec.n_dropped += n - nb
     return spec
-
-
-def solve_iterative(A, B, k: int, *, sign: str = "+", seed: int = 0, maxiter=None) -> Spectrum:
-    """Largest-|μ| pairs of one branch via shift-free Lanczos on the pencil.
-
-    The start vector is seeded deterministically so repeated runs agree
-    bitwise.  ``k`` is capped by the boundary rank of B (eigenvalues beyond
-    it are structural zeros)."""
-    A = _as_csr(A)
-    B = _as_csr(B)
-    n = A.shape[0]
-    rank = boundary_rank(B)
-    if B.nnz == 0 or rank == 0:
-        return Spectrum(
-            np.array([]), np.array([]), np.array([]), np.array([]),
-            "iterative", 0.0, 0, 0,
-        )
-    if k > rank:
-        raise EigensolveError(f"requested {k} pairs but weight rank is {rank}")
-    which = "LA" if sign in ("+", "pos", "positive") else "SA"
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    try:
-        w, X = spla.eigsh(B, k=k, M=A, which=which, v0=v0, maxiter=maxiter)
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolveError(
-            f"iterative solve did not converge ({len(exc.eigenvalues)} of {k} pairs)"
-        ) from exc
-    res = _residuals(A, B, w, X)
-    ref = float(np.abs(w).max(initial=0.0))
-    zero_threshold = ZERO_THRESHOLD_REL * ref
-    spec = _split_branches(w, res, "iterative", zero_threshold, rank)
-    return spec
-
-
-def merge_spectra(pos: Spectrum, neg: Spectrum) -> Spectrum:
-    """Combine the positive branch of one solve with the negative branch of
-    another (two one-sided iterative runs on the same pencil)."""
-    return Spectrum(
-        positive=pos.positive,
-        negative=neg.negative,
-        residuals_positive=pos.residuals_positive,
-        residuals_negative=neg.residuals_negative,
-        method=pos.method,
-        zero_threshold=max(pos.zero_threshold, neg.zero_threshold),
-        n_dropped=pos.n_dropped + neg.n_dropped,
-        boundary_rank=pos.boundary_rank,
-    )
-
-
-def solve(A, B, count: int, *, method: str = "auto", both: bool = False, seed: int = 0) -> Spectrum:
-    """The pencil solve ``method`` names: ``dense`` gives every nonzero pair;
-    ``iterative`` gives the ``count`` largest positive pairs (and as many
-    negative ones when ``both``) by Lanczos, ``count`` capped below the
-    boundary rank; ``auto`` is dense while the boundary rank is at most
-    ``DENSE_DIMENSION_CAP``, else iterative."""
-    if method not in METHODS:
-        raise EigensolveError(f"unknown method {method!r}; expected one of {METHODS}")
-    rank = boundary_rank(B)
-    if method == "dense" or (method == "auto" and rank <= DENSE_DIMENSION_CAP):
-        return solve_dense(A, B)
-    count = min(count, max(rank - 2, 1))
-    pos = solve_iterative(A, B, count, sign="+", seed=seed)
-    if not both:
-        return pos
-    return merge_spectra(pos, solve_iterative(A, B, count, sign="-", seed=seed))
 
 
 def counting(spec: Spectrum, lam: float, sign: str = "+") -> int:

@@ -18,9 +18,8 @@ become lists.  Schema (defaults in parentheses):
     coeff.v0                potential name ("constant"), coeff.v0.<p> forwarded
     rho.name                boundary weight name ("constant"), rho.<p> forwarded
     mesh.levels             positive, strictly decreasing h values
-    solver.method           auto | dense | iterative, as in eigensolve.solve
-                            ("auto": dense while the boundary rank fits)
-    tail.kmin, tail.kmax    tail-fit window (0 = [5, boundary_rank/4])
+    tail.kmin, tail.kmax    tail-fit window, non-negative, a nonzero kmax at
+                            least kmin (0 = [5, resolved/4])
     tolerance.deviation     Weyl-fit relative tolerance (0.10)
     tolerance.pair          cross-method eigenvalue tolerance (0.02)
     tolerance.drift         mollification final drift tolerance (0.02)
@@ -295,7 +294,13 @@ class Report:
 
 def _tail(cfg: ExperimentConfig) -> tuple:
     """Configured (kmin, kmax) of the tail window; 0 = chosen by ``_window``."""
-    return (cfg.get_int("tail.kmin", 0), cfg.get_int("tail.kmax", 0))
+    kmin, kmax = cfg.get_int("tail.kmin", 0), cfg.get_int("tail.kmax", 0)
+    if kmin < 0 or kmax < 0 or 0 < kmax < kmin:
+        raise HarnessError(
+            "tail.kmin and tail.kmax must be non-negative, with tail.kmax 0 or at "
+            f"least tail.kmin (got {kmin}, {kmax})"
+        )
+    return kmin, kmax
 
 
 def _window(tail: tuple, resolved: int) -> tuple:
@@ -303,20 +308,11 @@ def _window(tail: tuple, resolved: int) -> tuple:
     return (tail[0] or 5, min(tail[1] or max(5, resolved // 4), resolved))
 
 
-def _fit_level(mesh, coeff, cfg: ExperimentConfig, tail: tuple) -> tuple:
+def _fit_level(mesh, coeff, tail: tuple) -> tuple:
     """Assemble, solve, and tail-fit one mesh level; returns the level row
     and the spectrum."""
     forms = assembly.assemble_forms(mesh, coeff)
-    rank = eigensolve.boundary_rank(forms.B)
-    need = int(1.25 * (tail[1] or max(5, rank // 4))) + 5
-    spec = eigensolve.solve(
-        forms.A,
-        forms.B,
-        need,
-        method=cfg.get_choice("solver.method", eigensolve.METHODS, "auto"),
-        both=bool((coeff.rho.edge_values(mesh) < 0).any()),
-        seed=cfg.seed,
-    )
+    spec = eigensolve.solve_dense(forms.A, forms.B)
     row = {
         "h": mesh.h,
         "dofs": int(forms.A.shape[0]),
@@ -368,7 +364,7 @@ def _weyl_verification(cfg: ExperimentConfig, report: Report, stage) -> None:
     for h in levels:
         with stage(f"level_h={h:g}"):
             mesh = geometry.triangulate(domain, h)
-            row, report.spectrum = _fit_level(mesh, coeff, cfg, tail)
+            row, report.spectrum = _fit_level(mesh, coeff, tail)
         report.levels.append(row)
     last = report.levels[-1]
     report.fitted = {k: last[f"fit_{k}"] for k in ("plus", "minus") if f"fit_{k}" in last}
@@ -430,7 +426,7 @@ def _boundary_only_dependence(cfg: ExperimentConfig, report: Report, stage) -> N
     fits = {}
     for tag, coeff in (("smooth", smooth), ("rough", smooth.with_(a=rough))):
         with stage(tag):
-            row, report.spectrum = _fit_level(mesh, coeff, cfg, tail)
+            row, report.spectrum = _fit_level(mesh, coeff, tail)
         row["field"] = tag
         report.levels.append(row)
         fits[tag] = row["fit_plus"]
@@ -445,7 +441,7 @@ def _boundary_only_dependence(cfg: ExperimentConfig, report: Report, stage) -> N
         curve = []
         for w in widths:
             f2 = assembly.boundary_matched_rough(domain, interior_field, trace_field, w)
-            row, _ = _fit_level(mesh, smooth.with_(a=f2), cfg, tail)
+            row, _ = _fit_level(mesh, smooth.with_(a=f2), tail)
             curve.append({"width": w, "fit_plus": row["fit_plus"]})
         report.summary["blend_sweep"] = curve
 
@@ -498,7 +494,7 @@ def _mollification_convergence(cfg: ExperimentConfig, report: Report, stage) -> 
     with stage("mesh"):
         mesh = geometry.triangulate(domain, h)
     with stage("reference"):
-        row0, report.spectrum = _fit_level(mesh, coeff0, cfg, tail)
+        row0, report.spectrum = _fit_level(mesh, coeff0, tail)
     row0["eps"] = 0.0
     report.levels.append(row0)
     kmax = _window(tail, len(report.spectrum.positive))[1]
@@ -509,7 +505,7 @@ def _mollification_convergence(cfg: ExperimentConfig, report: Report, stage) -> 
     for eps in scales:
         with stage(f"eps={eps:g}"):
             fld, fired = _spd_floored(assembly.mollified(coeff0.a, eps), floor)
-            row, spec = _fit_level(mesh, coeff0.with_(a=fld), cfg, tail)
+            row, spec = _fit_level(mesh, coeff0.with_(a=fld), tail)
         cur = spec.positive[:kmax]
         drift = float(np.max(np.abs(cur - ref) / ref))
         row["eps"] = eps
@@ -606,11 +602,9 @@ def _bem_crosscheck(cfg: ExperimentConfig, report: Report, stage) -> None:
         mesh = geometry.triangulate(domain, h)
         K, M = assembly.assemble_energy_split(mesh, coeff)
         B = assembly.assemble_boundary_weight(mesh, coeff.rho)
-        method = cfg.get_choice("solver.method", eigensolve.METHODS, "auto")
         mus = {}
         for v0 in (1.0, 0.5, 0.25):
-            spec = eigensolve.solve(K + v0 * M, B, k + 8, method=method, seed=cfg.seed)
-            mus[v0] = spec.positive[: k + 4]
+            mus[v0] = eigensolve.solve_dense(K + v0 * M, B).positive[: k + 4]
         m = min(len(mus[v]) for v in mus)
         sig = {v: 1.0 / mus[v][:m] for v in mus}
         sig_hat = sig[1.0] / 3.0 - 2.0 * sig[0.5] + (8.0 / 3.0) * sig[0.25]

@@ -1,7 +1,7 @@
 """Pencil eigensolver: exactness on diagonal pencils, the condensed dense
-solve against a full generalized eigh on small meshes and its SPD guard,
-agreement between the dense and iterative paths, the Bessel-quotient oracle
-on a disk, counting and tail-extraction semantics, and the CSV round trip."""
+solve against a full generalized eigh on small meshes and its SPD guard, the
+Bessel-quotient oracle on a disk, counting and tail-extraction semantics, and
+the CSV round trip."""
 
 import numpy as np
 import pytest
@@ -17,9 +17,7 @@ from steklovlab.eigensolve import (
     Spectrum,
     boundary_rank,
     counting,
-    merge_spectra,
     solve_dense,
-    solve_iterative,
     spectrum_from_csv,
     spectrum_to_csv,
     tail_coefficient,
@@ -74,8 +72,6 @@ def test_zero_weight_yields_empty_spectrum():
     spec = solve_dense(A, B)
     assert spec.positive.size == 0 and spec.negative.size == 0
     assert spec.n_dropped == 3
-    it = solve_iterative(A, B, 1)
-    assert it.positive.size == 0 and it.boundary_rank == 0
 
 
 def test_non_spd_energy_matrix_raises():
@@ -170,54 +166,14 @@ def test_dense_matches_full_generalized_eigh(domain, kw, h, rho):
     assert np.all(spec.residuals_negative < DENSE_RESIDUAL_TOL)
 
 
-def test_iterative_rejects_k_beyond_weight_rank():
-    A, B = _diag_pencil([1.0, 1.0, 1.0], [1.0, 2.0, 0.0])
-    with pytest.raises(EigensolveError, match="rank"):
-        solve_iterative(A, B, 3)
-
-
-# ---------------------------------------------------------------------------
-# dense and iterative paths agree; iterative runs are seed-reproducible
-
-
-@pytest.fixture(scope="module")
-def disk_pencil():
-    dom = geometry.make_domain("regular-ngon", n=96)
-    mesh = geometry.triangulate(dom, 0.05)
-    coeff = assembly.CoefficientField(
-        a=assembly.constant_matrix(1.0),
-        v0=assembly.constant_potential(1.0),
-        rho=assembly.make_weight("constant", value=1.0),
-    )
-    forms = assembly.assemble_forms(mesh, coeff)
-    return forms.A, forms.B
-
-
-def test_iterative_matches_dense(disk_pencil):
-    A, B = disk_pencil
-    dense = solve_dense(A, B)
-    it = solve_iterative(A, B, 12, seed=3)
-    assert it.positive[:10] == pytest.approx(dense.positive[:10], rel=1e-8)
-    assert np.all(it.residuals_positive < it.residual_tolerance)
-
-
-def test_iterative_is_seed_reproducible(disk_pencil):
-    A, B = disk_pencil
-    s1 = solve_iterative(A, B, 8, seed=11)
-    s2 = solve_iterative(A, B, 8, seed=11)
-    assert np.array_equal(s1.positive, s2.positive)
-    s3 = solve_iterative(A, B, 8, seed=12)
-    assert s3.positive == pytest.approx(s1.positive, rel=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # Bessel-quotient oracle on the unit disk: the ratio eigenvalues of the
 # (gradient + unit potential, boundary mass) pencil are 1/sigma_k with
 # sigma_k = I_k'(1)/I_k(1)
 
 
-def test_disk_eigenvalues_match_bessel_quotients(disk_pencil):
-    A, B = disk_pencil
+def test_disk_eigenvalues_match_bessel_quotients():
+    _, A, B = _mesh_pencil("regular-ngon", {"n": 96}, 0.05, assembly.constant_weight(1.0))
     spec = solve_dense(A, B)
     got = spec.positive[: len(oracles.DISK_V1_MU)]
     rel = np.abs(got - oracles.DISK_V1_MU) / oracles.DISK_V1_MU
@@ -226,7 +182,7 @@ def test_disk_eigenvalues_match_bessel_quotients(disk_pencil):
 
 
 # ---------------------------------------------------------------------------
-# counting and merging semantics
+# counting semantics
 
 
 def _synthetic_spectrum(pos, neg=()):
@@ -251,14 +207,6 @@ def test_counting_is_a_closed_count():
     assert counting(spec, 1.0, sign="-") == 1
     with pytest.raises(EigensolveError, match="positive"):
         counting(spec, 0.0)
-
-
-def test_merge_takes_one_branch_from_each():
-    a = _synthetic_spectrum([2.0, 1.0], [-9.0])
-    b = _synthetic_spectrum([7.0], [-3.0, -1.0])
-    merged = merge_spectra(a, b)
-    assert np.array_equal(merged.positive, a.positive)
-    assert np.array_equal(merged.negative, b.negative)
 
 
 def test_unknown_branch_name_raises():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from steklovlab import cli, harness
 from steklovlab.assembly import AssemblyError
-from steklovlab.eigensolve import METHODS, spectrum_from_csv
+from steklovlab.eigensolve import spectrum_from_csv
 from steklovlab.geometry import GeometryError
 from steklovlab.harness import (
     ExperimentConfig,
@@ -190,24 +190,26 @@ def test_straightened_collar_run_detects_weight_misuse(tmp_path):
     assert rep.summary["misuse_gap"] > 0.1
 
 
+# A mesh size far below the domain span passes config reading and fails
+# inside the first mesh stage.
+UNMESHABLE = "mesh.levels = 1e-7\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [
-        WEYL_SQUARE,
-        "experiment = boundary-only-dependence\ndomain.name = square\nmesh.levels = 0.1\n",
-        "experiment = mollification-convergence\ndomain.name = square\nmesh.levels = 0.1\n",
-        "experiment = bem-crosscheck\ndomain.name = square\nmesh.levels = 0.1\n"
-        "bem.panels-per-edge = 8\n",
+        "experiment = weyl-verification\ndomain.name = square\n",
+        "experiment = boundary-only-dependence\ndomain.name = square\n",
+        "experiment = mollification-convergence\ndomain.name = square\n",
+        "experiment = bem-crosscheck\ndomain.name = square\nbem.panels-per-edge = 8\n",
     ],
     ids=["weyl-verification", "boundary-only-dependence", "mollification-convergence", "bem-crosscheck"],
 )
 def test_failed_level_yields_partial_report(tmp_path, text):
-    cfg = ExperimentConfig.from_text(
-        text + "solver.method = sideways\n"
-    )
+    cfg = ExperimentConfig.from_text(text + UNMESHABLE)
     rep = run_experiment(cfg, str(tmp_path))
     assert not rep.passed
-    assert "solver.method" in rep.error
+    assert "mesh size" in rep.error
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["error"] == rep.error
     assert not (tmp_path / "eigenvalues.csv").exists()
@@ -292,11 +294,11 @@ def test_cli_experiment_exit_codes(tmp_path, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
     failed = tmp_path / "failed.cfg"
-    failed.write_text(WEYL_SQUARE + "solver.method = sideways\n")
+    failed.write_text("experiment = weyl-verification\ndomain.name = square\n" + UNMESHABLE)
     rc = cli.main(["experiment", "--config", str(failed), "--out-dir", str(tmp_path / "f")])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "[FAIL]" in out and "error:" in out and "solver.method" in out
+    assert "[FAIL]" in out and "error:" in out and "mesh size" in out
 
 
 def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
@@ -335,6 +337,9 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
         assert "steklovlab: error:" in captured.err and named in captured.err, line
     for text, named in (
         (WEYL_SQUARE + "tolerance.deviation = abc\n", "tolerance.deviation"),
+        (WEYL_SQUARE + "tail.kmin = -3\n", "tail.kmin"),
+        (WEYL_SQUARE + "tail.kmax = -1\n", "tail.kmax"),
+        (WEYL_SQUARE + "tail.kmin = 10\ntail.kmax = 5\n", "tail.kmax"),
         (WEYL_SQUARE.replace("square", "regular-ngon") + "domain.n = abc\n", "regular-ngon"),
         (
             "experiment = mollification-convergence\ndomain.name = square\n"
@@ -357,6 +362,10 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
         captured = capsys.readouterr()
         assert rc == 1, param
         assert "steklovlab: error:" in captured.err and "regular-ngon" in captured.err
+    rc = cli.main(["solve", "--domain", "square", "--h", "0.3", "--rho-values", "a,b"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "steklovlab: error:" in captured.err and "per-segment" in captured.err
 
 
 # Schema keys of the harness docstring, catalog parameters, and junk.
@@ -427,7 +436,7 @@ def test_config_surface_raises_only_typed_errors(experiment, entries):
         _value_or_typed_error(cfg.get_float, key, None)
     for key in LIST_KEYS:
         _value_or_typed_error(cfg.get_floats, key, [])
-    _value_or_typed_error(cfg.get_choice, "solver.method", METHODS, "auto")
+    _value_or_typed_error(harness._tail, cfg)
     domain = _value_or_typed_error(harness._domain_from, cfg)
     _value_or_typed_error(harness._coeff_from, cfg, domain)
     _value_or_typed_error(harness._matrix_from, cfg, domain, "interior.a")

@@ -81,7 +81,7 @@ def cmd_solve(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(eigensolve.spectrum_to_csv(spec))
     shown = spec.positive[: args.count]
-    print(f"dofs={n} method={spec.method} positive={len(spec.positive)}")
+    print(f"dofs={n} positive={len(spec.positive)}")
     for i, mu in enumerate(shown, 1):
         print(f"  mu_{i} = {mu:.8g}")
     return 0

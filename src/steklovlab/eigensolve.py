@@ -5,12 +5,14 @@ weight matrix; the eigenvalues μ are the Rayleigh-quotient spectrum of
 weight/energy.  B is boundary-supported, so at most ``boundary_rank(B)`` of
 the n eigenvalues are nonzero; the other n − nb are structural zeros.
 
-``solve_dense`` is the one pencil solver.  It never forms the n × n pencil:
-it condenses A onto the nb weighted nodes (the Schur complement
-S = A_bb − A_bi A_ii⁻¹ A_ib, the discrete Dirichlet-to-Neumann map),
-eigendecomposes the nb × nb pencil (B_bb, S) densely and lifts each
+Both solvers share one condensation onto the nb weighted nodes: the Schur
+complement S = A_bb − A_bi A_ii⁻¹ A_ib, the discrete Dirichlet-to-Neumann
+map; neither forms the n × n pencil densely.  ``solve_dense`` solves the
+pencil: it eigendecomposes the nb × nb pencil (B_bb, S) and lifts each
 eigenvector back to all n unknowns, so it returns every nonzero pair of both
-branches with residuals on the full pencil.
+branches with residuals on the full pencil.  ``solve_steklov`` returns the
+eigenvalues σ of S against B_bb alone, the pure Steklov spectrum of an
+energy without potential (v0 = 0).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "TailEstimate",
     "boundary_rank",
     "solve_dense",
+    "solve_steklov",
     "counting",
     "tail_coefficient",
     "spectrum_to_csv",
@@ -58,7 +61,6 @@ class Spectrum:
     negative: np.ndarray
     residuals_positive: np.ndarray
     residuals_negative: np.ndarray
-    method: str
     zero_threshold: float
     n_dropped: int = 0
     boundary_rank: int | None = None
@@ -89,7 +91,6 @@ def _split_branches(mu, res, zero_threshold, boundary_rank):
         negative=mu[~pos][order_n],
         residuals_positive=res[pos][order_p],
         residuals_negative=res[~pos][order_n],
-        method="dense",
         zero_threshold=zero_threshold,
         n_dropped=dropped,
         boundary_rank=boundary_rank,
@@ -135,22 +136,16 @@ def _factor_interior(A_ii):
     return lu
 
 
-def solve_dense(A, B) -> Spectrum:
-    """Every nonzero pencil eigenvalue of both branches, via the
-    boundary-condensed pencil; the package's only pencil solver.
+def _condense(A, B):
+    """Condense A onto the weighted nodes: the one Schur complement behind
+    both solvers.
 
     Nodes split by the row support of B into weighted (b, nb of them) and
-    interior (i).  One sparse LU of A_ii builds the Schur complement
-    S = A_bb − A_bi A_ii⁻¹ A_ib in column blocks; the Cholesky reduction
-    S = LLᵀ and a symmetric eigendecomposition of L⁻¹B_bbL⁻ᵀ give every
-    nonzero μ.  Each eigenvector is lifted with x_i = −A_ii⁻¹ A_ib x_b, which
-    keeps it A-normalized, and its residual is taken on the full pencil.
-    The n − nb structural zeros count in ``n_dropped``.  Raises
+    interior (i).  One sparse LU of A_ii builds S = A_bb − A_bi A_ii⁻¹ A_ib
+    in column blocks.  Returns S, the sparse B_bb and the lift that extends
+    boundary columns x_b to all n unknowns with x_i = −A_ii⁻¹ A_ib x_b.  Raises
     ``EigensolveError`` when nb exceeds ``DENSE_DIMENSION_CAP`` (a memory
-    guard: the work arrays are nb × nb) or when A is not SPD (a nonpositive
-    interior pivot or a failed Cholesky of S)."""
-    A = _as_csr(A)
-    B = _as_csr(B)
+    guard: the work arrays are nb × nb) or when A_ii is not SPD."""
     n = A.shape[0]
     weighted = _weighted_rows(B)
     b = np.flatnonzero(weighted)
@@ -172,11 +167,36 @@ def solve_dense(A, B) -> Spectrum:
             cols = slice(c, c + SCHUR_BLOCK)
             S[:, cols] -= A_bi @ lu.solve(A_ib[:, cols].toarray())
     S = 0.5 * (S + S.T)
+
+    def lift(Xb):
+        X = np.zeros((n, Xb.shape[1]))
+        X[b] = Xb
+        if lu is not None:
+            X[i] = -lu.solve(A_ib @ Xb)
+        return X
+
+    return S, B[b][:, b], lift
+
+
+def solve_dense(A, B) -> Spectrum:
+    """Every nonzero pencil eigenvalue of both branches, via the
+    boundary-condensed pencil.
+
+    The Cholesky reduction S = LLᵀ of the condensed energy and a symmetric
+    eigendecomposition of L⁻¹B_bbL⁻ᵀ give every nonzero μ.  Each eigenvector
+    is lifted to all n unknowns, which keeps it A-normalized, and its
+    residual is taken on the full pencil.  The n − nb structural zeros count
+    in ``n_dropped``.  Raises ``EigensolveError`` as ``_condense`` does, or
+    when A is not SPD (a failed Cholesky of S)."""
+    A = _as_csr(A)
+    B = _as_csr(B)
+    S, B_bb, lift = _condense(A, B)
+    nb = len(S)
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise EigensolveError("energy matrix is not SPD") from exc
-    Y = sla.solve_triangular(L, B[b][:, b].toarray(), lower=True)
+    Y = sla.solve_triangular(L, B_bb.toarray(), lower=True)
     C = sla.solve_triangular(L, Y.T, lower=True)
     C = 0.5 * (C + C.T)
     w, V = np.linalg.eigh(C)
@@ -184,16 +204,27 @@ def solve_dense(A, B) -> Spectrum:
     res = np.empty(nb)
     for c in range(0, nb, SCHUR_BLOCK):
         cols = slice(c, c + SCHUR_BLOCK)
-        Xc = Xb[:, cols]
-        X = np.zeros((n, Xc.shape[1]))
-        X[b] = Xc
-        if lu is not None:
-            X[i] = -lu.solve(A_ib @ Xc)
-        res[cols] = _residuals(A, B, w[cols], X)
+        res[cols] = _residuals(A, B, w[cols], lift(Xb[:, cols]))
     zero_threshold = ZERO_THRESHOLD_REL * float(np.abs(w).max(initial=0.0))
     spec = _split_branches(w, res, zero_threshold, nb)
-    spec.n_dropped += n - nb
+    spec.n_dropped += A.shape[0] - nb
     return spec
+
+
+def solve_steklov(K, B) -> np.ndarray:
+    """Ascending Steklov eigenvalues σ of K u = σ B u: the eigenvalues of the
+    discrete Dirichlet-to-Neumann map S against the boundary mass B_bb.
+
+    ``K`` is the energy matrix without potential (its interior block is SPD
+    even so) and ``B`` a boundary weight, positive definite on the weighted
+    nodes; σ₀ ≈ 0 is the constant mode.  The condensation is ``solve_dense``'s.  Raises
+    ``EigensolveError`` as ``_condense`` does, or when B_bb is not positive
+    definite (a sign-indefinite weight)."""
+    S, B_bb, _ = _condense(_as_csr(K), _as_csr(B))
+    try:
+        return sla.eigh(S, B_bb.toarray(), eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveError("boundary weight is not positive definite") from exc
 
 
 def counting(spec: Spectrum, lam: float, sign: str = "+") -> int:
@@ -299,6 +330,5 @@ def spectrum_from_csv(text: str) -> Spectrum:
             neg.append(mu)
             rn.append(r)
     return Spectrum(
-        np.array(pos), np.array(neg), np.array(rp), np.array(rn),
-        "csv", 0.0,
+        np.array(pos), np.array(neg), np.array(rp), np.array(rn), 0.0
     )

@@ -26,9 +26,7 @@ __all__ = [
     "TriangleMesh",
     "StraighteningMap",
     "make_domain",
-    "surface_measure",
     "triangulate",
-    "refine_mesh",
     "build_straightening",
     "build_matched_meshes",
 ]
@@ -85,13 +83,6 @@ class LipschitzChart:
         """Index of the chart piece containing x (right-closed on the last)."""
         idx = np.searchsorted(self.xs, np.asarray(x, dtype=float), side="right") - 1
         return np.clip(idx, 0, self.xs.size - 2)
-
-
-def surface_measure(chart: LipschitzChart) -> float:
-    """Boundary measure of the graph via the length element sqrt(1 + psi'^2)."""
-    dx = np.diff(chart.xs)
-    dy = np.diff(chart.values)
-    return float(np.sum(np.hypot(dx, dy)))
 
 
 # ---------------------------------------------------------------------------
@@ -475,53 +466,6 @@ def triangulate(domain: PolygonDomain, h: float, *, min_angle_deg: float = 20.0)
     if raw["max_edge"] > 1.5 * h * (1 + 1e-12):
         raise MeshingError("max element diameter exceeds 1.5 h")
     return mesh
-
-
-def refine_mesh(mesh: TriangleMesh) -> TriangleMesh:
-    """Uniform nested refinement: each triangle splits into four congruent ones.
-
-    Boundary midpoints stay on their parent polygon segments, so boundary
-    parent ids transfer directly; quality is preserved exactly.
-    """
-    p = mesh.nodes
-    t = mesh.triangles
-    edge_mid: dict[tuple[int, int], int] = {}
-    new_pts = [p]
-    next_id = len(p)
-    mids = np.empty((len(t), 3), dtype=np.int64)
-    for k, (a, b, c) in enumerate(t):
-        for j, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-            key = (u, v) if u < v else (v, u)
-            idx = edge_mid.get(key)
-            if idx is None:
-                idx = next_id
-                next_id += 1
-                edge_mid[key] = idx
-                new_pts.append(0.5 * (p[u] + p[v])[None, :])
-            mids[k, j] = idx
-    nodes = np.concatenate(new_pts, axis=0)
-    tris = np.empty((4 * len(t), 3), dtype=np.int64)
-    for k, (a, b, c) in enumerate(t):
-        mab, mbc, mca = mids[k]
-        tris[4 * k : 4 * k + 4] = [
-            (a, mab, mca),
-            (mab, b, mbc),
-            (mca, mbc, c),
-            (mab, mbc, mca),
-        ]
-    nb = len(mesh.boundary_edges)
-    edges = np.empty((2 * nb, 2), dtype=np.int64)
-    parents = np.empty(2 * nb, dtype=np.int64)
-    normals = np.empty((2 * nb, 2))
-    for i, (u, v) in enumerate(mesh.boundary_edges):
-        key = (u, v) if u < v else (v, u)
-        m = edge_mid[key]
-        edges[2 * i] = (u, m)
-        edges[2 * i + 1] = (m, v)
-        parents[2 * i] = parents[2 * i + 1] = mesh.boundary_parent[i]
-        normals[2 * i] = normals[2 * i + 1] = mesh.boundary_normals[i]
-    piece = np.repeat(mesh.collar_piece, 4)
-    return TriangleMesh(nodes, tris, edges, parents, normals, mesh.h / 2, piece)
 
 
 # ---------------------------------------------------------------------------

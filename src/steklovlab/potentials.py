@@ -16,9 +16,8 @@ form, so that identity holds to roundoff at every resolution.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,11 +33,6 @@ __all__ = [
     "jump_relation_error",
     "NDResult",
     "nd_operator",
-    "CompositionProfile",
-    "ProbeResult",
-    "composition_probe",
-    "ds_vs_s_singulars",
-    "operator_to_text",
 ]
 
 PANEL_BUDGET = 6000
@@ -379,130 +373,3 @@ def nd_operator(op: NystromOperator) -> NDResult:
         route_gap=gap,
         asymmetry=asym,
     )
-
-
-# ---------------------------------------------------------------------------
-# composition probe
-
-
-@dataclass
-class CompositionProfile:
-    """Log-binned magnitude profile of a composed kernel against pair
-    separation."""
-
-    r: np.ndarray
-    magnitude: np.ndarray
-    count: np.ndarray
-    label: str
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("r,normalized_magnitude,bin_count\n")
-        for r, m, c in zip(self.r, self.magnitude, self.count):
-            out.write(f"{float(r)!r},{float(m)!r},{int(c)}\n")
-        return out.getvalue()
-
-
-@dataclass
-class ProbeResult:
-    smooth: CompositionProfile
-    corner: CompositionProfile | None
-    metadata: dict = field(default_factory=dict)
-
-
-def composition_probe(
-    op: NystromOperator,
-    pair_budget: int = 200_000,
-    *,
-    decades: float = 3.0,
-    n_bins: int = 24,
-    seed: int = 0,
-) -> ProbeResult:
-    """Size of the S·D kernel at separation r, normalized by the single-layer
-    kernel magnitude |log r|/(2π).
-
-    The panel resolution must span the requested number of decades of r.
-    Pairs whose panels both sit within 10% of the domain diameter of one
-    common corner are profiled separately (label "corner"); everything else
-    is "smooth".  The log-kernel normalization is a planar adaptation (power
-    normalizations degenerate in 2D) and is recorded as exploratory in the
-    metadata.
-    """
-    n = op.n
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, n, size=pair_budget)
-    j = rng.integers(0, n, size=pair_budget)
-    keep = i != j
-    i, j = i[keep], j[keep]
-    mid = op.panels.mid
-    r = np.hypot(mid[i, 0] - mid[j, 0], mid[i, 1] - mid[j, 1])
-    span = math.log10(r.max() / r.min())
-    if span < decades:
-        raise PotentialsError(
-            f"panel resolution spans {span:.2f} decades of separation, "
-            f"need {decades}"
-        )
-    rows = np.unique(i)
-    Trows = op.S[rows] @ op.D
-    rowpos = np.searchsorted(rows, i)
-    s = op.sqrt_length
-    Tvals = Trows[rowpos, j] / (s[i] * s[j])
-    norm = np.abs(np.log(r)) / (2.0 * math.pi)
-    mag = np.abs(Tvals) / norm
-
-    diam = op.domain.diameter
-    cd = op.panels.corner_distance
-    near = 0.1 * diam
-    corner_pair = (cd[i] < near) & (cd[j] < near) & (r < 2 * near)
-
-    edges = np.geomspace(r.min(), r.max() * (1 + 1e-12), n_bins + 1)
-
-    def profile(mask, label):
-        rr, mm = r[mask], mag[mask]
-        which = np.clip(np.searchsorted(edges, rr, side="right") - 1, 0, n_bins - 1)
-        counts = np.bincount(which, minlength=n_bins)
-        sums = np.bincount(which, weights=mm, minlength=n_bins)
-        full = counts > 0
-        centers = np.sqrt(edges[:-1] * edges[1:])
-        with np.errstate(invalid="ignore"):
-            means = sums[full] / counts[full]
-        return CompositionProfile(
-            r=centers[full], magnitude=means, count=counts[full], label=label
-        )
-
-    smooth = profile(~corner_pair, "smooth")
-    corner = profile(corner_pair, "corner") if corner_pair.any() else None
-    meta = {
-        "normalization": "log-kernel (planar adaptation, exploratory)",
-        "decades_spanned": span,
-        "pairs_used": int(len(r)),
-        "corner_radius": float(near),
-        "seed": seed,
-    }
-    return ProbeResult(smooth=smooth, corner=corner, metadata=meta)
-
-
-def ds_vs_s_singulars(op: NystromOperator, k: int) -> dict:
-    """Top-k singular values of D·S and of S (panel-weighted inner product),
-    plus their ratio sequence."""
-    if k > op.n:
-        raise PotentialsError(f"requested {k} singular values of a {op.n} matrix")
-    s_ds = np.linalg.svd(op.D @ op.S, compute_uv=False)[:k]
-    s_s = np.linalg.svd(op.S, compute_uv=False)[:k]
-    return {"ds": s_ds, "s": s_s, "ratio": s_ds / s_s}
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def operator_to_text(op: NystromOperator, name: str) -> str:
-    """Dense matrix as plain text: header, shape, then one row per line."""
-    mat = {"S": op.S, "D": op.D, "Dstar": op.Dstar}[name]
-    out = io.StringIO()
-    out.write(f"steklovlab-dense 1 {name}\n")
-    out.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-    for row in mat:
-        out.write(" ".join(f"{x:.17g}" for x in row))
-        out.write("\n")
-    return out.getvalue()

@@ -36,7 +36,6 @@ __all__ = [
     "WeylData",
     "weyl_coefficient",
     "symbol_oracle",
-    "predicted_count",
 ]
 
 
@@ -201,10 +200,3 @@ def symbol_oracle(a: np.ndarray, n: np.ndarray, xi: np.ndarray) -> float:
 
     val, _ = quad(integrand, -np.inf, np.inf, epsabs=1e-10, epsrel=1e-10)
     return val / (2.0 * math.pi)
-
-
-def predicted_count(w: float, lam: float, m: int = 1) -> float:
-    """Leading-order prediction W·λ^(−m) for the branch counting function."""
-    if lam <= 0:
-        raise WeylError("threshold must be positive")
-    return w * lam ** (-m)

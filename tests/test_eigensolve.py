@@ -1,7 +1,8 @@
 """Pencil eigensolver: exactness on diagonal pencils, the condensed dense
-solve against a full generalized eigh on small meshes and its SPD guard, the
-Bessel-quotient oracle on a disk, counting and tail-extraction semantics, and
-the CSV round trip."""
+solve against a full generalized eigh on small meshes and the SPD guard of
+both solvers, the Bessel-quotient oracle on a disk, the disk's Steklov
+spectrum from the condensed Dirichlet-to-Neumann map, counting and
+tail-extraction semantics, and the CSV round trip."""
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from steklovlab.eigensolve import (
     boundary_rank,
     counting,
     solve_dense,
+    solve_steklov,
     spectrum_from_csv,
     spectrum_to_csv,
     tail_coefficient,
@@ -87,10 +89,10 @@ def test_dense_cap_guards_memory():
         solve_dense(A, A)
 
 
-def _mesh_pencil(domain, kw, h, rho):
+def _mesh_pencil(domain, kw, h, rho, v0=1.0):
     mesh = geometry.triangulate(geometry.make_domain(domain, **kw), h)
     coeff = assembly.CoefficientField(
-        assembly.constant_matrix(1.0), assembly.constant_potential(1.0), rho
+        assembly.constant_matrix(1.0), assembly.constant_potential(v0), rho
     )
     forms = assembly.assemble_forms(mesh, coeff)
     return mesh, forms.A, forms.B
@@ -110,19 +112,25 @@ def _indefinite_interior_pencil():
     return A.tocsr(), B
 
 
+_NON_SPD_PENCILS = {
+    "diagonal": lambda: _diag_pencil([1.0, 2.0, -1.0], [1.0, 3.0, 0.0]),
+    "singular": lambda: _diag_pencil([1.0, 2.0, 0.0], [1.0, 3.0, 0.0]),
+    "mesh": _indefinite_interior_pencil,
+}
+
+
 @pytest.mark.parametrize(
-    "make_pencil",
+    "make_pencil,solve",
     [
-        lambda: _diag_pencil([1.0, 2.0, -1.0], [1.0, 3.0, 0.0]),
-        lambda: _diag_pencil([1.0, 2.0, 0.0], [1.0, 3.0, 0.0]),
-        _indefinite_interior_pencil,
+        pytest.param(make, solve, id=name + suffix)
+        for suffix, solve in (("", solve_dense), ("-steklov", solve_steklov))
+        for name, make in _NON_SPD_PENCILS.items()
     ],
-    ids=["diagonal", "singular", "mesh"],
 )
-def test_non_spd_interior_block_raises(make_pencil):
+def test_non_spd_interior_block_raises(make_pencil, solve):
     A, B = make_pencil()
     with pytest.raises(EigensolveError, match="SPD"):
-        solve_dense(A, B)
+        solve(A, B)
 
 
 def test_boundary_rank_counts_weighted_rows():
@@ -182,6 +190,28 @@ def test_disk_eigenvalues_match_bessel_quotients():
 
 
 # ---------------------------------------------------------------------------
+# Steklov spectrum of the condensed Dirichlet-to-Neumann map: on the unit
+# disk sigma_0 = 0 and sigma_{2m-1} = sigma_{2m} = m
+
+
+def test_steklov_eigenvalues_match_the_disk():
+    rho = assembly.constant_weight(1.0)
+    _, K, B = _mesh_pencil("regular-ngon", {"n": 96}, 0.05, rho, v0=0.0)
+    sigma = solve_steklov(K, B)
+    assert np.all(np.diff(sigma) >= 0)
+    assert abs(sigma[0]) < 1e-10
+    want = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0])
+    assert np.max(np.abs(sigma[1:9] - want) / want) < 0.02
+
+
+def test_steklov_rejects_sign_indefinite_weight():
+    rho = assembly.segment_weight([1.0, 1.0, -1.0, -1.0])
+    _, K, B = _mesh_pencil("square", {}, 0.2, rho, v0=0.0)
+    with pytest.raises(EigensolveError, match="positive definite"):
+        solve_steklov(K, B)
+
+
+# ---------------------------------------------------------------------------
 # counting semantics
 
 
@@ -193,7 +223,6 @@ def _synthetic_spectrum(pos, neg=()):
         negative=neg,
         residuals_positive=np.zeros_like(pos),
         residuals_negative=np.zeros_like(neg),
-        method="dense",
         zero_threshold=0.0,
         boundary_rank=len(pos) + len(neg),
     )

@@ -101,16 +101,6 @@ def test_triangulate_deterministic(square_domain):
     assert np.array_equal(m1.boundary_edges, m2.boundary_edges)
 
 
-def test_refine_quarters_triangles(square_domain):
-    coarse = triangulate(square_domain, 0.3)
-    fine = geometry.refine_mesh(coarse)
-    assert len(fine.triangles) == 4 * len(coarse.triangles)
-    a = fine.nodes[fine.triangles]
-    u, v = a[:, 1] - a[:, 0], a[:, 2] - a[:, 0]
-    areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-    assert areas.sum() == pytest.approx(square_domain.area, rel=1e-12)
-
-
 def test_domain_text_roundtrip():
     dom = make_domain("sawtooth-square", teeth=5, slope=0.8)
     back = geometry.PolygonDomain.from_text(dom.to_text())

@@ -1,6 +1,6 @@
 """Boundary layer operators: closed-form panel integrals, the discrete Gauss
 identity, circle spectra of the single layer and of the Neumann-to-Dirichlet
-map, symmetry/adjointness structure, and the composition diagnostics."""
+map, and symmetry/adjointness structure."""
 
 import dataclasses
 import math
@@ -15,11 +15,8 @@ from steklovlab.potentials import (
     PotentialsError,
     _mean_zero_basis,
     build_layer_operators,
-    composition_probe,
-    ds_vs_s_singulars,
     jump_relation_error,
     nd_operator,
-    operator_to_text,
 )
 
 
@@ -184,62 +181,3 @@ def test_mean_zero_basis_is_orthonormal_and_kills_constants(square_op):
 def test_square_top_pair_is_degenerate(square_op):
     nd = nd_operator(square_op)
     assert nd.eigenvalues[0] == pytest.approx(nd.eigenvalues[1], rel=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# composition diagnostics
-
-
-def test_composition_probe_small_separation_suppression(square_op):
-    pr = composition_probe(square_op, 100_000, decades=1.2, seed=4)
-    prof = pr.smooth
-    assert np.all(np.diff(prof.r) > 0)
-    assert prof.count.sum() > 50_000
-    # composed kernel is subsingular: normalized magnitude vanishes toward
-    # small separation instead of approaching a constant
-    assert prof.magnitude[0] < 0.25 * prof.magnitude[-1]
-    assert pr.corner is not None and pr.corner.label == "corner"
-    assert pr.metadata["decades_spanned"] >= 1.2
-    csv = prof.to_csv().strip().splitlines()
-    assert csv[0] == "r,normalized_magnitude,bin_count"
-    assert len(csv) == 1 + len(prof.r)
-
-
-def test_composition_probe_smooth_boundary_has_no_corner_class(circle_op):
-    pr = composition_probe(circle_op, 50_000, decades=1.0, seed=4)
-    assert pr.corner is None
-
-
-def test_composition_probe_is_stable_under_budget_doubling(square_op):
-    a = composition_probe(square_op, 100_000, decades=1.2, seed=4)
-    b = composition_probe(square_op, 200_000, decades=1.2, seed=4)
-    m = min(len(a.smooth.magnitude), len(b.smooth.magnitude))
-    drift = np.abs(a.smooth.magnitude[:m] - b.smooth.magnitude[:m]).max()
-    assert drift < 0.02 * a.smooth.magnitude.max()
-
-
-def test_composition_probe_requires_enough_decades(square_op):
-    with pytest.raises(PotentialsError, match="decades"):
-        composition_probe(square_op, 1000, decades=5.0)
-
-
-def test_composed_operator_is_strictly_smoother(square_op):
-    r = ds_vs_s_singulars(square_op, 40)
-    assert r["ratio"][0] < 1.0
-    assert np.median(r["ratio"][-10:]) < 0.1 * np.median(r["ratio"][:10])
-    with pytest.raises(PotentialsError, match="singular values"):
-        ds_vs_s_singulars(square_op, square_op.n + 1)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def test_operator_text_round_trip(circle_op):
-    text = operator_to_text(circle_op, "S")
-    lines = text.strip().splitlines()
-    assert lines[0] == "steklovlab-dense 1 S"
-    rows, cols = map(int, lines[1].split())
-    assert (rows, cols) == (circle_op.n, circle_op.n)
-    parsed = np.array([[float(x) for x in ln.split()] for ln in lines[2:]])
-    assert np.array_equal(parsed, circle_op.S)

@@ -16,7 +16,6 @@ from steklovlab.weyl import (
     alpha_pm,
     ball_volume,
     beta,
-    predicted_count,
     symbol_oracle,
     tangent_basis,
     theta_matrix,
@@ -225,14 +224,3 @@ def test_csv_has_one_row_per_quadrature_node(square_domain):
     assert lines[0] == "arclength,det_theta_prime,alpha_plus,alpha_minus"
     assert len(lines) == 1 + 4 * 6
     assert np.all(np.diff(data.arclength) > 0)
-
-
-# ---------------------------------------------------------------------------
-# counting prediction
-
-
-def test_predicted_count_scales_inversely():
-    assert predicted_count(2.0, 1.0 / 10.5) == pytest.approx(21.0, rel=1e-14)
-    assert predicted_count(3.0, 0.5, m=2) == pytest.approx(12.0, rel=1e-14)
-    with pytest.raises(WeylError, match="positive"):
-        predicted_count(2.0, 0.0)

@@ -7,10 +7,21 @@ the circumcenter would encroach).  Input segments are preserved exactly -- the
 cavity flood never crosses a registered subsegment, so every boundary edge of
 the returned mesh is a subsegment of a polygon edge and carries its parent id.
 
+Each triangle carries an inside/outside flag, and the mesh is classified once:
+after segment recovery a flood fill from the super-triangle's triangles, which
+stops at subsegments, marks everything it reaches outside and the rest inside
+(Shewchuk, "Delaunay refinement algorithms for triangular mesh generation",
+CGTA 2002).  From then on every triangle an insertion creates inherits the flag
+of the cavity triangle that owned its outer edge.  A cavity never crosses a
+subsegment, so it lies on one side of the boundary, except in a subsegment
+split, where the popped subsegment lets it span both sides and each side's
+triangles pass on their own flag.  Refinement and extraction read the flags;
+no point-in-polygon test is made.
+
 The quality guarantee (no interior angle below ``min_angle_deg``) holds for
 inputs whose segments meet at angles of 60 degrees or more, which covers every
 catalog domain.  Near smaller input angles refinement backs off instead of
-cascading, and the achieved minimum is reported on the result.
+cascading.
 
 Everything is deterministic: plain FIFO work queues, insertion in input order,
 no randomization anywhere.
@@ -22,6 +33,11 @@ import math
 from collections import deque
 
 import numpy as np
+
+# Largest edge of any returned triangle, in units of the mesh size h.
+DIAMETER_FACTOR = 1.5
+# Point insertions allowed (recovery plus refinement) before giving up.
+MAX_INSERTIONS = 500_000
 
 
 class MeshingError(RuntimeError):
@@ -69,6 +85,7 @@ class _Triangulation:
         self.pts_x = []
         self.pts_y = []
         self.tris = []  # tuple (a, b, c) CCW, or None when deleted
+        self.flag = []  # parallel to tris: inside the polygon (see classify)
         self.edge = {}  # directed edge (a, b) -> triangle index
         self.subseg = {}  # undirected (min, max) -> parent segment id
         self.eps_orient = 1e-13 * scale * scale
@@ -82,9 +99,10 @@ class _Triangulation:
         self.pts_y.append(float(y))
         return len(self.pts_x) - 1
 
-    def _add_tri(self, a, b, c):
+    def _add_tri(self, a, b, c, flag=False):
         idx = len(self.tris)
         self.tris.append((a, b, c))
+        self.flag.append(flag)
         self.edge[(a, b)] = idx
         self.edge[(b, c)] = idx
         self.edge[(c, a)] = idx
@@ -146,8 +164,9 @@ class _Triangulation:
     def cavity(self, px, py, t0):
         """Flood the circumcircle cavity of (px, py) without crossing subsegments.
 
-        Returns (cavity triangle indices, boundary directed edges) where the
-        boundary edges wind CCW around the insertion point.
+        Returns (cavity triangle indices, boundary edges) where each boundary
+        edge is ``(u, v, owner)``: the directed edge winds CCW around the
+        insertion point and ``owner`` is the cavity triangle it belongs to.
         """
         x, y = self.pts_x, self.pts_y
         cav = {t0}
@@ -175,7 +194,7 @@ class _Triangulation:
                     cav.add(nbr)
                     stack.append(nbr)
                 else:
-                    boundary.append((u, v))
+                    boundary.append((u, v, idx))
         return cav, boundary
 
     def insert(self, pidx, reject_encroached=False, start=None):
@@ -185,13 +204,15 @@ class _Triangulation:
         when the cavity boundary contains a subsegment whose diametral disk
         holds the new point; the offending segment keys are returned instead.
         ``start`` skips point location (the caller knows a containing triangle).
+        Each created triangle takes the flag of the cavity triangle that owned
+        its outer edge.
         """
         px, py = self.pts_x[pidx], self.pts_y[pidx]
         t0 = start if start is not None else self.locate(px, py)
         cav, boundary = self.cavity(px, py, t0)
         if reject_encroached:
             hit = []
-            for (u, v) in boundary:
+            for (u, v, _) in boundary:
                 key = self.seg_key(u, v)
                 if key in self.subseg:
                     ux, uy = self.pts_x[u], self.pts_y[u]
@@ -202,7 +223,9 @@ class _Triangulation:
                 return [], hit
         for idx in cav:
             self._drop_tri(idx)
-        created = [self._add_tri(pidx, u, v) for (u, v) in boundary]
+        created = [
+            self._add_tri(pidx, u, v, self.flag[owner]) for (u, v, owner) in boundary
+        ]
         self.hint = created[0]
         return created, []
 
@@ -227,6 +250,26 @@ class _Triangulation:
         self.subseg[self.seg_key(m, v)] = parent
         return m, created
 
+    def classify(self, outer):
+        """Set every flag: False on the triangles reachable from one with a
+        vertex in ``outer`` without crossing a subsegment, True on the rest."""
+        self.flag = [t is not None for t in self.tris]
+        stack = [
+            i for i, t in enumerate(self.tris) if t is not None and not outer.isdisjoint(t)
+        ]
+        for i in stack:
+            self.flag[i] = False
+        while stack:
+            idx = stack.pop()
+            a, b, c = self.tris[idx]
+            for (u, v) in ((a, b), (b, c), (c, a)):
+                if self.seg_key(u, v) in self.subseg:
+                    continue
+                nbr = self.edge.get((v, u))
+                if nbr is not None and self.flag[nbr]:
+                    self.flag[nbr] = False
+                    stack.append(nbr)
+
     # -- queries ------------------------------------------------------------
 
     def seg_is_edge(self, key):
@@ -250,30 +293,12 @@ class _Triangulation:
         return False
 
 
-def _point_in_polygon(px, py, vx, vy):
-    """Crossing-number test (vectorized over polygon edges)."""
-    x2 = np.roll(vx, -1)
-    y2 = np.roll(vy, -1)
-    cond = (vy > py) != (y2 > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = vx + (py - vy) * (x2 - vx) / (y2 - vy)
-    hits = cond & (px < xint)
-    return bool(np.count_nonzero(hits) & 1)
-
-
-def triangulate_polygon(
-    vertices,
-    h,
-    *,
-    min_angle_deg=20.0,
-    diameter_factor=1.5,
-    max_insertions=500_000,
-):
+def triangulate_polygon(vertices, h, *, min_angle_deg=20.0):
     """Mesh the interior of a simple CCW polygon.
 
     Returns a dict with ``points`` (n, 2), ``triangles`` (m, 3) CCW,
     ``boundary`` as a list of ``(u, v, parent)`` directed so the interior lies
-    to the left, and the achieved ``min_angle`` in degrees.
+    to the left, and the longest triangle edge ``max_edge``.
     """
     verts = np.asarray(vertices, dtype=float)
     nseg = len(verts)
@@ -330,32 +355,18 @@ def triangulate_polygon(
         u, v = key
         m, _ = tr.split_subsegment(key)
         insertions += 1
-        if insertions > max_insertions:
+        if insertions > MAX_INSERTIONS:
             raise MeshingError("segment recovery did not converge")
         pending.append(tr.seg_key(u, m))
         pending.append(tr.seg_key(m, v))
 
+    # The one classification; insertions below pass the flags on.
+    tr.classify({s0, s1, s2})
+
     # ---- Ruppert refinement ------------------------------------------------
-    size_cap = diameter_factor * h * 0.97  # margin so the postcondition holds
+    size_cap = DIAMETER_FACTOR * h * 0.97  # margin so the postcondition holds
     min_angle = math.radians(min_angle_deg)
     quality_cap = 1.0 / (2.0 * math.sin(min_angle))  # circumradius / short edge
-    vx, vy = verts[:, 0], verts[:, 1]
-    super_ids = {s0, s1, s2}
-
-    inside_cache = {}
-
-    def tri_inside(idx):
-        val = inside_cache.get(idx)
-        if val is None:
-            a, b, c = tr.tris[idx]
-            if a in super_ids or b in super_ids or c in super_ids:
-                val = False
-            else:
-                gx = (tr.pts_x[a] + tr.pts_x[b] + tr.pts_x[c]) / 3.0
-                gy = (tr.pts_y[a] + tr.pts_y[b] + tr.pts_y[c]) / 3.0
-                val = _point_in_polygon(gx, gy, vx, vy)
-            inside_cache[idx] = val
-        return val
 
     def tri_metrics(idx):
         a, b, c = tr.tris[idx]
@@ -383,13 +394,13 @@ def triangulate_polygon(
     tri_queue = deque(
         (i, tr.tris[i])
         for i in range(len(tr.tris))
-        if tr.tris[i] is not None and tri_inside(i) and tri_is_bad(i)
+        if tr.tris[i] is not None and tr.flag[i] and tri_is_bad(i)
     )
 
     def after_insertion(created):
         nonlocal insertions
         insertions += 1
-        if insertions > max_insertions:
+        if insertions > MAX_INSERTIONS:
             raise MeshingError("refinement did not converge")
         for t in created:
             key_edges = tr.tris[t]
@@ -398,7 +409,7 @@ def triangulate_polygon(
                 k = tr.seg_key(u, v)
                 if k in tr.subseg and tr.seg_encroached(k):
                     seg_queue.append(k)
-            if tri_inside(t) and tri_is_bad(t):
+            if tr.flag[t] and tri_is_bad(t):
                 tri_queue.append((t, tr.tris[t]))
 
     while seg_queue or tri_queue:
@@ -449,7 +460,8 @@ def triangulate_polygon(
                 any_progress = True
             return any_progress
 
-        if not _point_in_polygon(ccx, ccy, vx, vy):
+        t0 = tr.locate(ccx, ccy)
+        if not tr.flag[t0]:
             # With no encroached subsegment an inside triangle's circumcenter
             # lies in the domain; landing outside means a nearby boundary
             # subsegment needs splitting (numerical safety net).
@@ -462,7 +474,7 @@ def triangulate_polygon(
                 tri_queue.append((idx, stamp))
             continue
         pid = tr.add_point(ccx, ccy)
-        created, hit = tr.insert(pid, reject_encroached=True)
+        created, hit = tr.insert(pid, reject_encroached=True, start=t0)
         if hit:
             tr.pts_x.pop()
             tr.pts_y.pop()
@@ -473,28 +485,8 @@ def triangulate_polygon(
             continue
         after_insertion(created)
 
-    # ---- classification and extraction -------------------------------------
-    outside = set()
-    stack = [
-        i
-        for i, t in enumerate(tr.tris)
-        if t is not None and (t[0] in super_ids or t[1] in super_ids or t[2] in super_ids)
-    ]
-    outside.update(stack)
-    while stack:
-        idx = stack.pop()
-        a, b, c = tr.tris[idx]
-        for (u, v) in ((a, b), (b, c), (c, a)):
-            if tr.seg_key(u, v) in tr.subseg:
-                continue
-            nbr = tr.edge.get((v, u))
-            if nbr is not None and nbr not in outside:
-                outside.add(nbr)
-                stack.append(nbr)
-
-    kept = [
-        i for i, t in enumerate(tr.tris) if t is not None and i not in outside
-    ]
+    # ---- extraction ----------------------------------------------------------
+    kept = [i for i, t in enumerate(tr.tris) if t is not None and tr.flag[i]]
     if not kept:
         raise MeshingError("no interior triangles were produced")
 
@@ -522,26 +514,11 @@ def triangulate_polygon(
             boundary.append((renum[v], renum[u], parent))
     boundary.sort()
 
-    # Achieved minimum angle (degrees).
-    p = points
-    t = triangles
-    e0 = p[t[:, 1]] - p[t[:, 0]]
-    e1 = p[t[:, 2]] - p[t[:, 1]]
-    e2 = p[t[:, 0]] - p[t[:, 2]]
-    l0 = np.linalg.norm(e0, axis=1)
-    l1 = np.linalg.norm(e1, axis=1)
-    l2 = np.linalg.norm(e2, axis=1)
-
-    def _angle(la, lb, lc):
-        # Angle opposite to side a, via the law of cosines.
-        cosv = (lb * lb + lc * lc - la * la) / (2.0 * lb * lc)
-        return np.degrees(np.arccos(np.clip(cosv, -1.0, 1.0)))
-
-    angles = np.stack([_angle(l1, l2, l0), _angle(l2, l0, l1), _angle(l0, l1, l2)])
+    corners = points[triangles]
+    edges = corners - np.roll(corners, -1, axis=1)
     return {
         "points": points,
         "triangles": triangles,
         "boundary": boundary,
-        "min_angle": float(angles.min()),
-        "max_edge": float(max(l0.max(), l1.max(), l2.max())),
+        "max_edge": float(np.linalg.norm(edges, axis=2).max()),
     }

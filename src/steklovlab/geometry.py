@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._mesher import MeshingError, triangulate_polygon
+from ._mesher import DIAMETER_FACTOR, MeshingError, triangulate_polygon
 
 __all__ = [
     "GeometryError",
@@ -463,8 +463,8 @@ def triangulate(domain: PolygonDomain, h: float, *, min_angle_deg: float = 20.0)
     mesh = TriangleMesh(
         raw["points"], raw["triangles"], edges, parents, normals, float(h)
     )
-    if raw["max_edge"] > 1.5 * h * (1 + 1e-12):
-        raise MeshingError("max element diameter exceeds 1.5 h")
+    if raw["max_edge"] > DIAMETER_FACTOR * h * (1 + 1e-12):
+        raise MeshingError(f"max element diameter exceeds {DIAMETER_FACTOR} h")
     return mesh
 
 

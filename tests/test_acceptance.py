@@ -95,7 +95,6 @@ experiment = weyl-verification
 domain.name = koch-prefractal
 domain.level = 3
 mesh.levels = 0.012, 0.0065
-solver.method = iterative
 tail.kmin = 100
 tail.kmax = 200
 tolerance.deviation = 0.10

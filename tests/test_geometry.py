@@ -1,5 +1,7 @@
 """Domain catalog, meshing quality, and straightening invariants."""
 
+import functools
+import hashlib
 import math
 
 import numpy as np
@@ -91,6 +93,101 @@ def test_min_angle_enforced(square_domain):
         )
         angles.append(np.degrees(np.arccos(np.clip(c, -1, 1))))
     assert np.min(angles) >= 25.0 - 1e-9
+
+
+# Every catalog domain at two mesh sizes: (domain name, parameters, h, SHA-256
+# of the nodes, triangles, boundary_edges and boundary_parent bytes in that
+# order).  The digests were taken from the mesher of commit 31b80db, which
+# still classified each triangle by a point-in-polygon test of its centroid;
+# they pin that inheriting the inside flag through insertion cavities changes
+# no mesh.  They assume IEEE-754 doubles and numpy's cos/sin (regular-ngon).
+CATALOG_MESHES = {
+    "square-h0.1": (
+        "square", {}, 0.1,
+        "46b02ca9fff7bed554fa41ecaef8f56b226a7c610805554f71e0e1b3fd8358df",
+    ),
+    "square-h0.05": (
+        "square", {}, 0.05,
+        "d847835fff01b2481ab5c7c7e6336bc8f3d5d10b2f7db2574e28b57f04793325",
+    ),
+    "lshape-h0.1": (
+        "lshape", {}, 0.1,
+        "d2415a03cfbfab56e43812b026a03865c3567b785a48be3fae827eabd1b7f433",
+    ),
+    "lshape-h0.05": (
+        "lshape", {}, 0.05,
+        "8997895b24720b021c6c8d760250a967e559cdb9e50e04cef2fad1a085c35b6c",
+    ),
+    "ngon96-h0.1": (
+        "regular-ngon", {"n": 96}, 0.1,
+        "d79094426f7c3014fe502ce156a2b94ef6fab7e9fad46ecf30098a7acc724fad",
+    ),
+    "ngon96-h0.05": (
+        "regular-ngon", {"n": 96}, 0.05,
+        "094346ed937bae620bc780e3e79703a4a812e2aa5acda5fb24b3351efd2ddd12",
+    ),
+    "sawtooth-h0.1": (
+        "sawtooth-square", {}, 0.1,
+        "4d5cfe2b02c0893bd9f620afe6d1128890819ac5c9b74aa9334c14d3751d4920",
+    ),
+    "sawtooth-h0.05": (
+        "sawtooth-square", {}, 0.05,
+        "731c619bba0186a46860cf6084f4f50ea5c00a3fdba3befe035e006119ce57b5",
+    ),
+    "koch2-h0.1": (
+        "koch-prefractal", {"level": 2}, 0.1,
+        "082a52ff80bf79e00ca14a18050f2af71278957216157bbd64e7c51018cb57b2",
+    ),
+    "koch2-h0.05": (
+        "koch-prefractal", {"level": 2}, 0.05,
+        "f8b0ce48b171e7ad676fd0447ac42282ac58c7988bb4eb1c14acb86544d20a37",
+    ),
+    "koch3-h0.05": (
+        "koch-prefractal", {"level": 3}, 0.05,
+        "0320c3e5021e37030e2d7bfd8584051008386a5f59d5598564381b8930afafb7",
+    ),
+    "koch3-h0.012": (
+        "koch-prefractal", {"level": 3}, 0.012,
+        "60da0fe352e13e5889ea0e40357c0d3140f1f8cbc436a838318a3455ce98af66",
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_mesh(case):
+    name, params, h, _ = CATALOG_MESHES[case]
+    dom = make_domain(name, **params)
+    return dom, triangulate(dom, h)
+
+
+@pytest.mark.parametrize("case", list(CATALOG_MESHES))
+def test_mesh_bytes_match_golden(case):
+    _, mesh = _catalog_mesh(case)
+    digest = hashlib.sha256()
+    for arr in (mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.boundary_parent):
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == CATALOG_MESHES[case][3]
+
+
+@pytest.mark.parametrize("case", list(CATALOG_MESHES))
+def test_mesh_covers_exactly_the_domain(case):
+    # Judged by the domain's own crossing-number test, not the mesher's flags.
+    dom, mesh = _catalog_mesh(case)
+    centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+    assert dom.contains(centroids).all()
+    assert mesh.triangle_areas().sum() == pytest.approx(dom.area, rel=1e-12)
+
+
+def test_split_cavities_pass_flags_to_both_sides():
+    # No catalog mesh splits a subsegment once refinement has started; a 15
+    # degree wedge does, so each split cavity spans both sides of the boundary.
+    tip = math.radians(15.0)
+    dom = geometry.PolygonDomain(
+        np.array([[0.0, 0.0], [1.0, 0.0], [math.cos(tip), math.sin(tip)]])
+    )
+    mesh = triangulate(dom, 0.1)
+    assert dom.contains(mesh.nodes[mesh.triangles].mean(axis=1)).all()
+    assert mesh.triangle_areas().sum() == pytest.approx(dom.area, rel=1e-12)
 
 
 def test_triangulate_deterministic(square_domain):

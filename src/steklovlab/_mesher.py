@@ -161,14 +161,17 @@ class _Triangulation:
 
     # -- Bowyer-Watson ------------------------------------------------------
 
-    def cavity(self, px, py, t0):
+    def cavity(self, px, py, seeds):
         """Flood the circumcircle cavity of (px, py) without crossing subsegments.
 
-        Returns (cavity triangle indices, boundary edges) where each boundary
-        edge is ``(u, v, owner)``: the directed edge winds CCW around the
-        insertion point and ``owner`` is the cavity triangle it belongs to.
+        The flood starts at ``seeds[0]`` and takes the other seeds wherever it
+        meets them, whatever their circumcircle test says.  Returns (cavity
+        triangle indices, boundary edges) where each boundary edge is
+        ``(u, v, owner)``: the directed edge winds CCW around the insertion
+        point and ``owner`` is the cavity triangle it belongs to.
         """
         x, y = self.pts_x, self.pts_y
+        t0 = seeds[0]
         cav = {t0}
         stack = [t0]
         boundary = []
@@ -183,7 +186,7 @@ class _Triangulation:
                 take = False
                 if nbr is not None and not crossing_blocked:
                     na, nb, nc = self.tris[nbr]
-                    if (
+                    if nbr in seeds or (
                         _incircle(
                             x[na], y[na], x[nb], y[nb], x[nc], y[nc], px, py
                         )
@@ -197,19 +200,19 @@ class _Triangulation:
                     boundary.append((u, v, idx))
         return cav, boundary
 
-    def insert(self, pidx, reject_encroached=False, start=None):
+    def insert(self, pidx, reject_encroached=False, seeds=None):
         """Insert point ``pidx``; returns (new triangle ids, encroached segs).
 
         With ``reject_encroached`` the insertion is abandoned (state untouched)
         when the cavity boundary contains a subsegment whose diametral disk
         holds the new point; the offending segment keys are returned instead.
-        ``start`` skips point location (the caller knows a containing triangle).
-        Each created triangle takes the flag of the cavity triangle that owned
-        its outer edge.
+        ``seeds`` skips point location: the caller knows cavity triangles, the
+        first of which contains the point (see ``cavity``).  Each created
+        triangle takes the flag of the cavity triangle that owned its outer
+        edge.
         """
         px, py = self.pts_x[pidx], self.pts_y[pidx]
-        t0 = start if start is not None else self.locate(px, py)
-        cav, boundary = self.cavity(px, py, t0)
+        cav, boundary = self.cavity(px, py, seeds or [self.locate(px, py)])
         if reject_encroached:
             hit = []
             for (u, v, _) in boundary:
@@ -232,17 +235,19 @@ class _Triangulation:
     def split_subsegment(self, key):
         """Split subsegment ``key`` at its midpoint.
 
+        The cavity is seeded with both triangles next to the subsegment: the
+        midpoint lies on their common edge, so it belongs to both cavities,
+        although near a small input angle one circumcircle test can miss it
+        by roundoff and leave a zero-area fan triangle on the segment line.
         Returns ``(midpoint id, created triangle ids)``.
         """
         u, v = key
         parent = self.subseg.pop(key)
-        start = self.edge.get((u, v))
-        if start is None:
-            start = self.edge.get((v, u))
+        seeds = [self.edge[e] for e in ((u, v), (v, u)) if e in self.edge]
         mx = 0.5 * (self.pts_x[u] + self.pts_x[v])
         my = 0.5 * (self.pts_y[u] + self.pts_y[v])
         m = self.add_point(mx, my)
-        created, _ = self.insert(m, start=start)
+        created, _ = self.insert(m, seeds=seeds)
         if not created:
             self.subseg[key] = parent
             raise MeshingError("failed to split boundary subsegment")
@@ -474,7 +479,7 @@ def triangulate_polygon(vertices, h, *, min_angle_deg=20.0):
                 tri_queue.append((idx, stamp))
             continue
         pid = tr.add_point(ccx, ccy)
-        created, hit = tr.insert(pid, reject_encroached=True, start=t0)
+        created, hit = tr.insert(pid, reject_encroached=True, seeds=[t0])
         if hit:
             tr.pts_x.pop()
             tr.pts_y.pop()

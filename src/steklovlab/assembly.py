@@ -599,18 +599,16 @@ def assemble_boundary_weight(mesh: TriangleMesh, rho: BoundaryWeight) -> sp.csr_
 
 @dataclass
 class AssembledForms:
-    """Energy and weight matrices with their node indexing."""
+    """Energy and weight matrices, indexed by mesh node."""
 
     A: sp.csr_matrix
     B: sp.csr_matrix
-    dof_map: np.ndarray
-    quadrature_order: int = 2
 
 
 def assemble_forms(mesh: TriangleMesh, coeff: CoefficientField) -> AssembledForms:
     A = assemble_energy(mesh, coeff)
     B = assemble_boundary_weight(mesh, coeff.rho)
-    return AssembledForms(A, B, np.arange(mesh.n_nodes), 2)
+    return AssembledForms(A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +634,7 @@ def pullback_coefficients(
     dets = smap.dets
 
     def a_fn(pts):
-        piece = smap.piece_of_image_points(pts)
-        src = smap.apply_inverse(pts)
+        src, piece = smap.pull(pts)
         vals = np.array(base_a(src))
         hit = piece >= 0
         if hit.any():
@@ -647,8 +644,7 @@ def pullback_coefficients(
         return vals
 
     def v_fn(pts):
-        piece = smap.piece_of_image_points(pts)
-        src = smap.apply_inverse(pts)
+        src, piece = smap.pull(pts)
         vals = np.array(base_v(src))
         hit = piece >= 0
         if hit.any():
@@ -682,8 +678,7 @@ def pullback_coefficients(
             e = mesh.boundary_edges
             p0 = mesh.nodes[e[:, 0]]
             p1 = mesh.nodes[e[:, 1]]
-            s0 = smap.apply_inverse(p0)
-            s1 = smap.apply_inverse(p1)
+            s0, s1 = np.split(smap.pull(np.vstack([p0, p1]))[0], 2)
             src_mid = 0.5 * (s0 + s1)
             vals = base_rho.value_at(mesh.boundary_parent, src_mid)
             if not omit_boundary_jacobian:

@@ -33,6 +33,7 @@ __all__ = [
     "solve_dense",
     "solve_steklov",
     "counting",
+    "tail_window",
     "tail_coefficient",
     "spectrum_to_csv",
     "spectrum_from_csv",
@@ -251,6 +252,19 @@ class TailEstimate:
         return (self.lower, self.upper)
 
 
+def tail_window(resolved: int, kmin: int = 0, kmax: int = 0) -> tuple:
+    """Tail-fit window over the first ``resolved`` eigenvalues of a branch.
+
+    The default is [5, n/4] with n = ``resolved``: a sign-split weight
+    resolves each branch only up to its own inertia count, so capping by the
+    boundary rank alone would push the window into the range where
+    discretisation error dominates.  A nonzero ``kmin`` or ``kmax`` replaces
+    its end; the upper end never exceeds ``resolved``, so a window too short
+    to fit comes back with ``kmax < kmin``.
+    """
+    return (kmin or 5, min(kmax or max(5, resolved // 4), resolved))
+
+
 def tail_coefficient(
     spec: Spectrum,
     d: int = 1,
@@ -261,17 +275,12 @@ def tail_coefficient(
 
     Since n(λ) ≈ W λ^(-d) means μ_k ≈ (W/k)^(1/d), the products k·μ_k^d are
     asymptotically flat; the median over the window is the estimate and the
-    min/max give an honest band.  The default window is [5, n/4] where n
-    counts the resolved eigenvalues of the requested branch: a sign-split
-    weight resolves each branch only up to its own inertia count, so capping
-    by the boundary rank alone would push the window into the range where
-    discretisation error dominates.
+    min/max give an honest band.  The default window is ``tail_window`` of
+    the requested branch's length.
     """
     branch = np.abs(spec.branch(sign))
     if window is None:
-        if spec.boundary_rank is None:
-            raise EigensolveError("tail window needed when boundary rank unknown")
-        window = (5, max(5, len(branch) // 4))
+        window = tail_window(len(branch))
     kmin, kmax = int(window[0]), int(window[1])
     if kmin < 1 or kmax < kmin:
         raise EigensolveError(f"bad tail window {window}")

@@ -68,14 +68,6 @@ class LipschitzChart:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "segment_ids", ids)
 
-    @property
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.values) / np.diff(self.xs)
-
-    @property
-    def lipschitz_bound(self) -> float:
-        return float(np.abs(self.slopes).max())
-
     def __call__(self, x):
         return np.interp(x, self.xs, self.values)
 
@@ -168,33 +160,12 @@ class PolygonDomain:
         inside = np.sum(cond & (px < xint), axis=1) % 2 == 1
         return inside
 
-    def scaled(self, factor: float, center=None) -> "PolygonDomain":
-        c = np.zeros(2) if center is None else np.asarray(center, dtype=float)
+    def scaled(self, factor: float) -> "PolygonDomain":
         return PolygonDomain(
-            (self.vertices - c) * factor + c,
+            self.vertices * factor,
             name=self.name,
             params={**self.params, "scaled_by": factor},
         )
-
-    # -- serialization ---------------------------------------------------
-
-    def to_text(self) -> str:
-        out = io.StringIO()
-        out.write(f"steklovlab-domain 1 {self.name}\n")
-        out.write(f"vertices {len(self.vertices)}\n")
-        for x, y in self.vertices:
-            out.write(f"{x:.17g} {y:.17g}\n")
-        return out.getvalue()
-
-    @staticmethod
-    def from_text(text: str) -> "PolygonDomain":
-        lines = text.strip().splitlines()
-        head = lines[0].split()
-        if head[:2] != ["steklovlab-domain", "1"]:
-            raise GeometryError("not a steklovlab domain file")
-        count = int(lines[1].split()[1])
-        verts = [tuple(map(float, lines[2 + i].split())) for i in range(count)]
-        return PolygonDomain(np.array(verts), name=head[2] if len(head) > 2 else "polygon")
 
 
 def _signed_area2(v: np.ndarray) -> float:
@@ -341,9 +312,7 @@ class TriangleMesh:
 
     ``boundary_edges[k] = (u, v)`` is directed so the interior lies to its
     left; ``boundary_parent[k]`` is the polygon segment realizing it and
-    ``boundary_normals[k]`` its outward unit normal.  ``collar_piece`` tags
-    each triangle with the straightening piece containing it (-1 outside any
-    collar); plain meshes carry all -1.
+    ``boundary_normals[k]`` its outward unit normal.
     """
 
     nodes: np.ndarray
@@ -352,11 +321,6 @@ class TriangleMesh:
     boundary_parent: np.ndarray
     boundary_normals: np.ndarray
     h: float
-    collar_piece: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.collar_piece is None:
-            self.collar_piece = np.full(len(self.triangles), -1, dtype=np.int64)
 
     @property
     def n_nodes(self) -> int:
@@ -418,39 +382,6 @@ class TriangleMesh:
             out.write(f"{u} {v} {parent} {nx:.17g} {ny:.17g}\n")
         return out.getvalue()
 
-    @staticmethod
-    def from_text(text: str) -> "TriangleMesh":
-        lines = text.strip().splitlines()
-        if lines[0].split() != ["steklovlab-mesh", "1"]:
-            raise GeometryError("not a steklovlab mesh file")
-        pos = 1
-        h = float(lines[pos].split()[1])
-        pos += 1
-        nn = int(lines[pos].split()[1])
-        pos += 1
-        nodes = np.array(
-            [list(map(float, lines[pos + i].split())) for i in range(nn)]
-        )
-        pos += nn
-        nt = int(lines[pos].split()[1])
-        pos += 1
-        tris = np.array(
-            [list(map(int, lines[pos + i].split())) for i in range(nt)],
-            dtype=np.int64,
-        )
-        pos += nt
-        nb = int(lines[pos].split()[1])
-        pos += 1
-        edges = np.empty((nb, 2), dtype=np.int64)
-        parents = np.empty(nb, dtype=np.int64)
-        normals = np.empty((nb, 2))
-        for i in range(nb):
-            parts = lines[pos + i].split()
-            edges[i] = (int(parts[0]), int(parts[1]))
-            parents[i] = int(parts[2])
-            normals[i] = (float(parts[3]), float(parts[4]))
-        return TriangleMesh(nodes, tris, edges, parents, normals, h)
-
 
 def triangulate(domain: PolygonDomain, h: float, *, min_angle_deg: float = 20.0) -> TriangleMesh:
     """Quality constrained-Delaunay mesh with max element diameter <= 1.5 h."""
@@ -471,128 +402,101 @@ def triangulate(domain: PolygonDomain, h: float, *, min_angle_deg: float = 20.0)
 # ---------------------------------------------------------------------------
 # straightening
 
+# The two triangles of a grid cell, as (column, row) offsets of their corners
+# from the cell's lower-left node: half 0 lies below the diagonal from the
+# lower-left to the upper-right node, half 1 above it.
+_CELL_SPLIT = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+
+
+def _cell_triangles(grid: np.ndarray) -> np.ndarray:
+    """Both triangles of every cell of a node grid, as ``[triangle, corner, ...]``.
+
+    ``grid`` holds node ids or positions indexed ``[column, row, ...]``.  The
+    triangles come in (column, row, half) order: half s of cell (i, j) is
+    triangle ``2 (i·rows + j) + s``, with ``rows`` cells per column.
+    """
+    ncol, nrow = grid.shape[0] - 1, grid.shape[1] - 1
+    i = np.arange(ncol)[:, None, None, None] + _CELL_SPLIT[..., 0]
+    j = np.arange(nrow)[None, :, None, None] + _CELL_SPLIT[..., 1]
+    return grid[i, j].reshape(2 * ncol * nrow, 3, *grid.shape[2:])
+
 
 @dataclass
 class StraighteningMap:
-    """Piecewise-affine flattening of a graph collar.
+    """Piecewise-affine flattening of a graph collar over one structured grid.
 
     The collar is the region between the chart graph and the horizontal base
-    line ``y = base``; it maps onto the rectangle ``[x0, x1] x [base, base+1]``
-    by vertical normalization, realized as affine maps on a tensor grid of
-    triangles (``stations`` columns by ``levels`` rows, two triangles per
-    cell).  Outside the collar the map is the identity; the glue along the
-    base line is continuous.
-
-    ``pieces_pre``/``pieces_post`` hold the triangle vertex coordinates in
-    source and image coordinates; ``jacobians[k]`` is the constant 2x2 Jacobian
-    of the map on piece ``k`` and ``dets[k]`` its determinant.
+    line ``y = base``.  Its grid has a node column at each of the ``stations``
+    with ``levels + 1`` nodes per column (`nodes`): in the source, level j
+    sits the fraction j/levels of the local collar thickness above the base
+    line; in the image, at height ``base + j/levels``, so the collar maps onto
+    the rectangle ``[x0, x1] x [base, base + 1]``.  Every grid cell splits into
+    two triangles as ``_CELL_SPLIT`` says, and the map is affine on each of
+    these pieces: half s of cell (i, j) is piece ``2 (i·levels + j) + s``,
+    ``jacobians[k]`` is the constant 2x2 Jacobian on piece k and ``dets[k]``
+    its determinant.  Outside the collar the map is the identity; the glue
+    along the base line is continuous.
     """
 
     domain: PolygonDomain
     chart: LipschitzChart
-    collar_depth: float
     base: float
     stations: np.ndarray
     levels: int
-    pieces_pre: np.ndarray
-    pieces_post: np.ndarray
-    jacobians: np.ndarray
-    dets: np.ndarray
+    jacobians: np.ndarray = field(init=False)
+    dets: np.ndarray = field(init=False)
 
-    # -- evaluation -------------------------------------------------------
+    def __post_init__(self):
+        # On each piece, image = J (source - corner 0) + image corner 0; the
+        # edge vectors from corner 0 are the columns of dpre and dpost.
+        dpre, dpost = (
+            np.stack([t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]], axis=2)
+            for t in map(_cell_triangles, self.nodes())
+        )
+        self.jacobians = dpost @ np.linalg.inv(dpre)
+        self.dets = np.linalg.det(self.jacobians)
 
-    def _column_of(self, x):
-        idx = np.searchsorted(self.stations, x, side="right") - 1
-        return np.clip(idx, 0, self.stations.size - 2)
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Source and image positions of the collar nodes, each indexed
+        ``[station, level, xy]``; level 0 is the base line."""
+        frac = np.arange(self.levels + 1) / self.levels
+        thick = self.chart(self.stations) - self.base
+        x = np.broadcast_to(self.stations[:, None], (self.stations.size, self.levels + 1))
+        pre = np.stack([x, self.base + frac[None, :] * thick[:, None]], axis=2)
+        post = np.stack([x, np.broadcast_to(self.base + frac, x.shape)], axis=2)
+        return pre, post
 
-    def piece_of_source_points(self, points) -> np.ndarray:
-        """Piece index containing each source-coordinate point (-1 outside).
+    def pull(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Source position and piece of each image-coordinate point.
 
-        In source coordinates the row boundaries within a column interpolate
-        linearly between the station thicknesses, so a point's cell follows
-        from its fractional height; the in-cell triangle is decided against
-        the lower-left/upper-right diagonal.
+        Points off the collar keep their position and get piece -1.  Image
+        cells are axis-aligned rectangles, so a point's cell follows from its
+        coordinates and its half from the side of the cell diagonal it is on.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x, y = pts[:, 0], pts[:, 1]
-        out = np.full(len(pts), -1, dtype=np.int64)
-        cols = self._column_of(x)
-        s0 = self.stations[cols]
-        s1 = self.stations[cols + 1]
-        t = (x - s0) / (s1 - s0)
-        local_thick = (1 - t) * self._thick[cols] + t * self._thick[cols + 1]
-        frac = (y - self.base) / local_thick
-        inside = (
-            (x >= self.stations[0] - 1e-12)
-            & (x <= self.stations[-1] + 1e-12)
-            & (frac > 1e-14)
-            & (frac <= 1 + 1e-12)
-        )
-        if not inside.any():
-            return out
-        rows = np.clip((frac[inside] * self.levels).astype(np.int64), 0, self.levels - 1)
-        k0 = 2 * (cols[inside] * self.levels + rows)
-        q0 = self.pieces_pre[k0, 0]
-        q2 = self.pieces_pre[k0, 2]
-        d = q2 - q0
-        rel_x = x[inside] - q0[:, 0]
-        rel_y = y[inside] - q0[:, 1]
-        lower = d[:, 0] * rel_y - d[:, 1] * rel_x <= 0
-        out[inside] = k0 + np.where(lower, 0, 1)
-        return out
-
-    def _affine(self, pts, pieces, src, dst, jac):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
-        hit = pieces >= 0
-        if hit.any():
-            k = pieces[hit]
-            rel = pts[hit] - src[k, 0]
-            pts[hit] = np.einsum("kij,kj->ki", jac[k], rel) + dst[k, 0]
-        return pts
-
-    def apply(self, points) -> np.ndarray:
-        """Forward map (flatten the collar); identity outside it."""
-        pieces = self.piece_of_source_points(points)
-        return self._affine(points, pieces, self.pieces_pre, self.pieces_post, self.jacobians)
-
-    def apply_inverse(self, points) -> np.ndarray:
-        pieces = self.piece_of_image_points(points)
-        inv = np.linalg.inv(self.jacobians)
-        return self._affine(points, pieces, self.pieces_post, self.pieces_pre, inv)
-
-    def piece_of_image_points(self, points) -> np.ndarray:
-        """Piece index containing each image-coordinate point (-1 outside)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x, y = pts[:, 0], pts[:, 1]
-        out = np.full(len(pts), -1, dtype=np.int64)
-        inside = (
+        src = pts.copy()
+        piece = np.full(len(pts), -1, dtype=np.int64)
+        hit = (
             (x >= self.stations[0] - 1e-12)
             & (x <= self.stations[-1] + 1e-12)
             & (y > self.base + 1e-14)
             & (y <= self.base + 1.0 + 1e-12)
         )
-        if not inside.any():
-            return out
-        xi = x[inside]
-        yi = y[inside]
-        cols = self._column_of(xi)
-        rows = np.clip(
-            np.floor((yi - self.base) * self.levels).astype(np.int64),
-            0,
-            self.levels - 1,
-        )
-        # cell-local diagonal test: cell image corners are axis-aligned
-        x0 = self.stations[cols]
-        x1 = self.stations[cols + 1]
-        y0 = self.base + rows / self.levels
-        y1 = self.base + (rows + 1) / self.levels
-        lower = (yi - y0) * (x1 - x0) <= (xi - x0) * (y1 - y0)
-        out[inside] = 2 * (cols * self.levels + rows) + np.where(lower, 0, 1)
-        return out
-
-    @property
-    def _thick(self):
-        return self.chart(self.stations) - self.base
+        if not hit.any():
+            return src, piece
+        xi, yi = x[hit], y[hit]
+        cols = np.searchsorted(self.stations, xi, side="right") - 1
+        cols = np.clip(cols, 0, self.stations.size - 2)
+        rows = np.floor((yi - self.base) * self.levels).astype(np.int64)
+        rows = np.clip(rows, 0, self.levels - 1)
+        pre, post = self.nodes()
+        lo, hi = post[cols, rows], post[cols + 1, rows + 1]
+        above = (yi - lo[:, 1]) * (hi[:, 0] - lo[:, 0]) > (xi - lo[:, 0]) * (hi[:, 1] - lo[:, 1])
+        piece[hit] = 2 * (cols * self.levels + rows) + above
+        inv = np.linalg.inv(self.jacobians)[piece[hit]]
+        src[hit] = np.einsum("kij,kj->ki", inv, pts[hit] - lo) + pre[cols, rows]
+        return src, piece
 
 
 def build_straightening(
@@ -604,10 +508,10 @@ def build_straightening(
 ) -> StraighteningMap:
     """Construct the collar-flattening map for a full-width boundary chart.
 
-    ``collar_depth`` fixes the base line at ``min(psi) - collar_depth``; the
-    collar must stay inside the domain, which is checked.  ``resolution``
-    refines the piece tensor to roughly that spacing (by default the pieces
-    are one column per chart segment and a single row).
+    The base line sits ``collar_depth`` below the lowest point of the graph,
+    and the collar must stay inside the domain, which is checked.  The grid
+    has a column per chart segment and a single level; ``resolution`` refines
+    both to roughly that spacing.
     """
     if collar_depth <= 0:
         raise GeometryError("collar depth must be positive")
@@ -626,8 +530,7 @@ def build_straightening(
         mean_thick = float(np.mean(chart(stations) - base))
         levels = max(1, int(math.ceil(mean_thick / resolution - 1e-12)))
 
-    thick = chart(stations) - base
-    if (thick <= 0).any():
+    if (chart(stations) - base <= 0).any():
         raise GeometryError("collar base must stay strictly below the graph")
 
     # The collar rectangle footprint must stay inside the domain: sample a
@@ -637,50 +540,27 @@ def build_straightening(
     if not domain.contains(probe).all():
         raise GeometryError("collar of this depth leaves the domain")
 
-    ncol = stations.size - 1
-    pieces_pre = np.empty((2 * ncol * levels, 3, 2))
-    pieces_post = np.empty_like(pieces_pre)
-    jac = np.empty((2 * ncol * levels, 2, 2))
-    dets = np.empty(2 * ncol * levels)
-
-    def pre_node(i, j):
-        return np.array([stations[i], base + (j / levels) * thick[i]])
-
-    def post_node(i, j):
-        return np.array([stations[i], base + j / levels])
-
-    for i in range(ncol):
-        for j in range(levels):
-            quad_pre = [pre_node(i, j), pre_node(i + 1, j), pre_node(i + 1, j + 1), pre_node(i, j + 1)]
-            quad_post = [post_node(i, j), post_node(i + 1, j), post_node(i + 1, j + 1), post_node(i, j + 1)]
-            for s, ids in enumerate(((0, 1, 2), (0, 2, 3))):
-                k = 2 * (i * levels + j) + s
-                tri_pre = np.array([quad_pre[t] for t in ids])
-                tri_post = np.array([quad_post[t] for t in ids])
-                pieces_pre[k] = tri_pre
-                pieces_post[k] = tri_post
-                # affine map: post = J (pre - pre0) + post0
-                dpre = np.stack([tri_pre[1] - tri_pre[0], tri_pre[2] - tri_pre[0]], axis=1)
-                dpost = np.stack([tri_post[1] - tri_post[0], tri_post[2] - tri_post[0]], axis=1)
-                J = dpost @ np.linalg.inv(dpre)
-                jac[k] = J
-                dets[k] = np.linalg.det(J)
-
-    if (dets <= 0).any():
+    smap = StraighteningMap(domain, chart, base, stations, levels)
+    if (smap.dets <= 0).any():
         raise GeometryError("straightening pieces must preserve orientation")
+    return smap
 
-    return StraighteningMap(
-        domain=domain,
-        chart=chart,
-        collar_depth=float(collar_depth),
-        base=base,
-        stations=stations,
-        levels=levels,
-        pieces_pre=pieces_pre,
-        pieces_post=pieces_post,
-        jacobians=jac,
-        dets=dets,
-    )
+
+def _segments_of(domain: PolygonDomain, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """First polygon segment holding both endpoints of each edge (p[k], q[k])."""
+    v1, v2 = domain.segment_points()
+    d = v2 - v1
+
+    def on_segment(r):
+        w = r[:, None, :] - v1[None, :, :]
+        cross = d[:, 0] * w[..., 1] - d[:, 1] * w[..., 0]
+        t = np.sum(w * d, axis=2) / np.sum(d * d, axis=1)
+        return (np.abs(cross) <= 1e-9) & (t >= -1e-9) & (t <= 1 + 1e-9)
+
+    both = on_segment(p) & on_segment(q)
+    if not both.any(axis=1).all():
+        raise GeometryError("boundary edge does not lie on any polygon segment")
+    return both.argmax(axis=1)
 
 
 def build_matched_meshes(
@@ -690,9 +570,13 @@ def build_matched_meshes(
 
     Requires the chart to span a full horizontal side of the domain with a
     rectangular remainder below the collar (the catalog square and sawtooth
-    domains qualify).  The source mesh's collar triangles coincide with the
-    straightening pieces, so mapping nodes through the straightening gives an
-    exactly matched image mesh with identical connectivity.
+    domains qualify).  Both meshes are one structured grid: a lower grid of
+    spacing about ``h`` fills the remainder up to the base line, and the
+    collar nodes of ``smap.nodes()`` stand on its top row.  Every cell splits
+    as ``_CELL_SPLIT`` says, so the collar triangles are the straightening
+    pieces in piece order.  The source mesh takes the source node positions,
+    the image mesh the image positions (the lower grid is the same in both),
+    and the connectivity is identical.
     """
     dom = smap.domain
     chart = smap.chart
@@ -706,134 +590,63 @@ def build_matched_meshes(
         for v in dom.vertices
         if (round(float(v[0]), 12), round(float(v[1]), 12)) not in chart_pts
     ]
-    if len(others) != 2:
-        raise GeometryError(
-            "matched meshing needs a full-width chart over a rectangular remainder"
-        )
-    yb = float(others[0][1])
     if not (
-        math.isclose(others[0][1], others[1][1], abs_tol=1e-12)
+        len(others) == 2
+        and math.isclose(others[0][1], others[1][1], abs_tol=1e-12)
         and {round(float(o[0]), 12) for o in others} == {round(float(x0), 12), round(float(x1), 12)}
-        and yb < smap.base
+        and others[0][1] < smap.base
     ):
         raise GeometryError(
             "matched meshing needs a full-width chart over a rectangular remainder"
         )
+    yb = float(others[0][1])
 
-    if smap.pieces_pre.shape[0] < 4 and h < (x1 - x0):
+    if len(smap.dets) < 4 and h < (x1 - x0):
         raise GeometryError(
             "straightening was built without resolution; rebuild with resolution=h"
         )
 
     stations = smap.stations
-    levels = smap.levels
-    base = smap.base
-    thick = smap._thick
     nx = stations.size
-    nrow_lower = max(1, int(math.ceil((base - yb) / h - 1e-12)))
-    ys_lower = yb + (base - yb) * np.arange(nrow_lower + 1) / nrow_lower
+    nrow_lower = max(1, int(math.ceil((smap.base - yb) / h - 1e-12)))
+    ys_lower = yb + (smap.base - yb) * np.arange(nrow_lower + 1) / nrow_lower
 
-    # node layout: lower grid rows 0..nrow_lower (top row is the base line),
-    # then collar rows 1..levels stacked above, sharing the base-line nodes.
-    def lower_id(i, j):
-        return i * (nrow_lower + 1) + j
+    # Node ids: the lower grid column by column, then collar levels 1..levels
+    # column by column; collar level 0 is the lower grid's top row.
+    lower = np.arange(nx * (nrow_lower + 1)).reshape(nx, nrow_lower + 1)
+    collar = np.hstack([lower[:, -1:], lower.size + np.arange(nx * smap.levels).reshape(nx, -1)])
+    lower_xy = np.stack(
+        [np.broadcast_to(stations[:, None], lower.shape), np.broadcast_to(ys_lower, lower.shape)],
+        axis=2,
+    ).reshape(-1, 2)
+    pre, post = (np.vstack([lower_xy, xy[:, 1:].reshape(-1, 2)]) for xy in smap.nodes())
+    tris = np.vstack([_cell_triangles(lower), _cell_triangles(collar)])
 
-    n_lower = nx * (nrow_lower + 1)
-
-    def collar_id(i, j):  # j = 1..levels
-        return n_lower + i * levels + (j - 1)
-
-    n_nodes = n_lower + nx * levels
-    pre = np.empty((n_nodes, 2))
-    post = np.empty((n_nodes, 2))
-    for i in range(nx):
-        for j in range(nrow_lower + 1):
-            nid = lower_id(i, j)
-            pre[nid] = (stations[i], ys_lower[j])
-            post[nid] = pre[nid]
-        for j in range(1, levels + 1):
-            nid = collar_id(i, j)
-            pre[nid] = (stations[i], base + (j / levels) * thick[i])
-            post[nid] = (stations[i], base + j / levels)
-
-    def node_at(i, j):
-        """Global id for collar row j (0 = base line) at station i."""
-        return lower_id(i, nrow_lower) if j == 0 else collar_id(i, j)
-
-    tris = []
-    piece = []
-    for i in range(nx - 1):
-        for j in range(nrow_lower):
-            tris.append((lower_id(i, j), lower_id(i + 1, j), lower_id(i + 1, j + 1)))
-            piece.append(-1)
-            tris.append((lower_id(i, j), lower_id(i + 1, j + 1), lower_id(i, j + 1)))
-            piece.append(-1)
-    for i in range(nx - 1):
-        for j in range(levels):
-            k = 2 * (i * levels + j)
-            tris.append((node_at(i, j), node_at(i + 1, j), node_at(i + 1, j + 1)))
-            piece.append(k)
-            tris.append((node_at(i, j), node_at(i + 1, j + 1), node_at(i, j + 1)))
-            piece.append(k + 1)
-    tris = np.array(tris, dtype=np.int64)
-    piece = np.array(piece, dtype=np.int64)
-
-    # boundary edges: bottom, right, left, and the graph on top
-    edges = []
-    parents = []
-
-    def seg_id_for(p, q):
-        """Polygon segment containing both endpoints (p, q on the boundary)."""
-        v1, v2 = dom.segment_points()
-        d = v2 - v1
-        L2 = np.sum(d * d, axis=1)
-        for cand in range(dom.n_segments):
-            dd = d[cand]
-            for r in (p, q):
-                w = np.asarray(r) - v1[cand]
-                cross = dd[0] * w[1] - dd[1] * w[0]
-                t = (w @ dd) / L2[cand]
-                if abs(cross) > 1e-9 or t < -1e-9 or t > 1 + 1e-9:
-                    break
-            else:
-                return cand
-        raise GeometryError("boundary edge does not lie on any polygon segment")
-
-    for i in range(nx - 1):  # bottom, left-to-right keeps interior on the left
-        u, v = lower_id(i, 0), lower_id(i + 1, 0)
-        edges.append((u, v))
-        parents.append(seg_id_for(pre[u], pre[v]))
-    for j in range(nrow_lower):  # right side ascending
-        u, v = lower_id(nx - 1, j), lower_id(nx - 1, j + 1)
-        edges.append((u, v))
-        parents.append(seg_id_for(pre[u], pre[v]))
-    for j in range(levels):
-        u, v = node_at(nx - 1, j), node_at(nx - 1, j + 1)
-        edges.append((u, v))
-        parents.append(seg_id_for(pre[u], pre[v]))
-    for i in range(nx - 1, 0, -1):  # graph, right-to-left
-        u, v = node_at(i, levels), node_at(i - 1, levels)
-        edges.append((u, v))
-        parents.append(int(chart.segment_ids[chart.piece_of(0.5 * (stations[i] + stations[i - 1]))]))
-    for j in range(levels, 0, -1):  # left side descending
-        u, v = node_at(0, j), node_at(0, j - 1)
-        edges.append((u, v))
-        parents.append(seg_id_for(pre[u], pre[v]))
-    for j in range(nrow_lower, 0, -1):
-        u, v = lower_id(0, j), lower_id(0, j - 1)
-        edges.append((u, v))
-        parents.append(seg_id_for(pre[u], pre[v]))
-
-    edges = np.array(edges, dtype=np.int64)
-    parents = np.array(parents, dtype=np.int64)
+    # boundary edges, interior on the left: bottom, right side, the graph
+    # right to left, left side
+    g = np.hstack([lower, collar[:, 1:]])
+    bottom = np.stack([g[:-1, 0], g[1:, 0]], axis=1)
+    right = np.stack([g[-1, :-1], g[-1, 1:]], axis=1)
+    graph = np.stack([g[:0:-1, -1], g[-2::-1, -1]], axis=1)
+    left = np.stack([g[0, :0:-1], g[0, -2::-1]], axis=1)
+    edges = np.vstack([bottom, right, graph, left])
+    mids = 0.5 * (stations[1:] + stations[:-1])
+    parents = np.concatenate(
+        [
+            _segments_of(dom, pre[bottom[:, 0]], pre[bottom[:, 1]]),
+            _segments_of(dom, pre[right[:, 0]], pre[right[:, 1]]),
+            chart.segment_ids[chart.piece_of(mids[::-1])],
+            _segments_of(dom, pre[left[:, 0]], pre[left[:, 1]]),
+        ]
+    )
     normals_pre = dom.segment_normals()[parents]
 
-    mesh_pre = TriangleMesh(pre, tris, edges, parents, normals_pre, float(h), piece)
+    mesh_pre = TriangleMesh(pre, tris, edges, parents, normals_pre, float(h))
 
     d_post = post[edges[:, 1]] - post[edges[:, 0]]
     normals_post = np.stack([d_post[:, 1], -d_post[:, 0]], axis=1)
     normals_post /= np.linalg.norm(normals_post, axis=1)[:, None]
     mesh_post = TriangleMesh(
-        post, tris.copy(), edges.copy(), parents.copy(), normals_post, float(h), piece.copy()
+        post, tris.copy(), edges.copy(), parents.copy(), normals_post, float(h)
     )
     return mesh_pre, mesh_post

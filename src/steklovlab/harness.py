@@ -293,7 +293,8 @@ class Report:
 
 
 def _tail(cfg: ExperimentConfig) -> tuple:
-    """Configured (kmin, kmax) of the tail window; 0 = chosen by ``_window``."""
+    """Configured (kmin, kmax) of the tail window; 0 = the default end of
+    ``eigensolve.tail_window``."""
     kmin, kmax = cfg.get_int("tail.kmin", 0), cfg.get_int("tail.kmax", 0)
     if kmin < 0 or kmax < 0 or 0 < kmax < kmin:
         raise HarnessError(
@@ -301,11 +302,6 @@ def _tail(cfg: ExperimentConfig) -> tuple:
             f"least tail.kmin (got {kmin}, {kmax})"
         )
     return kmin, kmax
-
-
-def _window(tail: tuple, resolved: int) -> tuple:
-    """Tail window over the first ``resolved`` eigenvalues of a branch."""
-    return (tail[0] or 5, min(tail[1] or max(5, resolved // 4), resolved))
 
 
 def _fit_level(mesh, coeff, tail: tuple) -> tuple:
@@ -325,10 +321,7 @@ def _fit_level(mesh, coeff, tail: tuple) -> tuple:
         ),
     }
     for sign, key in (("+", "plus"), ("-", "minus")):
-        branch = spec.branch(sign)
-        if len(branch) == 0:
-            continue
-        kmin, kmax = _window(tail, len(branch))
+        kmin, kmax = eigensolve.tail_window(len(spec.branch(sign)), *tail)
         if kmax < kmin:
             continue
         t = eigensolve.tail_coefficient(spec, window=(kmin, kmax), sign=sign)
@@ -496,7 +489,7 @@ def _mollification_convergence(cfg: ExperimentConfig, report: Report, stage) -> 
         row0, report.spectrum = _fit_level(mesh, coeff0, tail)
     row0["eps"] = 0.0
     report.levels.append(row0)
-    kmax = _window(tail, len(report.spectrum.positive))[1]
+    kmax = eigensolve.tail_window(len(report.spectrum.positive), *tail)[1]
     ref = report.spectrum.positive[:kmax]
 
     drifts = []

@@ -4,8 +4,7 @@ Straight panels with piecewise-constant densities and midpoint collocation.
 All matrices are stored in the *orthonormalized* indicator basis
 e_i = χ_i/√ℓ_i, in which the panel-length-weighted L² inner product becomes
 the plain dot product: the single layer is then genuinely symmetric and the
-adjoint of the double layer is the plain transpose.  ``NystromOperator.raw``
-converts back to collocation values when needed.
+adjoint of the double layer is the plain transpose ``D.T``.
 
 Kernel conventions: the fundamental solution is −(1/2π)·log|x−y| and the
 double layer kernel is ⟨x−y, n(y)⟩ / (2π|x−y|²), whose boundary integral
@@ -57,13 +56,10 @@ class PanelSet:
     (inf when the polygon has no such vertex, e.g. fine regular n-gons).
     """
 
-    start: np.ndarray
-    end: np.ndarray
     mid: np.ndarray
     length: np.ndarray
     tangent: np.ndarray
     normal: np.ndarray
-    parent: np.ndarray
     corner_distance: np.ndarray
 
     def __len__(self) -> int:
@@ -97,12 +93,11 @@ def _build_panels(domain: PolygonDomain, panels_per_edge: int) -> PanelSet:
         )
     normals = domain.segment_normals()
     t = np.arange(panels_per_edge + 1) / panels_per_edge
-    starts, ends, parents, nrm = [], [], [], []
+    starts, ends, nrm = [], [], []
     for i in range(nseg):
         pts = pa[i][None, :] + t[:, None] * (pb[i] - pa[i])[None, :]
         starts.append(pts[:-1])
         ends.append(pts[1:])
-        parents.append(np.full(panels_per_edge, i))
         nrm.append(np.tile(normals[i], (panels_per_edge, 1)))
     start = np.vstack(starts)
     end = np.vstack(ends)
@@ -117,13 +112,10 @@ def _build_panels(domain: PolygonDomain, panels_per_edge: int) -> PanelSet:
     else:
         cdist = np.full(len(length), np.inf)
     return PanelSet(
-        start=start,
-        end=end,
         mid=mid,
         length=length,
         tangent=tangent,
         normal=np.vstack(nrm),
-        parent=np.concatenate(parents),
         corner_distance=cdist,
     )
 
@@ -189,7 +181,8 @@ def _fill(mid, tangent, normal, length):
 
 @dataclass
 class NystromOperator:
-    """Single/double layer pair on a panelized polygon.
+    """Single/double layer pair on a panelized polygon, in the orthonormal
+    basis (the adjoint double layer is ``D.T``).
 
     ``scale`` is the factor the original domain was multiplied by before the
     build (1.0 when rescaling was disabled); eigenvalue-like outputs must be
@@ -199,7 +192,6 @@ class NystromOperator:
     panels: PanelSet
     S: np.ndarray
     D: np.ndarray
-    Dstar: np.ndarray
     scale: float
     domain: PolygonDomain
 
@@ -210,13 +202,6 @@ class NystromOperator:
     @property
     def sqrt_length(self) -> np.ndarray:
         return np.sqrt(self.panels.length)
-
-    def raw(self, name: str) -> np.ndarray:
-        """Matrix acting on plain collocation values instead of the
-        orthonormal basis."""
-        s = self.sqrt_length
-        mat = {"S": self.S, "D": self.D, "Dstar": self.Dstar}[name]
-        return (mat / s[:, None]) * s[None, :]
 
 
 def build_layer_operators(
@@ -246,7 +231,7 @@ def build_layer_operators(
     S = 0.5 * (S + S.T)
     D = (Draw * s[:, None]) / s[None, :]
     return NystromOperator(
-        panels=panels, S=S, D=D, Dstar=D.T.copy(), scale=scale, domain=dom
+        panels=panels, S=S, D=D, scale=scale, domain=dom
     )
 
 
@@ -262,7 +247,8 @@ def jump_relation_error(op: NystromOperator, n_bins: int = 6) -> dict:
     nearest corner (bins empty of panels are dropped).  With closed-form
     panel integrals the residual is pure roundoff at any resolution.
     """
-    raw = op.raw("D")
+    s = op.sqrt_length
+    raw = (op.D / s[:, None]) * s[None, :]  # acts on collocation values
     res = np.abs(raw.sum(axis=1) + 0.5)
     cd = op.panels.corner_distance
     binned = []
@@ -309,7 +295,7 @@ class NDResult:
     """Discrete Neumann-to-Dirichlet map on mean-zero densities.
 
     ``matrix`` is the symmetrized primary route expressed in the mean-zero
-    basis ``q``; ``eigenvalues`` are descending and already rescaled to the
+    basis of ``_mean_zero_basis``; ``eigenvalues`` are descending and already rescaled to the
     original (unscaled) geometry.  ``route_gap`` is the relative difference
     between the direct solve and the split form, which agree by an exact
     algebraic identity; ``asymmetry`` is the relative skew part of the
@@ -317,7 +303,6 @@ class NDResult:
     """
 
     matrix: np.ndarray
-    q: np.ndarray
     eigenvalues: np.ndarray
     condition: float
     route_gap: float
@@ -343,7 +328,7 @@ def nd_operator(op: NystromOperator) -> NDResult:
     """
     Q = _mean_zero_basis(op)
     Shat = Q.T @ op.S @ Q
-    Dhat = Q.T @ op.Dstar @ Q
+    Dhat = Q.T @ op.D.T @ Q
     A = 0.5 * np.eye(Dhat.shape[0]) + Dhat
     anorm = max(float(np.abs(A).sum(axis=0).max()), 0.5)
     factor = sla.lu_factor(A, check_finite=False)
@@ -367,7 +352,6 @@ def nd_operator(op: NystromOperator) -> NDResult:
     eigs = np.linalg.eigvalsh(sym)[::-1] / op.scale
     return NDResult(
         matrix=sym,
-        q=Q,
         eigenvalues=eigs,
         condition=cond,
         route_gap=gap,

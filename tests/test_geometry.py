@@ -190,18 +190,35 @@ def test_split_cavities_pass_flags_to_both_sides():
     assert mesh.triangle_areas().sum() == pytest.approx(dom.area, rel=1e-12)
 
 
+def _star(points, inner):
+    ang = math.pi * np.arange(2 * points) / points
+    r = np.where(np.arange(2 * points) % 2 == 0, 1.0, inner)
+    return geometry.PolygonDomain(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1))
+
+
+@pytest.mark.parametrize("case", ["wedge5", "star8", "star12"])
+def test_split_cavities_leave_no_degenerate_triangle(case):
+    # Input angles far below the 60 degree guarantee, where one side's
+    # circumcircle test of a split midpoint fails by roundoff.
+    tip = math.radians(5.0)
+    dom = {
+        "wedge5": lambda: geometry.PolygonDomain(
+            np.array([[0.0, 0.0], [1.0, 0.0], [math.cos(tip), math.sin(tip)]])
+        ),
+        "star8": lambda: _star(8, 0.2),
+        "star12": lambda: _star(12, 0.3),
+    }[case]()
+    areas = triangulate(dom, 0.021).triangle_areas()
+    assert (areas > 0).all()
+    assert areas.sum() == pytest.approx(dom.area, rel=0, abs=1e-12)
+
+
 def test_triangulate_deterministic(square_domain):
     m1 = triangulate(square_domain, 0.11)
     m2 = triangulate(square_domain, 0.11)
     assert np.array_equal(m1.nodes, m2.nodes)
     assert np.array_equal(m1.triangles, m2.triangles)
     assert np.array_equal(m1.boundary_edges, m2.boundary_edges)
-
-
-def test_domain_text_roundtrip():
-    dom = make_domain("sawtooth-square", teeth=5, slope=0.8)
-    back = geometry.PolygonDomain.from_text(dom.to_text())
-    assert np.allclose(back.vertices, dom.vertices)
 
 
 def test_straightening_matched_meshes():
@@ -221,6 +238,29 @@ def test_straightening_matched_meshes():
     u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
     assert (areas > 0).all()
+
+
+def test_straightening_pull_inverts_every_piece():
+    dom = make_domain("sawtooth-square")
+    smap = geometry.build_straightening(dom, dom.charts[0], 0.25, resolution=0.06)
+    pre, post = smap.nodes()
+    # Reference loop: half s of cell (i, j) is piece 2(i·levels + j) + s,
+    # half 0 below the cell's lower-left to upper-right diagonal.
+    halves = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+    for i in range(len(smap.stations) - 1):
+        for j in range(smap.levels):
+            for s, corners in enumerate(halves):
+                k = 2 * (i * smap.levels + j) + s
+                src = np.array([pre[i + a, j + b] for a, b in corners])
+                img = np.array([post[i + a, j + b] for a, b in corners])
+                assert np.allclose((src - src[0]) @ smap.jacobians[k].T, img - img[0])
+                back, piece = smap.pull(img.mean(axis=0))
+                assert piece[0] == k
+                assert np.allclose(back[0], src.mean(axis=0))
+    assert len(smap.dets) == k + 1
+    below = np.array([[0.5, smap.base - 0.1]])
+    back, piece = smap.pull(below)
+    assert piece[0] == -1 and np.array_equal(back, below)
 
 
 def test_straightening_collar_guard():

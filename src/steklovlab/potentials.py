@@ -294,12 +294,12 @@ def _mean_zero_basis(op: NystromOperator) -> np.ndarray:
 class NDResult:
     """Discrete Neumann-to-Dirichlet map on mean-zero densities.
 
-    ``matrix`` is the symmetrized primary route expressed in the mean-zero
-    basis of ``_mean_zero_basis``; ``eigenvalues`` are descending and already rescaled to the
-    original (unscaled) geometry.  ``route_gap`` is the relative difference
-    between the direct solve and the split form, which agree by an exact
-    algebraic identity; ``asymmetry`` is the relative skew part of the
-    primary route, a pure discretization error.
+    ``matrix`` is the symmetrized primary route expressed in the basis of
+    ``_mean_zero_basis``; ``eigenvalues`` are descending and already rescaled
+    to the original (unscaled) geometry.  ``route_gap`` is the relative
+    difference between the direct solve and the split form, which agree by
+    an exact algebraic identity; ``asymmetry`` is the relative skew part of
+    the primary route, a pure discretization error.
     """
 
     matrix: np.ndarray

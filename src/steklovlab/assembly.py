@@ -6,15 +6,17 @@ Builds sparse symmetric matrices for the quadratic forms
     weight[u]  = ∫_Σ ρ (γu)² dμ
 
 over hat functions on a triangle mesh, plus the coefficient catalog (named
-SPD matrix fields, scalar potentials, boundary weights) and the pullback of
-coefficients under a piecewise-affine straightening map.
+SPD matrix fields, scalar potentials, boundary weights), the two composite
+fields the experiments build themselves (a boundary-matched blend and a
+mollification), and the pullback of coefficients under a piecewise-affine
+straightening map.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,7 +70,6 @@ class MatrixField:
     """
 
     name: str
-    params: dict
     fn: object
     smooth: bool = True
     ellipticity: float = 1e-9
@@ -88,7 +89,6 @@ class ScalarField:
     """Nonnegative scalar potential v₀(x)."""
 
     name: str
-    params: dict
     fn: object
     smooth: bool = True
 
@@ -101,30 +101,24 @@ class ScalarField:
 class BoundaryWeight:
     """Boundary weight ρ, constant along each mesh boundary edge.
 
-    ``value_at(parents, points)`` evaluates ρ from the parent polygon-segment
-    id and the edge midpoint; ``edge_values(mesh)`` is the per-edge vector the
-    assembler consumes.  ``bound`` is the declared sup-norm bound.
+    Called as ``rho(parents, p0, p1)`` (and ``fn`` likewise), it evaluates ρ on
+    boundary edges given by their parent polygon-segment ids and endpoints; a
+    point on the boundary, such as a quadrature node, is the zero-length edge
+    ``p0 = p1``.  ``bound`` is the declared sup-norm bound.
     """
 
     name: str
-    params: dict
     fn: object
     bound: float = np.inf
 
-    def value_at(self, parents, points) -> np.ndarray:
+    def __call__(self, parents, p0, p1) -> np.ndarray:
         parents = np.asarray(parents, dtype=np.int64)
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = np.asarray(self.fn(parents, pts), dtype=float).reshape(len(parents))
+        p0 = np.atleast_2d(np.asarray(p0, dtype=float))
+        p1 = np.atleast_2d(np.asarray(p1, dtype=float))
+        vals = np.asarray(self.fn(parents, p0, p1), dtype=float).reshape(len(parents))
         if np.abs(vals).max(initial=0.0) > self.bound + 1e-12:
             raise AssemblyError(f"weight {self.name!r} exceeds declared bound")
         return vals
-
-    def edge_values(self, mesh: TriangleMesh) -> np.ndarray:
-        mids = 0.5 * (
-            mesh.nodes[mesh.boundary_edges[:, 0]]
-            + mesh.nodes[mesh.boundary_edges[:, 1]]
-        )
-        return self.value_at(mesh.boundary_parent, mids)
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,7 @@ def constant_matrix(value: float = 1.0) -> MatrixField:
     def fn(pts):
         return np.broadcast_to(mat, (len(pts), 2, 2))
 
-    return MatrixField("constant", {"value": v}, fn, ellipticity=v)
+    return MatrixField("constant", fn, ellipticity=v)
 
 
 def diagonal_matrix(p: float, q: float) -> MatrixField:
@@ -163,7 +157,7 @@ def diagonal_matrix(p: float, q: float) -> MatrixField:
     def fn(pts):
         return np.broadcast_to(mat, (len(pts), 2, 2))
 
-    return MatrixField("diagonal", {"p": p, "q": q}, fn, ellipticity=min(p, q))
+    return MatrixField("diagonal", fn, ellipticity=min(p, q))
 
 
 def rotated_diagonal(p: float, q: float, angle: float) -> MatrixField:
@@ -178,9 +172,7 @@ def rotated_diagonal(p: float, q: float, angle: float) -> MatrixField:
     def fn(pts):
         return np.broadcast_to(mat, (len(pts), 2, 2))
 
-    return MatrixField(
-        "rotated-diagonal", {"p": p, "q": q, "angle": t}, fn, ellipticity=min(p, q)
-    )
+    return MatrixField("rotated-diagonal", fn, ellipticity=min(p, q))
 
 
 def checkerboard(
@@ -200,13 +192,7 @@ def checkerboard(
         vals = np.where(odd, high, low)
         return vals[:, None, None] * eye
 
-    return MatrixField(
-        "checkerboard",
-        {"cell": cell, "low": low, "high": high, "origin": (ox, oy)},
-        fn,
-        smooth=False,
-        ellipticity=min(low, high),
-    )
+    return MatrixField("checkerboard", fn, smooth=False, ellipticity=min(low, high))
 
 
 def _distance_to_boundary(domain: PolygonDomain, pts: np.ndarray) -> np.ndarray:
@@ -241,11 +227,6 @@ def boundary_matched_rough(
 
     return MatrixField(
         "boundary-matched-rough",
-        {
-            "interior": (interior.name, interior.params),
-            "trace": (trace.name, trace.params),
-            "blend_width": w,
-        },
         fn,
         smooth=interior.smooth and trace.smooth,
         ellipticity=min(interior.ellipticity, trace.ellipticity),
@@ -278,13 +259,7 @@ def mollified(base: MatrixField, eps: float) -> MatrixField:
     # quadrature must follow the base field: for eps below the element size
     # the averaged field still varies inside elements, and mixing rules would
     # leave an eps-independent gap against the sharp assembly
-    return MatrixField(
-        "mollified",
-        {"base": (base.name, base.params), "eps": eps},
-        fn,
-        smooth=base.smooth,
-        ellipticity=base.ellipticity,
-    )
+    return MatrixField("mollified", fn, smooth=base.smooth, ellipticity=base.ellipticity)
 
 
 def _catalog(kind: str):
@@ -298,8 +273,6 @@ def _catalog(kind: str):
                 return dispatch(name, **params)
             except AssemblyError:
                 raise
-            except KeyError as exc:
-                raise AssemblyError(f"{kind} {name!r} needs parameter {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise AssemblyError(f"{kind} {name!r}: {exc}") from exc
 
@@ -309,9 +282,8 @@ def _catalog(kind: str):
 
 
 @_catalog("matrix coefficient")
-def make_matrix_field(name: str, *, domain: PolygonDomain | None = None, **params) -> MatrixField:
-    """Catalog dispatch: constant, diagonal, rotated-diagonal, checkerboard,
-    boundary-matched-rough, mollified."""
+def make_matrix_field(name: str, **params) -> MatrixField:
+    """Catalog dispatch: constant, diagonal, rotated-diagonal, checkerboard."""
     key = str(name).strip().lower().replace("_", "-")
     if key == "constant":
         return constant_matrix(**params)
@@ -321,21 +293,6 @@ def make_matrix_field(name: str, *, domain: PolygonDomain | None = None, **param
         return rotated_diagonal(**params)
     if key == "checkerboard":
         return checkerboard(**params)
-    if key == "boundary-matched-rough":
-        if domain is None:
-            raise AssemblyError("boundary-matched-rough needs the domain")
-        interior = make_matrix_field(
-            params.pop("interior"), domain=domain, **params.pop("interior_params", {})
-        )
-        trace = make_matrix_field(
-            params.pop("trace", "constant"), domain=domain, **params.pop("trace_params", {})
-        )
-        return boundary_matched_rough(domain, interior, trace, **params)
-    if key == "mollified":
-        base = make_matrix_field(
-            params.pop("base"), domain=domain, **params.pop("base_params", {})
-        )
-        return mollified(base, **params)
     raise AssemblyError(f"unknown matrix coefficient {name!r}")
 
 
@@ -350,7 +307,7 @@ def constant_potential(value: float = 1.0) -> ScalarField:
     def fn(pts):
         return np.full(len(pts), v)
 
-    return ScalarField("constant", {"value": v}, fn)
+    return ScalarField("constant", fn)
 
 
 def bump_potential(center=(0.0, 0.0), radius: float = 0.5, height: float = 1.0) -> ScalarField:
@@ -368,9 +325,7 @@ def bump_potential(center=(0.0, 0.0), radius: float = 0.5, height: float = 1.0) 
         out[inside] = hgt * np.exp(1.0 - R * R / (R * R - r2[inside]))
         return out
 
-    return ScalarField(
-        "bump", {"center": (cx, cy), "radius": R, "height": hgt}, fn
-    )
+    return ScalarField("bump", fn)
 
 
 @_catalog("potential")
@@ -389,24 +344,22 @@ def make_potential(name: str, **params) -> ScalarField:
 def constant_weight(value: float = 1.0) -> BoundaryWeight:
     v = float(value)
 
-    def fn(parents, pts):
+    def fn(parents, p0, p1):
         return np.full(len(parents), v)
 
-    return BoundaryWeight("constant", {"value": v}, fn, bound=abs(v))
+    return BoundaryWeight("constant", fn, bound=abs(v))
 
 
 def segment_weight(values) -> BoundaryWeight:
     """Piecewise-constant weight: one value per polygon segment id."""
     vals = np.asarray(values, dtype=float)
 
-    def fn(parents, pts):
+    def fn(parents, p0, p1):
         if parents.max(initial=-1) >= len(vals):
             raise AssemblyError("segment weight has no value for a parent id")
         return vals[parents]
 
-    return BoundaryWeight(
-        "per-segment", {"values": vals.tolist()}, fn, bound=float(np.abs(vals).max())
-    )
+    return BoundaryWeight("per-segment", fn, bound=float(np.abs(vals).max()))
 
 
 @_catalog("boundary weight")
@@ -581,12 +534,10 @@ def assemble_boundary_weight(mesh: TriangleMesh, rho: BoundaryWeight) -> sp.csr_
     """Sparse symmetric boundary matrix: per edge of length ℓ and weight ρ the
     block ρ·(ℓ/6)·[[2,1],[1,2]] on its endpoint pair (exact for edgewise-
     constant ρ)."""
-    vals = np.asarray(rho.edge_values(mesh), dtype=float)
-    if vals.shape != (len(mesh.boundary_edges),):
-        raise AssemblyError("weight generator returned wrong shape")
-    ln = mesh.boundary_edge_lengths()
     u = mesh.boundary_edges[:, 0]
     v = mesh.boundary_edges[:, 1]
+    vals = rho(mesh.boundary_parent, mesh.nodes[u], mesh.nodes[v])
+    ln = mesh.boundary_edge_lengths()
     c = vals * ln / 6.0
     rows = np.concatenate([u, v, u, v])
     cols = np.concatenate([u, v, v, u])
@@ -655,42 +606,21 @@ def pullback_coefficients(
         1.0, float((1.0 / (np.linalg.norm(np.linalg.inv(jac), ord=2, axis=(1, 2)) ** 2 * dets)).min())
     )
     a_out = MatrixField(
-        f"pullback({base_a.name})",
-        {"base": base_a.params, "pieces": len(dets)},
-        a_fn,
-        smooth=base_a.smooth,
-        ellipticity=max(a_ell, 1e-12),
+        f"pullback({base_a.name})", a_fn, smooth=base_a.smooth, ellipticity=max(a_ell, 1e-12)
     )
-    v_out = ScalarField(
-        f"pullback({base_v.name})",
-        {"base": base_v.params},
-        v_fn,
-        smooth=base_v.smooth,
-    )
+    v_out = ScalarField(f"pullback({base_v.name})", v_fn, smooth=base_v.smooth)
 
-    def rho_fn(parents, pts):
-        # pts are image-edge midpoints; the factor is the local boundary
-        # stretch, recovered from short chords through the inverse map.
-        raise AssemblyError("pulled-back weight must be evaluated via edge_values")
+    def rho_fn(parents, p0, p1):
+        # the factor is the local boundary stretch: source over image length
+        # of each edge, so a zero-length edge (a single point) has none
+        img_len = np.linalg.norm(p1 - p0, axis=1)
+        if not omit_boundary_jacobian and not (img_len > 0).all():
+            raise AssemblyError("pulled-back weight needs boundary edges of positive length")
+        s0, s1 = np.split(smap.pull(np.vstack([p0, p1]))[0], 2)
+        vals = base_rho(parents, s0, s1)
+        if not omit_boundary_jacobian:
+            vals = vals * (np.linalg.norm(s1 - s0, axis=1) / img_len)
+        return vals
 
-    class _PulledBackWeight(BoundaryWeight):
-        def edge_values(self, mesh: TriangleMesh) -> np.ndarray:
-            e = mesh.boundary_edges
-            p0 = mesh.nodes[e[:, 0]]
-            p1 = mesh.nodes[e[:, 1]]
-            s0, s1 = np.split(smap.pull(np.vstack([p0, p1]))[0], 2)
-            src_mid = 0.5 * (s0 + s1)
-            vals = base_rho.value_at(mesh.boundary_parent, src_mid)
-            if not omit_boundary_jacobian:
-                src_len = np.linalg.norm(s1 - s0, axis=1)
-                img_len = np.linalg.norm(p1 - p0, axis=1)
-                vals = vals * (src_len / img_len)
-            return vals
-
-    rho_out = _PulledBackWeight(
-        f"pullback({base_rho.name})",
-        {"base": base_rho.params, "omit_boundary_jacobian": omit_boundary_jacobian},
-        rho_fn,
-        bound=np.inf,
-    )
+    rho_out = BoundaryWeight(f"pullback({base_rho.name})", rho_fn)
     return CoefficientField(a_out, v_out, rho_out)

@@ -24,8 +24,8 @@ def _domain(args) -> geometry.PolygonDomain:
     return geometry.make_domain(args.domain, **_kv_pairs(args.param))
 
 
-def _coeff(args, domain=None) -> assembly.CoefficientField:
-    a = assembly.make_matrix_field(args.a, domain=domain, **_kv_pairs(args.a_param))
+def _coeff(args) -> assembly.CoefficientField:
+    a = assembly.make_matrix_field(args.a, **_kv_pairs(args.a_param))
     v0 = assembly.constant_potential(args.v0)
     if args.rho_values:
         rho = assembly.make_weight("per-segment", values=args.rho_values.split(","))
@@ -73,7 +73,7 @@ def cmd_mesh(args) -> int:
 def cmd_solve(args) -> int:
     dom = _domain(args)
     mesh = geometry.triangulate(dom, args.h)
-    coeff = _coeff(args, dom)
+    coeff = _coeff(args)
     forms = assembly.assemble_forms(mesh, coeff)
     n = forms.A.shape[0]
     spec = eigensolve.solve_dense(forms.A, forms.B)
@@ -89,7 +89,7 @@ def cmd_solve(args) -> int:
 
 def cmd_weyl(args) -> int:
     dom = _domain(args)
-    coeff = _coeff(args, dom)
+    coeff = _coeff(args)
     wd = weyl.weyl_coefficient(dom, coeff, order=args.order)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

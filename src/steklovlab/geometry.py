@@ -91,7 +91,6 @@ class PolygonDomain:
 
     vertices: np.ndarray
     name: str = "polygon"
-    params: dict = field(default_factory=dict)
     charts: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -161,11 +160,7 @@ class PolygonDomain:
         return inside
 
     def scaled(self, factor: float) -> "PolygonDomain":
-        return PolygonDomain(
-            self.vertices * factor,
-            name=self.name,
-            params={**self.params, "scaled_by": factor},
-        )
+        return PolygonDomain(self.vertices * factor, name=self.name)
 
 
 def _signed_area2(v: np.ndarray) -> float:
@@ -205,13 +200,13 @@ def _regular_ngon(n: int = 64, radius: float = 1.0) -> PolygonDomain:
         raise GeometryError("regular-ngon needs n >= 3")
     ang = 2.0 * np.pi * np.arange(n) / n
     verts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return PolygonDomain(verts, "regular-ngon", {"n": n, "radius": radius})
+    return PolygonDomain(verts, "regular-ngon")
 
 
 def _square(side: float = 1.0) -> PolygonDomain:
     s = float(side)
     verts = np.array([[0.0, 0.0], [s, 0.0], [s, s], [0.0, s]])
-    dom = PolygonDomain(verts, "square", {"side": side})
+    dom = PolygonDomain(verts, "square")
     # Flat chart along the top side (segment 2 runs right-to-left).
     dom.charts.append(
         LipschitzChart(np.array([0.0, s]), np.array([s, s]), np.array([2]))
@@ -226,7 +221,7 @@ def _lshape(size: float = 1.0, notch: float = 0.5) -> PolygonDomain:
     verts = np.array(
         [[0, 0], [s, 0], [s, c], [c, c], [c, s], [0, s]], dtype=float
     )
-    return PolygonDomain(verts, "lshape", {"size": size, "notch": notch})
+    return PolygonDomain(verts, "lshape")
 
 
 def _sawtooth_square(teeth: int = 8, slope: float = 1.0) -> PolygonDomain:
@@ -243,7 +238,7 @@ def _sawtooth_square(teeth: int = 8, slope: float = 1.0) -> PolygonDomain:
     verts = [[0.0, 0.0], [1.0, 0.0]]
     # top traversed right-to-left to keep the polygon CCW
     verts.extend([[x, y] for x, y in zip(reversed(xs), reversed(ys))])
-    dom = PolygonDomain(np.array(verts), "sawtooth-square", {"teeth": m, "slope": s})
+    dom = PolygonDomain(np.array(verts), "sawtooth-square")
     # Chart pieces map to polygon segments: segment j runs vertex j -> j+1.
     # Vertices 2 .. 2 + 2m are the top, in decreasing x, so the chart piece
     # [xs[i], xs[i+1]] is polygon segment (2 + 2m - 1 - i).
@@ -273,7 +268,7 @@ def _koch_prefractal(level: int = 2, side: float = 1.0) -> PolygonDomain:
             tip = a + np.array([cos60 * d[0] + sin60 * d[1], -sin60 * d[0] + cos60 * d[1]])
             nxt.extend([p, a, tip, b])
         pts = np.array(nxt)
-    return PolygonDomain(pts, "koch-prefractal", {"level": lv, "side": s})
+    return PolygonDomain(pts, "koch-prefractal")
 
 
 _CATALOG = {

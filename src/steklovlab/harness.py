@@ -11,12 +11,13 @@ become lists.  Schema (defaults in parentheses):
     output.dir              directory for the artifact files ("out")
     domain.name             catalog domain
     domain.<p>              forwarded to the domain catalog (n, teeth, slope, ...)
-    coeff.a                 matrix coefficient name ("constant")
-    coeff.a.<p>             forwarded; one nesting level for interior/trace/base,
-                            e.g. coeff.a.interior = checkerboard,
-                            coeff.a.interior.cell = 0.1
-    coeff.v0                potential name ("constant"), coeff.v0.<p> forwarded
-    rho.name                boundary weight name ("constant"), rho.<p> forwarded
+    coeff.a                 matrix coefficient: constant (default), diagonal,
+                            rotated-diagonal or checkerboard
+    coeff.a.<p>             forwarded to it (p, q, angle, cell, low, high, origin)
+    coeff.v0, coeff.v0.<p>  potential: constant (default) or bump, and its
+                            parameters (value, center, radius, height)
+    rho.name, rho.<p>       boundary weight: constant (default) or per-segment,
+                            and its parameters (value, values)
     mesh.levels             positive, strictly decreasing h values
     tail.kmin, tail.kmax    tail-fit window, non-negative, a nonzero kmax at
                             least kmin (0 = [5, resolved/4])
@@ -24,23 +25,25 @@ become lists.  Schema (defaults in parentheses):
     tolerance.pair          cross-method eigenvalue tolerance (0.02)
     tolerance.drift         mollification final drift tolerance (0.02)
     tolerance.invariance    straightening eigenvalue tolerance (1e-8)
-    interior.a, interior.a.<p>   contrasting interior field (boundary-only)
+    interior.a, interior.a.<p>   contrasting interior field (boundary-only),
+                            a matrix coefficient like coeff.a
     blend.width             boundary-blend collar width (0.1)
-    blend.sweep             optional widths for the degradation curve
     moll.scales             mollification scales, positive and strictly
                             decreasing (0.16,0.08,0.04,0.02)
-    moll.floor              SPD floor as a fraction of the declared ellipticity (0.5)
     collar.depth            straightening collar depth (0.2)
     collar.resolution       straightening piece resolution (optional)
     bem.panels-per-edge     Nystrom panels per polygon edge (boundary route)
-    bem.count               leading Steklov/ND pairs compared (20)
+    bem.count               leading Steklov/ND pairs compared, at least 1 (20)
 
-Config errors raise: a missing key, a value of the wrong type, or an unknown
-catalog entry or parameter ends ``run_experiment`` in ``HarnessError`` (or the
-catalog's ``GeometryError``/``AssemblyError``) before the first stage starts,
-and nothing is written.  Once a stage has started, every experiment turns a
-failure into ``report.error`` and writes a partial ``report.json`` (and no
-CSV or SVG) holding what was computed up to the failure.
+A key outside this schema is ignored.
+
+Config errors raise: a missing key, a value of the wrong type or out of
+range, or an unknown catalog entry or parameter ends ``run_experiment`` in
+``HarnessError`` (or the catalog's ``GeometryError``/``AssemblyError``) before
+the first stage starts, and nothing is written.  Once a stage has started,
+every experiment turns a failure into ``report.error`` and writes a partial
+``report.json`` (and no CSV or SVG) holding what was computed up to the
+failure; so does a failure to render the CSV or SVG artifacts.
 
 Reports never widen a tolerance at runtime: the numbers in the JSON are the
 numbers the pass/fail verdict was computed from.  CSV outputs are bitwise
@@ -199,22 +202,14 @@ class ExperimentConfig:
         return levels
 
     def group(self, prefix: str) -> dict:
-        """Sub-keys of ``prefix.`` with one extra nesting level folded into
-        ``<sub>_params`` dicts (the shape the coefficient catalog expects)."""
-        params: dict = {}
+        """Values of the keys under ``prefix.``, by the rest of the key with
+        dashes as underscores (the catalogs' keyword names)."""
         plen = len(prefix) + 1
-        for key, val in self.values.items():
-            if not key.startswith(prefix + "."):
-                continue
-            rest = key[plen:]
-            if "." in rest:
-                head, sub = rest.split(".", 1)
-                params.setdefault(f"{head.replace('-', '_')}_params", {})[
-                    sub.replace("-", "_")
-                ] = val
-            else:
-                params[rest.replace("-", "_")] = val
-        return params
+        return {
+            key[plen:].replace("-", "_"): val
+            for key, val in self.values.items()
+            if key.startswith(prefix + ".")
+        }
 
     def echo(self) -> dict:
         return dict(sorted(self.values.items()))
@@ -227,13 +222,13 @@ def _domain_from(cfg: ExperimentConfig) -> geometry.PolygonDomain:
     return geometry.make_domain(str(params.pop("name")), **params)
 
 
-def _matrix_from(cfg: ExperimentConfig, domain, prefix="coeff.a") -> assembly.MatrixField:
+def _matrix_from(cfg: ExperimentConfig, prefix="coeff.a") -> assembly.MatrixField:
     name = str(cfg.get(prefix, "constant"))
-    return assembly.make_matrix_field(name, domain=domain, **cfg.group(prefix))
+    return assembly.make_matrix_field(name, **cfg.group(prefix))
 
 
-def _coeff_from(cfg: ExperimentConfig, domain) -> assembly.CoefficientField:
-    a = _matrix_from(cfg, domain)
+def _coeff_from(cfg: ExperimentConfig) -> assembly.CoefficientField:
+    a = _matrix_from(cfg)
     v0 = assembly.make_potential(
         str(cfg.get("coeff.v0", "constant")), **cfg.group("coeff.v0")
     )
@@ -346,7 +341,7 @@ def _weyl_verification(cfg: ExperimentConfig, report: Report, stage) -> None:
     tol = cfg.get_float("tolerance.deviation", 0.10)
     report.tolerances = {"deviation": tol}
     domain = _domain_from(cfg)
-    coeff = _coeff_from(cfg, domain)
+    coeff = _coeff_from(cfg)
     levels = cfg.mesh_levels()
     tail = _tail(cfg)
     wd = weyl.weyl_coefficient(domain, coeff)
@@ -374,11 +369,10 @@ def _boundary_only_dependence(cfg: ExperimentConfig, report: Report, stage) -> N
     tol = cfg.get_float("tolerance.deviation", 0.10)
     report.tolerances = {"deviation": tol}
     domain = _domain_from(cfg)
-    smooth = _coeff_from(cfg, domain)
+    smooth = _coeff_from(cfg)
     trace_field = smooth.a
-    interior_field = _matrix_from(cfg, domain, prefix="interior.a")
+    interior_field = _matrix_from(cfg, prefix="interior.a")
     width = cfg.get_float("blend.width", 0.1)
-    widths = cfg.get_floats("blend.sweep", [])
     h = cfg.mesh_levels()[-1]
     tail = _tail(cfg)
     rough = assembly.boundary_matched_rough(domain, interior_field, trace_field, width)
@@ -421,6 +415,13 @@ def _boundary_only_dependence(cfg: ExperimentConfig, report: Report, stage) -> N
             row, report.spectrum = _fit_level(mesh, coeff, tail)
         row["field"] = tag
         report.levels.append(row)
+        if "fit_plus" not in row:
+            n = len(report.spectrum.positive)
+            kmin, kmax = eigensolve.tail_window(n, *tail)
+            raise HarnessError(
+                f"tail window [{kmin}, {kmax}] (tail.kmin, tail.kmax) leaves nothing "
+                f"to fit among the {n} positive pairs of the {tag} field"
+            )
         fits[tag] = row["fit_plus"]
     dev1 = _deviation(fits["smooth"], wd.w_plus)
     dev2 = _deviation(fits["rough"], wd.w_plus)
@@ -429,58 +430,15 @@ def _boundary_only_dependence(cfg: ExperimentConfig, report: Report, stage) -> N
     report.summary["deviation"] = {"smooth": dev1, "rough": dev2, "mutual": mutual}
     report.passed = max(dev1, dev2, mutual) <= tol
 
-    if widths:
-        curve = []
-        for w in widths:
-            f2 = assembly.boundary_matched_rough(domain, interior_field, trace_field, w)
-            row, _ = _fit_level(mesh, smooth.with_(a=f2), tail)
-            curve.append({"width": w, "fit_plus": row["fit_plus"]})
-        report.summary["blend_sweep"] = curve
-
-
-def _spd_floored(fld: assembly.MatrixField, floor: float) -> assembly.MatrixField:
-    """Project sampled 2x2 symmetric matrices onto eigenvalues >= floor.
-
-    Mollified convex combinations of SPD fields never trigger this, but the
-    guard enforces the declared lower bound regardless; the wrapper counts how
-    often it fired.
-    """
-    fired = {"count": 0}
-
-    def fn(pts):
-        a = np.array(fld(pts))
-        sym = 0.5 * (a + np.transpose(a, (0, 2, 1)))
-        tr = sym[:, 0, 0] + sym[:, 1, 1]
-        det = sym[:, 0, 0] * sym[:, 1, 1] - sym[:, 0, 1] * sym[:, 1, 0]
-        disc = np.sqrt(np.maximum(0.25 * tr * tr - det, 0.0))
-        lam_min = 0.5 * tr - disc
-        low = lam_min < floor
-        if low.any():
-            fired["count"] += int(low.sum())
-            bump = np.zeros_like(lam_min)
-            bump[low] = floor - lam_min[low]
-            sym = sym + bump[:, None, None] * np.eye(2)
-        return sym
-
-    out = assembly.MatrixField(
-        fld.name,
-        dict(fld.params, spd_floor=floor),
-        fn,
-        smooth=fld.smooth,
-        ellipticity=floor,
-    )
-    return out, fired
-
 
 def _mollification_convergence(cfg: ExperimentConfig, report: Report, stage) -> None:
     tol = cfg.get_float("tolerance.drift", 0.02)
     report.tolerances = {"drift": tol, "monotone_slack": 0.02}
     domain = _domain_from(cfg)
-    coeff0 = _coeff_from(cfg, domain)
+    coeff0 = _coeff_from(cfg)
     scales = _positive_decreasing(
         "moll.scales", cfg.get_floats("moll.scales", [0.16, 0.08, 0.04, 0.02])
     )
-    floor = cfg.get_float("moll.floor", 0.5) * coeff0.a.ellipticity
     h = cfg.mesh_levels()[-1]
     tail = _tail(cfg)
     with stage("mesh"):
@@ -493,10 +451,9 @@ def _mollification_convergence(cfg: ExperimentConfig, report: Report, stage) -> 
     ref = report.spectrum.positive[:kmax]
 
     drifts = []
-    projections = 0
     for eps in scales:
         with stage(f"eps={eps:g}"):
-            fld, fired = _spd_floored(assembly.mollified(coeff0.a, eps), floor)
+            fld = assembly.mollified(coeff0.a, eps)
             row, spec = _fit_level(mesh, coeff0.with_(a=fld), tail)
         cur = spec.positive[:kmax]
         drift = float(np.max(np.abs(cur - ref) / ref))
@@ -504,11 +461,9 @@ def _mollification_convergence(cfg: ExperimentConfig, report: Report, stage) -> 
         row["drift"] = drift
         report.levels.append(row)
         drifts.append(drift)
-        projections += fired["count"]
     monotone = all(b <= a * 1.02 + 1e-12 for a, b in zip(drifts, drifts[1:]))
     report.fitted = {"drift": drifts}
     report.summary["scales"] = scales
-    report.summary["spd_projections"] = projections
     report.summary["monotone"] = monotone
     report.summary["final_drift"] = drifts[-1]
     report.passed = monotone and drifts[-1] <= tol
@@ -523,7 +478,7 @@ def _bilipschitz_invariance(cfg: ExperimentConfig, report: Report, stage) -> Non
     depth = cfg.get_float("collar.depth", 0.2)
     resolution = cfg.get_float("collar.resolution", None)
     h = cfg.mesh_levels()[-1]
-    coeff = _coeff_from(cfg, domain)
+    coeff = _coeff_from(cfg)
     smap = geometry.build_straightening(domain, domain.charts[0], depth, resolution=resolution)
     pulled = assembly.pullback_coefficients(coeff, smap)
     with stage("mesh"):
@@ -576,6 +531,8 @@ def _bem_crosscheck(cfg: ExperimentConfig, report: Report, stage) -> None:
     report.tolerances = {"pair": tol, "route_gap": 1e-10}
     domain = _domain_from(cfg)
     k = cfg.get_int("bem.count", 20)
+    if k < 1:
+        raise HarnessError(f"bem.count must be at least 1 (got {k})")
     ppe = cfg.get_int("bem.panels-per-edge", 0)
     if ppe < 1:
         raise HarnessError("bem-crosscheck needs bem.panels-per-edge >= 1")
@@ -759,23 +716,15 @@ def svg_loglog(
 
 
 def _tail_plot(report: Report, comment: str) -> str:
-    spec = report.spectrum
-    if len(spec.positive) == 0:
-        raise HarnessError("no spectrum to plot")
-    series = []
-    k = np.arange(1, len(spec.positive) + 1)
-    series.append(
-        {"x": spec.positive, "y": k * spec.positive, "label": "k·μ_k (+)"}
-    )
-    if len(spec.negative):
-        kn = np.arange(1, len(spec.negative) + 1)
-        series.append(
-            {
-                "x": np.abs(spec.negative),
-                "y": kn * np.abs(spec.negative),
-                "label": "k·|μ_k| (−)",
-            }
+    """k·|μ_k| against |μ_k| for each branch that has pairs."""
+    series = [
+        {"x": mu, "y": np.arange(1, len(mu) + 1) * mu, "label": label}
+        for mu, label in (
+            (report.spectrum.positive, "k·μ_k (+)"),
+            (np.abs(report.spectrum.negative), "k·|μ_k| (−)"),
         )
+        if len(mu)
+    ]
     hl = [
         (report.predicted[key], f"predicted {name}")
         for key, name in (("w_plus", "W+"), ("w_minus", "W-"))
@@ -865,26 +814,32 @@ _EXPERIMENTS = {
 def write_outputs(report: Report, cfg: ExperimentConfig, outdir=None) -> dict:
     """Write report.json and, unless the run failed, eigenvalues.csv,
     plot.svg and (when the report carries Weyl data) weyl.csv; returns the
-    path map."""
+    path map.
+
+    Every artifact is rendered before any is written: a rendering failure
+    fails the report and only report.json is written, with the error."""
     experiment = _EXPERIMENTS[report.experiment]
-    outdir = outdir or cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    paths = {}
-
-    def put(name, text):
-        p = os.path.join(outdir, name)
-        with open(p, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        paths[name] = p
-
+    texts = {}
     if report.error is None:
         # identifies the run in every artifact without the JSON
         stamp = f"experiment={cfg.experiment} seed={cfg.seed}"
-        put("eigenvalues.csv", f"# {stamp}\n" + experiment.table(report))
-        if report.weyl_data is not None:
-            put("weyl.csv", f"# {stamp}\n" + report.weyl_data.to_csv())
-        put("plot.svg", experiment.plot(report, stamp))
-    put("report.json", report.to_json() + "\n")
+        try:
+            texts["eigenvalues.csv"] = f"# {stamp}\n" + experiment.table(report)
+            if report.weyl_data is not None:
+                texts["weyl.csv"] = f"# {stamp}\n" + report.weyl_data.to_csv()
+            texts["plot.svg"] = experiment.plot(report, stamp)
+        except Exception as exc:
+            texts = {}
+            report.passed = False
+            report.error = f"{type(exc).__name__}: {exc}"
+    texts["report.json"] = report.to_json() + "\n"
+    outdir = outdir or cfg.output_dir
+    os.makedirs(outdir, exist_ok=True)
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = os.path.join(outdir, name)
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(text)
     return paths
 
 

@@ -37,6 +37,7 @@ __all__ = [
 PANEL_BUDGET = 6000
 CONDITION_LIMIT = 1e12
 CORNER_TURN_THRESHOLD = 0.1  # radians of exterior turn that make a vertex a corner
+JUMP_BINS = 6  # corner-distance bins of the jump-relation residual
 
 
 class PotentialsError(RuntimeError):
@@ -193,7 +194,6 @@ class NystromOperator:
     S: np.ndarray
     D: np.ndarray
     scale: float
-    domain: PolygonDomain
 
     @property
     def n(self) -> int:
@@ -230,21 +230,19 @@ def build_layer_operators(
     S = Sg / (s[:, None] * s[None, :])
     S = 0.5 * (S + S.T)
     D = (Draw * s[:, None]) / s[None, :]
-    return NystromOperator(
-        panels=panels, S=S, D=D, scale=scale, domain=dom
-    )
+    return NystromOperator(panels=panels, S=S, D=D, scale=scale)
 
 
 # ---------------------------------------------------------------------------
 # Gauss identity
 
 
-def jump_relation_error(op: NystromOperator, n_bins: int = 6) -> dict:
+def jump_relation_error(op: NystromOperator) -> dict:
     """Residual of the discrete Gauss identity: the double layer applied to
     the constant density must equal −1/2 at every collocation midpoint.
 
-    Returns the overall max plus the max within bins of distance to the
-    nearest corner (bins empty of panels are dropped).  With closed-form
+    Returns the overall max plus the max within ``JUMP_BINS`` quantile bins
+    of distance to the nearest corner (bins empty of panels are dropped).  With closed-form
     panel integrals the residual is pure roundoff at any resolution.
     """
     s = op.sqrt_length
@@ -253,10 +251,10 @@ def jump_relation_error(op: NystromOperator, n_bins: int = 6) -> dict:
     cd = op.panels.corner_distance
     binned = []
     if np.isfinite(cd).any():
-        edges = np.quantile(cd, np.linspace(0, 1, n_bins + 1))
-        for k in range(n_bins):
+        edges = np.quantile(cd, np.linspace(0, 1, JUMP_BINS + 1))
+        for k in range(JUMP_BINS):
             mask = (cd >= edges[k]) & (
-                cd <= edges[k + 1] if k == n_bins - 1 else cd < edges[k + 1]
+                cd <= edges[k + 1] if k == JUMP_BINS - 1 else cd < edges[k + 1]
             )
             if mask.any():
                 binned.append(

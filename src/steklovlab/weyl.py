@@ -146,9 +146,9 @@ def weyl_coefficient(domain: PolygonDomain, coeff, *, order: int = 8) -> WeylDat
     """W± = (2π)^(−m) ∫_Σ α± dμ by per-segment Gauss–Legendre quadrature.
 
     ``coeff`` provides the conductivity (``coeff.a``, evaluated at boundary
-    points) and the signed weight (``coeff.rho.value_at``).  ``order`` nodes
-    per polygon segment; the integrand is smooth within each segment, so the
-    rule converges fast even when a varies.
+    points) and the signed weight (``coeff.rho``, at each node as a
+    zero-length edge).  ``order`` nodes per polygon segment; the integrand is
+    smooth within each segment, so the rule converges fast even when a varies.
     """
     pts_a, pts_b = domain.segment_points()
     normals = domain.segment_normals()
@@ -163,7 +163,7 @@ def weyl_coefficient(domain: PolygonDomain, coeff, *, order: int = 8) -> WeylDat
         pts = pts_a[i][None, :] + t[:, None] * (pts_b[i] - pts_a[i])[None, :]
         w = 0.5 * gw * lengths[i]
         a_vals = coeff.a(pts)
-        rho_vals = coeff.rho.value_at(np.full(len(t), i), pts)
+        rho_vals = coeff.rho(np.full(len(t), i), pts, pts)
         for q in range(len(t)):
             ap, am = alpha_pm(a_vals[q], normals[i], float(rho_vals[q]))
             tp = theta_prime(a_vals[q], normals[i])

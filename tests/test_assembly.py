@@ -199,12 +199,12 @@ def test_catalog_rejects_unknown():
 
 def test_assembly_guards(square_mesh):
     indefinite = assembly.MatrixField(
-        "broken", {}, lambda pts: np.tile(np.diag([1.0, -1.0]), (len(pts), 1, 1))
+        "broken", lambda pts: np.tile(np.diag([1.0, -1.0]), (len(pts), 1, 1))
     )
     with pytest.raises(AssemblyError, match="positive definite|ellipticity"):
         assemble_energy(square_mesh, _cf(a=indefinite))
 
-    negative_v = assembly.ScalarField("bad-v", {}, lambda pts: -np.ones(len(pts)))
+    negative_v = assembly.ScalarField("bad-v", lambda pts: -np.ones(len(pts)))
     with pytest.raises(AssemblyError, match="negative"):
         assemble_energy(square_mesh, _cf(v0=negative_v))
 
@@ -223,3 +223,8 @@ def test_pullback_preserves_energy_integrals():
     # matched meshes share node indexing, so the same nodal vector represents
     # corresponding functions and the quadratic forms must agree
     assert u @ (A_src @ u) == pytest.approx(u @ (A_img @ u), rel=1e-10)
+    # the boundary stretch is a ratio of edge lengths, so a pulled-back weight
+    # has no value at a single point (a zero-length edge)
+    top = src.nodes[src.boundary_edges[0, :1]]
+    with pytest.raises(AssemblyError, match="positive length"):
+        pulled.rho(src.boundary_parent[:1], top, top)

@@ -2,8 +2,11 @@
 serialization, SVG rendering, deterministic end-to-end runs with their output
 files, and the command-line entry points."""
 
+import contextlib
+import dataclasses
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -89,7 +92,80 @@ def test_config_defaults_and_groups():
     g = cfg.group("coeff.a")
     assert g["cell"] == 0.25
     assert g["origin"] == [0.1, 0.2]
-    assert g["sub_field_params"] == {"low": 1.0}
+    assert g["sub_field.low"] == 1.0
+
+
+class _ReadKeys(dict):
+    """Config values that note every key read through them."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _schema_keys() -> set:
+    """Keys in the first column of the harness docstring's schema block."""
+    block = harness.__doc__.split("Schema (defaults in parentheses):")[1].split("\n\n")[1]
+    keys = set()
+    for line in block.splitlines():
+        if line.startswith("    ") and not line.startswith("     "):
+            column = re.split(r"\s{2,}", line.strip())[0]
+            keys |= {k.strip() for k in column.split(",")}
+    return keys
+
+
+# Each experiment reads its whole config before its first stage.
+SCHEMA_RUNS = {
+    "weyl-verification": "domain.name = square\n",
+    "boundary-only-dependence": "domain.name = square\n",
+    "mollification-convergence": "domain.name = square\n",
+    "bilipschitz-invariance": "domain.name = sawtooth-square\n",
+    "bem-crosscheck": "domain.name = square\nbem.panels-per-edge = 4\n",
+}
+
+
+def test_schema_docstring_lists_the_keys_the_harness_reads(tmp_path, monkeypatch):
+    @contextlib.contextmanager
+    def halt(timings, name):
+        timings[name] = 0.0  # a stage has started, so the run writes its report
+        raise RuntimeError("halted at the first stage")
+        yield
+
+    groups = set()
+    group = ExperimentConfig.group
+
+    def recording_group(self, prefix):
+        groups.add(prefix)
+        return group(self, prefix)
+
+    monkeypatch.setattr(harness, "_stage", halt)
+    monkeypatch.setattr(ExperimentConfig, "group", recording_group)
+    read = set()
+    for name, extra in SCHEMA_RUNS.items():
+        values = _ReadKeys(
+            parse_config_text(
+                f"experiment = {name}\nmesh.levels = 0.1\n"
+                f"output.dir = {tmp_path / name}\n{extra}"
+            )
+        )
+        rep = run_experiment(ExperimentConfig(values))
+        assert rep.error == "RuntimeError: halted at the first stage", name
+        assert (tmp_path / name / "report.json").exists()
+        read |= values.read
+    read |= {f"{prefix}.<p>" for prefix in groups}
+    documented = _schema_keys()
+    # domain.name and rho.name are read as members of their groups
+    named = {k for k in documented if k.endswith(".name") and k[: -len(".name")] in groups}
+    assert named == {"domain.name", "rho.name"}
+    assert documented - named == read
 
 
 # ---------------------------------------------------------------------------
@@ -196,24 +272,72 @@ UNMESHABLE = "mesh.levels = 1e-7\n"
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,named",
     [
-        "experiment = weyl-verification\ndomain.name = square\n",
-        "experiment = boundary-only-dependence\ndomain.name = square\n",
-        "experiment = mollification-convergence\ndomain.name = square\n",
-        "experiment = bem-crosscheck\ndomain.name = square\nbem.panels-per-edge = 8\n",
+        ("experiment = weyl-verification\ndomain.name = square\n" + UNMESHABLE, "mesh size"),
+        ("experiment = boundary-only-dependence\ndomain.name = square\n" + UNMESHABLE, "mesh size"),
+        ("experiment = mollification-convergence\ndomain.name = square\n" + UNMESHABLE, "mesh size"),
+        (
+            "experiment = bem-crosscheck\ndomain.name = square\nbem.panels-per-edge = 8\n"
+            + UNMESHABLE,
+            "mesh size",
+        ),
+        # a tail window past every resolved pair leaves the fit nothing
+        (
+            "experiment = boundary-only-dependence\ndomain.name = square\n"
+            "interior.a = checkerboard\ninterior.a.cell = 0.2\nmesh.levels = 0.1\n"
+            "tail.kmin = 500\n",
+            "tail window",
+        ),
     ],
-    ids=["weyl-verification", "boundary-only-dependence", "mollification-convergence", "bem-crosscheck"],
+    ids=[
+        "weyl-verification",
+        "boundary-only-dependence",
+        "mollification-convergence",
+        "bem-crosscheck",
+        "boundary-only-short-window",
+    ],
 )
-def test_failed_level_yields_partial_report(tmp_path, text):
-    cfg = ExperimentConfig.from_text(text + UNMESHABLE)
+def test_failed_level_yields_partial_report(tmp_path, text, named):
+    cfg = ExperimentConfig.from_text(text)
     rep = run_experiment(cfg, str(tmp_path))
     assert not rep.passed
-    assert "mesh size" in rep.error
+    assert named in rep.error
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["error"] == rep.error
     assert not (tmp_path / "eigenvalues.csv").exists()
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_outputs_are_rendered_before_any_is_written(tmp_path, monkeypatch):
+    # a negative weight has only the negative branch; the plot draws that one
+    neg = tmp_path / "neg"
+    rep = run_experiment(ExperimentConfig.from_text(WEYL_SQUARE + "rho.value = -1\n"), str(neg))
+    assert rep.error is None and rep.passed
+    assert len(rep.spectrum.positive) == 0 and len(rep.spectrum.negative) > 20
+    assert sorted(p.name for p in neg.iterdir()) == [
+        "eigenvalues.csv", "plot.svg", "report.json", "weyl.csv"
+    ]
+    svg = (neg / "plot.svg").read_text()
+    assert "k·|μ_k| (−)" in svg and "k·μ_k (+)" not in svg
+
+    # a rendering failure fails the report, and report.json is all that is written
+    def broken_plot(report, comment):
+        raise HarnessError("cannot draw")
+
+    experiment = harness._EXPERIMENTS["weyl-verification"]
+    monkeypatch.setitem(
+        harness._EXPERIMENTS,
+        "weyl-verification",
+        dataclasses.replace(experiment, plot=broken_plot),
+    )
+    broken = tmp_path / "broken"
+    rep = run_experiment(ExperimentConfig.from_text(WEYL_SQUARE), str(broken))
+    assert not rep.passed
+    assert rep.error == "HarnessError: cannot draw"
+    assert [p.name for p in broken.iterdir()] == ["report.json"]
+    payload = json.loads((broken / "report.json").read_text())
+    assert payload["error"] == rep.error and payload["passed"] is False
 
 
 def test_runs_demand_their_required_keys():
@@ -328,6 +452,8 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
         ("mesh.levels = 0.1\ntolerance.pair = abc", "tolerance.pair"),
         ("mesh.levels = 0.1\ntolerance.pair = yes", "tolerance.pair"),
         ("mesh.levels = 0.1\nbem.count = abc", "bem.count"),
+        ("mesh.levels = 0.1\nbem.count = 0", "bem.count"),
+        ("mesh.levels = 0.1\nbem.count = -5", "bem.count"),
         ("mesh.levels = 0.1\ndomain.bogus = 3", "square"),
     ):
         broken.write_text(base + line + "\n")
@@ -368,7 +494,9 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
     assert "steklovlab: error:" in captured.err and "per-segment" in captured.err
 
 
-# Schema keys of the harness docstring, catalog parameters, and junk.
+# Schema keys of the harness docstring, catalog parameters, keys the harness
+# no longer reads (coeff.a.interior, coeff.a.base, blend.sweep, moll.floor),
+# and junk.
 FUZZ_KEYS = (
     "seed", "output.dir", "domain.name", "domain.n", "domain.radius", "domain.side",
     "domain.notch", "domain.teeth", "domain.slope", "domain.level", "domain.bogus",
@@ -384,9 +512,9 @@ FUZZ_KEYS = (
 INT_KEYS = ("seed", "tail.kmin", "tail.kmax", "bem.count", "bem.panels-per-edge")
 FLOAT_KEYS = (
     "tolerance.deviation", "tolerance.pair", "tolerance.drift", "tolerance.invariance",
-    "blend.width", "moll.floor", "collar.depth", "collar.resolution",
+    "blend.width", "collar.depth", "collar.resolution",
 )
-LIST_KEYS = ("mesh.levels", "moll.scales", "blend.sweep")
+LIST_KEYS = ("mesh.levels", "moll.scales")
 WORDS = (
     "abc", "yes", "off", "nan", "-inf", "", "square", "regular-ngon", "lshape",
     "sawtooth-square", "koch-prefractal", "constant", "diagonal", "checkerboard",
@@ -437,6 +565,6 @@ def test_config_surface_raises_only_typed_errors(experiment, entries):
     for key in LIST_KEYS:
         _value_or_typed_error(cfg.get_floats, key, [])
     _value_or_typed_error(harness._tail, cfg)
-    domain = _value_or_typed_error(harness._domain_from, cfg)
-    _value_or_typed_error(harness._coeff_from, cfg, domain)
-    _value_or_typed_error(harness._matrix_from, cfg, domain, "interior.a")
+    _value_or_typed_error(harness._domain_from, cfg)
+    _value_or_typed_error(harness._coeff_from, cfg)
+    _value_or_typed_error(harness._matrix_from, cfg, "interior.a")

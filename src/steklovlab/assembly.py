@@ -264,7 +264,8 @@ def mollified(base: MatrixField, eps: float) -> MatrixField:
 
 def _catalog(kind: str):
     """Make a catalog dispatcher report an entry parameter that is unknown,
-    missing or of the wrong type as an ``AssemblyError`` naming the entry."""
+    missing, of the wrong type or too short as an ``AssemblyError`` naming
+    the entry."""
 
     def wrap(dispatch):
         @functools.wraps(dispatch)
@@ -273,7 +274,7 @@ def _catalog(kind: str):
                 return dispatch(name, **params)
             except AssemblyError:
                 raise
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, IndexError) as exc:
                 raise AssemblyError(f"{kind} {name!r}: {exc}") from exc
 
         return checked

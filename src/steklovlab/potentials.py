@@ -15,12 +15,14 @@ form, so that identity holds to roundoff at every resolution.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import cython_lapack
 
 from .geometry import PolygonDomain
 
@@ -38,6 +40,7 @@ PANEL_BUDGET = 6000
 CONDITION_LIMIT = 1e12
 CORNER_TURN_THRESHOLD = 0.1  # radians of exterior turn that make a vertex a corner
 JUMP_BINS = 6  # corner-distance bins of the jump-relation residual
+FILL_BLOCK = 2**18  # rows × panels per block of the layer fill
 
 
 class PotentialsError(RuntimeError):
@@ -129,23 +132,16 @@ _GAUSS_X, _GAUSS_W = leggauss(4)
 
 def _fill(mid, tangent, normal, length):
     """Galerkin single layer (outer Gauss × exact inner) and collocated
-    double layer, both over straight panels."""
+    double layer, both over straight panels.
+
+    Both are filled in one pass over blocks of ``FILL_BLOCK // n`` rows, so
+    the largest temporaries hold 4·FILL_BLOCK Gauss-point values (8 MiB)
+    whatever n is.  Every entry is the same elementwise arithmetic in any
+    block size, so S and D do not depend on the blocking."""
     n = mid.shape[0]
-    S = np.zeros((n, n))
-    D = np.zeros((n, n))
+    S = np.empty((n, n))
+    D = np.empty((n, n))
     a = 0.5 * length
-    # double layer: midpoints against all panels at once
-    dx = mid[:, None, 0] - mid[None, :, 0]
-    dy = mid[:, None, 1] - mid[None, :, 1]
-    u = dx * tangent[None, :, 0] + dy * tangent[None, :, 1]
-    v = dx * normal[None, :, 0] + dy * normal[None, :, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dmat = (np.arctan((a[None, :] - u) / v) + np.arctan((a[None, :] + u) / v)) / (
-            2.0 * math.pi
-        )
-    dmat[v == 0.0] = 0.0
-    np.fill_diagonal(dmat, 0.0)
-    D[:] = dmat
 
     def primitive(w, vv):
         r2 = w * w + vv * vv
@@ -155,9 +151,21 @@ def _fill(mid, tangent, normal, length):
         out = np.where(vv == 0.0, flat, out)
         return np.where(r2 == 0.0, 0.0, out)
 
-    block = max(1, int(2**22 // max(n, 1)))
+    block = max(1, FILL_BLOCK // max(n, 1))
     for lo in range(0, n, block):
         hi = min(n, lo + block)
+        # double layer: the block's midpoints against all panels
+        dx = mid[lo:hi, None, 0] - mid[None, :, 0]
+        dy = mid[lo:hi, None, 1] - mid[None, :, 1]
+        u = dx * tangent[None, :, 0] + dy * tangent[None, :, 1]
+        v = dx * normal[None, :, 0] + dy * normal[None, :, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dmat = (np.arctan((a[None, :] - u) / v) + np.arctan((a[None, :] + u) / v)) / (
+                2.0 * math.pi
+            )
+        dmat[v == 0.0] = 0.0  # includes the diagonal
+        D[lo:hi] = dmat
+        # single layer: four Gauss points on each of the block's panels
         xi = (
             mid[lo:hi, None, :]
             + _GAUSS_X[None, :, None] * (a[lo:hi, None, None] * tangent[lo:hi, None, :])
@@ -271,33 +279,77 @@ def jump_relation_error(op: NystromOperator) -> dict:
 # Neumann-to-Dirichlet map
 
 
-def _mean_zero_basis(op: NystromOperator) -> np.ndarray:
-    """Orthonormal basis (columns) of the complement of constants.
+def _reflection(op: NystromOperator) -> tuple[np.ndarray, float]:
+    """u and c of the Householder reflection H = I − c·uuᵀ that maps
+    w = √ℓ/‖√ℓ‖ onto e₀ (u = w − e₀, c = 2/uᵀu).
 
     In the orthonormal panel basis the constant function has coefficients
     √ℓ_i, so mean-zero (with the panel-length-weighted inner product) is
-    plain orthogonality to that vector; the basis comes from a Householder
-    reflection and is deterministic.
+    plain orthogonality to w, and the columns H[:, 1:] are an orthonormal
+    basis of the mean-zero densities.
     """
-    w = op.sqrt_length.copy()
-    w /= np.linalg.norm(w)
-    e = np.zeros_like(w)
-    e[0] = 1.0
-    u = w - e
-    H = np.eye(len(w)) - 2.0 * np.outer(u, u) / (u @ u)
-    return H[:, 1:]
+    u = op.sqrt_length / np.linalg.norm(op.sqrt_length)
+    u[0] -= 1.0
+    return u, 2.0 / (u @ u)
+
+
+def _project(M: np.ndarray, u: np.ndarray, c: float) -> np.ndarray:
+    """(H M H)[1:, 1:] for H = I − c·uuᵀ in O(n²): one matrix-vector
+    product per side and two rank-one updates."""
+    r = M.T @ u  # H M = M − c·u rᵀ
+    p = M @ u - c * (r @ u) * u  # (H M) u
+    out = M[1:, 1:] - np.outer(c * u[1:], r[1:])
+    out -= np.outer(c * p[1:], u[1:])
+    return out
+
+
+def _dgecon():
+    """LAPACK ``dgecon`` from scipy's Cython LAPACK table as a ctypes function.
+
+    scipy's f2py wrapper allocates the work array wherever the heap puts it,
+    and OpenBLAS's vector kernels round the estimate differently with that
+    array's alignment; called this way, the caller supplies the array."""
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    capsule = cython_lapack.__pyx_capi__["dgecon"]
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 9)(pointer(capsule, name(capsule)))
+
+
+_DGECON = _dgecon()
+
+
+def _condition(lu: np.ndarray, anorm: float) -> float:
+    """1/rcond from LAPACK's 1-norm estimate on an LU factor, with the work
+    array on a 64-byte boundary so that the value is the same in every
+    process."""
+    lu = np.asfortranarray(lu, dtype=np.float64)  # no copy for lu_factor's output
+    n = lu.shape[0]
+    work = np.empty(4 * n + 8)
+    work = work[(-work.ctypes.data % 64) // 8 :]
+    iwork = np.empty(n, dtype=np.intc)
+    size, norm, rcond = ctypes.c_int(n), ctypes.c_double(anorm), ctypes.c_double()
+    ref = ctypes.byref
+    _DGECON(
+        b"1", ref(size), lu.ctypes.data, ref(size), ref(norm), ref(rcond),
+        work.ctypes.data, iwork.ctypes.data, ref(ctypes.c_int()),
+    )
+    return 1.0 / rcond.value if rcond.value > 0 else math.inf
 
 
 @dataclass
 class NDResult:
     """Discrete Neumann-to-Dirichlet map on mean-zero densities.
 
-    ``matrix`` is the symmetrized primary route expressed in the basis of
-    ``_mean_zero_basis``; ``eigenvalues`` are descending and already rescaled
-    to the original (unscaled) geometry.  ``route_gap`` is the relative
-    difference between the direct solve and the split form, which agree by
-    an exact algebraic identity; ``asymmetry`` is the relative skew part of
-    the primary route, a pure discretization error.
+    ``matrix`` is the symmetrized primary route in the basis H[:, 1:], the
+    last n − 1 columns of the Householder reflection H that maps √ℓ/‖√ℓ‖
+    onto e₀ (``_reflection``); ``eigenvalues`` are descending and already
+    rescaled to the original (unscaled) geometry.  ``route_gap`` is the
+    relative difference between the direct solve and the split form, which
+    agree by an exact algebraic identity; ``asymmetry`` is the relative skew
+    part of the primary route, a pure discretization error.
     """
 
     matrix: np.ndarray
@@ -317,22 +369,23 @@ def nd_operator(op: NystromOperator) -> NDResult:
     both vanish on mean-zero densities, so only corner domains separate
     the two; using D here converges to a wrong limit.
 
-    One LU factorization of A = ½I + D̂* serves both routes (each solves
+    S and D* are projected to mean-zero as Ŝ = (H S H)[1:, 1:] and
+    D̂* = (H Dᵀ H)[1:, 1:], with the reflection H = I − c·uuᵀ applied to
+    rows and columns in O(n²) (no basis matrix is formed).  One LU
+    factorization of A = ½I + D̂* serves both routes (each solves
     Aᵀ Yᵀ = Xᵀ) and the condition estimate, which is LAPACK's 1-norm
     estimate from that factor with ‖A‖₁ floored at ½.  The floor measures
     distance to singularity against the ½I part of the operator: a D̂* that
     cancels it leaves A at roundoff size, whose scale-invariant condition
     number can look harmless.
     """
-    Q = _mean_zero_basis(op)
-    Shat = Q.T @ op.S @ Q
-    Dhat = Q.T @ op.D.T @ Q
+    u, c = _reflection(op)
+    Shat = _project(op.S, u, c)
+    Dhat = _project(op.D.T, u, c)
     A = 0.5 * np.eye(Dhat.shape[0]) + Dhat
     anorm = max(float(np.abs(A).sum(axis=0).max()), 0.5)
     factor = sla.lu_factor(A, check_finite=False)
-    gecon = sla.get_lapack_funcs("gecon", (A,))
-    rcond, _ = gecon(factor[0], anorm, norm="1")
-    cond = 1.0 / rcond if rcond > 0 else math.inf
+    cond = _condition(factor[0], anorm)
     if cond > CONDITION_LIMIT:
         raise PotentialsError(
             f"half-plus-double-layer is near singular (cond ≈ {cond:.3e})"

@@ -466,6 +466,11 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
         (WEYL_SQUARE + "tail.kmin = -3\n", "tail.kmin"),
         (WEYL_SQUARE + "tail.kmax = -1\n", "tail.kmax"),
         (WEYL_SQUARE + "tail.kmin = 10\ntail.kmax = 5\n", "tail.kmax"),
+        (
+            WEYL_SQUARE + "coeff.a = checkerboard\ncoeff.a.cell = 0.2\ncoeff.a.origin = 0.5,\n",
+            "checkerboard",
+        ),
+        (WEYL_SQUARE + "coeff.v0 = bump\ncoeff.v0.center = 0.5,\n", "bump"),
         (WEYL_SQUARE.replace("square", "regular-ngon") + "domain.n = abc\n", "regular-ngon"),
         (
             "experiment = mollification-convergence\ndomain.name = square\n"

@@ -1,19 +1,20 @@
 """Boundary layer operators: closed-form panel integrals, the discrete Gauss
 identity, circle spectra of the single layer and of the Neumann-to-Dirichlet
-map, and symmetry/adjointness structure."""
+map, symmetry structure, the row-blocked fill and the mean-zero projection."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
-from steklovlab import geometry
+from steklovlab import geometry, potentials
 from steklovlab.potentials import (
     PANEL_BUDGET,
     PotentialsError,
-    _mean_zero_basis,
     build_layer_operators,
     jump_relation_error,
     nd_operator,
@@ -29,6 +30,14 @@ def circle_op():
 @pytest.fixture(scope="module")
 def square_op():
     return build_layer_operators(geometry.make_domain("square"), 64)
+
+
+def householder_q(op):
+    """Explicit mean-zero basis: columns 1.. of the reflection that maps
+    √ℓ/‖√ℓ‖ onto the first unit vector."""
+    w = op.sqrt_length / np.linalg.norm(op.sqrt_length)
+    u = w - np.eye(op.n)[0]
+    return (np.eye(op.n) - 2.0 * np.outer(u, u) / (u @ u))[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +59,7 @@ def test_rescale_diameter_must_sit_below_one():
 def test_default_rescale_keeps_capacity_sign(square_op):
     assert square_op.scale == pytest.approx(0.8 / math.sqrt(2.0), rel=1e-12)
     # single layer positive definite on mean-zero densities at this diameter
-    Q = _mean_zero_basis(square_op)
+    Q = householder_q(square_op)
     eigs = np.linalg.eigvalsh(Q.T @ square_op.S @ Q)
     assert eigs.min() > 0
 
@@ -167,7 +176,7 @@ def test_square_symmetry_permutes_panels_invariantly(square_op):
 
 
 def test_mean_zero_basis_is_orthonormal_and_kills_constants(square_op):
-    Q = _mean_zero_basis(square_op)
+    Q = householder_q(square_op)
     n = square_op.n
     assert Q.shape == (n, n - 1)
     assert np.abs(Q.T @ Q - np.eye(n - 1)).max() < 1e-12
@@ -178,3 +187,63 @@ def test_mean_zero_basis_is_orthonormal_and_kills_constants(square_op):
 def test_square_top_pair_is_degenerate(square_op):
     nd = nd_operator(square_op)
     assert nd.eigenvalues[0] == pytest.approx(nd.eigenvalues[1], rel=1e-10)
+
+
+def test_reflection_projection_matches_explicit_householder(square_op):
+    u, c = potentials._reflection(square_op)
+    Q = householder_q(square_op)
+    for M in (square_op.S, square_op.D.T):
+        assert np.abs(potentials._project(M, u, c) - Q.T @ M @ Q).max() <= 1e-13
+    # the constant density √ℓ is annihilated from either side
+    x = np.random.default_rng(0).standard_normal(square_op.n)
+    s = square_op.sqrt_length
+    assert np.abs(potentials._project(np.outer(s, x), u, c)).max() <= 1e-13
+    assert np.abs(potentials._project(np.outer(x, s), u, c)).max() <= 1e-13
+
+
+def test_condition_estimate_matches_the_f2py_wrapper(square_op):
+    # the ctypes call reaches the same LAPACK routine with the same arguments
+    u, c = potentials._reflection(square_op)
+    A = 0.5 * np.eye(square_op.n - 1) + potentials._project(square_op.D.T, u, c)
+    anorm = float(np.abs(A).sum(axis=0).max())
+    lu, _ = scipy.linalg.lu_factor(A)
+    rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
+    assert info == 0
+    assert potentials._condition(lu, anorm) == pytest.approx(1.0 / rcond, rel=1e-12)
+    assert nd_operator(square_op).condition == pytest.approx(1.0 / rcond, rel=1e-12)
+
+
+def test_nd_operator_is_bitwise_repeatable(square_op):
+    first, second = nd_operator(square_op), nd_operator(square_op)
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert first.condition == second.condition
+
+
+# ---------------------------------------------------------------------------
+# row-blocked fill
+
+
+def test_fill_blocking_leaves_layers_bitwise_unchanged(monkeypatch):
+    # 608 panels: the default budget takes two blocks
+    dom = geometry.make_domain("sawtooth-square")
+    ref = build_layer_operators(dom, 32)
+    assert potentials.FILL_BLOCK // ref.n < ref.n
+    for budget in (1, ref.n * ref.n):  # one row per block; the whole matrix
+        monkeypatch.setattr(potentials, "FILL_BLOCK", budget)
+        op = build_layer_operators(dom, 32)
+        assert np.array_equal(op.S, ref.S), budget
+        assert np.array_equal(op.D, ref.D), budget
+
+
+def test_layer_fill_memory_is_bounded():
+    dom = geometry.make_domain("square")
+    tracemalloc.start()
+    try:
+        op = build_layer_operators(dom, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = op.n
+    assert n == 1024
+    # the operator itself holds 2·n² doubles; the fill blocks add a bounded few
+    assert peak <= 20 * n * n * 8, peak / (n * n * 8)

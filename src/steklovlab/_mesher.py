@@ -393,6 +393,8 @@ def triangulate_polygon(vertices, h, *, min_angle_deg=20.0):
         longest, shortest, circumradius = tri_metrics(idx)
         if longest > size_cap:
             return True
+        if shortest == 0.0:
+            raise MeshingError("refinement produced a triangle with coincident vertices")
         return circumradius / shortest > quality_cap
 
     seg_queue = deque(k for k in tr.subseg if tr.seg_encroached(k))

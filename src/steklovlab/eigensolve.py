@@ -5,11 +5,13 @@ weight matrix; the eigenvalues μ are the Rayleigh-quotient spectrum of
 weight/energy.  B is boundary-supported, so at most ``boundary_rank(B)`` of
 the n eigenvalues are nonzero; the other n − nb are structural zeros.
 
-Both solvers share one condensation onto the nb weighted nodes: the Schur
-complement S = A_bb − A_bi A_ii⁻¹ A_ib, the discrete Dirichlet-to-Neumann
-map; neither forms the n × n pencil densely.  ``solve_dense`` solves the
-pencil: it eigendecomposes the nb × nb pencil (B_bb, S) and lifts each
-eigenvector back to all n unknowns, so it returns every nonzero pair of both
+Both solvers share one condensation onto the nb weighted nodes: one sparse LU
+of A with those nodes last, whose trailing block is the Cholesky factor of the
+Schur complement S = A_bb − A_bi A_ii⁻¹ A_ib (the discrete
+Dirichlet-to-Neumann map) and whose pivots are the one SPD check; neither
+forms the n × n pencil densely.  ``solve_dense`` eigendecomposes the
+nb × nb pencil (B_bb, S) and lifts each eigenvector back to all n unknowns
+by one backward substitution, so it returns every nonzero pair of both
 branches with residuals on the full pencil.  ``solve_steklov`` returns the
 eigenvalues σ of S against B_bb alone, the pure Steklov spectrum of an
 energy without potential (v0 = 0).
@@ -40,7 +42,7 @@ __all__ = [
 ]
 
 DENSE_DIMENSION_CAP = 8000  # caps nb = boundary_rank(B)
-SCHUR_BLOCK = 64  # columns per block: dense work arrays stay n × 64
+LIFT_BLOCK = 64  # columns per lifted block: dense work arrays stay n × 64
 DENSE_RESIDUAL_TOL = 1e-8
 ZERO_THRESHOLD_REL = 1e-12
 
@@ -119,92 +121,94 @@ def _residuals(A, B, mu, X):
     return np.linalg.norm(R, axis=0)
 
 
-def _factor_interior(A_ii):
-    """Sparse LU of the interior block with a symmetric ordering and diagonal
-    pivots only, so that P A_ii Pᵀ = L D Lᵀ with D = diag(U).  By Sylvester's
-    law of inertia A_ii is SPD exactly when every pivot is positive."""
-    try:
-        lu = spla.splu(
-            A_ii.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise EigensolveError("energy matrix is not SPD (singular interior block)") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c) or not np.all(lu.U.diagonal() > 0):
-        raise EigensolveError("energy matrix is not SPD (interior block)")
-    return lu
+def _splu(M, permc_spec):
+    """Sparse LU with a symmetric ordering and diagonal pivots only, so that
+    P M Pᵀ = L D Lᵀ with D = diag(U) when M is SPD."""
+    return spla.splu(
+        M.tocsc(),
+        permc_spec=permc_spec,
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
 
 
-def _condense(A, B):
-    """Condense A onto the weighted nodes: the one Schur complement behind
-    both solvers.
+def _condense(A, B, semidefinite=False):
+    """Condense A onto the weighted nodes: the Cholesky factor of the one
+    Schur complement behind both solvers.
 
     Nodes split by the row support of B into weighted (b, nb of them) and
-    interior (i).  One sparse LU of A_ii builds S = A_bb − A_bi A_ii⁻¹ A_ib
-    in column blocks.  Returns S, the sparse B_bb and the lift that extends
-    boundary columns x_b to all n unknowns with x_i = −A_ii⁻¹ A_ib x_b.  Raises
-    ``EigensolveError`` when nb exceeds ``DENSE_DIMENSION_CAP`` (a memory
-    guard: the work arrays are nb × nb) or when A_ii is not SPD."""
+    interior (i), ordered by a first sparse LU of A_ii.  One sparse LU of A
+    with the weighted nodes last is L D Lᵀ, whose trailing block gives
+    S = A_bb − A_bi A_ii⁻¹ A_ib = G Gᵀ with G = L_bb √D_bb.  By Sylvester's
+    law A is SPD exactly when it keeps the order with positive pivots; with
+    ``semidefinite`` (kernel: the constants) the last may be zero up to
+    rounding.  Returns G, the sparse B_bb and the lift that extends boundary
+    columns x_b to all n unknowns, x_i = −A_ii⁻¹ A_ib x_b = −L_ii⁻ᵀ L_biᵀ x_b,
+    one backward substitution.  Raises ``EigensolveError`` when A is not SPD
+    or nb exceeds ``DENSE_DIMENSION_CAP`` (a memory guard: the work arrays
+    are nb × nb)."""
     n = A.shape[0]
     weighted = _weighted_rows(B)
     b = np.flatnonzero(weighted)
     i = np.flatnonzero(~weighted)
-    nb = len(b)
+    nb, ni = len(b), len(i)
     if nb > DENSE_DIMENSION_CAP:
         raise EigensolveError(
             f"dense solve capped at {DENSE_DIMENSION_CAP} boundary unknowns (got {nb})"
         )
-    A_b = A[b]
-    S = A_b[:, b].toarray()
-    lu = None
-    if len(i):
-        A_i = A[i]
-        lu = _factor_interior(A_i[:, i])
-        A_ib = A_i[:, b].tocsc()
-        A_bi = A_b[:, i]
-        for c in range(0, nb, SCHUR_BLOCK):
-            cols = slice(c, c + SCHUR_BLOCK)
-            S[:, cols] -= A_bi @ lu.solve(A_ib[:, cols].toarray())
-    S = 0.5 * (S + S.T)
+    try:
+        if ni:  # perm_c sends node k to position perm_c[k]
+            i = i[np.argsort(_splu(A[i][:, i], "MMD_AT_PLUS_A").perm_c)]
+        order = np.concatenate([i, b])
+        lu = _splu(A[order][:, order], "NATURAL")
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise EigensolveError("energy matrix is not SPD (singular)") from exc
+    pivots = lu.U.diagonal()
+    zero = ZERO_THRESHOLD_REL * pivots.max() if semidefinite else 0.0  # last pivot only
+    kept = np.arange(n)
+    ordered = np.array_equal(lu.perm_r, kept) and np.array_equal(lu.perm_c, kept)
+    if not ordered or np.any(pivots[:-1] <= 0) or pivots[-1] <= -zero:
+        raise EigensolveError("energy matrix is not SPD")
+    L = lu.L
+    del lu
+    G = L[ni:, ni:].toarray() * np.sqrt(np.maximum(pivots[ni:], 0.0))
+    L_ii_T, L_bi_T = L[:ni, :ni].T, L[ni:, :ni].T
+    L_ii_T.sort_indices()  # spsolve_triangular copies it per call; sorted, the copy needs no sort
 
     def lift(Xb):
         X = np.zeros((n, Xb.shape[1]))
         X[b] = Xb
-        if lu is not None:
-            X[i] = -lu.solve(A_ib @ Xb)
+        if ni:
+            X[i] = -spla.spsolve_triangular(
+                L_ii_T, L_bi_T @ Xb, lower=False, unit_diagonal=True
+            )
         return X
 
-    return S, B[b][:, b], lift
+    return G, B[b][:, b], lift
 
 
 def solve_dense(A, B) -> Spectrum:
     """Every nonzero pencil eigenvalue of both branches, via the
     boundary-condensed pencil.
 
-    The Cholesky reduction S = LLᵀ of the condensed energy and a symmetric
-    eigendecomposition of L⁻¹B_bbL⁻ᵀ give every nonzero μ.  Each eigenvector
-    is lifted to all n unknowns, which keeps it A-normalized, and its
-    residual is taken on the full pencil.  The n − nb structural zeros count
-    in ``n_dropped``.  Raises ``EigensolveError`` as ``_condense`` does, or
-    when A is not SPD (a failed Cholesky of S)."""
+    With the Cholesky factor S = GGᵀ of the condensed energy from
+    ``_condense``, a symmetric eigendecomposition of G⁻¹B_bbG⁻ᵀ gives every
+    nonzero μ.  Each eigenvector is lifted to all n unknowns, which keeps it
+    A-normalized, and its residual is taken on the full pencil.  The n − nb
+    structural zeros count in ``n_dropped``.  Raises ``EigensolveError`` as
+    ``_condense`` does."""
     A = _as_csr(A)
     B = _as_csr(B)
-    S, B_bb, lift = _condense(A, B)
-    nb = len(S)
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveError("energy matrix is not SPD") from exc
-    Y = sla.solve_triangular(L, B_bb.toarray(), lower=True)
-    C = sla.solve_triangular(L, Y.T, lower=True)
+    G, B_bb, lift = _condense(A, B)
+    nb = len(G)
+    Y = sla.solve_triangular(G, B_bb.toarray(), lower=True)
+    C = sla.solve_triangular(G, Y.T, lower=True)
     C = 0.5 * (C + C.T)
     w, V = np.linalg.eigh(C)
-    Xb = sla.solve_triangular(L, V, lower=True, trans="T")
+    Xb = sla.solve_triangular(G, V, lower=True, trans="T")
     res = np.empty(nb)
-    for c in range(0, nb, SCHUR_BLOCK):
-        cols = slice(c, c + SCHUR_BLOCK)
+    for c in range(0, nb, LIFT_BLOCK):
+        cols = slice(c, c + LIFT_BLOCK)
         res[cols] = _residuals(A, B, w[cols], lift(Xb[:, cols]))
     zero_threshold = ZERO_THRESHOLD_REL * float(np.abs(w).max(initial=0.0))
     spec = _split_branches(w, res, zero_threshold, nb)
@@ -214,16 +218,18 @@ def solve_dense(A, B) -> Spectrum:
 
 def solve_steklov(K, B) -> np.ndarray:
     """Ascending Steklov eigenvalues σ of K u = σ B u: the eigenvalues of the
-    discrete Dirichlet-to-Neumann map S against the boundary mass B_bb.
+    discrete Dirichlet-to-Neumann map S = GGᵀ against the boundary mass B_bb.
 
-    ``K`` is the energy matrix without potential (its interior block is SPD
-    even so) and ``B`` a boundary weight, positive definite on the weighted
-    nodes; σ₀ ≈ 0 is the constant mode.  The condensation is ``solve_dense``'s.  Raises
-    ``EigensolveError`` as ``_condense`` does, or when B_bb is not positive
-    definite (a sign-indefinite weight)."""
-    S, B_bb, _ = _condense(_as_csr(K), _as_csr(B))
+    ``K`` is the energy matrix without potential, positive semidefinite with
+    the constants as its kernel, and ``B`` a boundary weight, positive
+    definite on the weighted nodes; σ₀ ≈ 0 is the constant mode.  The factor
+    G and its pivot check are ``solve_dense``'s, with the last pivot allowed
+    to vanish.  Raises ``EigensolveError`` as ``_condense`` does (K not
+    positive semidefinite), or when B_bb is not positive definite (a
+    sign-indefinite weight)."""
+    G, B_bb, _ = _condense(_as_csr(K), _as_csr(B), semidefinite=True)
     try:
-        return sla.eigh(S, B_bb.toarray(), eigvals_only=True)
+        return sla.eigh(G @ G.T, B_bb.toarray(), eigvals_only=True)
     except np.linalg.LinAlgError as exc:
         raise EigensolveError("boundary weight is not positive definite") from exc
 

@@ -293,12 +293,13 @@ def _reflection(op: NystromOperator) -> tuple[np.ndarray, float]:
     return u, 2.0 / (u @ u)
 
 
-def _project(M: np.ndarray, u: np.ndarray, c: float) -> np.ndarray:
+def _project(M: np.ndarray, u: np.ndarray, c: float, order: str = "C") -> np.ndarray:
     """(H M H)[1:, 1:] for H = I − c·uuᵀ in O(n²): one matrix-vector
-    product per side and two rank-one updates."""
+    product per side and two rank-one updates.  ``order`` is the memory
+    layout of the result; it does not change its values."""
     r = M.T @ u  # H M = M − c·u rᵀ
     p = M @ u - c * (r @ u) * u  # (H M) u
-    out = M[1:, 1:] - np.outer(c * u[1:], r[1:])
+    out = np.subtract(M[1:, 1:], np.outer(c * u[1:], r[1:]), order=order)
     out -= np.outer(c * p[1:], u[1:])
     return out
 
@@ -372,34 +373,41 @@ def nd_operator(op: NystromOperator) -> NDResult:
     S and D* are projected to mean-zero as Ŝ = (H S H)[1:, 1:] and
     D̂* = (H Dᵀ H)[1:, 1:], with the reflection H = I − c·uuᵀ applied to
     rows and columns in O(n²) (no basis matrix is formed).  One LU
-    factorization of A = ½I + D̂* serves both routes (each solves
-    Aᵀ Yᵀ = Xᵀ) and the condition estimate, which is LAPACK's 1-norm
-    estimate from that factor with ‖A‖₁ floored at ½.  The floor measures
-    distance to singularity against the ½I part of the operator: a D̂* that
-    cancels it leaves A at roundoff size, whose scale-invariant condition
-    number can look harmless.
+    factorization of A = ½I + D̂*, formed and factored in D̂*'s memory,
+    serves both routes (each solves Aᵀ Yᵀ = Xᵀ in place of X, so the stage
+    peaks at about 4·n² doubles) and the condition estimate, which is
+    LAPACK's 1-norm estimate from that factor with ‖A‖₁ floored at ½.  The
+    floor measures distance to singularity against the ½I part of the
+    operator: a D̂* that cancels it leaves A at roundoff size, whose
+    scale-invariant condition number can look harmless.
     """
     u, c = _reflection(op)
     Shat = _project(op.S, u, c)
-    Dhat = _project(op.D.T, u, c)
-    A = 0.5 * np.eye(Dhat.shape[0]) + Dhat
-    anorm = max(float(np.abs(A).sum(axis=0).max()), 0.5)
-    factor = sla.lu_factor(A, check_finite=False)
+    A = _project(op.D.T, u, c, order="F")  # D̂*, column-major for LAPACK
+    SD = Shat @ A
+    A.flat[:: A.shape[0] + 1] += 0.5  # A = ½I + D̂*, in place
+    # |A| row-major, as the out-of-place ½I + D̂* is, so ‖A‖₁ rounds alike
+    anorm = max(float(np.abs(A, order="C").sum(axis=0).max()), 0.5)
+    factor = sla.lu_factor(A, overwrite_a=True, check_finite=False)
     cond = _condition(factor[0], anorm)
     if cond > CONDITION_LIMIT:
         raise PotentialsError(
             f"half-plus-double-layer is near singular (cond ≈ {cond:.3e})"
         )
-    route1 = sla.lu_solve(factor, Shat.T, trans=1, check_finite=False).T
-    route2 = 2.0 * Shat - 2.0 * sla.lu_solve(
-        factor, (Shat @ Dhat).T, trans=1, check_finite=False
-    ).T
+    # Both routes solve in place: route2 in the memory of Ŝ D̂*, route1 in
+    # that of Ŝ, and 2Ŝ − 2Y = 2(Ŝ − Y) exactly.
+    route2 = sla.lu_solve(factor, SD.T, trans=1, overwrite_b=True, check_finite=False).T
+    np.subtract(Shat, route2, out=route2)
+    route2 *= 2.0
+    route1 = sla.lu_solve(factor, Shat.T, trans=1, overwrite_b=True, check_finite=False).T
+    del factor, A  # the LU goes before the eigensolve
     denom = np.linalg.norm(route1)
-    gap = float(np.linalg.norm(route1 - route2) / denom)
+    gap = float(np.linalg.norm(np.subtract(route1, route2, out=route2)) / denom)
     if gap > 1e-10:
         raise PotentialsError(f"ND evaluation routes disagree ({gap:.3e})")
-    asym = float(np.linalg.norm(route1 - route1.T) / denom)
-    sym = 0.5 * (route1 + route1.T)
+    asym = float(np.linalg.norm(np.subtract(route1, route1.T, out=route2)) / denom)
+    sym = np.add(route1, route1.T, out=route2)
+    sym *= 0.5
     eigs = np.linalg.eigvalsh(sym)[::-1] / op.scale
     return NDResult(
         matrix=sym,

@@ -1,6 +1,7 @@
 """Pencil eigensolver: exactness on diagonal pencils, the condensed dense
-solve against a full generalized eigh on small meshes and the SPD guard of
-both solvers, the Bessel-quotient oracle on a disk, the disk's Steklov
+solve against a full generalized eigh on small meshes, the SPD guard of
+both solvers, the condensed factor and lift against a dense Schur
+complement, the Bessel-quotient oracle on a disk, the disk's Steklov
 spectrum from the condensed Dirichlet-to-Neumann map, counting and
 tail-extraction semantics, and the CSV round trip."""
 
@@ -16,6 +17,7 @@ from steklovlab.eigensolve import (
     DENSE_RESIDUAL_TOL,
     EigensolveError,
     Spectrum,
+    _condense,
     boundary_rank,
     counting,
     solve_dense,
@@ -89,10 +91,10 @@ def test_dense_cap_guards_memory():
         solve_dense(A, A)
 
 
-def _mesh_pencil(domain, kw, h, rho, v0=1.0):
+def _mesh_pencil(domain, kw, h, rho, v0=1.0, a=None):
     mesh = geometry.triangulate(geometry.make_domain(domain, **kw), h)
     coeff = assembly.CoefficientField(
-        assembly.constant_matrix(1.0), assembly.constant_potential(v0), rho
+        a or assembly.constant_matrix(1.0), assembly.constant_potential(v0), rho
     )
     forms = assembly.assemble_forms(mesh, coeff)
     return mesh, forms.A, forms.B
@@ -131,6 +133,22 @@ def test_non_spd_interior_block_raises(make_pencil, solve):
     A, B = make_pencil()
     with pytest.raises(EigensolveError, match="SPD"):
         solve(A, B)
+
+
+def test_non_spd_schur_complement_raises():
+    # A negative boundary diagonal leaves the interior block SPD, so only the
+    # pivots of the weighted nodes see it; an eigh of (S, B_bb) alone would
+    # return a negative Steklov eigenvalue instead of failing.
+    mesh, K, B = _mesh_pencil("square", {}, 0.2, assembly.constant_weight(1.0), v0=0.0)
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_edges)
+    K = K.tolil()
+    node = mesh.boundary_edges[0, 0]
+    K[node, node] = -10.0
+    K = K.tocsr()
+    assert np.linalg.eigvalsh(K[interior][:, interior].toarray()).min() > 0
+    for solve in (solve_dense, solve_steklov):
+        with pytest.raises(EigensolveError, match="SPD"):
+            solve(K, B)
 
 
 def test_boundary_rank_counts_weighted_rows():
@@ -175,6 +193,60 @@ def test_dense_matches_full_generalized_eigh(domain, kw, h, rho):
 
 
 # ---------------------------------------------------------------------------
+# the condensation: one sparse factorization against a dense Schur complement
+
+
+def _dense_schur(A, B):
+    weighted = np.abs(B).sum(axis=1) > 0
+    A = A.toarray()
+    A_ib = A[~weighted][:, weighted]
+    A_ii_inv_A_ib = sla.solve(A[~weighted][:, ~weighted], A_ib, assume_a="pos")
+    return A[weighted][:, weighted] - A_ib.T @ A_ii_inv_A_ib, A_ii_inv_A_ib, weighted
+
+
+@pytest.mark.parametrize(
+    "domain,rho,a",
+    [
+        ("square", assembly.constant_weight(1.0), None),
+        ("square", assembly.segment_weight([1.0, 1.0, -1.0, -1.0]), None),
+        ("lshape", assembly.segment_weight([1.0, 2.0, 1.0, 1.0, 1.0, 0.0]), None),
+        ("square", assembly.constant_weight(1.0), assembly.rotated_diagonal(1.0, 4.0, 0.5)),
+    ],
+    ids=["square", "sign-split", "partial-support", "rotated-diagonal"],
+)
+def test_condensed_factor_is_the_cholesky_factor_of_the_schur_complement(domain, rho, a):
+    _, A, B = _mesh_pencil(domain, {}, 0.1, rho, a=a)
+    S, A_ii_inv_A_ib, weighted = _dense_schur(A, B.toarray())
+    G, B_bb, lift = _condense(A.tocsr(), B.tocsr())
+    assert np.array_equal(G, np.tril(G)) and np.all(np.diag(G) > 0)
+    assert np.linalg.norm(G @ G.T - S) <= 1e-12 * np.linalg.norm(S)
+    assert np.array_equal(B_bb.toarray(), B.toarray()[weighted][:, weighted])
+    # the backward-only lift is x_i = -A_ii^-1 A_ib x_b
+    Xb = np.random.default_rng(0).standard_normal((len(S), 3))
+    X = lift(Xb)
+    assert np.array_equal(X[weighted], Xb)
+    want = -A_ii_inv_A_ib @ Xb
+    assert np.abs(X[~weighted] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "make_pencil,nb",
+    [
+        (lambda: _mesh_pencil("regular-ngon", {"n": 8}, 2.0, assembly.constant_weight(1.0))[1:], 8),
+        (lambda: _diag_pencil([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]), 0),
+    ],
+    ids=["no-interior", "zero-weight"],
+)
+def test_condensation_without_interior_or_weighted_nodes(make_pencil, nb):
+    A, B = make_pencil()
+    G, B_bb, lift = _condense(sp.csr_matrix(A), sp.csr_matrix(B))
+    assert G.shape == (nb, nb) and B_bb.shape == (nb, nb)
+    assert lift(np.ones((nb, 2))).shape == (A.shape[0], 2)
+    if nb:
+        assert np.allclose(G @ G.T, A.toarray())
+
+
+# ---------------------------------------------------------------------------
 # Bessel-quotient oracle on the unit disk: the ratio eigenvalues of the
 # (gradient + unit potential, boundary mass) pencil are 1/sigma_k with
 # sigma_k = I_k'(1)/I_k(1)
@@ -202,6 +274,21 @@ def test_steklov_eigenvalues_match_the_disk():
     assert abs(sigma[0]) < 1e-10
     want = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0])
     assert np.max(np.abs(sigma[1:9] - want) / want) < 0.02
+
+
+@pytest.mark.parametrize(
+    "domain,kw,h",
+    [("regular-ngon", {"n": 8}, 2.0), ("koch-prefractal", {"level": 2}, 0.05)],
+    ids=["no-interior", "koch-l2"],
+)
+def test_steklov_accepts_the_constant_kernel(domain, kw, h):
+    # K is only semidefinite, and on these meshes its last pivot rounds to
+    # a tiny negative number; the check lets that one pivot be zero
+    _, K, B = _mesh_pencil(domain, kw, h, assembly.constant_weight(1.0), v0=0.0)
+    sigma = solve_steklov(K, B)
+    assert abs(sigma[0]) < 1e-10 and sigma[1] > 0.5
+    with pytest.raises(EigensolveError, match="SPD"):
+        solve_steklov(K - 1e-6 * B, B)
 
 
 def test_steklov_rejects_sign_indefinite_weight():

@@ -213,6 +213,31 @@ def test_split_cavities_leave_no_degenerate_triangle(case):
     assert areas.sum() == pytest.approx(dom.area, rel=0, abs=1e-12)
 
 
+def _random_star(seed, index):
+    # the index-th of a seeded family of star-shaped polygons: 6-39 vertices
+    # at sorted random angles, radial amplitude 0.1, 0.3 or 0.6 in turn
+    rng = np.random.default_rng(seed)
+    for t in range(index + 1):
+        m = rng.integers(6, 40)
+        ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+        r = 1.0 + [0.1, 0.3, 0.6][t % 3] * rng.uniform(-1.0, 1.0, m)
+    return geometry.PolygonDomain(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1))
+
+
+def test_random_star_meshes_or_raises_meshing_error():
+    # 34 vertices with input angles far below 60 degrees: refinement here once
+    # ended in a ZeroDivisionError on a triangle with coincident vertices
+    dom = _random_star(12345, 2)
+    try:
+        mesh = triangulate(dom, 0.05)
+    except geometry.MeshingError:
+        return
+    areas = mesh.triangle_areas()
+    assert (areas > 0).all()
+    assert areas.sum() == pytest.approx(dom.area, rel=1e-12)
+    assert dom.contains(mesh.nodes[mesh.triangles].mean(axis=1)).all()
+
+
 def test_triangulate_deterministic(square_domain):
     m1 = triangulate(square_domain, 0.11)
     m2 = triangulate(square_domain, 0.11)

@@ -1,6 +1,7 @@
 """Boundary layer operators: closed-form panel integrals, the discrete Gauss
 identity, circle spectra of the single layer and of the Neumann-to-Dirichlet
-map, symmetry structure, the row-blocked fill and the mean-zero projection."""
+map, symmetry structure, the row-blocked fill, the mean-zero projection and
+the in-place ND operator."""
 
 import dataclasses
 import math
@@ -217,6 +218,40 @@ def test_nd_operator_is_bitwise_repeatable(square_op):
     first, second = nd_operator(square_op), nd_operator(square_op)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert first.condition == second.condition
+
+
+def test_in_place_nd_operator_matches_the_out_of_place_formula(square_op):
+    # the routes as written out with separate temporaries: the in-place
+    # arithmetic and layouts of nd_operator must reproduce them bitwise
+    u, c = potentials._reflection(square_op)
+    Shat = potentials._project(square_op.S, u, c)
+    Dhat = potentials._project(square_op.D.T, u, c)
+    A = 0.5 * np.eye(Dhat.shape[0]) + Dhat
+    factor = scipy.linalg.lu_factor(A)
+    route1 = scipy.linalg.lu_solve(factor, Shat.T, trans=1).T
+    route2 = 2.0 * Shat - 2.0 * scipy.linalg.lu_solve(factor, (Shat @ Dhat).T, trans=1).T
+    denom = np.linalg.norm(route1)
+    sym = 0.5 * (route1 + route1.T)
+    nd = nd_operator(square_op)
+    assert np.array_equal(nd.matrix, sym)
+    assert np.array_equal(nd.eigenvalues, np.linalg.eigvalsh(sym)[::-1] / square_op.scale)
+    assert nd.route_gap == float(np.linalg.norm(route1 - route2) / denom)
+    assert nd.asymmetry == float(np.linalg.norm(route1 - route1.T) / denom)
+    anorm = max(float(np.abs(A).sum(axis=0).max()), 0.5)
+    assert nd.condition == potentials._condition(factor[0], anorm)
+
+
+def test_nd_operator_memory_is_bounded():
+    op = build_layer_operators(geometry.make_domain("square"), 128)
+    n = op.n
+    tracemalloc.start()
+    try:
+        nd_operator(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Ŝ, Ŝ D̂* and A = ½I + D̂* factored in place, plus one n × n temporary
+    assert peak <= 5 * n * n * 8, peak / (n * n * 8)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ split, where the popped subsegment lets it span both sides and each side's
 triangles pass on their own flag.  Refinement and extraction read the flags;
 no point-in-polygon test is made.
 
-The quality guarantee (no interior angle below ``min_angle_deg``) holds for
+The quality guarantee (no interior angle below ``MIN_ANGLE_DEG``) holds for
 inputs whose segments meet at angles of 60 degrees or more, which covers every
 catalog domain.  Near smaller input angles refinement backs off instead of
 cascading.
@@ -36,6 +36,8 @@ import numpy as np
 
 # Largest edge of any returned triangle, in units of the mesh size h.
 DIAMETER_FACTOR = 1.5
+# Smallest interior angle refinement aims for, in degrees.
+MIN_ANGLE_DEG = 20.0
 # Point insertions allowed (recovery plus refinement) before giving up.
 MAX_INSERTIONS = 500_000
 
@@ -298,7 +300,7 @@ class _Triangulation:
         return False
 
 
-def triangulate_polygon(vertices, h, *, min_angle_deg=20.0):
+def triangulate_polygon(vertices, h):
     """Mesh the interior of a simple CCW polygon.
 
     Returns a dict with ``points`` (n, 2), ``triangles`` (m, 3) CCW,
@@ -370,8 +372,8 @@ def triangulate_polygon(vertices, h, *, min_angle_deg=20.0):
 
     # ---- Ruppert refinement ------------------------------------------------
     size_cap = DIAMETER_FACTOR * h * 0.97  # margin so the postcondition holds
-    min_angle = math.radians(min_angle_deg)
-    quality_cap = 1.0 / (2.0 * math.sin(min_angle))  # circumradius / short edge
+    # largest circumradius / shortest edge of a triangle with no angle below the minimum
+    quality_cap = 1.0 / (2.0 * math.sin(math.radians(MIN_ANGLE_DEG)))
 
     def tri_metrics(idx):
         a, b, c = tr.tris[idx]

@@ -383,30 +383,17 @@ _BARY_MID = np.array(
 _W_MID = np.full(3, 1.0 / 3.0)
 
 
-def _refined_rule(bary, w, levels=1):
-    """Apply the base rule on each of 4**levels congruent subtriangles."""
-    bary = np.asarray(bary, dtype=float)
-    w = np.asarray(w, dtype=float)
-    for _ in range(levels):
-        corners = [
-            # (v0, v1, v2) of each subtriangle in barycentric coordinates
-            ((1, 0, 0), (0.5, 0.5, 0), (0.5, 0, 0.5)),
-            ((0.5, 0.5, 0), (0, 1, 0), (0, 0.5, 0.5)),
-            ((0.5, 0, 0.5), (0, 0.5, 0.5), (0, 0, 1)),
-            ((0.5, 0.5, 0), (0, 0.5, 0.5), (0.5, 0, 0.5)),
-        ]
-        nb = []
-        nw = []
-        for cs in corners:
-            C = np.array(cs, dtype=float)
-            nb.append(bary @ C)
-            nw.append(w / 4.0)
-        bary = np.concatenate(nb, axis=0)
-        w = np.concatenate(nw)
-    return bary, w
-
-
-_BARY_FINE, _W_FINE = _refined_rule(_BARY_MID, _W_MID, levels=1)
+# The same rule on each of the 4 congruent subtriangles (corner, corner,
+# corner, middle) of the reference triangle.
+_BARY_FINE = np.array(
+    [
+        [0.75, 0.25, 0.0], [0.5, 0.25, 0.25], [0.75, 0.0, 0.25],
+        [0.25, 0.75, 0.0], [0.0, 0.75, 0.25], [0.25, 0.5, 0.25],
+        [0.25, 0.25, 0.5], [0.0, 0.25, 0.75], [0.25, 0.0, 0.75],
+        [0.25, 0.5, 0.25], [0.25, 0.25, 0.5], [0.5, 0.25, 0.25],
+    ]
+)
+_W_FINE = np.full(12, 1.0 / 12.0)
 
 
 # ---------------------------------------------------------------------------

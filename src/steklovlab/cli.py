@@ -5,8 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import assembly, eigensolve, geometry, harness, potentials, weyl
 
 
@@ -100,9 +98,8 @@ def cmd_weyl(args) -> int:
 
 def cmd_bem(args) -> int:
     dom = _domain(args)
-    rescale = None if args.no_rescale else 0.8
     op = potentials.build_layer_operators(
-        dom, args.panels_per_edge, rescale_diameter=rescale
+        dom, args.panels_per_edge, rescale=not args.no_rescale
     )
     nd = potentials.nd_operator(op)
     if args.out:
@@ -183,7 +180,7 @@ def main(argv=None) -> int:
     p.add_argument(
         "--no-rescale",
         action="store_true",
-        help="build on the original geometry instead of diameter 0.8",
+        help=f"build on the original geometry, not at diameter {potentials.RESCALE_DIAMETER:g}",
     )
     p.add_argument("--out", default="", help="write the eigenvalue CSV")
     p.set_defaults(fn=cmd_bem)

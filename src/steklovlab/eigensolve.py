@@ -69,9 +69,9 @@ class Spectrum:
     boundary_rank: int | None = None
 
     def branch(self, sign: str) -> np.ndarray:
-        if sign in ("+", "pos", "positive"):
+        if sign == "+":
             return self.positive
-        if sign in ("-", "neg", "negative"):
+        if sign == "-":
             return self.negative
         raise EigensolveError(f"unknown branch {sign!r}")
 
@@ -244,24 +244,18 @@ def counting(spec: Spectrum, lam: float, sign: str = "+") -> int:
 
 @dataclass
 class TailEstimate:
-    """Median/min/max of k·μ_k^d over an index window."""
+    """Median/min/max of k·|μ_k| over an index window."""
 
     estimate: float
     lower: float
     upper: float
     window: tuple
-    d: int
-    sign: str
-
-    @property
-    def band(self) -> tuple:
-        return (self.lower, self.upper)
 
 
-def tail_window(resolved: int, kmin: int = 0, kmax: int = 0) -> tuple:
+def tail_window(resolved: int, kmin: int, kmax: int) -> tuple:
     """Tail-fit window over the first ``resolved`` eigenvalues of a branch.
 
-    The default is [5, n/4] with n = ``resolved``: a sign-split weight
+    With ``kmin = kmax = 0`` it is [5, n/4], n = ``resolved``: a sign-split weight
     resolves each branch only up to its own inertia count, so capping by the
     boundary rank alone would push the window into the range where
     discretisation error dominates.  A nonzero ``kmin`` or ``kmax`` replaces
@@ -271,22 +265,15 @@ def tail_window(resolved: int, kmin: int = 0, kmax: int = 0) -> tuple:
     return (kmin or 5, min(kmax or max(5, resolved // 4), resolved))
 
 
-def tail_coefficient(
-    spec: Spectrum,
-    d: int = 1,
-    window: tuple | None = None,
-    sign: str = "+",
-) -> TailEstimate:
-    """Estimate lim λ^d n(λ) from the decay of the eigenvalue sequence.
+def tail_coefficient(spec: Spectrum, window: tuple, sign: str = "+") -> TailEstimate:
+    """Estimate lim λ n(λ) from the decay of one branch's eigenvalues.
 
-    Since n(λ) ≈ W λ^(-d) means μ_k ≈ (W/k)^(1/d), the products k·μ_k^d are
-    asymptotically flat; the median over the window is the estimate and the
-    min/max give an honest band.  The default window is ``tail_window`` of
-    the requested branch's length.
+    Since n(λ) ≈ W/λ means |μ_k| ≈ W/k, the products k·|μ_k| are
+    asymptotically flat; the median over the window [kmin, kmax] (1-based,
+    as ``tail_window`` gives it) is the estimate and the min/max give an
+    honest band.
     """
     branch = np.abs(spec.branch(sign))
-    if window is None:
-        window = tail_window(len(branch))
     kmin, kmax = int(window[0]), int(window[1])
     if kmin < 1 or kmax < kmin:
         raise EigensolveError(f"bad tail window {window}")
@@ -294,15 +281,12 @@ def tail_coefficient(
         raise EigensolveError(
             f"tail window [{kmin},{kmax}] exceeds resolved count {len(branch)}"
         )
-    k = np.arange(kmin, kmax + 1, dtype=float)
-    prods = k * branch[kmin - 1 : kmax] ** d
+    prods = np.arange(kmin, kmax + 1, dtype=float) * branch[kmin - 1 : kmax]
     return TailEstimate(
         estimate=float(np.median(prods)),
         lower=float(prods.min()),
         upper=float(prods.max()),
         window=(kmin, kmax),
-        d=d,
-        sign=sign,
     )
 
 

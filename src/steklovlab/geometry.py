@@ -195,7 +195,15 @@ def _check_simple(v: np.ndarray):
 # catalog
 
 
+def _count(domain: str, key: str, value) -> int:
+    """``value`` as a count; a float or bool, which ``int`` truncates, is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GeometryError(f"{domain} needs an integer {key} (got {value!r})")
+    return int(value)
+
+
 def _regular_ngon(n: int = 64, radius: float = 1.0) -> PolygonDomain:
+    n = _count("regular-ngon", "n", n)
     if n < 3:
         raise GeometryError("regular-ngon needs n >= 3")
     ang = 2.0 * np.pi * np.arange(n) / n
@@ -226,7 +234,7 @@ def _lshape(size: float = 1.0, notch: float = 0.5) -> PolygonDomain:
 
 def _sawtooth_square(teeth: int = 8, slope: float = 1.0) -> PolygonDomain:
     """Unit square whose top side is a triangle wave of the given slope."""
-    m, s = int(teeth), float(slope)
+    m, s = _count("sawtooth-square", "teeth", teeth), float(slope)
     if m < 1 or s <= 0:
         raise GeometryError("sawtooth-square needs teeth >= 1 and slope > 0")
     half = 0.5 / m
@@ -250,7 +258,7 @@ def _sawtooth_square(teeth: int = 8, slope: float = 1.0) -> PolygonDomain:
 
 def _koch_prefractal(level: int = 2, side: float = 1.0) -> PolygonDomain:
     """Von Koch snowflake prefractal, outward bumps, CCW."""
-    lv = int(level)
+    lv = _count("koch-prefractal", "level", level)
     if not 0 <= lv <= 4:
         raise GeometryError("koch-prefractal level must be 0..4")
     s = float(side)
@@ -378,11 +386,10 @@ class TriangleMesh:
         return out.getvalue()
 
 
-def triangulate(domain: PolygonDomain, h: float, *, min_angle_deg: float = 20.0) -> TriangleMesh:
-    """Quality constrained-Delaunay mesh with max element diameter <= 1.5 h."""
-    raw = triangulate_polygon(
-        domain.vertices, h, min_angle_deg=min_angle_deg
-    )
+def triangulate(domain: PolygonDomain, h: float) -> TriangleMesh:
+    """Quality constrained-Delaunay mesh with max element diameter <= 1.5 h and,
+    where input angles are 60 degrees or more, no angle below ``MIN_ANGLE_DEG``."""
+    raw = triangulate_polygon(domain.vertices, h)
     edges = np.array([(u, v) for (u, v, _) in raw["boundary"]], dtype=np.int64)
     parents = np.array([p for (_, _, p) in raw["boundary"]], dtype=np.int64)
     normals = domain.segment_normals()[parents]

@@ -18,7 +18,9 @@ become lists.  Schema (defaults in parentheses):
                             parameters (value, center, radius, height)
     rho.name, rho.<p>       boundary weight: constant (default) or per-segment,
                             and its parameters (value, values)
-    mesh.levels             positive, strictly decreasing h values
+    mesh.levels             positive, strictly decreasing h values; the
+                            boundary-only, mollification and bilipschitz
+                            experiments mesh only the last (finest) one
     tail.kmin, tail.kmax    tail-fit window, non-negative, a nonzero kmax at
                             least kmin (0 = [5, resolved/4])
     tolerance.deviation     Weyl-fit relative tolerance (0.10)
@@ -177,8 +179,8 @@ class ExperimentConfig:
         val = self.values.get(key, default)
         return [_finite(key, v) for v in (val if isinstance(val, list) else [val])]
 
-    def get_choice(self, key: str, choices: tuple, default=None):
-        val = self.values.get(key, default)
+    def get_choice(self, key: str, choices: tuple):
+        val = self.values.get(key)
         if val not in choices:
             raise HarnessError(f"{key} must be one of {', '.join(choices)} (got {val!r})")
         return val
@@ -589,6 +591,7 @@ def _bem_crosscheck(cfg: ExperimentConfig, report: Report, stage) -> None:
 # SVG rendering (hand-rolled: a pure function of the plotted numbers)
 
 _PALETTE = ("#1965b0", "#dc050c", "#4eb265", "#f7a800", "#882e72")
+SVG_WIDTH, SVG_HEIGHT = 640, 440
 
 
 def _log_ticks(lo: float, hi: float):
@@ -604,13 +607,12 @@ def svg_loglog(
     title="",
     xlabel="",
     ylabel="",
-    width=640,
-    height=440,
     comment="",
 ) -> str:
     """Log-log scatter/line plot.  ``series`` is a list of dicts with keys
     ``x``, ``y``, ``label`` and optional ``line`` (bool); ``hlines`` is a list
     of (value, label) pairs drawn as dashed horizontal lines."""
+    width, height = SVG_WIDTH, SVG_HEIGHT
     pts = [
         (float(x), float(y))
         for s in series

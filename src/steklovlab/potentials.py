@@ -38,8 +38,7 @@ __all__ = [
 
 PANEL_BUDGET = 6000
 CONDITION_LIMIT = 1e12
-CORNER_TURN_THRESHOLD = 0.1  # radians of exterior turn that make a vertex a corner
-JUMP_BINS = 6  # corner-distance bins of the jump-relation residual
+RESCALE_DIAMETER = 0.8  # < 1: the single layer is positive on mean-zero densities
 FILL_BLOCK = 2**18  # rows × panels per block of the layer fill
 
 
@@ -53,36 +52,15 @@ class PotentialsError(RuntimeError):
 
 @dataclass(frozen=True)
 class PanelSet:
-    """Straight-panel subdivision of a polygon boundary.
-
-    ``corner_distance[i]`` is the distance of panel i's midpoint to the
-    nearest vertex whose exterior turning angle exceeds the corner threshold
-    (inf when the polygon has no such vertex, e.g. fine regular n-gons).
-    """
+    """Straight-panel subdivision of a polygon boundary."""
 
     mid: np.ndarray
     length: np.ndarray
     tangent: np.ndarray
     normal: np.ndarray
-    corner_distance: np.ndarray
 
     def __len__(self) -> int:
         return len(self.length)
-
-
-def _corner_vertices(domain: PolygonDomain) -> np.ndarray:
-    v = domain.vertices
-    n = len(v)
-    out = []
-    for i in range(n):
-        e0 = v[i] - v[(i - 1) % n]
-        e1 = v[(i + 1) % n] - v[i]
-        turn = abs(
-            math.atan2(e0[0] * e1[1] - e0[1] * e1[0], float(e0 @ e1))
-        )
-        if turn > CORNER_TURN_THRESHOLD:
-            out.append(v[i])
-    return np.array(out) if out else np.empty((0, 2))
 
 
 def _build_panels(domain: PolygonDomain, panels_per_edge: int) -> PanelSet:
@@ -109,19 +87,7 @@ def _build_panels(domain: PolygonDomain, panels_per_edge: int) -> PanelSet:
     vec = end - start
     length = np.hypot(vec[:, 0], vec[:, 1])
     tangent = vec / length[:, None]
-    corners = _corner_vertices(domain)
-    if len(corners):
-        d = np.sqrt(((mid[:, None, :] - corners[None, :, :]) ** 2).sum(axis=2))
-        cdist = d.min(axis=1)
-    else:
-        cdist = np.full(len(length), np.inf)
-    return PanelSet(
-        mid=mid,
-        length=length,
-        tangent=tangent,
-        normal=np.vstack(nrm),
-        corner_distance=cdist,
-    )
+    return PanelSet(mid=mid, length=length, tangent=tangent, normal=np.vstack(nrm))
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +182,19 @@ def build_layer_operators(
     domain: PolygonDomain,
     panels_per_edge: int,
     *,
-    rescale_diameter: float | None = 0.8,
+    rescale: bool = True,
 ) -> NystromOperator:
     """Panelize the boundary and fill the layer matrices.
 
-    By default the domain is first scaled to diameter ``rescale_diameter``
-    (< 1), which keeps the single layer positive on mean-zero densities by
-    the logarithmic capacity condition; pass ``None`` to build on the
-    original geometry.
+    With ``rescale`` the domain is first scaled to diameter
+    ``RESCALE_DIAMETER``, which keeps the single layer positive on mean-zero
+    densities by the logarithmic capacity condition; without it the build
+    runs on the original geometry.
     """
     scale = 1.0
     dom = domain
-    if rescale_diameter is not None:
-        if not (0 < rescale_diameter < 1):
-            raise PotentialsError("rescale diameter must sit in (0, 1)")
-        scale = rescale_diameter / domain.diameter
+    if rescale:
+        scale = RESCALE_DIAMETER / domain.diameter
         dom = domain.scaled(scale)
     panels = _build_panels(dom, panels_per_edge)
     Sg, Draw = _fill(panels.mid, panels.tangent, panels.normal, panels.length)
@@ -249,30 +213,12 @@ def jump_relation_error(op: NystromOperator) -> dict:
     """Residual of the discrete Gauss identity: the double layer applied to
     the constant density must equal −1/2 at every collocation midpoint.
 
-    Returns the overall max plus the max within ``JUMP_BINS`` quantile bins
-    of distance to the nearest corner (bins empty of panels are dropped).  With closed-form
-    panel integrals the residual is pure roundoff at any resolution.
+    Returns ``{"max_error": …}``, the largest residual over the midpoints.
+    With closed-form panel integrals it is pure roundoff at any resolution.
     """
     s = op.sqrt_length
     raw = (op.D / s[:, None]) * s[None, :]  # acts on collocation values
-    res = np.abs(raw.sum(axis=1) + 0.5)
-    cd = op.panels.corner_distance
-    binned = []
-    if np.isfinite(cd).any():
-        edges = np.quantile(cd, np.linspace(0, 1, JUMP_BINS + 1))
-        for k in range(JUMP_BINS):
-            mask = (cd >= edges[k]) & (
-                cd <= edges[k + 1] if k == JUMP_BINS - 1 else cd < edges[k + 1]
-            )
-            if mask.any():
-                binned.append(
-                    {
-                        "corner_distance": (float(edges[k]), float(edges[k + 1])),
-                        "max_error": float(res[mask].max()),
-                        "count": int(mask.sum()),
-                    }
-                )
-    return {"max_error": float(res.max()), "binned": binned}
+    return {"max_error": float(np.abs(raw.sum(axis=1) + 0.5).max())}
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ __all__ = [
     "symbol_oracle",
 ]
 
+TANGENT_TOL = 1e-9  # relative |ξ·n| that ``beta`` still takes as tangent
+
 
 class WeylError(ValueError):
     """Bad input to a symbol computation."""
@@ -89,12 +91,12 @@ def theta_prime(a: np.ndarray, n: np.ndarray) -> np.ndarray:
     return P.T @ theta_matrix(a, n) @ P
 
 
-def beta(a: np.ndarray, n: np.ndarray, xi: np.ndarray, *, tol: float = 1e-9) -> float:
+def beta(a: np.ndarray, n: np.ndarray, xi: np.ndarray) -> float:
     """β(x, ξ) = √(ξᵀΘξ) for a tangent covector ξ (checked against n)."""
     xi = np.asarray(xi, dtype=float)
     n = np.asarray(n, dtype=float)
     nrm = np.linalg.norm(xi) * np.linalg.norm(n)
-    if nrm > 0 and abs(xi @ n) > tol * nrm:
+    if nrm > 0 and abs(xi @ n) > TANGENT_TOL * nrm:
         raise WeylError("beta requires a tangent covector")
     return float(np.sqrt(xi @ theta_matrix(a, n) @ xi))
 

@@ -24,6 +24,7 @@ from steklovlab.harness import ExperimentConfig, run_experiment
 
 
 VERDICT_LINES: list = []
+ROUNDOFF = 1e-12  # rounding-level values print as this bound
 
 
 def _verdict(n: int, ok: bool, detail: str) -> str:
@@ -31,6 +32,12 @@ def _verdict(n: int, ok: bool, detail: str) -> str:
     VERDICT_LINES.append(line)
     print(line, file=sys.__stdout__, flush=True)
     return line
+
+
+def _roundoff(value: float) -> str:
+    """``value`` for a verdict line; below ``ROUNDOFF`` it prints as that
+    bound, so a correct change in the last digits leaves the line as it was."""
+    return f"< {ROUNDOFF:.0e}" if value < ROUNDOFF else f"{value:.2e}"
 
 
 def _run(text: str, tmp_path, sub: str):
@@ -281,7 +288,7 @@ def test_criterion_6_straightening_invariance(tmp_path):
     line = _verdict(
         6,
         ok,
-        f"max relative gap {gap:.2e} over {rep.summary['resolved_count']} pairs "
+        f"max relative gap {_roundoff(gap)} over {rep.summary['resolved_count']} pairs "
         f"(tol {INVARIANCE_TOL:.0e}); weight-misuse control moved spectrum by "
         f"{rep.summary['misuse_gap']:.2%}",
     )
@@ -468,7 +475,7 @@ def test_criterion_9_property_battery(tmp_path):
         ok,
         "basis independence, homogeneity, Monte Carlo volume "
         f"({mc_err:.2e}), jump relation ({jump_worst:.1e}), residuals "
-        f"({res:.1e}), bitwise outputs"
+        f"({_roundoff(res)}), bitwise outputs"
         + ("" if ok else f" -- failed: {', '.join(failures)}"),
     )
     assert ok, line

@@ -3,13 +3,16 @@
 The benchmark's tracer wraps every ``__all__`` entry of the six layer modules
 through ``getattr``, and its runner reads a few names directly, so a stale
 entry or a renamed attribute breaks a traced run before any test of the
-layer itself would notice.
+layer itself would notice.  Names outside ``__all__`` that the benchmark
+reads are pinned here too: the tracer measures ``assemble_energy_split`` and
+``NystromOperator.n``, and the bem-nd workload checks the ``"max_error"`` key
+of ``jump_relation_error``.
 """
 
 import importlib
 
 import steklovlab
-from steklovlab import geometry, potentials
+from steklovlab import assembly, geometry, potentials
 
 LAYERS = ("geometry", "assembly", "eigensolve", "weyl", "potentials", "harness")
 
@@ -22,3 +25,10 @@ def test_public_names_resolve():
     assert callable(geometry.triangulate_polygon)
     assert callable(steklovlab.active_backend)
     assert "matrix" in potentials.NDResult.__dataclass_fields__
+    assert callable(assembly.assemble_energy_split)
+
+
+def test_benchmark_reads_panel_count_and_jump_residual():
+    op = potentials.build_layer_operators(geometry.make_domain("square"), 2)
+    assert op.n == 8
+    assert set(potentials.jump_relation_error(op)) == {"max_error"}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from steklovlab import geometry
+from steklovlab._mesher import MIN_ANGLE_DEG
 from steklovlab.geometry import GeometryError, make_domain, triangulate
 
 
@@ -31,6 +32,17 @@ def test_catalog_closed_forms():
 def test_unknown_domain_rejected():
     with pytest.raises(GeometryError, match="catalog"):
         make_domain("dodecahedron")
+
+
+@pytest.mark.parametrize("name,params", [
+    ("regular-ngon", {"n": 12.5}),  # np.arange would give 13 uneven vertices
+    ("koch-prefractal", {"level": 2.7}),  # int() would give level 2
+    ("koch-prefractal", {"level": True}),  # ``domain.level = yes`` in a config
+    ("sawtooth-square", {"teeth": 3.9}),  # int() would give 3 teeth
+])
+def test_catalog_rejects_non_integer_counts(name, params):
+    with pytest.raises(GeometryError, match=name):
+        make_domain(name, **params)
 
 
 def test_scaled_similarity():
@@ -82,7 +94,7 @@ def test_mesh_quality(name, kwargs):
 
 
 def test_min_angle_enforced(square_domain):
-    mesh = triangulate(square_domain, 0.15, min_angle_deg=25.0)
+    mesh = triangulate(square_domain, 0.15)
     p = mesh.nodes[mesh.triangles]
     angles = []
     for i in range(3):
@@ -92,7 +104,7 @@ def test_min_angle_enforced(square_domain):
             np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
         )
         angles.append(np.degrees(np.arccos(np.clip(c, -1, 1))))
-    assert np.min(angles) >= 25.0 - 1e-9
+    assert np.min(angles) >= MIN_ANGLE_DEG - 1e-9
 
 
 # Every catalog domain at two mesh sizes: (domain name, parameters, h, SHA-256

@@ -14,14 +14,13 @@ straightening map.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import PolygonDomain, StraighteningMap, TriangleMesh
+from .geometry import PolygonDomain, StraighteningMap, TriangleMesh, catalog_call
 
 __all__ = [
     "AssemblyError",
@@ -262,39 +261,17 @@ def mollified(base: MatrixField, eps: float) -> MatrixField:
     return MatrixField("mollified", fn, smooth=base.smooth, ellipticity=base.ellipticity)
 
 
-def _catalog(kind: str):
-    """Make a catalog dispatcher report an entry parameter that is unknown,
-    missing, of the wrong type or too short as an ``AssemblyError`` naming
-    the entry."""
-
-    def wrap(dispatch):
-        @functools.wraps(dispatch)
-        def checked(name, **params):
-            try:
-                return dispatch(name, **params)
-            except AssemblyError:
-                raise
-            except (TypeError, ValueError, IndexError) as exc:
-                raise AssemblyError(f"{kind} {name!r}: {exc}") from exc
-
-        return checked
-
-    return wrap
+_MATRIX_FIELDS = {
+    "constant": constant_matrix,
+    "diagonal": diagonal_matrix,
+    "rotated-diagonal": rotated_diagonal,
+    "checkerboard": checkerboard,
+}
 
 
-@_catalog("matrix coefficient")
 def make_matrix_field(name: str, **params) -> MatrixField:
     """Catalog dispatch: constant, diagonal, rotated-diagonal, checkerboard."""
-    key = str(name).strip().lower().replace("_", "-")
-    if key == "constant":
-        return constant_matrix(**params)
-    if key == "diagonal":
-        return diagonal_matrix(**params)
-    if key == "rotated-diagonal":
-        return rotated_diagonal(**params)
-    if key == "checkerboard":
-        return checkerboard(**params)
-    raise AssemblyError(f"unknown matrix coefficient {name!r}")
+    return catalog_call("matrix coefficient", _MATRIX_FIELDS, AssemblyError, name, params)
 
 
 # -- potential catalog ---------------------------------------------------
@@ -329,14 +306,12 @@ def bump_potential(center=(0.0, 0.0), radius: float = 0.5, height: float = 1.0) 
     return ScalarField("bump", fn)
 
 
-@_catalog("potential")
+_POTENTIALS = {"constant": constant_potential, "bump": bump_potential}
+
+
 def make_potential(name: str, **params) -> ScalarField:
-    key = name.strip().lower().replace("_", "-")
-    if key == "constant":
-        return constant_potential(**params)
-    if key == "bump":
-        return bump_potential(**params)
-    raise AssemblyError(f"unknown potential {name!r}")
+    """Catalog dispatch: constant, bump."""
+    return catalog_call("potential", _POTENTIALS, AssemblyError, name, params)
 
 
 # -- boundary weight catalog ----------------------------------------------
@@ -353,7 +328,7 @@ def constant_weight(value: float = 1.0) -> BoundaryWeight:
 
 def segment_weight(values) -> BoundaryWeight:
     """Piecewise-constant weight: one value per polygon segment id."""
-    vals = np.asarray(values, dtype=float)
+    vals = np.atleast_1d(np.asarray(values, dtype=float))  # a config's single value
 
     def fn(parents, p0, p1):
         if parents.max(initial=-1) >= len(vals):
@@ -363,14 +338,12 @@ def segment_weight(values) -> BoundaryWeight:
     return BoundaryWeight("per-segment", fn, bound=float(np.abs(vals).max()))
 
 
-@_catalog("boundary weight")
+_WEIGHTS = {"constant": constant_weight, "per-segment": segment_weight}
+
+
 def make_weight(name: str, **params) -> BoundaryWeight:
-    key = name.strip().lower().replace("_", "-")
-    if key == "constant":
-        return constant_weight(**params)
-    if key == "per-segment":
-        return segment_weight(**params)
-    raise AssemblyError(f"unknown weight {name!r}")
+    """Catalog dispatch: constant, per-segment."""
+    return catalog_call("boundary weight", _WEIGHTS, AssemblyError, name, params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,10 @@
-"""Command-line entry point: mesh, solve, weyl, bem, experiment."""
+"""Command-line entry point: mesh, solve, weyl, bem, experiment.
+
+``mesh``, ``solve``, ``weyl`` and ``bem`` read one problem instance from
+``KEY=VALUE`` arguments with the experiment-config keys of ``harness``:
+``domain.*``, ``coeff.*``, ``rho.*``, ``mesh.levels`` (its last entry is the
+mesh size) and ``bem.panels-per-edge``, checked as a config's are.
+"""
 
 from __future__ import annotations
 
@@ -8,60 +14,30 @@ import sys
 from . import assembly, eigensolve, geometry, harness, potentials, weyl
 
 
-def _kv_pairs(items):
-    out = {}
-    for item in items or []:
-        if "=" not in item:
-            raise SystemExit(f"expected key=value, got {item!r}")
-        k, v = item.split("=", 1)
-        out[k.strip().replace("-", "_")] = harness._coerce(v)
-    return out
+def _config(args) -> harness.ExperimentConfig:
+    """The ``KEY=VALUE`` arguments as a config with the experiment schema."""
+    return harness.ExperimentConfig(harness.parse_config_text("\n".join(args.keys)))
 
 
-def _domain(args) -> geometry.PolygonDomain:
-    return geometry.make_domain(args.domain, **_kv_pairs(args.param))
-
-
-def _coeff(args) -> assembly.CoefficientField:
-    a = assembly.make_matrix_field(args.a, **_kv_pairs(args.a_param))
-    v0 = assembly.constant_potential(args.v0)
-    if args.rho_values:
-        rho = assembly.make_weight("per-segment", values=args.rho_values.split(","))
-    else:
-        rho = assembly.constant_weight(args.rho)
-    return assembly.CoefficientField(a=a, v0=v0, rho=rho)
-
-
-def _add_domain_args(p):
-    p.add_argument("--domain", required=True, help="catalog domain name")
+def _instance_parser(sub, name: str, fn, summary: str):
+    p = sub.add_parser(name, help=summary)
     p.add_argument(
-        "--param",
-        action="append",
-        metavar="KEY=VALUE",
-        help="domain parameter (repeatable), e.g. --param n=256",
+        "keys", nargs="*", metavar="KEY=VALUE", help="experiment-config keys, e.g. domain.n=96"
     )
-
-
-def _add_coeff_args(p):
-    p.add_argument("--a", default="constant", help="matrix coefficient name")
-    p.add_argument(
-        "--a-param", action="append", metavar="KEY=VALUE", help="coefficient parameter"
-    )
-    p.add_argument("--v0", type=float, default=1.0, help="constant potential value")
-    p.add_argument("--rho", type=float, default=1.0, help="constant boundary weight")
-    p.add_argument(
-        "--rho-values", default="", help="per-segment weights, comma separated"
-    )
+    p.set_defaults(fn=fn)
+    return p
 
 
 def cmd_mesh(args) -> int:
-    dom = _domain(args)
-    mesh = geometry.triangulate(dom, args.h)
+    cfg = _config(args)
+    dom = harness._domain_from(cfg)
+    h = cfg.mesh_levels()[-1]
+    mesh = geometry.triangulate(dom, h)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(mesh.to_text())
     print(
-        f"domain={dom.name} h={args.h:g} nodes={mesh.n_nodes} "
+        f"domain={dom.name} h={h:g} nodes={mesh.n_nodes} "
         f"triangles={len(mesh.triangles)} boundary_edges={len(mesh.boundary_edges)} "
         f"min_angle={mesh.min_angle():.2f}"
     )
@@ -69,26 +45,26 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    dom = _domain(args)
-    mesh = geometry.triangulate(dom, args.h)
-    coeff = _coeff(args)
+    cfg = _config(args)
+    dom = harness._domain_from(cfg)
+    coeff = harness._coeff_from(cfg)
+    mesh = geometry.triangulate(dom, cfg.mesh_levels()[-1])
     forms = assembly.assemble_forms(mesh, coeff)
-    n = forms.A.shape[0]
     spec = eigensolve.solve_dense(forms.A, forms.B)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(eigensolve.spectrum_to_csv(spec))
     shown = spec.positive[: args.count]
-    print(f"dofs={n} positive={len(spec.positive)}")
+    print(f"dofs={forms.A.shape[0]} positive={len(spec.positive)}")
     for i, mu in enumerate(shown, 1):
         print(f"  mu_{i} = {mu:.8g}")
     return 0
 
 
 def cmd_weyl(args) -> int:
-    dom = _domain(args)
-    coeff = _coeff(args)
-    wd = weyl.weyl_coefficient(dom, coeff, order=args.order)
+    cfg = _config(args)
+    dom = harness._domain_from(cfg)
+    wd = weyl.weyl_coefficient(dom, harness._coeff_from(cfg))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(wd.to_csv())
@@ -97,9 +73,9 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_bem(args) -> int:
-    dom = _domain(args)
+    cfg = _config(args)
     op = potentials.build_layer_operators(
-        dom, args.panels_per_edge, rescale=not args.no_rescale
+        harness._domain_from(cfg), cfg.panels_per_edge(), rescale=not args.no_rescale
     )
     nd = potentials.nd_operator(op)
     if args.out:
@@ -118,7 +94,7 @@ def cmd_bem(args) -> int:
     return 0
 
 
-# Anticipated failures (bad flags, unsolvable configs, unreadable files) exit
+# Anticipated failures (bad keys, unsolvable configs, unreadable files) exit
 # with a one-line message instead of a traceback.
 _CLI_ERRORS = (
     assembly.AssemblyError,
@@ -152,30 +128,17 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mesh", help="triangulate a catalog domain")
-    _add_domain_args(p)
-    p.add_argument("--h", type=float, required=True)
+    p = _instance_parser(sub, "mesh", cmd_mesh, "triangulate a catalog domain")
     p.add_argument("--out", default="", help="write the mesh as text")
-    p.set_defaults(fn=cmd_mesh)
 
-    p = sub.add_parser("solve", help="assemble and solve the spectral pencil")
-    _add_domain_args(p)
-    _add_coeff_args(p)
-    p.add_argument("--h", type=float, required=True)
+    p = _instance_parser(sub, "solve", cmd_solve, "assemble and solve the spectral pencil")
     p.add_argument("--count", type=int, default=12, help="eigenvalues to print")
     p.add_argument("--out", default="", help="write the spectrum CSV")
-    p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("weyl", help="predicted counting-function coefficient")
-    _add_domain_args(p)
-    _add_coeff_args(p)
-    p.add_argument("--order", type=int, default=8, help="Gauss nodes per segment")
+    p = _instance_parser(sub, "weyl", cmd_weyl, "predicted counting-function coefficient")
     p.add_argument("--out", default="", help="write the boundary-density CSV")
-    p.set_defaults(fn=cmd_weyl)
 
-    p = sub.add_parser("bem", help="boundary-integral route to the spectrum")
-    _add_domain_args(p)
-    p.add_argument("--panels-per-edge", type=int, required=True)
+    p = _instance_parser(sub, "bem", cmd_bem, "boundary-integral route to the spectrum")
     p.add_argument("--count", type=int, default=12)
     p.add_argument(
         "--no-rescale",
@@ -183,7 +146,6 @@ def main(argv=None) -> int:
         help=f"build on the original geometry, not at diameter {potentials.RESCALE_DIAMETER:g}",
     )
     p.add_argument("--out", default="", help="write the eigenvalue CSV")
-    p.set_defaults(fn=cmd_bem)
 
     p = sub.add_parser("experiment", help="run a configured experiment")
     p.add_argument("--config", required=True)
@@ -191,6 +153,8 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_experiment)
 
     args = parser.parse_args(argv)
+    if getattr(args, "count", 0) < 0:
+        parser.error("--count must be non-negative")
     try:
         return args.fn(args)
     except _CLI_ERRORS as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,9 +196,37 @@ def _check_simple(v: np.ndarray):
 # catalog
 
 
+def _not_finite(v) -> bool:
+    """A boolean (a config's ``yes``), or a number that is not finite."""
+    try:
+        return isinstance(v, bool) or isinstance(v, numbers.Real) and not math.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return True
+
+
+def catalog_call(kind: str, table: dict, error: type, name, params: dict):
+    """Build the entry ``name`` (case-insensitive, ``_`` as ``-``) of a catalog
+    ``table`` from ``params``.  An unknown entry, a boolean or non-finite
+    parameter (list entries included), and a parameter the entry rejects
+    (unknown, missing, of the wrong type or too short) raise ``error``
+    naming the entry."""
+    key = str(name).strip().lower().replace("_", "-")
+    if key not in table:
+        raise error(f"unknown {kind} {name!r}; catalog: {sorted(table)}")
+    for pname, value in params.items():
+        if any(map(_not_finite, value if isinstance(value, (list, tuple)) else [value])):
+            raise error(f"{kind} {key!r}: {pname} must be a finite number (got {value!r})")
+    try:
+        return table[key](**params)
+    except error:
+        raise
+    except (TypeError, ValueError, IndexError) as exc:
+        raise error(f"{kind} {key!r}: {exc}") from exc
+
+
 def _count(domain: str, key: str, value) -> int:
-    """``value`` as a count; a float or bool, which ``int`` truncates, is an error."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """``value`` as a count; a float, which ``int`` truncates, is an error."""
+    if not isinstance(value, (int, np.integer)):
         raise GeometryError(f"{domain} needs an integer {key} (got {value!r})")
     return int(value)
 
@@ -279,7 +308,7 @@ def _koch_prefractal(level: int = 2, side: float = 1.0) -> PolygonDomain:
     return PolygonDomain(pts, "koch-prefractal")
 
 
-_CATALOG = {
+_DOMAINS = {
     "regular-ngon": _regular_ngon,
     "square": _square,
     "lshape": _lshape,
@@ -290,19 +319,9 @@ _CATALOG = {
 
 def make_domain(name: str, **params) -> PolygonDomain:
     """Build a catalog domain: regular-ngon, square, lshape, sawtooth-square,
-    koch-prefractal.  An unknown parameter or one of the wrong type raises
-    ``GeometryError`` naming the domain."""
-    key = name.strip().lower().replace("_", "-")
-    if key not in _CATALOG:
-        raise GeometryError(
-            f"unknown domain {name!r}; catalog: {sorted(_CATALOG)}"
-        )
-    try:
-        return _CATALOG[key](**params)
-    except GeometryError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise GeometryError(f"domain {key!r}: {exc}") from exc
+    koch-prefractal.  An unknown, boolean, non-finite or ill-typed parameter
+    raises ``GeometryError`` naming the domain."""
+    return catalog_call("domain", _DOMAINS, GeometryError, name, params)
 
 
 # ---------------------------------------------------------------------------

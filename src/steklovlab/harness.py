@@ -37,15 +37,19 @@ become lists.  Schema (defaults in parentheses):
     bem.panels-per-edge     Nystrom panels per polygon edge (boundary route)
     bem.count               leading Steklov/ND pairs compared, at least 1 (20)
 
-A key outside this schema is ignored.
+A key outside this schema is ignored.  The ``mesh``, ``solve``, ``weyl`` and
+``bem`` commands of the command line read the same keys (``domain.*``,
+``coeff.*``, ``rho.*``, ``mesh.levels`` and ``bem.panels-per-edge``) from
+``KEY=VALUE`` arguments; they need no ``experiment``.
 
 Config errors raise: a missing key, a value of the wrong type or out of
-range, or an unknown catalog entry or parameter ends ``run_experiment`` in
-``HarnessError`` (or the catalog's ``GeometryError``/``AssemblyError``) before
-the first stage starts, and nothing is written.  Once a stage has started,
-every experiment turns a failure into ``report.error`` and writes a partial
-``report.json`` (and no CSV or SVG) holding what was computed up to the
-failure; so does a failure to render the CSV or SVG artifacts.
+range, an unknown catalog entry or parameter, or a coefficient whose W±
+overflows ends ``run_experiment`` in ``HarnessError`` (or the catalog's
+``GeometryError``/``AssemblyError``, or ``WeylError``) before the first stage
+starts, and nothing is written.  Once a stage has started, every experiment
+turns a failure into ``report.error`` and writes a partial ``report.json``
+(and no CSV or SVG) holding what was computed up to the failure; so does a
+failure to render the CSV or SVG artifacts.
 
 Reports never widen a tolerance at runtime: the numbers in the JSON are the
 numbers the pass/fail verdict was computed from.  CSV outputs are bitwise
@@ -155,7 +159,8 @@ class ExperimentConfig:
             return cls.from_text(fh.read())
 
     def __post_init__(self):
-        self.get_choice("experiment", tuple(_EXPERIMENTS))
+        if "experiment" in self.values:  # the command line's configs have none
+            self.get_choice("experiment", tuple(_EXPERIMENTS))
         _positive_decreasing("mesh.levels", self.get_floats("mesh.levels", []))
 
     def get(self, key, default=None):
@@ -187,7 +192,7 @@ class ExperimentConfig:
 
     @property
     def experiment(self) -> str:
-        return self.values["experiment"]
+        return self.get_choice("experiment", tuple(_EXPERIMENTS))
 
     @property
     def seed(self) -> int:
@@ -200,8 +205,14 @@ class ExperimentConfig:
     def mesh_levels(self) -> list:
         levels = self.get_floats("mesh.levels", [])
         if not levels:
-            raise HarnessError(f"{self.experiment} needs mesh.levels")
+            raise HarnessError("config needs mesh.levels")
         return levels
+
+    def panels_per_edge(self) -> int:
+        ppe = self.get_int("bem.panels-per-edge", 0)
+        if ppe < 1:
+            raise HarnessError(f"config needs bem.panels-per-edge >= 1 (got {ppe})")
+        return ppe
 
     def group(self, prefix: str) -> dict:
         """Values of the keys under ``prefix.``, by the rest of the key with
@@ -221,21 +232,18 @@ def _domain_from(cfg: ExperimentConfig) -> geometry.PolygonDomain:
     params = cfg.group("domain")
     if "name" not in params:
         raise HarnessError("config needs domain.name")
-    return geometry.make_domain(str(params.pop("name")), **params)
+    return geometry.make_domain(params.pop("name"), **params)
 
 
 def _matrix_from(cfg: ExperimentConfig, prefix="coeff.a") -> assembly.MatrixField:
-    name = str(cfg.get(prefix, "constant"))
-    return assembly.make_matrix_field(name, **cfg.group(prefix))
+    return assembly.make_matrix_field(cfg.get(prefix, "constant"), **cfg.group(prefix))
 
 
 def _coeff_from(cfg: ExperimentConfig) -> assembly.CoefficientField:
     a = _matrix_from(cfg)
-    v0 = assembly.make_potential(
-        str(cfg.get("coeff.v0", "constant")), **cfg.group("coeff.v0")
-    )
+    v0 = assembly.make_potential(cfg.get("coeff.v0", "constant"), **cfg.group("coeff.v0"))
     params = cfg.group("rho")
-    rho = assembly.make_weight(str(params.pop("name", "constant")), **params)
+    rho = assembly.make_weight(params.pop("name", "constant"), **params)
     return assembly.CoefficientField(a=a, v0=v0, rho=rho)
 
 
@@ -347,6 +355,8 @@ def _weyl_verification(cfg: ExperimentConfig, report: Report, stage) -> None:
     levels = cfg.mesh_levels()
     tail = _tail(cfg)
     wd = weyl.weyl_coefficient(domain, coeff)
+    if wd.w_plus == wd.w_minus == 0:
+        raise HarnessError("rho predicts no spectral branch (W+ = W- = 0): nothing to verify")
     report.weyl_data = wd
     report.predicted = {"w_plus": wd.w_plus, "w_minus": wd.w_minus}
     report.summary["surface_measure"] = domain.perimeter
@@ -535,9 +545,7 @@ def _bem_crosscheck(cfg: ExperimentConfig, report: Report, stage) -> None:
     k = cfg.get_int("bem.count", 20)
     if k < 1:
         raise HarnessError(f"bem.count must be at least 1 (got {k})")
-    ppe = cfg.get_int("bem.panels-per-edge", 0)
-    if ppe < 1:
-        raise HarnessError("bem-crosscheck needs bem.panels-per-edge >= 1")
+    ppe = cfg.panels_per_edge()
     levels = cfg.mesh_levels()
     coeff = assembly.CoefficientField(
         assembly.constant_matrix(1.0),
@@ -609,9 +617,9 @@ def svg_loglog(
     ylabel="",
     comment="",
 ) -> str:
-    """Log-log scatter/line plot.  ``series`` is a list of dicts with keys
-    ``x``, ``y``, ``label`` and optional ``line`` (bool); ``hlines`` is a list
-    of (value, label) pairs drawn as dashed horizontal lines."""
+    """Log-log scatter plot.  ``series`` is a list of dicts with keys ``x``,
+    ``y`` and ``label``; ``hlines`` is a list of (value, label) pairs drawn as
+    dashed horizontal lines."""
     width, height = SVG_WIDTH, SVG_HEIGHT
     pts = [
         (float(x), float(y))
@@ -678,18 +686,9 @@ def svg_loglog(
         )
     for idx, s in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        data = [
-            (px(x), py(y)) for x, y in zip(s["x"], s["y"]) if x > 0 and y > 0
-        ]
-        if s.get("line"):
-            path = " ".join(f"{a:.1f},{b:.1f}" for a, b in data)
-            out.write(
-                f'<polyline points="{path}" fill="none" stroke="{color}" '
-                'stroke-width="1.4"/>\n'
-            )
-        else:
-            for a, b in data:
-                out.write(f'<circle cx="{a:.1f}" cy="{b:.1f}" r="2.4" fill="{color}"/>\n')
+        for x, y in zip(s["x"], s["y"]):
+            if x > 0 and y > 0:
+                out.write(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="2.4" fill="{color}"/>\n')
         out.write(
             f'<text x="{ml+10}" y="{mt+16+14*idx}" font-size="12" fill="{color}" '
             f'font-family="sans-serif">{s["label"]}</text>\n'

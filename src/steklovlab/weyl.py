@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 TANGENT_TOL = 1e-9  # relative |ξ·n| that ``beta`` still takes as tangent
+GAUSS_ORDER = 8  # Gauss–Legendre nodes per polygon segment in ``weyl_coefficient``
 
 
 class WeylError(ValueError):
@@ -108,10 +109,10 @@ def ball_volume(m: int) -> float:
 
 def alpha_pm(a: np.ndarray, n: np.ndarray, rho: float) -> tuple:
     """Pointwise densities (α₊, α₋) = ω_m ρ±^m det(Θ′)^(−1/2), m = d−1."""
-    tp = theta_prime(a, n)
-    det = float(np.linalg.det(np.atleast_2d(tp)))
-    if det <= 0:
-        raise WeylError("tangential co-metric is degenerate")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        det = float(np.linalg.det(np.atleast_2d(theta_prime(a, n))))
+    if not (math.isfinite(det) and det > 0):
+        raise WeylError(f"tangential co-metric is degenerate or overflows (det {det!r})")
     m = np.asarray(n).shape[0] - 1
     om = ball_volume(m)
     rp = max(rho, 0.0)
@@ -144,18 +145,19 @@ class WeylData:
         return out.getvalue()
 
 
-def weyl_coefficient(domain: PolygonDomain, coeff, *, order: int = 8) -> WeylData:
+def weyl_coefficient(domain: PolygonDomain, coeff) -> WeylData:
     """W± = (2π)^(−m) ∫_Σ α± dμ by per-segment Gauss–Legendre quadrature.
 
     ``coeff`` provides the conductivity (``coeff.a``, evaluated at boundary
     points) and the signed weight (``coeff.rho``, at each node as a
-    zero-length edge).  ``order`` nodes per polygon segment; the integrand is
-    smooth within each segment, so the rule converges fast even when a varies.
+    zero-length edge).  ``GAUSS_ORDER`` nodes per polygon segment; the
+    integrand is smooth within each segment, so the rule converges fast even
+    when a varies.
     """
     pts_a, pts_b = domain.segment_points()
     normals = domain.segment_normals()
     lengths = domain.segment_lengths()
-    gx, gw = leggauss(order)
+    gx, gw = leggauss(GAUSS_ORDER)
     arcl, dets, aps, ams = [], [], [], []
     wp = wm = 0.0
     offset = 0.0

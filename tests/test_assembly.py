@@ -197,6 +197,12 @@ def test_catalog_rejects_unknown():
         checkerboard(cell=-1.0)
 
 
+def test_per_segment_weight_needs_a_value_per_segment(square_mesh):
+    rho = assembly.make_weight("per-segment", values=5.0)  # a config's ``rho.values = 5``
+    with pytest.raises(AssemblyError, match="no value"):
+        assembly.assemble_boundary_weight(square_mesh, rho)
+
+
 def test_assembly_guards(square_mesh):
     indefinite = assembly.MatrixField(
         "broken", lambda pts: np.tile(np.diag([1.0, -1.0]), (len(pts), 1, 1))

@@ -7,7 +7,9 @@ import dataclasses
 import json
 import math
 import re
+import shlex
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from steklovlab.harness import (
     run_experiment,
     svg_loglog,
 )
+from steklovlab.weyl import WeylError
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +187,7 @@ def test_report_json_is_sorted_and_rejects_non_finite():
 def test_svg_loglog_renders_series_and_reference_lines():
     x = np.geomspace(1, 100, 20)
     svg = svg_loglog(
-        [
-            {"x": x, "y": 2.0 / x, "label": "products"},
-            {"x": x, "y": 3.0 / x, "label": "trend", "line": True},
-        ],
+        [{"x": x, "y": 2.0 / x, "label": "products"}],
         hlines=[(2.0, "target")],
         title="tail",
         xlabel="k",
@@ -198,7 +198,6 @@ def test_svg_loglog_renders_series_and_reference_lines():
     ns = "{http://www.w3.org/2000/svg}"
     assert root.tag == f"{ns}svg"
     assert len(root.findall(f"{ns}circle")) == 20
-    assert len(root.findall(f"{ns}polyline")) == 1
     dashed = [e for e in root.findall(f"{ns}line") if e.get("stroke-dasharray")]
     assert len(dashed) == 1
     assert any("target" in (e.text or "") for e in root.findall(f"{ns}text"))
@@ -341,6 +340,10 @@ def test_outputs_are_rendered_before_any_is_written(tmp_path, monkeypatch):
 
 
 def test_runs_demand_their_required_keys():
+    # a config without ``experiment`` constructs (the command line's do) but does not run
+    cfg = ExperimentConfig.from_text("domain.name = square\nmesh.levels = 0.1")
+    with pytest.raises(HarnessError, match="experiment must be one of"):
+        run_experiment(cfg, "/tmp/never-used")
     with pytest.raises(HarnessError, match="mesh.levels"):
         run_experiment(
             ExperimentConfig.from_text(
@@ -371,17 +374,15 @@ def test_runs_demand_their_required_keys():
 
 def test_cli_mesh_solve_weyl_bem(tmp_path, capsys):
     out = tmp_path / "spec.csv"
-    assert cli.main(["mesh", "--domain", "square", "--h", "0.2"]) == 0
+    assert cli.main(["mesh", "domain.name=square", "mesh.levels=0.2"]) == 0
     assert "triangles=" in capsys.readouterr().out
 
     assert (
         cli.main(
             [
                 "solve",
-                "--domain",
-                "square",
-                "--h",
-                "0.15",
+                "domain.name=square",
+                "mesh.levels=0.15",
                 "--count",
                 "3",
                 "--out",
@@ -394,11 +395,11 @@ def test_cli_mesh_solve_weyl_bem(tmp_path, capsys):
     spec = spectrum_from_csv(out.read_text())
     assert len(spec.positive) >= 3
 
-    assert cli.main(["weyl", "--domain", "square"]) == 0
+    assert cli.main(["weyl", "domain.name=square"]) == 0
     line = capsys.readouterr().out
     assert f"W+={4.0 / math.pi:.10g}" in line
 
-    assert cli.main(["bem", "--domain", "square", "--panels-per-edge", "12"]) == 0
+    assert cli.main(["bem", "domain.name=square", "bem.panels-per-edge=12"]) == 0
     assert "route_gap" in capsys.readouterr().out
 
 
@@ -439,7 +440,7 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
     assert rc == 1
     assert "steklovlab: error:" in captured.err
 
-    rc = cli.main(["mesh", "--domain", "dodecahedron", "--h", "0.1"])
+    rc = cli.main(["mesh", "domain.name=dodecahedron", "mesh.levels=0.1"])
     captured = capsys.readouterr()
     assert rc == 1
     assert "steklovlab: error:" in captured.err
@@ -489,14 +490,91 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
         assert rc == 1, text
         assert "steklovlab: error:" in captured.err and named in captured.err, text
     for param in ("bogus=3", "n=abc"):
-        rc = cli.main(["mesh", "--domain", "regular-ngon", "--param", param, "--h", "0.1"])
+        rc = cli.main(["mesh", "domain.name=regular-ngon", f"domain.{param}", "mesh.levels=0.1"])
         captured = capsys.readouterr()
         assert rc == 1, param
         assert "steklovlab: error:" in captured.err and "regular-ngon" in captured.err
-    rc = cli.main(["solve", "--domain", "square", "--h", "0.3", "--rho-values", "a,b"])
+    rc = cli.main(
+        ["solve", "domain.name=square", "mesh.levels=0.3", "rho.name=per-segment", "rho.values=a,b"]
+    )
     captured = capsys.readouterr()
     assert rc == 1
     assert "steklovlab: error:" in captured.err and "per-segment" in captured.err
+
+
+def test_cli_rejects_a_negative_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "domain.name=square", "mesh.levels=0.3", "--count", "-1"])
+    assert exc.value.code == 2
+    assert "--count must be non-negative" in capsys.readouterr().err
+
+
+def _readme_commands() -> list:
+    """The ``steklovlab`` lines of README's "Command line" block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def test_readme_command_lines_run(capsys):
+    commands = _readme_commands()
+    assert [c[0] for c in commands] == ["mesh", "solve", "weyl", "bem", "experiment"]
+    for argv in commands[:-1]:  # the experiment line needs a config file
+        assert cli.main(argv) == 0, argv
+    assert "W+=1.405087817" in capsys.readouterr().out  # (3 + √2)/π
+
+
+# A NaN, an infinity of either sign and a boolean (a config's ``yes``) for a
+# parameter of each catalog: (key, value template, keys selecting the entry).
+CATALOG_PARAMETERS = (
+    ("domain.side", "{}", ""),
+    ("coeff.a.p", "{}", "coeff.a = diagonal\ncoeff.a.q = 1\n"),
+    ("coeff.v0.value", "{}", ""),
+    ("coeff.v0.radius", "{}", "coeff.v0 = bump\n"),
+    ("rho.value", "{}", ""),
+    ("rho.values", "1, {}, 1, 1", "rho.name = per-segment\n"),
+    ("interior.a.cell", "{}", "interior.a = checkerboard\n"),
+)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "yes"])
+@pytest.mark.parametrize(
+    "key,template,entry", CATALOG_PARAMETERS, ids=[c[0] for c in CATALOG_PARAMETERS]
+)
+def test_catalog_parameters_must_be_finite_numbers(tmp_path, capsys, key, template, entry, value):
+    instance = f"domain.name = square\n{entry}{key} = {template.format(value)}\n"
+    cfg = ExperimentConfig.from_text(
+        "experiment = boundary-only-dependence\nmesh.levels = 0.3\n" + instance
+    )
+    out = tmp_path / "out"
+    named = rf"\b{key.rsplit('.', 1)[1]} must be a finite number"
+    with pytest.raises((GeometryError, AssemblyError), match=named):
+        run_experiment(cfg, str(out))
+    assert not out.exists()
+    if key.startswith("interior."):
+        return  # the command line reads no interior field
+    argv = [line.replace(" = ", "=").replace(", ", ",") for line in instance.splitlines()]
+    assert cli.main(["solve", "mesh.levels=0.3", *argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("steklovlab: error:"), err
+
+
+@pytest.mark.parametrize(
+    "coeff", ["coeff.a.value = 1e300", "coeff.a = diagonal\ncoeff.a.p = 1e200\ncoeff.a.q = 1e200"]
+)
+def test_overflowing_weyl_coefficient_is_a_config_error(tmp_path, coeff):
+    out = tmp_path / "out"
+    with pytest.raises(WeylError, match="overflows"):
+        run_experiment(ExperimentConfig.from_text(f"{WEYL_SQUARE}{coeff}\n"), str(out))
+    assert not out.exists()
+
+
+def test_weyl_verification_needs_a_predicted_branch(tmp_path):
+    # a zero weight predicts W+ = W- = 0: there would be no deviation to check
+    out = tmp_path / "out"
+    with pytest.raises(HarnessError, match="rho"):
+        run_experiment(ExperimentConfig.from_text(WEYL_SQUARE + "rho.value = 0\n"), str(out))
+    assert not out.exists()
 
 
 # Schema keys of the harness docstring, catalog parameters, keys the harness

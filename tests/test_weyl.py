@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from steklovlab import assembly, geometry
+from steklovlab import assembly, geometry, weyl
 from steklovlab.weyl import (
     WeylError,
     alpha_pm,
@@ -117,6 +117,10 @@ def test_alpha_splits_by_weight_sign():
     assert (ap, am) == pytest.approx((0.0, 4.0), abs=1e-14)
     with pytest.raises(WeylError, match="degenerate"):
         alpha_pm(np.outer(n, n), n, 1.0)  # rank-one conductivity
+    # Θ is quadratic in a, so these overflow to inf - inf and det(Θ') is NaN
+    for a in (1e300 * np.eye(2), np.diag([1e200, 1e200])):
+        with pytest.raises(WeylError, match="overflows"):
+            alpha_pm(a, n, 1.0)
 
 
 def test_alpha_matches_monte_carlo_ellipsoid_volume():
@@ -212,14 +216,17 @@ def test_sign_split_weight_splits_the_coefficient(square_domain):
     assert data.w_minus == pytest.approx(2.0 / math.pi, rel=1e-12)
 
 
-def test_quadrature_order_is_immaterial_for_piecewise_constant_data(square_domain):
-    lo = weyl_coefficient(square_domain, _unit_coeff(), order=2)
-    hi = weyl_coefficient(square_domain, _unit_coeff(), order=12)
+def test_quadrature_order_is_immaterial_for_piecewise_constant_data(square_domain, monkeypatch):
+    monkeypatch.setattr(weyl, "GAUSS_ORDER", 2)
+    lo = weyl_coefficient(square_domain, _unit_coeff())
+    monkeypatch.setattr(weyl, "GAUSS_ORDER", 12)
+    hi = weyl_coefficient(square_domain, _unit_coeff())
     assert lo.w_plus == pytest.approx(hi.w_plus, rel=1e-13)
 
 
-def test_csv_has_one_row_per_quadrature_node(square_domain):
-    data = weyl_coefficient(square_domain, _unit_coeff(), order=6)
+def test_csv_has_one_row_per_quadrature_node(square_domain, monkeypatch):
+    monkeypatch.setattr(weyl, "GAUSS_ORDER", 6)
+    data = weyl_coefficient(square_domain, _unit_coeff())
     lines = data.to_csv().strip().splitlines()
     assert lines[0] == "arclength,det_theta_prime,alpha_plus,alpha_minus"
     assert len(lines) == 1 + 4 * 6

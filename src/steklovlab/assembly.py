@@ -174,6 +174,13 @@ def rotated_diagonal(p: float, q: float, angle: float) -> MatrixField:
     return MatrixField("rotated-diagonal", fn, ellipticity=min(p, q))
 
 
+def _point(entry: str, key: str, value) -> tuple[float, float]:
+    """``value`` as a planar point: exactly two numbers."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 2:
+        raise AssemblyError(f"{entry} needs {key} as two numbers (x, y) (got {value!r})")
+    return float(value[0]), float(value[1])
+
+
 def checkerboard(
     cell: float, low: float = 1.0, high: float = 4.0, origin=(0.0, 0.0)
 ) -> MatrixField:
@@ -182,7 +189,7 @@ def checkerboard(
     cell = float(cell)
     if cell <= 0 or min(low, high) <= 0:
         raise AssemblyError("checkerboard needs positive cell and values")
-    ox, oy = float(origin[0]), float(origin[1])
+    ox, oy = _point("checkerboard", "origin", origin)
     eye = np.eye(2)
 
     def fn(pts):
@@ -291,7 +298,7 @@ def constant_potential(value: float = 1.0) -> ScalarField:
 def bump_potential(center=(0.0, 0.0), radius: float = 0.5, height: float = 1.0) -> ScalarField:
     """Compactly supported smooth bump: height·exp(1 − R²/(R² − r²)) inside
     the disk of the given radius, zero outside."""
-    cx, cy = float(center[0]), float(center[1])
+    cx, cy = _point("bump", "center", center)
     R, hgt = float(radius), float(height)
     if R <= 0 or hgt < 0:
         raise AssemblyError("bump needs positive radius and nonnegative height")

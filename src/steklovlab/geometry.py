@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._mesher import DIAMETER_FACTOR, MeshingError, triangulate_polygon
+from ._mesher import DIAMETER_FACTOR, MAX_INSERTIONS, MeshingError, triangulate_polygon
 
 __all__ = [
     "GeometryError",
@@ -71,11 +71,6 @@ class LipschitzChart:
 
     def __call__(self, x):
         return np.interp(x, self.xs, self.values)
-
-    def piece_of(self, x) -> np.ndarray:
-        """Index of the chart piece containing x (right-closed on the last)."""
-        idx = np.searchsorted(self.xs, np.asarray(x, dtype=float), side="right") - 1
-        return np.clip(idx, 0, self.xs.size - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +226,24 @@ def _count(domain: str, key: str, value) -> int:
     return int(value)
 
 
+def _length(domain: str, key: str, value) -> float:
+    """``value`` as a length: a negative one would reflect the domain."""
+    if not float(value) > 0:
+        raise GeometryError(f"{domain} needs a positive {key} (got {value!r})")
+    return float(value)
+
+
 def _regular_ngon(n: int = 64, radius: float = 1.0) -> PolygonDomain:
-    n = _count("regular-ngon", "n", n)
+    n, r = _count("regular-ngon", "n", n), _length("regular-ngon", "radius", radius)
     if n < 3:
         raise GeometryError("regular-ngon needs n >= 3")
     ang = 2.0 * np.pi * np.arange(n) / n
-    verts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    verts = r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     return PolygonDomain(verts, "regular-ngon")
 
 
 def _square(side: float = 1.0) -> PolygonDomain:
-    s = float(side)
+    s = _length("square", "side", side)
     verts = np.array([[0.0, 0.0], [s, 0.0], [s, s], [0.0, s]])
     dom = PolygonDomain(verts, "square")
     # Flat chart along the top side (segment 2 runs right-to-left).
@@ -252,7 +254,8 @@ def _square(side: float = 1.0) -> PolygonDomain:
 
 
 def _lshape(size: float = 1.0, notch: float = 0.5) -> PolygonDomain:
-    s, c = float(size), float(notch) * float(size)
+    s = _length("lshape", "size", size)
+    c = float(notch) * s
     if not 0 < c < s:
         raise GeometryError("lshape notch must satisfy 0 < notch < 1")
     verts = np.array(
@@ -290,7 +293,7 @@ def _koch_prefractal(level: int = 2, side: float = 1.0) -> PolygonDomain:
     lv = _count("koch-prefractal", "level", level)
     if not 0 <= lv <= 4:
         raise GeometryError("koch-prefractal level must be 0..4")
-    s = float(side)
+    s = _length("koch-prefractal", "side", side)
     pts = np.array([[0.0, 0.0], [s, 0.0], [0.5 * s, s * math.sqrt(3) / 2]])
     cos60, sin60 = 0.5, math.sqrt(3) / 2
     for _ in range(lv):
@@ -448,15 +451,15 @@ class StraighteningMap:
 
     The collar is the region between the chart graph and the horizontal base
     line ``y = base``.  Its grid has a node column at each of the ``stations``
-    with ``levels + 1`` nodes per column (`nodes`): in the source, level j
-    sits the fraction j/levels of the local collar thickness above the base
-    line; in the image, at height ``base + j/levels``, so the collar maps onto
-    the rectangle ``[x0, x1] x [base, base + 1]``.  Every grid cell splits into
-    two triangles as ``_CELL_SPLIT`` says, and the map is affine on each of
-    these pieces: half s of cell (i, j) is piece ``2 (i·levels + j) + s``,
-    ``jacobians[k]`` is the constant 2x2 Jacobian on piece k and ``dets[k]``
-    its determinant.  Outside the collar the map is the identity; the glue
-    along the base line is continuous.
+    with ``levels + 1`` nodes per column (`nodes`), both at most the mesh size
+    ``h`` apart in the source: there, level j sits the fraction j/levels of the local collar
+    thickness above the base line; in the image, at height ``base + j/levels``,
+    so the collar maps onto the rectangle ``[x0, x1] x [base, base + 1]``.
+    Every grid cell splits into two triangles as ``_CELL_SPLIT`` says, and the
+    map is affine on each of these pieces: half s of cell (i, j) is piece
+    ``2 (i·levels + j) + s``, ``jacobians[k]`` is the constant 2x2 Jacobian
+    on piece k and ``dets[k]`` its determinant.  Outside the collar the map
+    is the identity; the glue along the base line is continuous.
     """
 
     domain: PolygonDomain
@@ -464,6 +467,7 @@ class StraighteningMap:
     base: float
     stations: np.ndarray
     levels: int
+    h: float
     jacobians: np.ndarray = field(init=False)
     dets: np.ndarray = field(init=False)
 
@@ -520,37 +524,36 @@ class StraighteningMap:
         return src, piece
 
 
-def build_straightening(
-    domain: PolygonDomain,
-    chart: LipschitzChart,
-    collar_depth: float,
-    *,
-    resolution: float | None = None,
-) -> StraighteningMap:
-    """Construct the collar-flattening map for a full-width boundary chart.
+def _check_budget(nodes: float, h: float) -> None:
+    """Refuse a grid of more nodes than the mesher may insert; the count grows as 1/h²."""
+    if not nodes <= MAX_INSERTIONS:
+        raise MeshingError(f"h = {h:g} needs {nodes:.3g} nodes, over the budget {MAX_INSERTIONS}")
+
+
+def build_straightening(domain: PolygonDomain, collar_depth: float, h: float) -> StraighteningMap:
+    """Construct the collar-flattening map of the domain's first chart at mesh size ``h``.
 
     The base line sits ``collar_depth`` below the lowest point of the graph,
-    and the collar must stay inside the domain, which is checked.  The grid
-    has a column per chart segment and a single level; ``resolution`` refines
-    both to roughly that spacing.
+    and the collar must stay inside the domain, which is checked.  Each chart
+    piece splits into ⌈width/h⌉ equal columns and the collar into
+    ⌈largest collar thickness/h⌉ levels, so no vertical or horizontal side of
+    a source cell is longer than h.  A domain without a chart raises
+    ``GeometryError``; a grid over the mesher's node budget raises
+    ``MeshingError`` before it is allocated.
     """
-    if collar_depth <= 0:
-        raise GeometryError("collar depth must be positive")
+    if not domain.charts:
+        raise GeometryError(f"domain {domain.name!r} has no chart to straighten")
+    if not (collar_depth > 0 and h > 0):
+        raise GeometryError("collar depth and mesh size h must be positive")
+    chart = domain.charts[0]
     base = float(chart.values.min()) - float(collar_depth)
+    pieces = np.maximum(1, np.ceil(np.diff(chart.xs) / h - 1e-12))
+    levels = max(1, np.ceil((float(chart.values.max()) - base) / h - 1e-12))
+    _check_budget(float(pieces.sum() + 1) * float(levels + 1), h)
 
-    stations = chart.xs.copy()
-    levels = 1
-    if resolution is not None:
-        if resolution <= 0:
-            raise GeometryError("resolution must be positive")
-        refined = [stations[0]]
-        for x0, x1 in zip(stations[:-1], stations[1:]):
-            pieces = max(1, int(math.ceil((x1 - x0) / resolution - 1e-12)))
-            refined.extend(x0 + (x1 - x0) * (np.arange(1, pieces + 1) / pieces))
-        stations = np.array(refined)
-        mean_thick = float(np.mean(chart(stations) - base))
-        levels = max(1, int(math.ceil(mean_thick / resolution - 1e-12)))
-
+    # column index to x, piecewise linear: chart piece i spans columns knots[i..i+1]
+    knots = np.concatenate([[0], np.cumsum(pieces)])
+    stations = np.interp(np.arange(knots[-1] + 1), knots, chart.xs)
     if (chart(stations) - base <= 0).any():
         raise GeometryError("collar base must stay strictly below the graph")
 
@@ -561,75 +564,46 @@ def build_straightening(
     if not domain.contains(probe).all():
         raise GeometryError("collar of this depth leaves the domain")
 
-    smap = StraighteningMap(domain, chart, base, stations, levels)
-    if (smap.dets <= 0).any():
-        raise GeometryError("straightening pieces must preserve orientation")
-    return smap
+    return StraighteningMap(domain, chart, base, stations, int(levels), float(h))
 
 
-def _segments_of(domain: PolygonDomain, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """First polygon segment holding both endpoints of each edge (p[k], q[k])."""
-    v1, v2 = domain.segment_points()
-    d = v2 - v1
+def build_matched_meshes(smap: StraighteningMap) -> tuple[TriangleMesh, TriangleMesh]:
+    """Node-matched meshes of the source domain and its straightened image at ``smap.h``.
 
-    def on_segment(r):
-        w = r[:, None, :] - v1[None, :, :]
-        cross = d[:, 0] * w[..., 1] - d[:, 1] * w[..., 0]
-        t = np.sum(w * d, axis=2) / np.sum(d * d, axis=1)
-        return (np.abs(cross) <= 1e-9) & (t >= -1e-9) & (t <= 1 + 1e-9)
-
-    both = on_segment(p) & on_segment(q)
-    if not both.any(axis=1).all():
-        raise GeometryError("boundary edge does not lie on any polygon segment")
-    return both.argmax(axis=1)
-
-
-def build_matched_meshes(
-    smap: StraighteningMap, h: float
-) -> tuple[TriangleMesh, TriangleMesh]:
-    """Meshes of the source domain and its straightened image, node-matched.
-
-    Requires the chart to span a full horizontal side of the domain with a
-    rectangular remainder below the collar (the catalog square and sawtooth
+    Requires the chart to span a full horizontal side of the domain over a
+    rectangular remainder: the two polygon vertices off the chart are the
+    bottom corners below the chart's ends (the catalog square and sawtooth
     domains qualify).  Both meshes are one structured grid: a lower grid of
-    spacing about ``h`` fills the remainder up to the base line, and the
+    spacing at most h fills the remainder up to the base line, and the
     collar nodes of ``smap.nodes()`` stand on its top row.  Every cell splits
     as ``_CELL_SPLIT`` says, so the collar triangles are the straightening
     pieces in piece order.  The source mesh takes the source node positions,
     the image mesh the image positions (the lower grid is the same in both),
-    and the connectivity is identical.
+    and the connectivity is identical.  A grid over the mesher's node budget
+    raises ``MeshingError`` before it is allocated.
     """
-    dom = smap.domain
-    chart = smap.chart
+    dom, chart, h = smap.domain, smap.chart, smap.h
     x0, x1 = chart.xs[0], chart.xs[-1]
 
-    # Validate the rectangular remainder: the non-chart boundary must be the
-    # path (x1, psi(x1)) down to (x1, yb), across to (x0, yb), up to (x0, psi(x0)).
-    chart_pts = {(round(float(x), 12), round(float(chart(x)), 12)) for x in chart.xs}
-    others = [
-        v
-        for v in dom.vertices
-        if (round(float(v[0]), 12), round(float(v[1]), 12)) not in chart_pts
-    ]
+    # With k0 the bottom-left corner (the chart's first piece ends at k0 - 1), the bottom
+    # is segment k0, the right side k0 + 1, the left side k0 - 1; the chart covers the rest.
+    n = dom.n_segments
+    k0 = (chart.segment_ids[0] + 2) % n
+    sides = (k0 + np.arange(-1, 2)) % n
+    yb = float(dom.vertices[k0, 1])
     if not (
-        len(others) == 2
-        and math.isclose(others[0][1], others[1][1], abs_tol=1e-12)
-        and {round(float(o[0]), 12) for o in others} == {round(float(x0), 12), round(float(x1), 12)}
-        and others[0][1] < smap.base
+        np.array_equal(np.sort(np.concatenate([chart.segment_ids, sides])), np.arange(n))
+        and np.allclose(dom.vertices[sides[1:]], [[x0, yb], [x1, yb]], rtol=0, atol=1e-12)
+        and yb < smap.base
     ):
         raise GeometryError(
             "matched meshing needs a full-width chart over a rectangular remainder"
         )
-    yb = float(others[0][1])
-
-    if len(smap.dets) < 4 and h < (x1 - x0):
-        raise GeometryError(
-            "straightening was built without resolution; rebuild with resolution=h"
-        )
-
     stations = smap.stations
     nx = stations.size
-    nrow_lower = max(1, int(math.ceil((smap.base - yb) / h - 1e-12)))
+    rows = np.ceil((smap.base - yb) / h - 1e-12)
+    _check_budget(nx * (rows + 1 + smap.levels), h)
+    nrow_lower = max(1, int(rows))
     ys_lower = yb + (smap.base - yb) * np.arange(nrow_lower + 1) / nrow_lower
 
     # Node ids: the lower grid column by column, then collar levels 1..levels
@@ -654,20 +628,18 @@ def build_matched_meshes(
     mids = 0.5 * (stations[1:] + stations[:-1])
     parents = np.concatenate(
         [
-            _segments_of(dom, pre[bottom[:, 0]], pre[bottom[:, 1]]),
-            _segments_of(dom, pre[right[:, 0]], pre[right[:, 1]]),
-            chart.segment_ids[chart.piece_of(mids[::-1])],
-            _segments_of(dom, pre[left[:, 0]], pre[left[:, 1]]),
+            np.full(len(bottom), sides[1]),
+            np.full(len(right), sides[2]),
+            chart.segment_ids[np.searchsorted(chart.xs, mids[::-1]) - 1],
+            np.full(len(left), sides[0]),
         ]
     )
     normals_pre = dom.segment_normals()[parents]
 
-    mesh_pre = TriangleMesh(pre, tris, edges, parents, normals_pre, float(h))
+    mesh_pre = TriangleMesh(pre, tris, edges, parents, normals_pre, h)
 
     d_post = post[edges[:, 1]] - post[edges[:, 0]]
     normals_post = np.stack([d_post[:, 1], -d_post[:, 0]], axis=1)
     normals_post /= np.linalg.norm(normals_post, axis=1)[:, None]
-    mesh_post = TriangleMesh(
-        post, tris.copy(), edges.copy(), parents.copy(), normals_post, float(h)
-    )
+    mesh_post = TriangleMesh(post, tris.copy(), edges.copy(), parents.copy(), normals_post, h)
     return mesh_pre, mesh_post

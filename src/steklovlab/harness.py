@@ -32,8 +32,8 @@ become lists.  Schema (defaults in parentheses):
     blend.width             boundary-blend collar width (0.1)
     moll.scales             mollification scales, positive and strictly
                             decreasing (0.16,0.08,0.04,0.02)
-    collar.depth            straightening collar depth (0.2)
-    collar.resolution       straightening piece resolution (optional)
+    collar.depth            straightening collar depth (0.2); the collar
+                            grid follows the last mesh.levels entry
     bem.panels-per-edge     Nystrom panels per polygon edge (boundary route)
     bem.count               leading Steklov/ND pairs compared, at least 1 (20)
 
@@ -45,8 +45,9 @@ A key outside this schema is ignored.  The ``mesh``, ``solve``, ``weyl`` and
 Config errors raise: a missing key, a value of the wrong type or out of
 range, an unknown catalog entry or parameter, or a coefficient whose W±
 overflows ends ``run_experiment`` in ``HarnessError`` (or the catalog's
-``GeometryError``/``AssemblyError``, or ``WeylError``) before the first stage
-starts, and nothing is written.  Once a stage has started, every experiment
+``GeometryError``/``AssemblyError``, or ``WeylError``; a collar grid alone
+over the node budget in ``MeshingError``) before the first stage starts, and
+nothing is written.  Once a stage has started, every experiment
 turns a failure into ``report.error`` and writes a partial ``report.json``
 (and no CSV or SVG) holding what was computed up to the failure; so does a
 failure to render the CSV or SVG artifacts.
@@ -485,21 +486,15 @@ def _bilipschitz_invariance(cfg: ExperimentConfig, report: Report, stage) -> Non
     tol = cfg.get_float("tolerance.invariance", 1e-8)
     report.tolerances = {"invariance": tol}
     domain = _domain_from(cfg)
-    if not domain.charts:
-        raise HarnessError(f"domain {domain.name!r} carries no boundary chart")
     depth = cfg.get_float("collar.depth", 0.2)
-    resolution = cfg.get_float("collar.resolution", None)
     h = cfg.mesh_levels()[-1]
     coeff = _coeff_from(cfg)
-    smap = geometry.build_straightening(domain, domain.charts[0], depth, resolution=resolution)
-    pulled = assembly.pullback_coefficients(coeff, smap)
+    smap = geometry.build_straightening(domain, depth, h)
     with stage("mesh"):
-        mesh_pre, mesh_post = geometry.build_matched_meshes(smap, h)
-    if not np.array_equal(mesh_pre.triangles, mesh_post.triangles):
-        raise HarnessError("matched meshes disagree on connectivity")
+        mesh_pre, mesh_post = geometry.build_matched_meshes(smap)
     with stage("assembly"):
         forms_pre = assembly.assemble_forms(mesh_pre, coeff)
-        forms_post = assembly.assemble_forms(mesh_post, pulled)
+        forms_post = assembly.assemble_forms(mesh_post, assembly.pullback_coefficients(coeff, smap))
     with stage("solve"):
         spec_pre = eigensolve.solve_dense(forms_pre.A, forms_pre.B)
         spec_post = eigensolve.solve_dense(forms_post.A, forms_post.B)

@@ -197,6 +197,20 @@ def test_catalog_rejects_unknown():
         checkerboard(cell=-1.0)
 
 
+@pytest.mark.parametrize(
+    "make,name,params",
+    [
+        (assembly.make_potential, "bump", {"center": 1}),
+        (assembly.make_potential, "bump", {"center": [0.5, 0.5, 9]}),  # 9 was dropped
+        (make_matrix_field, "checkerboard", {"cell": 0.2, "origin": 0}),
+        (make_matrix_field, "checkerboard", {"cell": 0.2, "origin": [0.5, 0.5, 9]}),
+    ],
+)
+def test_point_parameters_need_exactly_two_numbers(make, name, params):
+    with pytest.raises(AssemblyError, match=rf"{name} needs \w+ as two numbers \(x, y\)"):
+        make(name, **params)
+
+
 def test_per_segment_weight_needs_a_value_per_segment(square_mesh):
     rho = assembly.make_weight("per-segment", values=5.0)  # a config's ``rho.values = 5``
     with pytest.raises(AssemblyError, match="no value"):
@@ -217,8 +231,8 @@ def test_assembly_guards(square_mesh):
 
 def test_pullback_preserves_energy_integrals():
     dom = geometry.make_domain("sawtooth-square")
-    smap = geometry.build_straightening(dom, dom.charts[0], 0.2)
-    src, img = geometry.build_matched_meshes(smap, 0.125)
+    smap = geometry.build_straightening(dom, 0.2, 0.125)
+    src, img = geometry.build_matched_meshes(smap)
     coeff = _cf(
         a=rotated_diagonal(p=2.0, q=1.0, angle=0.2), v0=constant_potential(1.0)
     )

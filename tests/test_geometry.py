@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from steklovlab import geometry
-from steklovlab._mesher import MIN_ANGLE_DEG
+from steklovlab._mesher import DIAMETER_FACTOR, MIN_ANGLE_DEG
 from steklovlab.geometry import GeometryError, make_domain, triangulate
 
 
@@ -43,6 +43,18 @@ def test_unknown_domain_rejected():
 def test_catalog_rejects_non_integer_counts(name, params):
     with pytest.raises(GeometryError, match=name):
         make_domain(name, **params)
+
+
+@pytest.mark.parametrize("name,key", [
+    ("regular-ngon", "radius"),  # -1 would give the reflected 64-gon
+    ("koch-prefractal", "side"),  # -1 would give the reflected snowflake
+    ("square", "side"),
+    ("lshape", "size"),
+])
+@pytest.mark.parametrize("value", [-1.0, 0.0])
+def test_catalog_rejects_non_positive_lengths(name, key, value):
+    with pytest.raises(GeometryError, match=f"{name} needs a positive {key}"):
+        make_domain(name, **{key: value})
 
 
 def test_scaled_similarity():
@@ -260,8 +272,8 @@ def test_triangulate_deterministic(square_domain):
 
 def test_straightening_matched_meshes():
     dom = make_domain("sawtooth-square")
-    smap = geometry.build_straightening(dom, dom.charts[0], 0.2)
-    src, img = geometry.build_matched_meshes(smap, 0.1)
+    smap = geometry.build_straightening(dom, 0.2, 0.1)
+    src, img = geometry.build_matched_meshes(smap)
     # identical connectivity, bijective node map
     assert np.array_equal(src.triangles, img.triangles)
     assert src.n_nodes == img.n_nodes
@@ -279,7 +291,7 @@ def test_straightening_matched_meshes():
 
 def test_straightening_pull_inverts_every_piece():
     dom = make_domain("sawtooth-square")
-    smap = geometry.build_straightening(dom, dom.charts[0], 0.25, resolution=0.06)
+    smap = geometry.build_straightening(dom, 0.25, 0.06)
     pre, post = smap.nodes()
     # Reference loop: half s of cell (i, j) is piece 2(i·levels + j) + s,
     # half 0 below the cell's lower-left to upper-right diagonal.
@@ -303,4 +315,30 @@ def test_straightening_pull_inverts_every_piece():
 def test_straightening_collar_guard():
     dom = make_domain("sawtooth-square")
     with pytest.raises(GeometryError):
-        geometry.build_straightening(dom, dom.charts[0], -0.1)
+        geometry.build_straightening(dom, -0.1, 0.1)
+    with pytest.raises(GeometryError, match="chart"):
+        geometry.build_straightening(make_domain("lshape"), 0.2, 0.1)
+    # the collar grid alone would take ~3e11 nodes; refused before allocation
+    with pytest.raises(geometry.MeshingError, match="budget"):
+        geometry.build_straightening(dom, 0.25, 1e-6)
+    # a sloped bottom, and an extra bottom vertex, leave no rectangular remainder
+    sloped = [[0, 0], [1, 0.1], [1, 1], [0, 1]]
+    for verts in (sloped, [[0, 0], [0.5, -0.1], [1, 0], [1, 1], [0, 1]]):
+        top = len(verts) - 2
+        dom = geometry.PolygonDomain(
+            np.array(verts, dtype=float),
+            charts=[geometry.LipschitzChart(np.array([0.0, 1.0]), np.ones(2), np.array([top]))],
+        )
+        smap = geometry.build_straightening(dom, 0.2, 0.1)
+        with pytest.raises(GeometryError, match="rectangular remainder"):
+            geometry.build_matched_meshes(smap)
+
+
+@pytest.mark.parametrize("name", ["square", "sawtooth-square"])
+@pytest.mark.parametrize("h", [0.06, 0.125])
+def test_matched_source_mesh_keeps_the_mesher_edge_bound(name, h):
+    # the collar grid follows h, so no source edge exceeds what triangulate allows
+    smap = geometry.build_straightening(make_domain(name), 0.25, h)
+    src, _ = geometry.build_matched_meshes(smap)
+    assert src.h == h
+    assert src.edge_lengths().max() <= DIAMETER_FACTOR * h

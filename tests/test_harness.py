@@ -8,6 +8,7 @@ import json
 import math
 import re
 import shlex
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -15,10 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steklovlab import cli, harness
+from steklovlab import cli, geometry, harness
 from steklovlab.assembly import AssemblyError
 from steklovlab.eigensolve import spectrum_from_csv
-from steklovlab.geometry import GeometryError
+from steklovlab.geometry import GeometryError, MeshingError
 from steklovlab.harness import (
     ExperimentConfig,
     HarnessError,
@@ -250,19 +251,35 @@ def test_weyl_run_writes_outputs_and_is_reproducible(tmp_path):
 
 
 def test_straightened_collar_run_detects_weight_misuse(tmp_path):
+    for name in ("sawtooth-square", "square"):
+        cfg = ExperimentConfig.from_text(
+            f"""
+            experiment = bilipschitz-invariance
+            domain.name = {name}
+            mesh.levels = 0.06
+            collar.depth = 0.25
+            """
+        )
+        rep = run_experiment(cfg, str(tmp_path / name))
+        assert rep.passed, name
+        assert rep.fitted["max_relative_gap"] < 1e-8
+        assert rep.summary["misuse_detectable"] is True
+        assert rep.summary["misuse_gap"] > 0.1
+
+
+def test_collar_grid_over_the_node_budget_fails_in_the_mesh_stage(tmp_path):
+    # the matched grid would take ~1.07e6 nodes; it is refused before any of
+    # it is allocated
     cfg = ExperimentConfig.from_text(
-        """
-        experiment = bilipschitz-invariance
-        domain.name = sawtooth-square
-        mesh.levels = 0.06
-        collar.depth = 0.25
-        """
+        "experiment = bilipschitz-invariance\ndomain.name = sawtooth-square\n"
+        "mesh.levels = 1e-3\ncollar.depth = 0.25\n"
     )
+    t0 = time.perf_counter()
     rep = run_experiment(cfg, str(tmp_path))
-    assert rep.passed
-    assert rep.fitted["max_relative_gap"] < 1e-8
-    assert rep.summary["misuse_detectable"] is True
-    assert rep.summary["misuse_gap"] > 0.1
+    assert time.perf_counter() - t0 < 1.0
+    assert rep.error.startswith("MeshingError") and "budget" in rep.error
+    assert list(rep.provenance["timings"]) == ["mesh", "total"]
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 # A mesh size far below the domain span passes config reading and fails
@@ -578,8 +595,8 @@ def test_weyl_verification_needs_a_predicted_branch(tmp_path):
 
 
 # Schema keys of the harness docstring, catalog parameters, keys the harness
-# no longer reads (coeff.a.interior, coeff.a.base, blend.sweep, moll.floor),
-# and junk.
+# no longer reads (coeff.a.interior, coeff.a.base, blend.sweep, moll.floor,
+# collar.resolution), and junk.
 FUZZ_KEYS = (
     "seed", "output.dir", "domain.name", "domain.n", "domain.radius", "domain.side",
     "domain.notch", "domain.teeth", "domain.slope", "domain.level", "domain.bogus",
@@ -595,7 +612,7 @@ FUZZ_KEYS = (
 INT_KEYS = ("seed", "tail.kmin", "tail.kmax", "bem.count", "bem.panels-per-edge")
 FLOAT_KEYS = (
     "tolerance.deviation", "tolerance.pair", "tolerance.drift", "tolerance.invariance",
-    "blend.width", "collar.depth", "collar.resolution",
+    "blend.width", "collar.depth",
 )
 LIST_KEYS = ("mesh.levels", "moll.scales")
 WORDS = (
@@ -610,6 +627,7 @@ _scalar = st.one_of(
     st.sampled_from(WORDS),
 )
 _value = st.one_of(_scalar, st.lists(_scalar, min_size=2, max_size=4).map(", ".join))
+_length = st.one_of(_value, st.floats(0.0, 2.0, exclude_min=True).map(repr))
 
 
 def _value_or_typed_error(fn, *args):
@@ -633,9 +651,10 @@ def _value_or_typed_error(fn, *args):
         _value,
     ),
     entries=st.dictionaries(st.sampled_from(FUZZ_KEYS), _value, max_size=8),
+    collar=st.tuples(_length, _length),
 )
 @settings(derandomize=True, max_examples=300, deadline=None)
-def test_config_surface_raises_only_typed_errors(experiment, entries):
+def test_config_surface_raises_only_typed_errors(experiment, entries, collar):
     text = "\n".join(f"{k} = {v}" for k, v in {"experiment": experiment, **entries}.items())
     cfg = _value_or_typed_error(ExperimentConfig.from_text, text)
     if cfg is None:
@@ -648,6 +667,23 @@ def test_config_surface_raises_only_typed_errors(experiment, entries):
     for key in LIST_KEYS:
         _value_or_typed_error(cfg.get_floats, key, [])
     _value_or_typed_error(harness._tail, cfg)
-    _value_or_typed_error(harness._domain_from, cfg)
+    domain = _value_or_typed_error(harness._domain_from, cfg)
     _value_or_typed_error(harness._coeff_from, cfg)
     _value_or_typed_error(harness._matrix_from, cfg, "interior.a")
+    # The straightening builders on both charted catalog domains and on the
+    # fuzzed domain if it is charted.  A fuzzed config almost never holds a
+    # valid mesh.levels, so the collar depth and mesh levels come separately.
+    charted = [geometry.make_domain("square"), geometry.make_domain("sawtooth-square")]
+    if domain is not None and domain.charts:
+        charted.append(domain)
+    for dom in charted:
+        try:
+            sized = ExperimentConfig.from_text(
+                "collar.depth = {}\nmesh.levels = {}".format(*collar)
+            )
+            smap = geometry.build_straightening(
+                dom, sized.get_float("collar.depth", 0.2), sized.mesh_levels()[-1]
+            )
+            geometry.build_matched_meshes(smap)
+        except (GeometryError, MeshingError, HarnessError):
+            pass

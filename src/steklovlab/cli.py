@@ -47,7 +47,7 @@ def cmd_mesh(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _config(args)
     dom = harness._domain_from(cfg)
-    coeff = harness._coeff_from(cfg)
+    coeff = harness._coeff_from(cfg, dom)
     mesh = geometry.triangulate(dom, cfg.mesh_levels()[-1])
     forms = assembly.assemble_forms(mesh, coeff)
     spec = eigensolve.solve_dense(forms.A, forms.B)
@@ -64,7 +64,7 @@ def cmd_solve(args) -> int:
 def cmd_weyl(args) -> int:
     cfg = _config(args)
     dom = harness._domain_from(cfg)
-    wd = weyl.weyl_coefficient(dom, harness._coeff_from(cfg))
+    wd = weyl.weyl_coefficient(dom, harness._coeff_from(cfg, dom))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(wd.to_csv())

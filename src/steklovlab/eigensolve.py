@@ -5,16 +5,14 @@ weight matrix; the eigenvalues μ are the Rayleigh-quotient spectrum of
 weight/energy.  B is boundary-supported, so at most ``boundary_rank(B)`` of
 the n eigenvalues are nonzero; the other n − nb are structural zeros.
 
-Both solvers share one condensation onto the nb weighted nodes: one sparse LU
-of A with those nodes last, whose trailing block is the Cholesky factor of the
-Schur complement S = A_bb − A_bi A_ii⁻¹ A_ib (the discrete
-Dirichlet-to-Neumann map) and whose pivots are the one SPD check; neither
-forms the n × n pencil densely.  ``solve_dense`` eigendecomposes the
-nb × nb pencil (B_bb, S) and lifts each eigenvector back to all n unknowns
-by one backward substitution, so it returns every nonzero pair of both
-branches with residuals on the full pencil.  ``solve_steklov`` returns the
-eigenvalues σ of S against B_bb alone, the pure Steklov spectrum of an
-energy without potential (v0 = 0).
+``solve_dense`` condenses the pencil onto the nb weighted nodes: one sparse
+LU of A with those nodes last, whose trailing block is the Cholesky factor of
+the Schur complement S = A_bb − A_bi A_ii⁻¹ A_ib (the discrete
+Dirichlet-to-Neumann map) and whose pivots are the one SPD check; the n × n
+pencil is never formed densely.  It eigendecomposes the nb × nb pencil
+(B_bb, S) and lifts each eigenvector back to all n unknowns by one backward
+substitution, so it returns every nonzero pair of both branches with
+residuals on the full pencil.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ __all__ = [
     "TailEstimate",
     "boundary_rank",
     "solve_dense",
-    "solve_steklov",
     "counting",
     "tail_window",
     "tail_coefficient",
@@ -132,17 +129,16 @@ def _splu(M, permc_spec):
     )
 
 
-def _condense(A, B, semidefinite=False):
-    """Condense A onto the weighted nodes: the Cholesky factor of the one
-    Schur complement behind both solvers.
+def _condense(A, B):
+    """Condense A onto the weighted nodes: the Cholesky factor of the Schur
+    complement behind ``solve_dense``.
 
     Nodes split by the row support of B into weighted (b, nb of them) and
     interior (i), ordered by a first sparse LU of A_ii.  One sparse LU of A
     with the weighted nodes last is L D Lᵀ, whose trailing block gives
     S = A_bb − A_bi A_ii⁻¹ A_ib = G Gᵀ with G = L_bb √D_bb.  By Sylvester's
-    law A is SPD exactly when it keeps the order with positive pivots; with
-    ``semidefinite`` (kernel: the constants) the last may be zero up to
-    rounding.  Returns G, the sparse B_bb and the lift that extends boundary
+    law A is SPD exactly when it keeps the order with positive pivots.
+    Returns G, the sparse B_bb and the lift that extends boundary
     columns x_b to all n unknowns, x_i = −A_ii⁻¹ A_ib x_b = −L_ii⁻ᵀ L_biᵀ x_b,
     one backward substitution.  Raises ``EigensolveError`` when A is not SPD
     or nb exceeds ``DENSE_DIMENSION_CAP`` (a memory guard: the work arrays
@@ -164,14 +160,13 @@ def _condense(A, B, semidefinite=False):
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise EigensolveError("energy matrix is not SPD (singular)") from exc
     pivots = lu.U.diagonal()
-    zero = ZERO_THRESHOLD_REL * pivots.max() if semidefinite else 0.0  # last pivot only
     kept = np.arange(n)
     ordered = np.array_equal(lu.perm_r, kept) and np.array_equal(lu.perm_c, kept)
-    if not ordered or np.any(pivots[:-1] <= 0) or pivots[-1] <= -zero:
+    if not ordered or np.any(pivots <= 0):
         raise EigensolveError("energy matrix is not SPD")
     L = lu.L
     del lu
-    G = L[ni:, ni:].toarray() * np.sqrt(np.maximum(pivots[ni:], 0.0))
+    G = L[ni:, ni:].toarray() * np.sqrt(pivots[ni:])
     L_ii_T, L_bi_T = L[:ni, :ni].T, L[ni:, :ni].T
     L_ii_T.sort_indices()  # spsolve_triangular copies it per call; sorted, the copy needs no sort
 
@@ -214,24 +209,6 @@ def solve_dense(A, B) -> Spectrum:
     spec = _split_branches(w, res, zero_threshold, nb)
     spec.n_dropped += A.shape[0] - nb
     return spec
-
-
-def solve_steklov(K, B) -> np.ndarray:
-    """Ascending Steklov eigenvalues σ of K u = σ B u: the eigenvalues of the
-    discrete Dirichlet-to-Neumann map S = GGᵀ against the boundary mass B_bb.
-
-    ``K`` is the energy matrix without potential, positive semidefinite with
-    the constants as its kernel, and ``B`` a boundary weight, positive
-    definite on the weighted nodes; σ₀ ≈ 0 is the constant mode.  The factor
-    G and its pivot check are ``solve_dense``'s, with the last pivot allowed
-    to vanish.  Raises ``EigensolveError`` as ``_condense`` does (K not
-    positive semidefinite), or when B_bb is not positive definite (a
-    sign-indefinite weight)."""
-    G, B_bb, _ = _condense(_as_csr(K), _as_csr(B), semidefinite=True)
-    try:
-        return sla.eigh(G @ G.T, B_bb.toarray(), eigvals_only=True)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveError("boundary weight is not positive definite") from exc
 
 
 def counting(spec: Spectrum, lam: float, sign: str = "+") -> int:

@@ -547,7 +547,8 @@ def build_straightening(domain: PolygonDomain, collar_depth: float, h: float) ->
         raise GeometryError("collar depth and mesh size h must be positive")
     chart = domain.charts[0]
     base = float(chart.values.min()) - float(collar_depth)
-    pieces = np.maximum(1, np.ceil(np.diff(chart.xs) / h - 1e-12))
+    with np.errstate(over="ignore"):  # a tiny h gives inf columns, which the budget refuses
+        pieces = np.maximum(1, np.ceil(np.diff(chart.xs) / h - 1e-12))
     levels = max(1, np.ceil((float(chart.values.max()) - base) / h - 1e-12))
     _check_budget(float(pieces.sum() + 1) * float(levels + 1), h)
 

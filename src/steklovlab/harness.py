@@ -43,7 +43,10 @@ A key outside this schema is ignored.  The ``mesh``, ``solve``, ``weyl`` and
 ``KEY=VALUE`` arguments; they need no ``experiment``.
 
 Config errors raise: a missing key, a value of the wrong type or out of
-range, an unknown catalog entry or parameter, or a coefficient whose W±
+range, an unknown catalog entry or parameter, a ``rho.values`` list without
+exactly one value per domain segment, a weight that predicts no positive
+branch (W+ = 0) in the boundary-only, mollification or bilipschitz
+experiment, which read only that branch, or a coefficient whose W±
 overflows ends ``run_experiment`` in ``HarnessError`` (or the catalog's
 ``GeometryError``/``AssemblyError``, or ``WeylError``; a collar grid alone
 over the node budget in ``MeshingError``) before the first stage starts, and
@@ -240,12 +243,30 @@ def _matrix_from(cfg: ExperimentConfig, prefix="coeff.a") -> assembly.MatrixFiel
     return assembly.make_matrix_field(cfg.get(prefix, "constant"), **cfg.group(prefix))
 
 
-def _coeff_from(cfg: ExperimentConfig) -> assembly.CoefficientField:
+def _coeff_from(cfg: ExperimentConfig, domain) -> assembly.CoefficientField:
+    """The configured coefficients; a per-segment weight needs exactly one
+    value per segment of ``domain``."""
     a = _matrix_from(cfg)
     v0 = assembly.make_potential(cfg.get("coeff.v0", "constant"), **cfg.group("coeff.v0"))
     params = cfg.group("rho")
     rho = assembly.make_weight(params.pop("name", "constant"), **params)
+    if rho.name == "per-segment":
+        count = len(np.atleast_1d(params["values"]))
+        if count != domain.n_segments:
+            raise HarnessError(
+                f"rho.values needs one value per segment of {domain.name} "
+                f"({domain.n_segments}, got {count})"
+            )
     return assembly.CoefficientField(a=a, v0=v0, rho=rho)
+
+
+def _positive_branch(domain, coeff) -> weyl.WeylData:
+    """W± of ``coeff`` for an experiment that reads only the positive branch,
+    which W+ = 0 leaves empty."""
+    wd = weyl.weyl_coefficient(domain, coeff)
+    if wd.w_plus == 0:
+        raise HarnessError("rho predicts no positive branch (W+ = 0): nothing to compare")
+    return wd
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +373,7 @@ def _weyl_verification(cfg: ExperimentConfig, report: Report, stage) -> None:
     tol = cfg.get_float("tolerance.deviation", 0.10)
     report.tolerances = {"deviation": tol}
     domain = _domain_from(cfg)
-    coeff = _coeff_from(cfg)
+    coeff = _coeff_from(cfg, domain)
     levels = cfg.mesh_levels()
     tail = _tail(cfg)
     wd = weyl.weyl_coefficient(domain, coeff)
@@ -382,7 +403,7 @@ def _boundary_only_dependence(cfg: ExperimentConfig, report: Report, stage) -> N
     tol = cfg.get_float("tolerance.deviation", 0.10)
     report.tolerances = {"deviation": tol}
     domain = _domain_from(cfg)
-    smooth = _coeff_from(cfg)
+    smooth = _coeff_from(cfg, domain)
     trace_field = smooth.a
     interior_field = _matrix_from(cfg, prefix="interior.a")
     width = cfg.get_float("blend.width", 0.1)
@@ -416,7 +437,7 @@ def _boundary_only_dependence(cfg: ExperimentConfig, report: Report, stage) -> N
     ).max()
     report.summary["interior_contrast"] = float(contrast)
 
-    wd = weyl.weyl_coefficient(domain, smooth)
+    wd = _positive_branch(domain, smooth)
     report.weyl_data = wd
     report.predicted = {"w_plus": wd.w_plus, "w_minus": wd.w_minus}
 
@@ -448,7 +469,8 @@ def _mollification_convergence(cfg: ExperimentConfig, report: Report, stage) -> 
     tol = cfg.get_float("tolerance.drift", 0.02)
     report.tolerances = {"drift": tol, "monotone_slack": 0.02}
     domain = _domain_from(cfg)
-    coeff0 = _coeff_from(cfg)
+    coeff0 = _coeff_from(cfg, domain)
+    _positive_branch(domain, coeff0)
     scales = _positive_decreasing(
         "moll.scales", cfg.get_floats("moll.scales", [0.16, 0.08, 0.04, 0.02])
     )
@@ -488,7 +510,8 @@ def _bilipschitz_invariance(cfg: ExperimentConfig, report: Report, stage) -> Non
     domain = _domain_from(cfg)
     depth = cfg.get_float("collar.depth", 0.2)
     h = cfg.mesh_levels()[-1]
-    coeff = _coeff_from(cfg)
+    coeff = _coeff_from(cfg, domain)
+    _positive_branch(domain, coeff)
     smap = geometry.build_straightening(domain, depth, h)
     with stage("mesh"):
         mesh_pre, mesh_post = geometry.build_matched_meshes(smap)
@@ -508,9 +531,10 @@ def _bilipschitz_invariance(cfg: ExperimentConfig, report: Report, stage) -> Non
 
     # negative control: drop the boundary length factor from the pulled-back
     # weight, which must visibly move the spectrum
-    misuse = assembly.pullback_coefficients(coeff, smap, omit_boundary_jacobian=True)
-    bad = assembly.assemble_forms(mesh_post, misuse)
-    spec_bad = eigensolve.solve_dense(bad.A, bad.B)
+    with stage("control"):
+        misuse = assembly.pullback_coefficients(coeff, smap, omit_boundary_jacobian=True)
+        bad = assembly.assemble_forms(mesh_post, misuse)
+        spec_bad = eigensolve.solve_dense(bad.A, bad.B)
     kb = min(k, len(spec_bad.positive))
     ref = spec_pre.positive[:kb]
     misuse_gap = float(np.max(np.abs(ref - spec_bad.positive[:kb]) / ref))
@@ -554,8 +578,11 @@ def _bem_crosscheck(cfg: ExperimentConfig, report: Report, stage) -> None:
 
     def fem_at(h: float):
         forms = assembly.assemble_forms(geometry.triangulate(domain, h), coeff)
-        # σ₀ ≈ 0 is the constant mode, which the ND map has no partner for
-        return 1.0 / eigensolve.solve_steklov(forms.A, forms.B)[1 : k + 4]
+        # K u = σ B u exactly when (K + B) u = (1 + σ) B u, and K + B is SPD:
+        # μ = 1/(1 + σ) and the ND value 1/σ = μ/(1 − μ).  μ₀ = 1 (σ₀ = 0) is
+        # the constant mode, which the ND map has no partner for.
+        mu = eigensolve.solve_dense(forms.A + forms.B, forms.B).positive[1 : k + 4]
+        return mu / (1.0 - mu)
 
     with stage("fem"):
         fem = fem_at(levels[-1])

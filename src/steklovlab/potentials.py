@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,7 +335,9 @@ def nd_operator(op: NystromOperator) -> NDResult:
     A.flat[:: A.shape[0] + 1] += 0.5  # A = ½I + D̂*, in place
     # |A| row-major, as the out-of-place ½I + D̂* is, so ‖A‖₁ rounds alike
     anorm = max(float(np.abs(A, order="C").sum(axis=0).max()), 0.5)
-    factor = sla.lu_factor(A, overwrite_a=True, check_finite=False)
+    with warnings.catch_warnings():  # an exactly singular A: the condition check reports it
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        factor = sla.lu_factor(A, overwrite_a=True, check_finite=False)
     cond = _condition(factor[0], anorm)
     if cond > CONDITION_LIMIT:
         raise PotentialsError(

@@ -1,9 +1,9 @@
 """Pencil eigensolver: exactness on diagonal pencils, the condensed dense
-solve against a full generalized eigh on small meshes, the SPD guard of
-both solvers, the condensed factor and lift against a dense Schur
-complement, the Bessel-quotient oracle on a disk, the disk's Steklov
-spectrum from the condensed Dirichlet-to-Neumann map, counting and
-tail-extraction semantics, and the CSV round trip."""
+solve against a full generalized eigh on small meshes, the SPD guard, the
+condensed factor and lift against a dense Schur complement, the
+Bessel-quotient oracle on a disk, the disk's Steklov spectrum from the
+shifted pencil, counting and tail-extraction semantics, and the CSV round
+trip."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from steklovlab.eigensolve import (
     boundary_rank,
     counting,
     solve_dense,
-    solve_steklov,
     spectrum_from_csv,
     spectrum_to_csv,
     tail_coefficient,
@@ -122,18 +121,11 @@ _NON_SPD_PENCILS = {
 }
 
 
-@pytest.mark.parametrize(
-    "make_pencil,solve",
-    [
-        pytest.param(make, solve, id=name + suffix)
-        for suffix, solve in (("", solve_dense), ("-steklov", solve_steklov))
-        for name, make in _NON_SPD_PENCILS.items()
-    ],
-)
-def test_non_spd_interior_block_raises(make_pencil, solve):
+@pytest.mark.parametrize("make_pencil", _NON_SPD_PENCILS.values(), ids=_NON_SPD_PENCILS)
+def test_non_spd_interior_block_raises(make_pencil):
     A, B = make_pencil()
     with pytest.raises(EigensolveError, match="SPD"):
-        solve(A, B)
+        solve_dense(A, B)
 
 
 def test_non_spd_schur_complement_raises():
@@ -147,9 +139,8 @@ def test_non_spd_schur_complement_raises():
     K[node, node] = -10.0
     K = K.tocsr()
     assert np.linalg.eigvalsh(K[interior][:, interior].toarray()).min() > 0
-    for solve in (solve_dense, solve_steklov):
-        with pytest.raises(EigensolveError, match="SPD"):
-            solve(K, B)
+    with pytest.raises(EigensolveError, match="SPD"):
+        solve_dense(K, B)
 
 
 def test_boundary_rank_counts_weighted_rows():
@@ -263,14 +254,22 @@ def test_disk_eigenvalues_match_bessel_quotients():
 
 
 # ---------------------------------------------------------------------------
-# Steklov spectrum of the condensed Dirichlet-to-Neumann map: on the unit
-# disk sigma_0 = 0 and sigma_{2m-1} = sigma_{2m} = m
+# Steklov spectrum from the shifted pencil: K u = sigma B u exactly when
+# (K + B) u = (1 + sigma) B u, so mu = 1/(1 + sigma); on the unit disk
+# sigma_0 = 0 and sigma_{2m-1} = sigma_{2m} = m
+
+
+def _steklov(domain, kw, h):
+    """Ascending Steklov eigenvalues sigma at v0 = 0, from the shifted pencil."""
+    _, K, B = _mesh_pencil(domain, kw, h, assembly.constant_weight(1.0), v0=0.0)
+    spec = solve_dense(K + B, B)
+    assert spec.negative.size == 0
+    assert np.all(spec.residuals_positive < DENSE_RESIDUAL_TOL)
+    return 1.0 / spec.positive - 1.0
 
 
 def test_steklov_eigenvalues_match_the_disk():
-    rho = assembly.constant_weight(1.0)
-    _, K, B = _mesh_pencil("regular-ngon", {"n": 96}, 0.05, rho, v0=0.0)
-    sigma = solve_steklov(K, B)
+    sigma = _steklov("regular-ngon", {"n": 96}, 0.05)
     assert np.all(np.diff(sigma) >= 0)
     assert abs(sigma[0]) < 1e-10
     want = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0])
@@ -283,20 +282,9 @@ def test_steklov_eigenvalues_match_the_disk():
     ids=["no-interior", "koch-l2"],
 )
 def test_steklov_accepts_the_constant_kernel(domain, kw, h):
-    # K is only semidefinite, and on these meshes its last pivot rounds to
-    # a tiny negative number; the check lets that one pivot be zero
-    _, K, B = _mesh_pencil(domain, kw, h, assembly.constant_weight(1.0), v0=0.0)
-    sigma = solve_steklov(K, B)
+    # K is singular on the constants, K + B is SPD: sigma_0 is the constant mode
+    sigma = _steklov(domain, kw, h)
     assert abs(sigma[0]) < 1e-10 and sigma[1] > 0.5
-    with pytest.raises(EigensolveError, match="SPD"):
-        solve_steklov(K - 1e-6 * B, B)
-
-
-def test_steklov_rejects_sign_indefinite_weight():
-    rho = assembly.segment_weight([1.0, 1.0, -1.0, -1.0])
-    _, K, B = _mesh_pencil("square", {}, 0.2, rho, v0=0.0)
-    with pytest.raises(EigensolveError, match="positive definite"):
-        solve_steklov(K, B)
 
 
 # ---------------------------------------------------------------------------

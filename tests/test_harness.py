@@ -126,6 +126,13 @@ def _schema_keys() -> set:
     return keys
 
 
+@contextlib.contextmanager
+def _halt(timings, name):
+    timings[name] = 0.0  # a stage has started, so the run writes its report
+    raise RuntimeError("halted at the first stage")
+    yield
+
+
 # Each experiment reads its whole config before its first stage.
 SCHEMA_RUNS = {
     "weyl-verification": "domain.name = square\n",
@@ -137,12 +144,6 @@ SCHEMA_RUNS = {
 
 
 def test_schema_docstring_lists_the_keys_the_harness_reads(tmp_path, monkeypatch):
-    @contextlib.contextmanager
-    def halt(timings, name):
-        timings[name] = 0.0  # a stage has started, so the run writes its report
-        raise RuntimeError("halted at the first stage")
-        yield
-
     groups = set()
     group = ExperimentConfig.group
 
@@ -150,7 +151,7 @@ def test_schema_docstring_lists_the_keys_the_harness_reads(tmp_path, monkeypatch
         groups.add(prefix)
         return group(self, prefix)
 
-    monkeypatch.setattr(harness, "_stage", halt)
+    monkeypatch.setattr(harness, "_stage", _halt)
     monkeypatch.setattr(ExperimentConfig, "group", recording_group)
     read = set()
     for name, extra in SCHEMA_RUNS.items():
@@ -265,6 +266,8 @@ def test_straightened_collar_run_detects_weight_misuse(tmp_path):
         assert rep.fitted["max_relative_gap"] < 1e-8
         assert rep.summary["misuse_detectable"] is True
         assert rep.summary["misuse_gap"] > 0.1
+        # the control's pullback, assembly and solve are a stage of their own
+        assert list(rep.provenance["timings"]) == ["mesh", "assembly", "solve", "control", "total"]
 
 
 def test_collar_grid_over_the_node_budget_fails_in_the_mesh_stage(tmp_path):
@@ -354,6 +357,41 @@ def test_outputs_are_rendered_before_any_is_written(tmp_path, monkeypatch):
     assert [p.name for p in broken.iterdir()] == ["report.json"]
     payload = json.loads((broken / "report.json").read_text())
     assert payload["error"] == rep.error and payload["passed"] is False
+
+
+FEM_EXPERIMENTS = (
+    "weyl-verification",
+    "boundary-only-dependence",
+    "mollification-convergence",
+    "bilipschitz-invariance",
+)
+# The square has four segments; a negative weight predicts W+ = 0, which only
+# weyl-verification (it also reads the negative branch) accepts.
+BAD_WEIGHTS = {
+    "five-values": ("rho.name = per-segment\nrho.values = 1, 1, 1, 1, 1\n", "rho.values"),
+    "three-values": ("rho.name = per-segment\nrho.values = 1, 1, 1\n", "rho.values"),
+    "negative": ("rho.value = -1\n", "W\\+ = 0"),
+}
+
+
+@pytest.mark.parametrize(
+    "experiment,weight",
+    [
+        pytest.param(experiment, weight, id=f"{experiment}-{weight}")
+        for experiment in FEM_EXPERIMENTS
+        for weight in BAD_WEIGHTS
+        if not (experiment == "weyl-verification" and weight == "negative")
+    ],
+)
+def test_weight_errors_raise_before_the_first_stage(tmp_path, monkeypatch, experiment, weight):
+    monkeypatch.setattr(harness, "_stage", _halt)
+    text, named = BAD_WEIGHTS[weight]
+    cfg = ExperimentConfig.from_text(
+        f"experiment = {experiment}\ndomain.name = square\nmesh.levels = 0.1\n{text}"
+    )
+    with pytest.raises(HarnessError, match=named):
+        run_experiment(cfg, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_runs_demand_their_required_keys():
@@ -668,7 +706,7 @@ def test_config_surface_raises_only_typed_errors(experiment, entries, collar):
         _value_or_typed_error(cfg.get_floats, key, [])
     _value_or_typed_error(harness._tail, cfg)
     domain = _value_or_typed_error(harness._domain_from, cfg)
-    _value_or_typed_error(harness._coeff_from, cfg)
+    _value_or_typed_error(harness._coeff_from, cfg, domain or geometry.make_domain("square"))
     _value_or_typed_error(harness._matrix_from, cfg, "interior.a")
     # The straightening builders on both charted catalog domains and on the
     # fuzzed domain if it is charted.  A fuzzed config almost never holds a

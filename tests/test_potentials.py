@@ -6,6 +6,7 @@ the in-place ND operator."""
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -157,8 +158,10 @@ def test_neumann_to_dirichlet_rejects_singular_system():
     # D* = Dᵀ = −½I cancels the ½I part, leaving ½I + D̂* at roundoff size
     op = build_layer_operators(geometry.make_domain("square"), 4)
     bad = dataclasses.replace(op, D=-0.5 * np.eye(op.n))
-    with pytest.raises(PotentialsError, match="near singular"):
-        nd_operator(bad)
+    with warnings.catch_warnings():  # the typed error, and no warning before it
+        warnings.simplefilter("error")
+        with pytest.raises(PotentialsError, match="near singular"):
+            nd_operator(bad)
 
 
 # ---------------------------------------------------------------------------

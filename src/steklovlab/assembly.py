@@ -89,7 +89,6 @@ class ScalarField:
 
     name: str
     fn: object
-    smooth: bool = True
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -445,7 +444,7 @@ def _check_spd_samples(a_field: MatrixField, samples: np.ndarray, points: np.nda
 
 
 def _quad_rule_for(coeff: CoefficientField):
-    if coeff.a.smooth and coeff.v0.smooth:
+    if coeff.a.smooth:
         return _BARY_MID, _W_MID
     return _BARY_FINE, _W_FINE
 
@@ -576,7 +575,7 @@ def pullback_coefficients(
     a_out = MatrixField(
         f"pullback({base_a.name})", a_fn, smooth=base_a.smooth, ellipticity=max(a_ell, 1e-12)
     )
-    v_out = ScalarField(f"pullback({base_v.name})", v_fn, smooth=base_v.smooth)
+    v_out = ScalarField(f"pullback({base_v.name})", v_fn)
 
     def rho_fn(parents, p0, p1):
         # the factor is the local boundary stretch: source over image length

@@ -35,7 +35,6 @@ __all__ = [
     "tail_window",
     "tail_coefficient",
     "spectrum_to_csv",
-    "spectrum_from_csv",
 ]
 
 DENSE_DIMENSION_CAP = 8000  # caps nb = boundary_rank(B)
@@ -280,31 +279,3 @@ def spectrum_to_csv(spec: Spectrum) -> str:
     for i, (mu, r) in enumerate(zip(spec.negative, spec.residuals_negative), 1):
         out.write(f"{i},-,{float(mu)!r},{float(r)!r}\n")
     return out.getvalue()
-
-
-def spectrum_from_csv(text: str) -> Spectrum:
-    """Inverse of ``spectrum_to_csv``; leading ``#`` comment lines (the
-    harness stamp) are skipped."""
-    pos, neg, rp, rn = [], [], [], []
-    lines = text.strip().splitlines()
-    while lines and lines[0].startswith("#"):
-        lines.pop(0)
-    if not lines or lines[0] != "index,branch,eigenvalue,residual":
-        raise EigensolveError("not a spectrum CSV")
-    for line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != 4 or fields[1] not in ("+", "-"):
-            raise EigensolveError(f"bad spectrum CSV row {line!r}")
-        try:
-            mu, r = float(fields[2]), float(fields[3])
-        except ValueError as exc:
-            raise EigensolveError(f"bad spectrum CSV row {line!r}") from exc
-        if fields[1] == "+":
-            pos.append(mu)
-            rp.append(r)
-        else:
-            neg.append(mu)
-            rn.append(r)
-    return Spectrum(
-        np.array(pos), np.array(neg), np.array(rp), np.array(rn), 0.0
-    )

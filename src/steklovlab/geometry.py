@@ -14,6 +14,7 @@ import io
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,14 @@ class PolygonDomain:
     def segment_points(self):
         """Pairs (p, q) for each boundary segment, CCW."""
         return self.vertices, np.roll(self.vertices, -1, axis=0)
+
+    def segment_nodes(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Points at the fractions ``t`` of every segment, segment by segment,
+        and the segment id of each point."""
+        p, q = self.segment_points()
+        t = np.asarray(t, dtype=float)[None, :, None]
+        pts = p[:, None, :] + t * (q - p)[:, None, :]
+        return pts.reshape(-1, 2), np.repeat(np.arange(self.n_segments), t.size)
 
     def segment_lengths(self) -> np.ndarray:
         p, q = self.segment_points()
@@ -458,8 +467,9 @@ class StraighteningMap:
     Every grid cell splits into two triangles as ``_CELL_SPLIT`` says, and the
     map is affine on each of these pieces: half s of cell (i, j) is piece
     ``2 (i·levels + j) + s``, ``jacobians[k]`` is the constant 2x2 Jacobian
-    on piece k and ``dets[k]`` its determinant.  Outside the collar the map
-    is the identity; the glue along the base line is continuous.
+    on piece k and ``dets[k]`` its determinant, both computed on first use.
+    Outside the collar the map is the identity; the glue along the base line
+    is continuous.
     """
 
     domain: PolygonDomain
@@ -468,18 +478,20 @@ class StraighteningMap:
     stations: np.ndarray
     levels: int
     h: float
-    jacobians: np.ndarray = field(init=False)
-    dets: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    @cached_property
+    def jacobians(self) -> np.ndarray:
         # On each piece, image = J (source - corner 0) + image corner 0; the
         # edge vectors from corner 0 are the columns of dpre and dpost.
         dpre, dpost = (
             np.stack([t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]], axis=2)
             for t in map(_cell_triangles, self.nodes())
         )
-        self.jacobians = dpost @ np.linalg.inv(dpre)
-        self.dets = np.linalg.det(self.jacobians)
+        return dpost @ np.linalg.inv(dpre)
+
+    @cached_property
+    def dets(self) -> np.ndarray:
+        return np.linalg.det(self.jacobians)
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Source and image positions of the collar nodes, each indexed

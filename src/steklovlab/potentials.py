@@ -67,28 +67,22 @@ class PanelSet:
 def _build_panels(domain: PolygonDomain, panels_per_edge: int) -> PanelSet:
     if panels_per_edge < 1:
         raise PotentialsError("panels_per_edge must be at least 1")
-    pa, pb = domain.segment_points()
-    nseg = len(pa)
+    nseg = domain.n_segments
     total = nseg * panels_per_edge
     if total > PANEL_BUDGET:
         raise PotentialsError(
             f"{total} panels exceed the budget of {PANEL_BUDGET}"
         )
-    normals = domain.segment_normals()
     t = np.arange(panels_per_edge + 1) / panels_per_edge
-    starts, ends, nrm = [], [], []
-    for i in range(nseg):
-        pts = pa[i][None, :] + t[:, None] * (pb[i] - pa[i])[None, :]
-        starts.append(pts[:-1])
-        ends.append(pts[1:])
-        nrm.append(np.tile(normals[i], (panels_per_edge, 1)))
-    start = np.vstack(starts)
-    end = np.vstack(ends)
+    nodes = domain.segment_nodes(t)[0].reshape(nseg, panels_per_edge + 1, 2)
+    start = nodes[:, :-1].reshape(-1, 2)
+    end = nodes[:, 1:].reshape(-1, 2)
     mid = 0.5 * (start + end)
     vec = end - start
     length = np.hypot(vec[:, 0], vec[:, 1])
     tangent = vec / length[:, None]
-    return PanelSet(mid=mid, length=length, tangent=tangent, normal=np.vstack(nrm))
+    normal = np.repeat(domain.segment_normals(), panels_per_edge, axis=0)
+    return PanelSet(mid=mid, length=length, tangent=tangent, normal=normal)
 
 
 # ---------------------------------------------------------------------------

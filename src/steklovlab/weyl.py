@@ -15,13 +15,11 @@ planar.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .geometry import PolygonDomain
 
@@ -35,7 +33,6 @@ __all__ = [
     "alpha_pm",
     "WeylData",
     "weyl_coefficient",
-    "symbol_oracle",
 ]
 
 TANGENT_TOL = 1e-9  # relative |ξ·n| that ``beta`` still takes as tangent
@@ -47,11 +44,12 @@ class WeylError(ValueError):
 
 
 def theta_matrix(a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Θ = (nᵀan)a − (an)(an)ᵀ.  Symmetric, Θn = 0, PSD for SPD a."""
+    """Θ = (nᵀan)a − (an)(an)ᵀ.  Symmetric, Θn = 0, PSD for SPD a.  Leading
+    axes of a (…, d, d) and n (…, d) broadcast."""
     a = np.asarray(a, dtype=float)
-    n = np.asarray(n, dtype=float)
+    n = np.asarray(n, dtype=float)[..., None]
     an = a @ n
-    return (n @ an) * a - np.outer(an, an)
+    return (np.swapaxes(n, -1, -2) @ an) * a - an * np.swapaxes(an, -1, -2)
 
 
 def tangent_basis(n: np.ndarray) -> np.ndarray:
@@ -71,8 +69,7 @@ def tangent_basis(n: np.ndarray) -> np.ndarray:
     order = np.argsort(np.abs(n), kind="stable")
     cols = []
     for idx in order[: d - 1]:
-        v = np.zeros(d)
-        v[idx] = 1.0
+        v = np.eye(d)[idx]
         v -= (v @ n) * n
         for c in cols:
             v -= (v @ c) * c
@@ -87,9 +84,12 @@ def tangent_basis(n: np.ndarray) -> np.ndarray:
 
 
 def theta_prime(a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Θ restricted to the tangent space: PᵀΘP with P = tangent_basis(n)."""
-    P = tangent_basis(n)
-    return P.T @ theta_matrix(a, n) @ P
+    """Θ restricted to the tangent space: PᵀΘP with P = tangent_basis(n), one
+    basis per normal.  Leading axes of a and n broadcast."""
+    n = np.asarray(n, dtype=float)
+    d = n.shape[-1]
+    P = np.array([tangent_basis(v) for v in n.reshape(-1, d)]).reshape(*n.shape, d - 1)
+    return np.swapaxes(P, -1, -2) @ theta_matrix(a, n) @ P
 
 
 def beta(a: np.ndarray, n: np.ndarray, xi: np.ndarray) -> float:
@@ -107,17 +107,28 @@ def ball_volume(m: int) -> float:
     return math.pi ** (m / 2) / math.gamma(m / 2 + 1)
 
 
-def alpha_pm(a: np.ndarray, n: np.ndarray, rho: float) -> tuple:
-    """Pointwise densities (α₊, α₋) = ω_m ρ±^m det(Θ′)^(−1/2), m = d−1."""
+def _checked_det(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """det Θ′ of every (a, n), refused when any is non-finite or ≤ 0."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-        det = float(np.linalg.det(np.atleast_2d(theta_prime(a, n))))
-    if not (math.isfinite(det) and det > 0):
-        raise WeylError(f"tangential co-metric is degenerate or overflows (det {det!r})")
-    m = np.asarray(n).shape[0] - 1
-    om = ball_volume(m)
-    rp = max(rho, 0.0)
-    rm = max(-rho, 0.0)
-    return om * rp**m / math.sqrt(det), om * rm**m / math.sqrt(det)
+        det = np.linalg.det(theta_prime(a, n))
+    bad = np.flatnonzero(~(np.isfinite(det) & (det > 0)))
+    if bad.size:
+        first = float(np.ravel(det)[bad[0]])
+        raise WeylError(f"tangential co-metric is degenerate or overflows (det {first!r})")
+    return det
+
+
+def _densities(det, m: int, rho) -> tuple:
+    """(α₊, α₋) from det Θ′; ρ± = max(±ρ, 0) as Python's ``max`` takes it."""
+    rho = np.asarray(rho, dtype=float)
+    om, root = ball_volume(m), np.sqrt(det)
+    return tuple(om * np.where(r < 0.0, 0.0, r) ** m / root for r in (rho, -rho))
+
+
+def alpha_pm(a: np.ndarray, n: np.ndarray, rho) -> tuple:
+    """Pointwise densities (α₊, α₋) = ω_m ρ±^m det(Θ′)^(−1/2), m = d−1, over broadcast
+    leading axes of a, n and ρ; a ``WeylError`` names the first bad det Θ′."""
+    return _densities(_checked_det(a, n), np.shape(n)[-1] - 1, rho)
 
 
 @dataclass
@@ -136,71 +147,34 @@ class WeylData:
     w_minus: float
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("arclength,det_theta_prime,alpha_plus,alpha_minus\n")
-        for s, dt, ap, am in zip(
-            self.arclength, self.det_theta_prime, self.alpha_plus, self.alpha_minus
-        ):
-            out.write(f"{float(s)!r},{float(dt)!r},{float(ap)!r},{float(am)!r}\n")
-        return out.getvalue()
+        rows = zip(self.arclength, self.det_theta_prime, self.alpha_plus, self.alpha_minus)
+        return "arclength,det_theta_prime,alpha_plus,alpha_minus\n" + "".join(
+            ",".join(repr(float(x)) for x in row) + "\n" for row in rows
+        )
 
 
 def weyl_coefficient(domain: PolygonDomain, coeff) -> WeylData:
-    """W± = (2π)^(−m) ∫_Σ α± dμ by per-segment Gauss–Legendre quadrature.
-
-    ``coeff`` provides the conductivity (``coeff.a``, evaluated at boundary
-    points) and the signed weight (``coeff.rho``, at each node as a
-    zero-length edge).  ``GAUSS_ORDER`` nodes per polygon segment; the
-    integrand is smooth within each segment, so the rule converges fast even
-    when a varies.
-    """
-    pts_a, pts_b = domain.segment_points()
-    normals = domain.segment_normals()
-    lengths = domain.segment_lengths()
+    """W± = (2π)^(−m) ∫_Σ α± dμ with ``GAUSS_ORDER`` Gauss–Legendre nodes per
+    polygon segment (``PolygonDomain.segment_nodes``).  ``coeff.a`` and the
+    signed weight ``coeff.rho`` (each node a zero-length edge) are called once
+    over all nodes, α± is one array pass, and the sums run in boundary order.
+    The integrand is smooth within each segment, so the rule converges fast."""
     gx, gw = leggauss(GAUSS_ORDER)
-    arcl, dets, aps, ams = [], [], [], []
-    wp = wm = 0.0
-    offset = 0.0
+    t = 0.5 * (gx + 1.0)
+    pts, seg = domain.segment_nodes(t)
+    shape = (domain.n_segments, GAUSS_ORDER)
+    det = _checked_det(coeff.a(pts).reshape(*shape, 2, 2), domain.segment_normals()[:, None])
     m = 2 - 1  # boundary dimension for planar domains
-    for i in range(len(lengths)):
-        t = 0.5 * (gx + 1.0)
-        pts = pts_a[i][None, :] + t[:, None] * (pts_b[i] - pts_a[i])[None, :]
-        w = 0.5 * gw * lengths[i]
-        a_vals = coeff.a(pts)
-        rho_vals = coeff.rho(np.full(len(t), i), pts, pts)
-        for q in range(len(t)):
-            ap, am = alpha_pm(a_vals[q], normals[i], float(rho_vals[q]))
-            tp = theta_prime(a_vals[q], normals[i])
-            dets.append(float(np.linalg.det(np.atleast_2d(tp))))
-            aps.append(ap)
-            ams.append(am)
-            arcl.append(offset + t[q] * lengths[i])
-            wp += w[q] * ap
-            wm += w[q] * am
-        offset += lengths[i]
+    ap, am = _densities(det, m, coeff.rho(seg, pts, pts).reshape(shape))
+    lengths = domain.segment_lengths()[:, None]
+    w = 0.5 * gw * lengths
+    offset = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])[:, None]
     factor = (2.0 * math.pi) ** (-m)
     return WeylData(
-        arclength=np.array(arcl),
-        det_theta_prime=np.array(dets),
-        alpha_plus=np.array(aps),
-        alpha_minus=np.array(ams),
-        w_plus=factor * wp,
-        w_minus=factor * wm,
+        arclength=(offset + t * lengths).ravel(),
+        det_theta_prime=det.ravel(),
+        alpha_plus=ap.ravel(),
+        alpha_minus=am.ravel(),
+        w_plus=factor * np.cumsum(w * ap)[-1],
+        w_minus=factor * np.cumsum(w * am)[-1],
     )
-
-
-def symbol_oracle(a: np.ndarray, n: np.ndarray, xi: np.ndarray) -> float:
-    """(1/2π)∫ dt / ((ξ+tn)ᵀ a (ξ+tn)) over the full line, by adaptive
-    quadrature.  Independent of the Θ algebra; the product with β(x,ξ) is a
-    dimensionless constant (1/2) for every SPD a and tangent ξ, which is the
-    cross-check the tests pin."""
-    a = np.asarray(a, dtype=float)
-    n = np.asarray(n, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-
-    def integrand(t):
-        v = xi + t * n
-        return 1.0 / (v @ a @ v)
-
-    val, _ = quad(integrand, -np.inf, np.inf, epsabs=1e-10, epsrel=1e-10)
-    return val / (2.0 * math.pi)

@@ -2,11 +2,15 @@
 
 Everything here is derived from closed forms or brute-force numerics that
 share no code with ``steklovlab``: Bessel recurrences for the disk pencil,
-ellipsoid volumes by Monte Carlo, dense tensor quadrature for single-element
-energy integrals, and synthetic eigenvalue sequences with known tails.
+ellipsoid volumes by Monte Carlo, the boundary symbol integral by adaptive
+quadrature, dense tensor quadrature for single-element energy integrals, and
+synthetic eigenvalue sequences with known tails.
 """
 
+import math
+
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import iv
 
 
@@ -92,6 +96,26 @@ def ellipsoid_volume_mc(Q, r: float, n: int = 1_000_000, seed: int = 7) -> float
     pts = rng.uniform(-half, half, size=(n, m))
     inside = np.einsum("ni,ij,nj->n", pts, Q, pts) <= r * r
     return float(inside.mean() * (2.0 * half) ** m)
+
+
+# ---------------------------------------------------------------------------
+# symbol integral: (1/2π)∫ dt / ((ξ+tn)ᵀ a (ξ+tn)) over the full line, by
+# adaptive quadrature.  Independent of the Θ algebra; its product with
+# β(x,ξ) = √(ξᵀΘξ) is the dimensionless constant 1/2 for every SPD a and
+# tangent ξ.
+
+
+def symbol_oracle(a, n, xi) -> float:
+    a = np.asarray(a, dtype=float)
+    n = np.asarray(n, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+
+    def integrand(t):
+        v = xi + t * n
+        return 1.0 / (v @ a @ v)
+
+    val, _ = quad(integrand, -np.inf, np.inf, epsabs=1e-10, epsrel=1e-10)
+    return val / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

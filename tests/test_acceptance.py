@@ -201,7 +201,7 @@ def test_criterion_4_anisotropic_coefficient(tmp_path):
         det_route = math.sqrt(np.linalg.det(np.atleast_2d(weyl.theta_prime(a, n))))
         beta_route = weyl.beta(a, n, tau)
         route_gap = max(route_gap, abs(det_route - beta_route) / beta_route)
-        s = weyl.symbol_oracle(a, n, tau)
+        s = oracles.symbol_oracle(a, n, tau)
         symbol_gap = max(symbol_gap, abs(s * beta_route - 0.5))
 
     ok = (

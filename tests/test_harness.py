@@ -8,7 +8,7 @@ import json
 import math
 import re
 import shlex
-import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from steklovlab import cli, geometry, harness
 from steklovlab.assembly import AssemblyError
-from steklovlab.eigensolve import spectrum_from_csv
 from steklovlab.geometry import GeometryError, MeshingError
 from steklovlab.harness import (
     ExperimentConfig,
@@ -239,8 +238,7 @@ def test_weyl_run_writes_outputs_and_is_reproducible(tmp_path):
     csv = (d1 / "eigenvalues.csv").read_text().splitlines()
     assert csv[0].startswith("# experiment=weyl-verification")
     assert csv[1] == "index,branch,eigenvalue,residual"
-    spec = spectrum_from_csv((d1 / "eigenvalues.csv").read_text())
-    assert len(spec.positive) > 20
+    assert sum(row.split(",")[1] == "+" for row in csv[2:]) > 20
 
     weyl_rows = (d1 / "weyl.csv").read_text().splitlines()
     assert weyl_rows[1] == "arclength,det_theta_prime,alpha_plus,alpha_minus"
@@ -272,14 +270,19 @@ def test_straightened_collar_run_detects_weight_misuse(tmp_path):
 
 def test_collar_grid_over_the_node_budget_fails_in_the_mesh_stage(tmp_path):
     # the matched grid would take ~1.07e6 nodes; it is refused before any of
-    # it is allocated
+    # it is allocated, and so are the straightening map's ~631 000 collar
+    # Jacobians (about 96 MiB at their peak)
     cfg = ExperimentConfig.from_text(
         "experiment = bilipschitz-invariance\ndomain.name = sawtooth-square\n"
         "mesh.levels = 1e-3\ncollar.depth = 0.25\n"
     )
-    t0 = time.perf_counter()
-    rep = run_experiment(cfg, str(tmp_path))
-    assert time.perf_counter() - t0 < 1.0
+    tracemalloc.start()
+    try:
+        rep = run_experiment(cfg, str(tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
     assert rep.error.startswith("MeshingError") and "budget" in rep.error
     assert list(rep.provenance["timings"]) == ["mesh", "total"]
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
@@ -447,8 +450,9 @@ def test_cli_mesh_solve_weyl_bem(tmp_path, capsys):
         == 0
     )
     assert "mu_1" in capsys.readouterr().out
-    spec = spectrum_from_csv(out.read_text())
-    assert len(spec.positive) >= 3
+    rows = [r for r in out.read_text().splitlines() if not r.startswith("#")]
+    assert rows[0] == "index,branch,eigenvalue,residual"
+    assert sum(row.split(",")[1] == "+" for row in rows[1:]) >= 3
 
     assert cli.main(["weyl", "domain.name=square"]) == 0
     line = capsys.readouterr().out

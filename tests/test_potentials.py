@@ -53,6 +53,22 @@ def test_panel_budget_is_enforced():
         build_layer_operators(geometry.make_domain("square"), 0)
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+def test_panels_split_every_segment_in_order(scale):
+    # reference: each segment cut at the fractions k/p, one segment at a time
+    dom = geometry.make_domain("koch-prefractal", level=2).scaled(scale)
+    p = 3
+    pa, pb = dom.segment_points()
+    t = np.arange(p + 1) / p
+    cuts = [pa[i] + t[:, None] * (pb[i] - pa[i]) for i in range(dom.n_segments)]
+    start = np.vstack([c[:-1] for c in cuts])
+    end = np.vstack([c[1:] for c in cuts])
+    panels = potentials._build_panels(dom, p)
+    assert np.array_equal(panels.mid, 0.5 * (start + end))
+    assert np.array_equal(panels.length, np.hypot(*(end - start).T))
+    assert np.array_equal(panels.normal, np.repeat(dom.segment_normals(), p, axis=0))
+
+
 def test_rescale_diameter_must_sit_below_one(circle_op):
     # the logarithmic capacity condition behind the default rescaling
     assert 0 < potentials.RESCALE_DIAMETER < 1

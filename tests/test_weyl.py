@@ -1,13 +1,18 @@
 """Asymptotic-coefficient algebra: the tangential co-metric Θ, its invariants,
-the branch densities α±, closed-form boundary integrals on catalog domains,
-and the symbol-integral cross-check that ties s·β to the dimensionless
-constant 1/2."""
+the branch densities α± (per item and over stacks), closed-form boundary
+integrals on catalog domains, and the symbol-integral cross-check that ties
+s·β to the dimensionless constant 1/2."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 
 import oracles
 from steklovlab import assembly, geometry, weyl
@@ -16,7 +21,6 @@ from steklovlab.weyl import (
     alpha_pm,
     ball_volume,
     beta,
-    symbol_oracle,
     tangent_basis,
     theta_matrix,
     theta_prime,
@@ -153,6 +157,40 @@ def test_beta_rejects_non_tangent_covectors():
         beta(np.eye(2), n, n)
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_symbols_equal_per_item_calls_bitwise(d):
+    # five normals, each broadcast over seven conductivities and weights
+    rng = np.random.default_rng(d)
+    L = rng.normal(size=(5, 7, d, d))
+    a = L @ np.swapaxes(L, -1, -2) + 0.1 * np.eye(d)
+    n = rng.normal(size=(5, 1, d))
+    rho = rng.normal(size=(5, 7))
+    rho[0, :2] = 0.0, -0.0  # the sign of a zero weight carries into α±
+    T, tp, (ap, am) = theta_matrix(a, n), theta_prime(a, n), alpha_pm(a, n, rho)
+    assert tp.shape == (5, 7, d - 1, d - 1)
+    for i, j in np.ndindex(5, 7):
+        assert _bits(T[i, j]) == _bits(theta_matrix(a[i, j], n[i, 0]))
+        assert _bits(tp[i, j]) == _bits(theta_prime(a[i, j], n[i, 0]))
+        single = alpha_pm(a[i, j], n[i, 0], float(rho[i, j]))
+        assert _bits([ap[i, j], am[i, j]]) == _bits(single)
+
+
+def test_stacked_alpha_names_the_first_degenerate_entry():
+    n = np.array([_unit(th) for th in (0.1, 0.7, 0.5 * math.pi, 2.5)])
+    a = np.tile(np.eye(2), (4, 1, 1))
+    a[2] = np.outer(n[2], n[2])  # rank one: Θ′ vanishes
+    a[3] = 1e300 * np.eye(2)  # Θ′ overflows
+    first = float(np.linalg.det(theta_prime(a[2], n[2])))
+    assert not first > 0
+    with pytest.raises(WeylError, match="degenerate") as info:
+        alpha_pm(a, n, np.ones(4))
+    assert f"(det {first!r})" in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # the symbol integral: s(x,ξ)·β(x,ξ) = 1/2 for every SPD a and tangent ξ
 
@@ -162,7 +200,7 @@ def test_beta_rejects_non_tangent_covectors():
 def test_symbol_times_beta_is_one_half(a, th, scale):
     n = _unit(th)
     xi = tangent_basis(n)[:, 0] * scale
-    s = symbol_oracle(a, n, xi)
+    s = oracles.symbol_oracle(a, n, xi)
     assert s * beta(a, n, xi) == pytest.approx(0.5, abs=1e-8)
 
 
@@ -180,6 +218,61 @@ def _unit_coeff(rho_values=None):
         v0=assembly.constant_potential(1.0),
         rho=rho,
     )
+
+
+def _per_node_reference(domain, coeff):
+    """The per-node loop: a and ρ per segment, α± and det Θ′ per node, and
+    running sums in boundary order."""
+    pts_a, pts_b = domain.segment_points()
+    normals = domain.segment_normals()
+    lengths = domain.segment_lengths()
+    gx, gw = leggauss(weyl.GAUSS_ORDER)
+    t = 0.5 * (gx + 1.0)
+    rows, wp, wm, offset = [], 0.0, 0.0, 0.0
+    for i in range(len(lengths)):
+        pts = pts_a[i][None, :] + t[:, None] * (pts_b[i] - pts_a[i])[None, :]
+        w = 0.5 * gw * lengths[i]
+        a_vals = coeff.a(pts)
+        rho_vals = coeff.rho(np.full(len(t), i), pts, pts)
+        for q in range(len(t)):
+            ap, am = alpha_pm(a_vals[q], normals[i], float(rho_vals[q]))
+            det = float(np.linalg.det(np.atleast_2d(theta_prime(a_vals[q], normals[i]))))
+            rows.append((offset + t[q] * lengths[i], det, ap, am))
+            wp += w[q] * ap
+            wm += w[q] * am
+        offset += lengths[i]
+    factor = (2.0 * math.pi) ** -1
+    return np.array(rows), factor * wp, factor * wm
+
+
+@pytest.mark.parametrize(
+    "domain, a, rho",
+    [
+        (("sawtooth-square", {}), ("constant", {}), None),
+        (("square", {}), ("constant", {}), [1.0, 1.0, -1.0, -1.0]),
+        (("square", {}), ("rotated-diagonal", {"p": 4.0, "q": 1.0, "angle": 0.35}), None),
+        (("square", {}), ("checkerboard", {"cell": 0.25}), None),
+        (("koch-prefractal", {"level": 2}), ("rotated-diagonal", {"p": 3.0, "q": 1.5, "angle": 1.1}), None),
+    ],
+)
+def test_weyl_coefficient_equals_the_per_node_loop_bitwise(domain, a, rho):
+    dom = geometry.make_domain(domain[0], **domain[1])
+    coeff = _unit_coeff(rho).with_(a=assembly.make_matrix_field(a[0], **a[1]))
+    data = weyl_coefficient(dom, coeff)
+    rows, wp, wm = _per_node_reference(dom, coeff)
+    table = np.column_stack([data.arclength, data.det_theta_prime, data.alpha_plus, data.alpha_minus])
+    assert _bits(table) == _bits(rows)
+    assert _bits([data.w_plus, data.w_minus]) == _bits([wp, wm])
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # the symbol-integral oracle, the one user of scipy.integrate, lives in
+    # tests/oracles.py; a run imports neither
+    src = str(Path(weyl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, steklovlab.harness, steklovlab.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_square_coefficient_is_four_over_pi(square_domain):

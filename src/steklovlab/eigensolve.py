@@ -2,8 +2,9 @@
 
 ``A`` is the SPD energy matrix, ``B`` the (possibly sign-indefinite) boundary
 weight matrix; the eigenvalues μ are the Rayleigh-quotient spectrum of
-weight/energy.  B is boundary-supported, so at most ``boundary_rank(B)`` of
-the n eigenvalues are nonzero; the other n − nb are structural zeros.
+weight/energy.  B is boundary-supported, so at most nb of the n eigenvalues
+are nonzero, nb being the number of nonzero rows of B (the weighted nodes);
+the other n − nb are structural zeros.
 
 ``solve_dense`` condenses the pencil onto the nb weighted nodes: one sparse
 LU of A with those nodes last, whose trailing block is the Cholesky factor of
@@ -29,7 +30,6 @@ __all__ = [
     "EigensolveError",
     "Spectrum",
     "TailEstimate",
-    "boundary_rank",
     "solve_dense",
     "counting",
     "tail_window",
@@ -37,7 +37,7 @@ __all__ = [
     "spectrum_to_csv",
 ]
 
-DENSE_DIMENSION_CAP = 8000  # caps nb = boundary_rank(B)
+DENSE_DIMENSION_CAP = 8000  # caps nb, the number of weighted nodes
 LIFT_BLOCK = 64  # columns per lifted block: dense work arrays stay n × 64
 DENSE_RESIDUAL_TOL = 1e-8
 ZERO_THRESHOLD_REL = 1e-12
@@ -53,7 +53,8 @@ class Spectrum:
 
     ``positive`` is sorted descending; ``negative`` is sorted by magnitude
     descending (most negative first).  Residuals are ‖Bx − μAx‖₂ for the
-    A-normalized eigenvector of each retained pair.
+    A-normalized eigenvector of each retained pair.  ``boundary_rank`` is
+    nb, the size of the condensed pencil.
     """
 
     positive: np.ndarray
@@ -61,8 +62,8 @@ class Spectrum:
     residuals_positive: np.ndarray
     residuals_negative: np.ndarray
     zero_threshold: float
+    boundary_rank: int
     n_dropped: int = 0
-    boundary_rank: int | None = None
 
     def branch(self, sign: str) -> np.ndarray:
         if sign == "+":
@@ -70,10 +71,6 @@ class Spectrum:
         if sign == "-":
             return self.negative
         raise EigensolveError(f"unknown branch {sign!r}")
-
-    @property
-    def residual_tolerance(self) -> float:
-        return DENSE_RESIDUAL_TOL
 
 
 def _split_branches(mu, res, zero_threshold, boundary_rank):
@@ -104,12 +101,6 @@ def _as_csr(mat) -> sp.csr_matrix:
 
 def _weighted_rows(B: sp.csr_matrix) -> np.ndarray:
     return np.asarray(np.abs(B).sum(axis=1)).ravel() > 0
-
-
-def boundary_rank(B) -> int:
-    """Number of nonzero rows of B, an upper bound on the number of nonzero
-    pencil eigenvalues; the dense solve runs on a pencil of this size."""
-    return int(np.count_nonzero(_weighted_rows(_as_csr(B))))
 
 
 def _residuals(A, B, mu, X):

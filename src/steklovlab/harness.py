@@ -339,7 +339,7 @@ def _fit_level(mesh, coeff, tail: tuple) -> tuple:
     row = {
         "h": mesh.h,
         "dofs": int(forms.A.shape[0]),
-        "boundary_rank": int(spec.boundary_rank or 0),
+        "boundary_rank": spec.boundary_rank,
         "residual_max": float(
             max(
                 spec.residuals_positive.max(initial=0.0),
@@ -412,12 +412,8 @@ def _boundary_only_dependence(cfg: ExperimentConfig, report: Report, stage) -> N
     rough = assembly.boundary_matched_rough(domain, interior_field, trace_field, width)
 
     # reject mismatched traces up front
-    pa, pb = domain.segment_points()
-    lengths = domain.segment_lengths()
-    t = (np.arange(1000) + 0.5) / 1000 * lengths.sum()
-    seg = np.searchsorted(np.cumsum(lengths), t, side="right")
-    local = (t - np.concatenate([[0.0], np.cumsum(lengths)])[seg]) / lengths[seg]
-    bpts = pa[seg] + local[:, None] * (pb[seg] - pa[seg])
+    per_segment = -(-1000 // domain.n_segments)
+    bpts = domain.segment_nodes((np.arange(per_segment) + 0.5) / per_segment)[0]
     gap = np.abs(trace_field(bpts) - rough(bpts)).max()
     if gap > 1e-9:
         raise HarnessError(f"boundary traces differ by {gap:.3e}")

@@ -3,8 +3,9 @@
 Everything here is derived from closed forms or brute-force numerics that
 share no code with ``steklovlab``: Bessel recurrences for the disk pencil,
 ellipsoid volumes by Monte Carlo, the boundary symbol integral by adaptive
-quadrature, dense tensor quadrature for single-element energy integrals, and
-synthetic eigenvalue sequences with known tails.
+quadrature, the tangential co-metric Θ built in an explicit tangent basis,
+dense tensor quadrature for single-element energy integrals, and synthetic
+eigenvalue sequences with known tails.
 """
 
 import math
@@ -96,6 +97,74 @@ def ellipsoid_volume_mc(Q, r: float, n: int = 1_000_000, seed: int = 7) -> float
     pts = rng.uniform(-half, half, size=(n, m))
     inside = np.einsum("ni,ij,nj->n", pts, Q, pts) <= r * r
     return float(inside.mean() * (2.0 * half) ** m)
+
+
+# ---------------------------------------------------------------------------
+# tangential co-metric by construction: Θ = (nᵀan)a − (an)(an)ᵀ, restricted to
+# n^⊥ through a Gram–Schmidt tangent basis.  Its determinant checks the
+# closed form det Θ′ = (nᵀan)^(d−2) det a that ``weyl.cometric_det`` uses, and
+# β(x, ξ) = √(ξᵀΘξ) is the symbol's tangential length.
+
+TANGENT_TOL = 1e-9  # relative |ξ·n| that ``beta`` still takes as tangent
+
+
+def theta_matrix(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Θ = (nᵀan)a − (an)(an)ᵀ.  Symmetric, Θn = 0, PSD for SPD a.  Leading
+    axes of a (…, d, d) and n (…, d) broadcast."""
+    a = np.asarray(a, dtype=float)
+    n = np.asarray(n, dtype=float)[..., None]
+    an = a @ n
+    return (np.swapaxes(n, -1, -2) @ an) * a - an * np.swapaxes(an, -1, -2)
+
+
+def tangent_basis(n: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal basis of n^⊥, returned as columns of a
+    d×(d−1) matrix.
+
+    Seeds are the coordinate axes ordered by increasing |n_i| (ties broken by
+    index), orthogonalized against n and each other; each resulting column is
+    sign-fixed to have positive inner product with its seed axis.
+    """
+    n = np.asarray(n, dtype=float)
+    d = n.shape[0]
+    nn = np.linalg.norm(n)
+    if nn == 0:
+        raise ValueError("normal vector is zero")
+    n = n / nn
+    order = np.argsort(np.abs(n), kind="stable")
+    cols = []
+    for idx in order[: d - 1]:
+        v = np.eye(d)[idx]
+        v -= (v @ n) * n
+        for c in cols:
+            v -= (v @ c) * c
+        nv = np.linalg.norm(v)
+        if nv < 1e-12:
+            raise ValueError("degenerate tangent seed")
+        v /= nv
+        if v[idx] < 0:
+            v = -v
+        cols.append(v)
+    return np.column_stack(cols)
+
+
+def theta_prime(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Θ restricted to the tangent space: PᵀΘP with P = tangent_basis(n), one
+    basis per normal.  Leading axes of a and n broadcast."""
+    n = np.asarray(n, dtype=float)
+    d = n.shape[-1]
+    P = np.array([tangent_basis(v) for v in n.reshape(-1, d)]).reshape(*n.shape, d - 1)
+    return np.swapaxes(P, -1, -2) @ theta_matrix(a, n) @ P
+
+
+def beta(a: np.ndarray, n: np.ndarray, xi: np.ndarray) -> float:
+    """β(x, ξ) = √(ξᵀΘξ) for a tangent covector ξ (checked against n)."""
+    xi = np.asarray(xi, dtype=float)
+    n = np.asarray(n, dtype=float)
+    nrm = np.linalg.norm(xi) * np.linalg.norm(n)
+    if nrm > 0 and abs(xi @ n) > TANGENT_TOL * nrm:
+        raise ValueError("beta requires a tangent covector")
+    return float(np.sqrt(xi @ theta_matrix(a, n) @ xi))
 
 
 # ---------------------------------------------------------------------------

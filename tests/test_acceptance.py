@@ -16,6 +16,7 @@ import pytest
 import oracles
 from steklovlab import assembly, geometry, potentials, weyl
 from steklovlab.eigensolve import (
+    DENSE_RESIDUAL_TOL,
     counting,
     solve_dense,
     tail_coefficient,
@@ -168,7 +169,8 @@ def test_criterion_3_signed_weight_branches(tmp_path):
 
 # ---------------------------------------------------------------------------
 # 4. anisotropic conductivity rotated by 30 degrees, plus mutual consistency
-#    of the co-metric route, the beta route, and the symbol integral
+#    of the closed-form co-metric route, the oracle's beta route, and the
+#    symbol integral
 
 ANISO_TOL = 0.10
 SYMBOL_TOL = 1e-8
@@ -197,9 +199,9 @@ def test_criterion_4_anisotropic_coefficient(tmp_path):
     symbol_gap = 0.0
     for th in (0.0, 0.9, 2.2, 4.0):
         n = np.array([math.cos(th), math.sin(th)])
-        tau = weyl.tangent_basis(n)[:, 0]
-        det_route = math.sqrt(np.linalg.det(np.atleast_2d(weyl.theta_prime(a, n))))
-        beta_route = weyl.beta(a, n, tau)
+        tau = oracles.tangent_basis(n)[:, 0]
+        det_route = math.sqrt(weyl.cometric_det(a, n))
+        beta_route = oracles.beta(a, n, tau)
         route_gap = max(route_gap, abs(det_route - beta_route) / beta_route)
         s = oracles.symbol_oracle(a, n, tau)
         symbol_gap = max(symbol_gap, abs(s * beta_route - 0.5))
@@ -392,21 +394,22 @@ def test_criterion_9_property_battery(tmp_path):
     rng = np.random.default_rng(20260814)
     failures = []
 
-    # co-metric determinant independent of the tangent basis (3-d, so the
-    # tangent plane has genuine rotational freedom)
+    # closed-form co-metric determinant against the oracle's construction in
+    # a randomly rotated tangent basis (3-d, so the tangent plane has genuine
+    # rotational freedom)
     basis_gap = 0.0
     for _ in range(20):
         L = np.tril(rng.uniform(-1, 1, (3, 3))) + 2 * np.eye(3)
         a = L @ L.T
         n = rng.standard_normal(3)
         n /= np.linalg.norm(n)
-        P = weyl.tangent_basis(n)
+        P = oracles.tangent_basis(n)
         ang = rng.uniform(0, 2 * math.pi)
         R = np.array(
             [[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]]
         )
-        T = weyl.theta_matrix(a, n)
-        d1 = np.linalg.det(P.T @ T @ P)
+        T = oracles.theta_matrix(a, n)
+        d1 = weyl.cometric_det(a, n)
         d2 = np.linalg.det((P @ R).T @ T @ (P @ R))
         basis_gap = max(basis_gap, abs(d1 - d2) / abs(d1))
     if basis_gap > BASIS_TOL:
@@ -418,9 +421,9 @@ def test_criterion_9_property_battery(tmp_path):
         a = L @ L.T
         th = rng.uniform(0, 2 * math.pi)
         n = np.array([math.cos(th), math.sin(th)])
-        tau = weyl.tangent_basis(n)[:, 0]
+        tau = oracles.tangent_basis(n)[:, 0]
         c = rng.uniform(0.1, 10)
-        b1, bc = weyl.beta(a, n, tau), weyl.beta(a, n, c * tau)
+        b1, bc = oracles.beta(a, n, tau), oracles.beta(a, n, c * tau)
         if not (b1 > 0 and abs(bc - c * b1) <= 1e-10 * c * b1):
             failures.append("beta homogeneity")
             break
@@ -453,7 +456,7 @@ def test_criterion_9_property_battery(tmp_path):
     forms = assembly.assemble_forms(mesh, coeff)
     spec = solve_dense(forms.A, forms.B)
     res = float(spec.residuals_positive.max())
-    if res > spec.residual_tolerance:
+    if res > DENSE_RESIDUAL_TOL:
         failures.append(f"pencil residual {res:.1e}")
 
     # bitwise report reproducibility

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steklovlab import cli, geometry, harness
+from steklovlab import cli, geometry, harness, weyl
 from steklovlab.assembly import AssemblyError
 from steklovlab.geometry import GeometryError, MeshingError
 from steklovlab.harness import (
@@ -670,12 +670,16 @@ _scalar = st.one_of(
 )
 _value = st.one_of(_scalar, st.lists(_scalar, min_size=2, max_size=4).map(", ".join))
 _length = st.one_of(_value, st.floats(0.0, 2.0, exclude_min=True).map(repr))
+# a valid mesh.levels: positive and strictly decreasing
+_levels = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3, unique=True).map(
+    lambda hs: ", ".join(repr(h) for h in sorted(hs, reverse=True))
+)
 
 
 def _value_or_typed_error(fn, *args):
     try:
         return fn(*args)
-    except (HarnessError, GeometryError, AssemblyError):
+    except (HarnessError, GeometryError, AssemblyError, WeylError):
         return None
 
 
@@ -694,9 +698,12 @@ def _value_or_typed_error(fn, *args):
     ),
     entries=st.dictionaries(st.sampled_from(FUZZ_KEYS), _value, max_size=8),
     collar=st.tuples(_length, _length),
+    levels=st.one_of(st.none(), _levels),
 )
 @settings(derandomize=True, max_examples=300, deadline=None)
-def test_config_surface_raises_only_typed_errors(experiment, entries, collar):
+def test_config_surface_raises_only_typed_errors(experiment, entries, collar, levels):
+    if levels is not None:
+        entries = {**entries, "mesh.levels": levels}
     text = "\n".join(f"{k} = {v}" for k, v in {"experiment": experiment, **entries}.items())
     cfg = _value_or_typed_error(ExperimentConfig.from_text, text)
     if cfg is None:
@@ -708,13 +715,18 @@ def test_config_surface_raises_only_typed_errors(experiment, entries, collar):
         _value_or_typed_error(cfg.get_float, key, None)
     for key in LIST_KEYS:
         _value_or_typed_error(cfg.get_floats, key, [])
+    _value_or_typed_error(cfg.mesh_levels)
     _value_or_typed_error(harness._tail, cfg)
     domain = _value_or_typed_error(harness._domain_from, cfg)
-    _value_or_typed_error(harness._coeff_from, cfg, domain or geometry.make_domain("square"))
+    # W± on the fuzzed domain (or the square) with the fuzzed coefficients
+    target = domain or geometry.make_domain("square")
+    coeff = _value_or_typed_error(harness._coeff_from, cfg, target)
+    if coeff is not None:
+        _value_or_typed_error(weyl.weyl_coefficient, target, coeff)
     _value_or_typed_error(harness._matrix_from, cfg, "interior.a")
     # The straightening builders on both charted catalog domains and on the
-    # fuzzed domain if it is charted.  A fuzzed config almost never holds a
-    # valid mesh.levels, so the collar depth and mesh levels come separately.
+    # fuzzed domain if it is charted, with the collar depth and mesh size
+    # drawn as their own pair of fuzzed lengths.
     charted = [geometry.make_domain("square"), geometry.make_domain("sawtooth-square")]
     if domain is not None and domain.charts:
         charted.append(domain)

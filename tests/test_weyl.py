@@ -1,7 +1,8 @@
-"""Asymptotic-coefficient algebra: the tangential co-metric Θ, its invariants,
-the branch densities α± (per item and over stacks), closed-form boundary
-integrals on catalog domains, and the symbol-integral cross-check that ties
-s·β to the dimensionless constant 1/2."""
+"""Asymptotic-coefficient algebra: the closed-form co-metric determinant
+against the oracle's tangent-basis construction of Θ′, the oracle's Θ
+invariants, the branch densities α± (per item and over stacks), closed-form
+boundary integrals on catalog domains, and the symbol-integral cross-check
+that ties s·β to the dimensionless constant 1/2."""
 
 import math
 import os
@@ -15,17 +16,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 import oracles
+from oracles import beta, tangent_basis, theta_matrix, theta_prime
 from steklovlab import assembly, geometry, weyl
-from steklovlab.weyl import (
-    WeylError,
-    alpha_pm,
-    ball_volume,
-    beta,
-    tangent_basis,
-    theta_matrix,
-    theta_prime,
-    weyl_coefficient,
-)
+from steklovlab.weyl import WeylError, alpha_pm, ball_volume, cometric_det, weyl_coefficient
 
 
 def _spd(entries):
@@ -51,7 +44,7 @@ def _unit(theta):
 
 
 # ---------------------------------------------------------------------------
-# Θ algebra
+# Θ algebra (the oracle's construction) and the closed form det Θ′
 
 
 @given(spd2, angles)
@@ -90,7 +83,7 @@ def test_tangent_basis_three_dimensional_and_zero_normal():
     assert P.shape == (3, 2)
     assert np.allclose(P.T @ P, np.eye(2), atol=1e-12)
     assert np.abs(P.T @ n).max() < 1e-12
-    with pytest.raises(WeylError, match="zero"):
+    with pytest.raises(ValueError, match="zero"):
         tangent_basis(np.zeros(2))
 
 
@@ -101,6 +94,28 @@ def test_tangential_cometric_determinant_equals_det_a(a, th):
     tp = theta_prime(a, _unit(th))
     assert tp.shape == (1, 1)
     assert tp[0, 0] == pytest.approx(np.linalg.det(a), rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cometric_det_equals_the_constructed_determinant(d):
+    # det Θ′ = (uᵀau)^(d−2) det a against det(PᵀΘP) in the oracle's tangent
+    # basis, on well-conditioned SPD a and normals of any length
+    rng = np.random.default_rng(100 + d)
+    L = rng.uniform(-1.0, 1.0, size=(500, d, d))
+    a = L @ np.swapaxes(L, -1, -2) + 0.5 * np.eye(d)
+    n = rng.normal(size=(500, d)) * rng.uniform(0.1, 10.0, size=(500, 1))
+    got = cometric_det(a, n)
+    want = np.array([np.linalg.det(theta_prime(ai, ni / np.linalg.norm(ni))) for ai, ni in zip(a, n)])
+    assert got.shape == (500,)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [np.zeros(2), np.zeros(3), np.array([np.nan, 1.0])])
+def test_cometric_det_refuses_a_zero_or_non_finite_normal(n):
+    with pytest.raises(WeylError, match="normal vector is zero"):
+        cometric_det(np.eye(len(n)), n)
+    with pytest.raises(WeylError, match="normal vector is zero"):
+        cometric_det(np.eye(len(n)), np.stack([np.ones(len(n)), n]))
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +136,48 @@ def test_alpha_splits_by_weight_sign():
     assert (ap, am) == pytest.approx((0.0, 4.0), abs=1e-14)
     with pytest.raises(WeylError, match="degenerate"):
         alpha_pm(np.outer(n, n), n, 1.0)  # rank-one conductivity
-    # Θ is quadratic in a, so these overflow to inf - inf and det(Θ') is NaN
+    # det a overflows to inf
     for a in (1e300 * np.eye(2), np.diag([1e200, 1e200])):
         with pytest.raises(WeylError, match="overflows"):
             alpha_pm(a, n, 1.0)
+
+
+@pytest.mark.parametrize("th", np.linspace(0.05, 3.1, 12))
+def test_alpha_refuses_a_rank_one_conductivity_at_every_angle(th):
+    # rounding leaves det a = det Θ′ within a few ulps of zero, of either sign
+    n = _unit(th)
+    with pytest.raises(WeylError, match="degenerate"):
+        alpha_pm(np.outer(n, n), n, 1.0)
+
+
+def test_cometric_det_refuses_a_non_positive_cometric_with_positive_det_a():
+    # two negative eigenvalues: det a = 1 > 0 but uᵀau = −1, so det Θ′ = −1
+    with pytest.raises(WeylError, match=r"degenerate or overflows \(det -1.0\)"):
+        cometric_det(np.diag([-1.0, -1.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.diag([4.0, 1.0]),
+        np.diag([1e154, 1e154]),
+        np.diag([1.0, 1e-12]),
+        np.diag([1e-12, 1.0]),
+        np.diag([1e-3, 1e-3, 1e-15]),
+        np.diag([1.0, 1e-6, 1e-12]),  # det a = 1e-18 is far below ε·max|a_ij|³
+    ],
+    ids=["diag-4-1", "near-overflow", "cond-1e12", "cond-1e12-swapped", "3d-cond-1e12", "3d-spread"],
+)
+def test_alpha_accepts_spd_conductivities_up_to_rounding_level(a):
+    d = len(a)
+    for th in (0.0, 0.4, 2.0):
+        R = np.eye(d)
+        R[:2, :2] = [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]
+        ar = R @ a @ R.T
+        n = np.eye(d)[0]
+        ap, _ = alpha_pm(ar, n, 1.0)
+        want = ball_volume(d - 1) / math.sqrt(float(np.linalg.det(theta_prime(ar, n))))
+        assert ap == pytest.approx(want, rel=1e-3)
 
 
 def test_alpha_matches_monte_carlo_ellipsoid_volume():
@@ -153,7 +206,7 @@ def test_beta_is_positively_homogeneous(a, th, c, scale):
 
 def test_beta_rejects_non_tangent_covectors():
     n = _unit(0.3)
-    with pytest.raises(WeylError, match="tangent"):
+    with pytest.raises(ValueError, match="tangent"):
         beta(np.eye(2), n, n)
 
 
@@ -170,11 +223,10 @@ def test_stacked_symbols_equal_per_item_calls_bitwise(d):
     n = rng.normal(size=(5, 1, d))
     rho = rng.normal(size=(5, 7))
     rho[0, :2] = 0.0, -0.0  # the sign of a zero weight carries into α±
-    T, tp, (ap, am) = theta_matrix(a, n), theta_prime(a, n), alpha_pm(a, n, rho)
-    assert tp.shape == (5, 7, d - 1, d - 1)
+    det, (ap, am) = cometric_det(a, n), alpha_pm(a, n, rho)
+    assert det.shape == ap.shape == (5, 7)
     for i, j in np.ndindex(5, 7):
-        assert _bits(T[i, j]) == _bits(theta_matrix(a[i, j], n[i, 0]))
-        assert _bits(tp[i, j]) == _bits(theta_prime(a[i, j], n[i, 0]))
+        assert _bits(det[i, j]) == _bits(cometric_det(a[i, j], n[i, 0]))
         single = alpha_pm(a[i, j], n[i, 0], float(rho[i, j]))
         assert _bits([ap[i, j], am[i, j]]) == _bits(single)
 
@@ -184,8 +236,7 @@ def test_stacked_alpha_names_the_first_degenerate_entry():
     a = np.tile(np.eye(2), (4, 1, 1))
     a[2] = np.outer(n[2], n[2])  # rank one: Θ′ vanishes
     a[3] = 1e300 * np.eye(2)  # Θ′ overflows
-    first = float(np.linalg.det(theta_prime(a[2], n[2])))
-    assert not first > 0
+    first = float(np.linalg.det(a[2]))  # in the plane det Θ′ = det a
     with pytest.raises(WeylError, match="degenerate") as info:
         alpha_pm(a, n, np.ones(4))
     assert f"(det {first!r})" in str(info.value)
@@ -236,7 +287,7 @@ def _per_node_reference(domain, coeff):
         rho_vals = coeff.rho(np.full(len(t), i), pts, pts)
         for q in range(len(t)):
             ap, am = alpha_pm(a_vals[q], normals[i], float(rho_vals[q]))
-            det = float(np.linalg.det(np.atleast_2d(theta_prime(a_vals[q], normals[i]))))
+            det = float(cometric_det(a_vals[q], normals[i]))
             rows.append((offset + t[q] * lengths[i], det, ap, am))
             wp += w[q] * ap
             wm += w[q] * am

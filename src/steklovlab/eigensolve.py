@@ -11,9 +11,10 @@ LU of A with those nodes last, whose trailing block is the Cholesky factor of
 the Schur complement S = A_bb − A_bi A_ii⁻¹ A_ib (the discrete
 Dirichlet-to-Neumann map) and whose pivots are the one SPD check; the n × n
 pencil is never formed densely.  It eigendecomposes the nb × nb pencil
-(B_bb, S) and lifts each eigenvector back to all n unknowns by one backward
-substitution, so it returns every nonzero pair of both branches with
-residuals on the full pencil.
+(B_bb, S) and lifts each eigenvector back to all n unknowns by one
+level-scheduled backward sweep over the elimination tree of L_ii, so it
+returns every nonzero pair of both branches with residuals on the full
+pencil.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+# Y += A X on raw CSR arrays, the kernel behind scipy's sparse-times-dense
+# product.  The sweep calls it on row ranges of one matrix: a scipy matrix per
+# level costs about 40 µs to build, more than the level's arithmetic on the
+# 500-2 000-unknown pencils of the acceptance gate.
+from scipy.sparse._sparsetools import csr_matvecs
 
 __all__ = [
     "EigensolveError",
@@ -38,7 +45,7 @@ __all__ = [
 ]
 
 DENSE_DIMENSION_CAP = 8000  # caps nb, the number of weighted nodes
-LIFT_BLOCK = 64  # columns per lifted block: dense work arrays stay n × 64
+LIFT_BLOCK = 64  # columns per lifted block: the sweep's dense work arrays stay n × 64
 DENSE_RESIDUAL_TOL = 1e-8
 ZERO_THRESHOLD_REL = 1e-12
 
@@ -104,7 +111,9 @@ def _weighted_rows(B: sp.csr_matrix) -> np.ndarray:
 
 
 def _residuals(A, B, mu, X):
-    R = B @ X - A @ X * mu[None, :]
+    R = A @ X
+    R *= mu[None, :]
+    np.subtract(B @ X, R, out=R)
     return np.linalg.norm(R, axis=0)
 
 
@@ -119,6 +128,38 @@ def _splu(M, permc_spec):
     )
 
 
+def _backward_levels(L_ii):
+    """Level schedule of the backward sweep Lᵀ x = y for a unit lower
+    triangle L (Anderson and Saad, 1989).
+
+    A column's parent in the elimination tree is its first off-diagonal row,
+    and its level is its depth below the root.  Row k of Lᵀ couples x_k only
+    to ancestors of k, so once the schedule is checked (every off-diagonal
+    entry on a strictly shallower level), each level is solved at once from
+    the levels above it.  Returns the stable depth order, N = −(Lᵀ − I) in
+    that order as CSR, and the rows s:e of each level below the roots; the
+    sweep is x[s:e] += N[s:e, :s] x[:s], level by level.  Raises
+    ``EigensolveError`` when the check fails."""
+    ni = L_ii.shape[0]
+    strict = sp.tril(L_ii, -1, format="csc")
+    strict.sort_indices()
+    counts = np.diff(strict.indptr)
+    parent = np.full(ni, -1)
+    parent[counts > 0] = strict.indices[strict.indptr[:-1][counts > 0]]
+    parent = parent.tolist()
+    depth = [0] * ni
+    for k in range(ni - 1, -1, -1):  # a parent comes after its children
+        if parent[k] >= 0:
+            depth[k] = depth[parent[k]] + 1
+    depth = np.array(depth, dtype=np.intp)
+    if np.any(depth[strict.indices] >= np.repeat(depth, counts)):
+        raise EigensolveError("interior factor does not follow its elimination tree")
+    order = np.argsort(depth, kind="stable")
+    N = -strict.T[order][:, order]  # CSR: row k holds column k of L
+    edges = np.append(np.flatnonzero(np.diff(depth[order])) + 1, ni).tolist()
+    return order, N, list(zip(edges[:-1], edges[1:]))
+
+
 def _condense(A, B):
     """Condense A onto the weighted nodes: the Cholesky factor of the Schur
     complement behind ``solve_dense``.
@@ -130,7 +171,8 @@ def _condense(A, B):
     law A is SPD exactly when it keeps the order with positive pivots.
     Returns G, the sparse B_bb and the lift that extends boundary
     columns x_b to all n unknowns, x_i = −A_ii⁻¹ A_ib x_b = −L_ii⁻ᵀ L_biᵀ x_b,
-    one backward substitution.  Raises ``EigensolveError`` when A is not SPD
+    one level-scheduled backward sweep over the elimination tree of L_ii
+    (``_backward_levels``).  Raises ``EigensolveError`` when A is not SPD
     or nb exceeds ``DENSE_DIMENSION_CAP`` (a memory guard: the work arrays
     are nb × nb)."""
     n = A.shape[0]
@@ -157,16 +199,21 @@ def _condense(A, B):
     L = lu.L
     del lu
     G = L[ni:, ni:].toarray() * np.sqrt(pivots[ni:])
-    L_ii_T, L_bi_T = L[:ni, :ni].T, L[ni:, :ni].T
-    L_ii_T.sort_indices()  # spsolve_triangular copies it per call; sorted, the copy needs no sort
+    sweep, N, levels = _backward_levels(L[:ni, :ni])
+    i = i[sweep]
+    L_bi_T = L[ni:, :ni].T[sweep]
+    del L
 
     def lift(Xb):
         X = np.zeros((n, Xb.shape[1]))
         X[b] = Xb
-        if ni:
-            X[i] = -spla.spsolve_triangular(
-                L_ii_T, L_bi_T @ Xb, lower=False, unit_diagonal=True
+        Z = np.ascontiguousarray(L_bi_T @ Xb)  # the kernel writes through ravel views
+        for s, e in levels:  # Z[s:e] += N[s:e, :s] Z[:s]
+            csr_matvecs(
+                e - s, s, Z.shape[1], N.indptr[s : e + 1], N.indices, N.data,
+                Z.ravel(), Z[s:e].ravel(),
             )
+        X[i] = -Z
         return X
 
     return G, B[b][:, b], lift

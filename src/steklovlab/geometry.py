@@ -561,8 +561,9 @@ def build_straightening(domain: PolygonDomain, collar_depth: float, h: float) ->
     base = float(chart.values.min()) - float(collar_depth)
     with np.errstate(over="ignore"):  # a tiny h gives inf columns, which the budget refuses
         pieces = np.maximum(1, np.ceil(np.diff(chart.xs) / h - 1e-12))
+        columns = float(pieces.sum())
     levels = max(1, np.ceil((float(chart.values.max()) - base) / h - 1e-12))
-    _check_budget(float(pieces.sum() + 1) * float(levels + 1), h)
+    _check_budget((columns + 1) * float(levels + 1), h)
 
     # column index to x, piecewise linear: chart piece i spans columns knots[i..i+1]
     knots = np.concatenate([[0], np.cumsum(pieces)])

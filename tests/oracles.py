@@ -2,6 +2,7 @@
 
 Everything here is derived from closed forms or brute-force numerics that
 share no code with ``steklovlab``: Bessel recurrences for the disk pencil,
+the square's Steklov spectrum by separation of variables,
 ellipsoid volumes by Monte Carlo, the boundary symbol integral by adaptive
 quadrature, the tangential co-metric Θ built in an explicit tangent basis,
 dense tensor quadrature for single-element energy integrals, and synthetic
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import iv
 
 
@@ -80,6 +82,48 @@ def circle_nd_eigenvalue(k: int) -> float:
     if k == 0:
         raise ValueError("constants are quotiented out of the ND map")
     return 1.0 / abs(k)
+
+
+# ---------------------------------------------------------------------------
+# square Steklov spectrum (Girouard and Polterovich, J. Spectral Theory 7,
+# 2017).  On (-1, 1)^2 the products u = phi(x) psi(y) +- psi(x) phi(y), with
+# phi in {cos ax, sin ax} and psi in {cosh ax, sinh ax}, satisfy the Steklov
+# condition on all four sides when phi'(1)/phi(1) = psi'(1)/psi(1) = sigma.
+# That gives four families, each root a > 0 a double eigenvalue:
+#
+#   tan a = -tanh a  and  cot a = tanh a,   sigma = a tanh a,
+#   tan a = -coth a  and  tan a = tanh a,   sigma = a coth a,
+#
+# plus sigma = 1 (u = xy) and sigma = 0, both simple.  On a square of side s
+# every sigma scales by 2/s.  The conditions are written with tanh only, so
+# each family is a bounded function with one root per period of pi.
+
+_SQUARE_FAMILIES = (
+    (lambda a: np.sin(a) + np.cos(a) * np.tanh(a), np.tanh),
+    (lambda a: np.cos(a) - np.sin(a) * np.tanh(a), np.tanh),
+    (lambda a: np.cos(a) + np.sin(a) * np.tanh(a), lambda a: 1.0 / np.tanh(a)),
+    (lambda a: np.sin(a) - np.cos(a) * np.tanh(a), lambda a: 1.0 / np.tanh(a)),
+)
+
+
+def square_steklov_eigenvalues(count: int, side: float = 1.0) -> np.ndarray:
+    """First ``count`` Steklov eigenvalues of the square, with multiplicity,
+    ascending."""
+    top = math.pi * (count / 8 + 2)
+    while True:
+        grid = np.linspace(0.0, top, int(64 * top) + 1)[1:]
+        sigma = [0.0, 1.0]
+        for cond, factor in _SQUARE_FAMILIES:
+            f = cond(grid)
+            for j in np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:])):
+                a = brentq(cond, grid[j], grid[j + 1], xtol=1e-15, rtol=1e-15)
+                sigma += [a * factor(a)] * 2
+        sigma = np.sort(sigma)
+        # a root beyond ``top`` gives sigma > top tanh(top): below that the
+        # list is complete
+        if len(sigma) >= count and sigma[count - 1] < top * math.tanh(top):
+            return 2.0 / side * sigma[:count]
+        top *= 2
 
 
 # ---------------------------------------------------------------------------

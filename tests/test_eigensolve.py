@@ -1,14 +1,16 @@
 """Pencil eigensolver: exactness on diagonal pencils, the condensed dense
 solve against a full generalized eigh on small meshes, the SPD guard, the
 condensed factor and lift against a dense Schur complement, the
-Bessel-quotient oracle on a disk, the disk's Steklov spectrum from the
-shifted pencil, counting and tail-extraction semantics, and the CSV round
-trip."""
+level-scheduled lift on a deep elimination tree against a sparse solve, the
+Bessel-quotient oracle on a disk, the Steklov spectra of the disk and the
+square from the shifted pencil, counting and tail-extraction semantics, and
+the CSV round trip."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -17,6 +19,7 @@ from steklovlab.eigensolve import (
     DENSE_RESIDUAL_TOL,
     EigensolveError,
     Spectrum,
+    _backward_levels,
     _condense,
     counting,
     solve_dense,
@@ -236,6 +239,37 @@ def test_condensation_without_interior_or_weighted_nodes(make_pencil, nb):
         assert np.allclose(G @ G.T, A.toarray())
 
 
+def test_lift_sweeps_a_deep_elimination_tree(monkeypatch):
+    # the sawtooth at h = 0.03 gives L_ii an elimination tree of 151 levels
+    _, A, B = _mesh_pencil("sawtooth-square", {}, 0.03, assembly.constant_weight(1.0))
+    depths = []
+
+    def recording(L_ii):
+        schedule = _backward_levels(L_ii)
+        depths.append(len(schedule[2]) + 1)
+        return schedule
+
+    monkeypatch.setattr("steklovlab.eigensolve._backward_levels", recording)
+    _, _, lift = _condense(A.tocsr(), B.tocsr())
+    assert depths[0] >= 100
+    weighted = np.asarray(abs(B).sum(axis=1)).ravel() > 0
+    Xb = np.random.default_rng(1).standard_normal((np.count_nonzero(weighted), 5))
+    A = A.tocsc()
+    want = spla.splu(A[~weighted][:, ~weighted]).solve(-(A[~weighted][:, weighted] @ Xb))
+    got = lift(Xb)[~weighted]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_broken_level_schedule_raises():
+    # column 0 reaches row 2, which is no ancestor of 0 in the elimination
+    # tree 0 -> 1 -> 4, 2 -> 3 -> 4, and sits on 0's own level
+    L = sp.identity(5, format="lil")
+    for row, col in ((1, 0), (2, 0), (4, 1), (3, 2), (4, 3)):
+        L[row, col] = 0.5
+    with pytest.raises(EigensolveError, match="elimination tree"):
+        _backward_levels(L.tocsc())
+
+
 # ---------------------------------------------------------------------------
 # Bessel-quotient oracle on the unit disk: the ratio eigenvalues of the
 # (gradient + unit potential, boundary mass) pencil are 1/sigma_k with
@@ -272,6 +306,18 @@ def test_steklov_eigenvalues_match_the_disk():
     assert abs(sigma[0]) < 1e-10
     want = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0])
     assert np.max(np.abs(sigma[1:9] - want) / want) < 0.02
+
+
+def test_steklov_eigenvalues_converge_to_the_square():
+    # pairs 1-10 against separation of variables; the relative error falls
+    # at about second order, 2.8e-2 at h = 0.05 and 7.2e-3 at h = 0.025
+    want = oracles.square_steklov_eigenvalues(11)[1:]
+    errs = []
+    for h, bound in ((0.05, 0.06), (0.025, 0.015)):
+        sigma = _steklov("square", {}, h)
+        errs.append(np.max(np.abs(sigma[1:11] - want) / want))
+        assert errs[-1] < bound
+    assert errs[1] < errs[0] / 3
 
 
 @pytest.mark.parametrize(

@@ -318,9 +318,11 @@ def test_straightening_collar_guard():
         geometry.build_straightening(dom, -0.1, 0.1)
     with pytest.raises(GeometryError, match="chart"):
         geometry.build_straightening(make_domain("lshape"), 0.2, 0.1)
-    # the collar grid alone would take ~3e11 nodes; refused before allocation
-    with pytest.raises(geometry.MeshingError, match="budget"):
-        geometry.build_straightening(dom, 0.25, 1e-6)
+    # the collar grid alone would take ~3e11 nodes; refused before allocation.
+    # At h = 2.2e-309 each column count is finite but their sum overflows.
+    for h in (1e-6, 2.225073858507203e-309):
+        with pytest.raises(geometry.MeshingError, match="budget"):
+            geometry.build_straightening(dom, 0.25, h)
     # a sloped bottom, and an extra bottom vertex, leave no rectangular remainder
     sloped = [[0, 0], [1, 0.1], [1, 1], [0, 1]]
     for verts in (sloped, [[0, 0], [0.5, -0.1], [1, 0], [1, 1], [0, 1]]):

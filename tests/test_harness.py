@@ -72,6 +72,18 @@ def test_config_rejects_unknown_experiment():
         ExperimentConfig.from_text("experiment = eigenvalue-safari")
 
 
+# The config fuzz draws only valid experiment names, so invalid ones are
+# checked here: empty, words, numbers, wrong case and lists.
+@pytest.mark.parametrize(
+    "name",
+    ["", "abc", "3", "-1.5", "nan", "square", "Weyl-Verification",
+     "weyl-verification, bem-crosscheck"],
+)
+def test_config_rejects_malformed_experiment_names(name):
+    with pytest.raises(HarnessError, match="experiment must be one of"):
+        ExperimentConfig.from_text(f"experiment = {name}")
+
+
 def test_config_rejects_non_decreasing_mesh_levels():
     for levels in ("0.05, 0.05", "-0.1", "0.1, 0"):
         with pytest.raises(HarnessError, match="positive and strictly decreasing"):
@@ -683,18 +695,17 @@ def _value_or_typed_error(fn, *args):
         return None
 
 
+# Every example names a real experiment, so the fuzz reaches past the name
+# check; test_config_rejects_malformed_experiment_names covers bad names.
 @given(
-    experiment=st.one_of(
-        st.sampled_from(
-            (
-                "weyl-verification",
-                "boundary-only-dependence",
-                "mollification-convergence",
-                "bilipschitz-invariance",
-                "bem-crosscheck",
-            )
-        ),
-        _value,
+    experiment=st.sampled_from(
+        (
+            "weyl-verification",
+            "boundary-only-dependence",
+            "mollification-convergence",
+            "bilipschitz-invariance",
+            "bem-crosscheck",
+        )
     ),
     entries=st.dictionaries(st.sampled_from(FUZZ_KEYS), _value, max_size=8),
     collar=st.tuples(_length, _length),

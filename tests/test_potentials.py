@@ -1,7 +1,8 @@
 """Boundary layer operators: closed-form panel integrals, the discrete Gauss
 identity, circle spectra of the single layer and of the Neumann-to-Dirichlet
-map, symmetry structure, the row-blocked fill, the mean-zero projection and
-the in-place ND operator."""
+map, the square's ND spectrum against separation of variables, symmetry
+structure, the row-blocked fill, the mean-zero projection and the in-place
+ND operator."""
 
 import dataclasses
 import math
@@ -168,6 +169,19 @@ def test_neumann_to_dirichlet_converges_at_second_order():
         expected = np.repeat(1.0 / np.arange(1, 7), 2)
         errs.append(np.abs(nd.eigenvalues[:12] - expected).max())
     assert errs[0] / errs[1] > 3.0
+
+
+def test_neumann_to_dirichlet_converges_on_the_square():
+    # pairs 1-10 against separation of variables: ND eigenvalues are 1/sigma;
+    # the corners slow the order to about 1.6 (3.4e-3 at 64 panels per edge,
+    # 1.1e-3 at 128)
+    want = 1.0 / oracles.square_steklov_eigenvalues(11)[1:]
+    errs = []
+    for p, bound in ((64, 7e-3), (128, 2.2e-3)):
+        nd = nd_operator(build_layer_operators(geometry.make_domain("square"), p))
+        errs.append(np.max(np.abs(nd.eigenvalues[:10] - want) / want))
+        assert errs[-1] < bound
+    assert errs[1] < errs[0] / 2.5
 
 
 def test_neumann_to_dirichlet_rejects_singular_system():

@@ -40,7 +40,14 @@ __all__ = [
 PANEL_BUDGET = 6000
 CONDITION_LIMIT = 1e12
 RESCALE_DIAMETER = 0.8  # < 1: the single layer is positive on mean-zero densities
-FILL_BLOCK = 2**18  # rows × panels per block of the layer fill
+# Rows × panels per block of the layer fill.  Each (rows, 4, panels) temporary
+# of ``_fill`` holds 4·FILL_BLOCK doubles, 256 KiB, so a block's working set
+# stays in a core's 2 MiB L2 cache; at 2**18 each held 8 MiB and every block
+# streamed from memory.  Fill time summed over the four bem-nd inputs, in s,
+# min / median of 6 interleaved rounds on a 2-vCPU Xeon:
+#   2**11  1.38/1.65   2**12  1.36/1.54   2**13  1.25/1.54   2**14  1.54/1.77
+#   2**15  1.98/2.07   2**16  2.23/2.38   2**17  2.52/3.04   2**18  2.47/2.86
+FILL_BLOCK = 2**13
 
 
 class PotentialsError(RuntimeError):
@@ -91,26 +98,33 @@ def _build_panels(domain: PolygonDomain, panels_per_edge: int) -> PanelSet:
 _GAUSS_X, _GAUSS_W = leggauss(4)
 
 
-def _fill(mid, tangent, normal, length):
+def _fill(panels: PanelSet) -> tuple[np.ndarray, np.ndarray]:
     """Galerkin single layer (outer Gauss × exact inner) and collocated
-    double layer, both over straight panels.
+    double layer over straight panels, in the orthonormal basis.
 
-    Both are filled in one pass over blocks of ``FILL_BLOCK // n`` rows, so
-    the largest temporaries hold 4·FILL_BLOCK Gauss-point values (8 MiB)
-    whatever n is.  Every entry is the same elementwise arithmetic in any
-    block size, so S and D do not depend on the blocking."""
-    n = mid.shape[0]
+    Both are filled in one pass over blocks of ``FILL_BLOCK // n`` rows, each
+    written already in the orthonormal basis: S divided by s_i·s_j and D
+    scaled by s_i/s_j, with s = √ℓ.  The largest temporaries hold
+    4·FILL_BLOCK Gauss-point values (256 KiB), so a block runs in L2 cache
+    (the sweep is at ``FILL_BLOCK``), and the build holds S, D and, while S
+    is symmetrized in place, one buffered copy of Sᵀ.  Every entry is the
+    same elementwise arithmetic in any block size, so S and D do not depend
+    on the blocking."""
+    mid, tangent, normal, length = panels.mid, panels.tangent, panels.normal, panels.length
+    n = len(panels)
     S = np.empty((n, n))
     D = np.empty((n, n))
     a = 0.5 * length
+    s = np.sqrt(length)
 
     def primitive(w, vv):
+        # No branch for collinear pairs: at v = 0 the last term is a signed
+        # zero, and adding it leaves w·log(w²) − 2w bitwise as it is.
         r2 = w * w + vv * vv
         with np.errstate(divide="ignore", invalid="ignore"):
             out = w * np.log(r2) - 2.0 * w + 2.0 * vv * np.arctan(w / vv)
-            flat = w * np.log(w * w) - 2.0 * w
-        out = np.where(vv == 0.0, flat, out)
-        return np.where(r2 == 0.0, 0.0, out)
+        out[r2 == 0.0] = 0.0
+        return out
 
     block = max(1, FILL_BLOCK // max(n, 1))
     for lo in range(0, n, block):
@@ -125,7 +139,8 @@ def _fill(mid, tangent, normal, length):
                 2.0 * math.pi
             )
         dmat[v == 0.0] = 0.0  # includes the diagonal
-        D[lo:hi] = dmat
+        np.multiply(dmat, s[lo:hi, None], out=D[lo:hi])
+        D[lo:hi] /= s[None, :]
         # single layer: four Gauss points on each of the block's panels
         xi = (
             mid[lo:hi, None, :]
@@ -139,9 +154,11 @@ def _fill(mid, tangent, normal, length):
             -a[None, None, :] - uq, vq
         )
         acc = np.einsum("q,bqj->bj", _GAUSS_W, inner) * a[lo:hi, None]
-        S[lo:hi] = -acc / (4.0 * math.pi)
-    li = length
-    np.fill_diagonal(S, -(li * li) * (np.log(li) - 1.5) / (2.0 * math.pi))
+        np.divide(-acc / (4.0 * math.pi), s[lo:hi, None] * s[None, :], out=S[lo:hi])
+    diag = -(length * length) * (np.log(length) - 1.5) / (2.0 * math.pi)
+    np.fill_diagonal(S, diag / (s * s))
+    np.add(S, S.T, out=S)  # numpy buffers the overlapping Sᵀ: one n × n copy
+    S *= 0.5
     return S, D
 
 
@@ -192,11 +209,7 @@ def build_layer_operators(
         scale = RESCALE_DIAMETER / domain.diameter
         dom = domain.scaled(scale)
     panels = _build_panels(dom, panels_per_edge)
-    Sg, Draw = _fill(panels.mid, panels.tangent, panels.normal, panels.length)
-    s = np.sqrt(panels.length)
-    S = Sg / (s[:, None] * s[None, :])
-    S = 0.5 * (S + S.T)
-    D = (Draw * s[:, None]) / s[None, :]
+    S, D = _fill(panels)
     return NystromOperator(panels=panels, S=S, D=D, scale=scale)
 
 

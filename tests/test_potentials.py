@@ -1,10 +1,12 @@
 """Boundary layer operators: closed-form panel integrals, the discrete Gauss
 identity, circle spectra of the single layer and of the Neumann-to-Dirichlet
 map, the square's ND spectrum against separation of variables, symmetry
-structure, the row-blocked fill, the mean-zero projection and the in-place
-ND operator."""
+structure, the row-blocked fill and its pinned digests, the mean-zero
+projection and the in-place ND operator."""
 
 import dataclasses
+import functools
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -297,6 +299,79 @@ def test_fill_blocking_leaves_layers_bitwise_unchanged(monkeypatch):
         op = build_layer_operators(dom, 32)
         assert np.array_equal(op.S, ref.S), budget
         assert np.array_equal(op.D, ref.D), budget
+
+
+def _catalog_layers(name, ppe, rescale=True, **params):
+    op = build_layer_operators(geometry.make_domain(name, **params), ppe, rescale=rescale)
+    return op.S, op.D
+
+
+def _touching_pair_layers():
+    # panel 1 starts at x = g, the outer Gauss point of panel 0
+    g = potentials._GAUSS_X[3]
+    panels = potentials.PanelSet(
+        mid=np.array([[0.0, 0.0], [2.0 * g, 0.0]]),
+        length=np.array([2.0, 2.0 * g]),
+        tangent=np.array([[1.0, 0.0], [1.0, 0.0]]),
+        normal=np.array([[0.0, -1.0], [0.0, -1.0]]),
+    )
+    return potentials._fill(panels)
+
+
+# Layers and the SHA-256 of S.tobytes() and D.tobytes(): any change to the
+# fill's arithmetic or its order of operations moves them.  The catalog cases
+# hold collinear panel pairs (v = 0); the touching pair puts a Gauss point on
+# another panel's endpoint (r² = 0), which no simple polygon does.
+LAYER_DIGESTS = {
+    "square-32": (
+        functools.partial(_catalog_layers, "square", 32),
+        "9f79a11f0441f1c80426f36a1d489781922849ed7e016a2ec415681a85588400",
+        "9f1262d146770c1843acb07c84c2cc15c8b5ae94eeef017cbf0e3513c5cab3dc",
+    ),
+    "sawtooth-32": (
+        functools.partial(_catalog_layers, "sawtooth-square", 32),
+        "17d87f044db063436febb70342cffeeebd32110d909215da85b85ce0bf25de84",
+        "54825de0963549106c008acfbbc7ec75809372dc5f19a0b416272980c69a20cd",
+    ),
+    "koch-l2-8": (
+        functools.partial(_catalog_layers, "koch-prefractal", 8, level=2),
+        "75450aceb96b7542c938fa8cd6fd5caa7570a8cdc95044203b1c7b9e25f2275a",
+        "62eceff78fbc7f9e9a97f196a30336336362d4730f3c02e83318c04ed5207c31",
+    ),
+    "ngon96-2-unscaled": (
+        functools.partial(_catalog_layers, "regular-ngon", 2, rescale=False, n=96, radius=1.0),
+        "2ef4b0063d6dbe20b988b412597d1ec4c0ad81202cd039c123d4e3a2351686dc",
+        "c53a4f6ae003180ce4052a2bd9ad7aa445209b10b935c610897294e90d95c2e5",
+    ),
+    "touching-pair": (
+        _touching_pair_layers,
+        "872d5112e3c96b17a4a2e9ae8061bce391324f1917d8cadad1f431408ee7e496",
+        "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYER_DIGESTS))
+def test_layer_matrices_match_golden_digests(case):
+    layers, *expected = LAYER_DIGESTS[case]
+    S, D = layers()
+    assert np.isfinite(S).all() and np.isfinite(D).all()
+    assert [hashlib.sha256(M.tobytes()).hexdigest() for M in (S, D)] == expected
+
+
+@pytest.mark.parametrize("ppe", [256, 512])
+def test_layer_build_peak_is_three_matrices(ppe):
+    dom = geometry.make_domain("square")
+    tracemalloc.start()
+    try:
+        op = build_layer_operators(dom, ppe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = op.n
+    # S, D and the copy of Sᵀ that the in-place symmetrization buffers; the
+    # cache-sized fill blocks are a small fraction of one n × n matrix
+    assert peak <= 3.5 * n * n * 8, peak / (n * n * 8)
 
 
 def test_layer_fill_memory_is_bounded():

@@ -102,21 +102,17 @@ class BoundaryWeight:
     Called as ``rho(parents, p0, p1)`` (and ``fn`` likewise), it evaluates ρ on
     boundary edges given by their parent polygon-segment ids and endpoints; a
     point on the boundary, such as a quadrature node, is the zero-length edge
-    ``p0 = p1``.  ``bound`` is the declared sup-norm bound.
+    ``p0 = p1``.
     """
 
     name: str
     fn: object
-    bound: float = np.inf
 
     def __call__(self, parents, p0, p1) -> np.ndarray:
         parents = np.asarray(parents, dtype=np.int64)
         p0 = np.atleast_2d(np.asarray(p0, dtype=float))
         p1 = np.atleast_2d(np.asarray(p1, dtype=float))
-        vals = np.asarray(self.fn(parents, p0, p1), dtype=float).reshape(len(parents))
-        if np.abs(vals).max(initial=0.0) > self.bound + 1e-12:
-            raise AssemblyError(f"weight {self.name!r} exceeds declared bound")
-        return vals
+        return np.asarray(self.fn(parents, p0, p1), dtype=float).reshape(len(parents))
 
 
 @dataclass(frozen=True)
@@ -192,8 +188,15 @@ def checkerboard(
     eye = np.eye(2)
 
     def fn(pts):
-        ij = np.floor((pts - (ox, oy)) / cell).astype(np.int64)
-        odd = (ij[:, 0] + ij[:, 1]) % 2 == 1
+        try:
+            # an index outside int64, an infinite one included, makes the cast invalid
+            with np.errstate(over="ignore", invalid="raise"):
+                ij = np.floor((pts - (ox, oy)) / cell).astype(np.int64)
+        except FloatingPointError:
+            raise AssemblyError(
+                f"checkerboard cell = {cell!r} is too small: a cell index overflows int64"
+            ) from None
+        odd = (ij[:, 0] + ij[:, 1]) % 2 == 1  # a wrapped sum keeps its parity
         vals = np.where(odd, high, low)
         return vals[:, None, None] * eye
 
@@ -329,7 +332,7 @@ def constant_weight(value: float = 1.0) -> BoundaryWeight:
     def fn(parents, p0, p1):
         return np.full(len(parents), v)
 
-    return BoundaryWeight("constant", fn, bound=abs(v))
+    return BoundaryWeight("constant", fn)
 
 
 def segment_weight(values) -> BoundaryWeight:
@@ -341,7 +344,7 @@ def segment_weight(values) -> BoundaryWeight:
             raise AssemblyError("segment weight has no value for a parent id")
         return vals[parents]
 
-    return BoundaryWeight("per-segment", fn, bound=float(np.abs(vals).max()))
+    return BoundaryWeight("per-segment", fn)
 
 
 _WEIGHTS = {"constant": constant_weight, "per-segment": segment_weight}
@@ -450,11 +453,8 @@ def _quad_rule_for(coeff: CoefficientField):
 
 
 def assemble_energy_split(mesh: TriangleMesh, coeff: CoefficientField):
-    """Stiffness and potential-mass parts of the energy form, separately.
-
-    ``A = K + M`` is the full energy matrix; callers that sweep the potential
-    magnitude reuse ``K`` and rescale ``M``.
-    """
+    """Stiffness ``K`` and potential-mass ``M`` parts of the energy form;
+    ``assemble_energy`` returns their sum."""
     coords = mesh.nodes[mesh.triangles]
     bary, wq = _quad_rule_for(coeff)
     # Physical quadrature points, pulled a hair toward the element centroid so
@@ -486,8 +486,6 @@ def assemble_energy_split(mesh: TriangleMesh, coeff: CoefficientField):
     cols = np.tile(tri, (1, 3)).ravel()
     K = sp.coo_matrix((K_e.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     M = sp.coo_matrix((M_e.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    K.sum_duplicates()
-    M.sum_duplicates()
     return K, M
 
 
@@ -510,9 +508,7 @@ def assemble_boundary_weight(mesh: TriangleMesh, rho: BoundaryWeight) -> sp.csr_
     cols = np.concatenate([u, v, v, u])
     data = np.concatenate([2 * c, 2 * c, c, c])
     n = mesh.n_nodes
-    B = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    B.sum_duplicates()
-    return B
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 @dataclass

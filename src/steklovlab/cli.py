@@ -74,9 +74,7 @@ def cmd_weyl(args) -> int:
 
 def cmd_bem(args) -> int:
     cfg = _config(args)
-    op = potentials.build_layer_operators(
-        harness._domain_from(cfg), cfg.panels_per_edge(), rescale=not args.no_rescale
-    )
+    op = potentials.build_layer_operators(harness._domain_from(cfg), cfg.panels_per_edge())
     nd = potentials.nd_operator(op)
     if args.out:
         lines = ["index,eigenvalue"]
@@ -85,10 +83,7 @@ def cmd_bem(args) -> int:
         ]
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-    print(
-        f"panels={op.n} scale={op.scale:.6g} cond={nd.condition:.4g} "
-        f"route_gap={nd.route_gap:.3e}"
-    )
+    print(f"panels={op.n} cond={nd.condition:.4g} route_gap={nd.route_gap:.3e}")
     for i, v in enumerate(nd.eigenvalues[: args.count], 1):
         print(f"  nd_{i} = {v:.8g}")
     return 0
@@ -140,11 +135,6 @@ def main(argv=None) -> int:
 
     p = _instance_parser(sub, "bem", cmd_bem, "boundary-integral route to the spectrum")
     p.add_argument("--count", type=int, default=12)
-    p.add_argument(
-        "--no-rescale",
-        action="store_true",
-        help=f"build on the original geometry, not at diameter {potentials.RESCALE_DIAMETER:g}",
-    )
     p.add_argument("--out", default="", help="write the eigenvalue CSV")
 
     p = sub.add_parser("experiment", help="run a configured experiment")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -80,7 +80,7 @@ class LipschitzChart:
 
 @dataclass
 class PolygonDomain:
-    """Simple CCW polygon with optional boundary charts.
+    """Simple CCW polygon with an optional boundary chart.
 
     ``vertices`` has shape (k, 2); segment ``i`` runs from vertex ``i`` to
     vertex ``i+1`` (cyclically).
@@ -88,7 +88,7 @@ class PolygonDomain:
 
     vertices: np.ndarray
     name: str = "polygon"
-    charts: list = field(default_factory=list)
+    chart: LipschitzChart | None = None
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -142,13 +142,6 @@ class PolygonDomain:
     def area(self) -> float:
         return 0.5 * _signed_area2(self.vertices)
 
-    @property
-    def diameter(self) -> float:
-        v = self.vertices
-        # hull-free pairwise max is fine at catalog sizes (<= a few thousand)
-        d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
-        return float(np.sqrt(d2.max()))
-
     def contains(self, points) -> np.ndarray:
         """Crossing-number interior test, vectorized over query points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -163,9 +156,6 @@ class PolygonDomain:
             xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
         inside = np.sum(cond & (px < xint), axis=1) % 2 == 1
         return inside
-
-    def scaled(self, factor: float) -> "PolygonDomain":
-        return PolygonDomain(self.vertices * factor, name=self.name)
 
 
 def _signed_area2(v: np.ndarray) -> float:
@@ -254,12 +244,9 @@ def _regular_ngon(n: int = 64, radius: float = 1.0) -> PolygonDomain:
 def _square(side: float = 1.0) -> PolygonDomain:
     s = _length("square", "side", side)
     verts = np.array([[0.0, 0.0], [s, 0.0], [s, s], [0.0, s]])
-    dom = PolygonDomain(verts, "square")
     # Flat chart along the top side (segment 2 runs right-to-left).
-    dom.charts.append(
-        LipschitzChart(np.array([0.0, s]), np.array([s, s]), np.array([2]))
-    )
-    return dom
+    chart = LipschitzChart(np.array([0.0, s]), np.array([s, s]), np.array([2]))
+    return PolygonDomain(verts, "square", chart)
 
 
 def _lshape(size: float = 1.0, notch: float = 0.5) -> PolygonDomain:
@@ -287,14 +274,13 @@ def _sawtooth_square(teeth: int = 8, slope: float = 1.0) -> PolygonDomain:
     verts = [[0.0, 0.0], [1.0, 0.0]]
     # top traversed right-to-left to keep the polygon CCW
     verts.extend([[x, y] for x, y in zip(reversed(xs), reversed(ys))])
-    dom = PolygonDomain(np.array(verts), "sawtooth-square")
     # Chart pieces map to polygon segments: segment j runs vertex j -> j+1.
     # Vertices 2 .. 2 + 2m are the top, in decreasing x, so the chart piece
     # [xs[i], xs[i+1]] is polygon segment (2 + 2m - 1 - i).
     npieces = 2 * m
     seg_ids = np.array([2 + npieces - 1 - i for i in range(npieces)])
-    dom.charts.append(LipschitzChart(np.array(xs), np.array(ys), seg_ids))
-    return dom
+    chart = LipschitzChart(np.array(xs), np.array(ys), seg_ids)
+    return PolygonDomain(np.array(verts), "sawtooth-square", chart)
 
 
 def _koch_prefractal(level: int = 2, side: float = 1.0) -> PolygonDomain:
@@ -418,7 +404,7 @@ class TriangleMesh:
 
 
 def triangulate(domain: PolygonDomain, h: float) -> TriangleMesh:
-    """Quality constrained-Delaunay mesh with max element diameter <= 1.5 h and,
+    """Quality constrained-Delaunay mesh with longest element edge <= 1.5 h and,
     where input angles are 60 degrees or more, no angle below ``MIN_ANGLE_DEG``."""
     raw = triangulate_polygon(domain.vertices, h)
     edges = np.array([(u, v) for (u, v, _) in raw["boundary"]], dtype=np.int64)
@@ -428,7 +414,7 @@ def triangulate(domain: PolygonDomain, h: float) -> TriangleMesh:
         raw["points"], raw["triangles"], edges, parents, normals, float(h)
     )
     if raw["max_edge"] > DIAMETER_FACTOR * h * (1 + 1e-12):
-        raise MeshingError(f"max element diameter exceeds {DIAMETER_FACTOR} h")
+        raise MeshingError(f"longest element edge exceeds {DIAMETER_FACTOR} h")
     return mesh
 
 
@@ -543,7 +529,7 @@ def _check_budget(nodes: float, h: float) -> None:
 
 
 def build_straightening(domain: PolygonDomain, collar_depth: float, h: float) -> StraighteningMap:
-    """Construct the collar-flattening map of the domain's first chart at mesh size ``h``.
+    """Construct the collar-flattening map of the domain's chart at mesh size ``h``.
 
     The base line sits ``collar_depth`` below the lowest point of the graph,
     and the collar must stay inside the domain, which is checked.  Each chart
@@ -553,11 +539,11 @@ def build_straightening(domain: PolygonDomain, collar_depth: float, h: float) ->
     ``GeometryError``; a grid over the mesher's node budget raises
     ``MeshingError`` before it is allocated.
     """
-    if not domain.charts:
+    chart = domain.chart
+    if chart is None:
         raise GeometryError(f"domain {domain.name!r} has no chart to straighten")
     if not (collar_depth > 0 and h > 0):
         raise GeometryError("collar depth and mesh size h must be positive")
-    chart = domain.charts[0]
     base = float(chart.values.min()) - float(collar_depth)
     with np.errstate(over="ignore"):  # a tiny h gives inf columns, which the budget refuses
         pieces = np.maximum(1, np.ceil(np.diff(chart.xs) / h - 1e-12))

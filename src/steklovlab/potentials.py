@@ -39,7 +39,6 @@ __all__ = [
 
 PANEL_BUDGET = 6000
 CONDITION_LIMIT = 1e12
-RESCALE_DIAMETER = 0.8  # < 1: the single layer is positive on mean-zero densities
 # Rows × panels per block of the layer fill.  Each (rows, 4, panels) temporary
 # of ``_fill`` holds 4·FILL_BLOCK doubles, 256 KiB, so a block's working set
 # stays in a core's 2 MiB L2 cache; at 2**18 each held 8 MiB and every block
@@ -104,7 +103,7 @@ def _fill(panels: PanelSet) -> tuple[np.ndarray, np.ndarray]:
 
     Both are filled in one pass over blocks of ``FILL_BLOCK // n`` rows, each
     written already in the orthonormal basis: S divided by s_i·s_j and D
-    scaled by s_i/s_j, with s = √ℓ.  The largest temporaries hold
+    multiplied by s_i/s_j, with s = √ℓ.  The largest temporaries hold
     4·FILL_BLOCK Gauss-point values (256 KiB), so a block runs in L2 cache
     (the sweep is at ``FILL_BLOCK``), and the build holds S, D and, while S
     is symmetrized in place, one buffered copy of Sᵀ.  Every entry is the
@@ -168,18 +167,12 @@ def _fill(panels: PanelSet) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class NystromOperator:
-    """Single/double layer pair on a panelized polygon, in the orthonormal
-    basis (the adjoint double layer is ``D.T``).
-
-    ``scale`` is the factor the original domain was multiplied by before the
-    build (1.0 when rescaling was disabled); eigenvalue-like outputs must be
-    divided by it to refer to the original geometry.
-    """
+    """Single/double layer pair on a panelized polygon of the given geometry,
+    in the orthonormal basis (the adjoint double layer is ``D.T``)."""
 
     panels: PanelSet
     S: np.ndarray
     D: np.ndarray
-    scale: float
 
     @property
     def n(self) -> int:
@@ -190,27 +183,18 @@ class NystromOperator:
         return np.sqrt(self.panels.length)
 
 
-def build_layer_operators(
-    domain: PolygonDomain,
-    panels_per_edge: int,
-    *,
-    rescale: bool = True,
-) -> NystromOperator:
-    """Panelize the boundary and fill the layer matrices.
+def build_layer_operators(domain: PolygonDomain, panels_per_edge: int) -> NystromOperator:
+    """Panelize the boundary of ``domain`` and fill the layer matrices on it.
 
-    With ``rescale`` the domain is first scaled to diameter
-    ``RESCALE_DIAMETER``, which keeps the single layer positive on mean-zero
-    densities by the logarithmic capacity condition; without it the build
-    runs on the original geometry.
+    The build runs on the given geometry at any scale: only the projected
+    single layer Ŝ enters the ND map, and on mean-zero densities the
+    logarithmic single layer is positive definite whatever the domain's
+    logarithmic capacity (McLean, *Strongly Elliptic Systems and Boundary
+    Integral Equations*, ch. 8).
     """
-    scale = 1.0
-    dom = domain
-    if rescale:
-        scale = RESCALE_DIAMETER / domain.diameter
-        dom = domain.scaled(scale)
-    panels = _build_panels(dom, panels_per_edge)
+    panels = _build_panels(domain, panels_per_edge)
     S, D = _fill(panels)
-    return NystromOperator(panels=panels, S=S, D=D, scale=scale)
+    return NystromOperator(panels=panels, S=S, D=D)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +284,11 @@ class NDResult:
 
     ``matrix`` is the symmetrized primary route in the basis H[:, 1:], the
     last n − 1 columns of the Householder reflection H that maps √ℓ/‖√ℓ‖
-    onto e₀ (``_reflection``); ``eigenvalues`` are descending and already
-    rescaled to the original (unscaled) geometry.  ``route_gap`` is the
-    relative difference between the direct solve and the split form, which
-    agree by an exact algebraic identity; ``asymmetry`` is the relative skew
-    part of the primary route, a pure discretization error.
+    onto e₀ (``_reflection``); ``eigenvalues`` are descending and of the
+    given geometry.  ``route_gap`` is the relative difference between the
+    direct solve and the split form, which agree by an exact algebraic
+    identity; ``asymmetry`` is the relative skew part of the primary route,
+    a pure discretization error.
     """
 
     matrix: np.ndarray
@@ -364,7 +348,7 @@ def nd_operator(op: NystromOperator) -> NDResult:
     asym = float(np.linalg.norm(np.subtract(route1, route1.T, out=route2)) / denom)
     sym = np.add(route1, route1.T, out=route2)
     sym *= 0.5
-    eigs = np.linalg.eigvalsh(sym)[::-1] / op.scale
+    eigs = np.linalg.eigvalsh(sym)[::-1]
     return NDResult(
         matrix=sym,
         eigenvalues=eigs,

@@ -77,10 +77,10 @@ def cometric_det(a: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _densities(det, m: int, rho) -> tuple:
-    """(α₊, α₋) from det Θ′; ρ± = max(±ρ, 0) as Python's ``max`` takes it."""
+    """(α₊, α₋) from det Θ′; ρ± = max(±ρ, 0), a positive zero where ±ρ ≤ 0."""
     rho = np.asarray(rho, dtype=float)
     om, root = ball_volume(m), np.sqrt(det)
-    return tuple(om * np.where(r < 0.0, 0.0, r) ** m / root for r in (rho, -rho))
+    return tuple(om * np.where(r > 0.0, r, 0.0) ** m / root for r in (rho, -rho))
 
 
 def alpha_pm(a: np.ndarray, n: np.ndarray, rho) -> tuple:

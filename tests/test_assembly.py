@@ -1,6 +1,8 @@
 """Form assembly: quadrature correctness, element-order invariance, and
 coefficient catalog."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,17 @@ def test_catalog_rejects_unknown():
         assembly.make_weight("random")
     with pytest.raises(AssemblyError):
         checkerboard(cell=-1.0)
+
+
+def test_checkerboard_parity_holds_up_to_the_int64_limit():
+    # indices near 8e18 fit int64 but their sum wraps; 9.5e18 does not fit
+    a = checkerboard(cell=1e-19, low=1.0, high=9.0)
+    pts = np.array([[0.8, 0.85], [-0.9, 0.3], [2.5e-19, 1.5e-19], [2.5e-19, 0.8]])
+    want = [9.0 if (math.floor(x / 1e-19) + math.floor(y / 1e-19)) % 2 else 1.0 for x, y in pts]
+    assert want[2] == 9.0
+    assert a(pts)[:, 0, 0].tolist() == want
+    with pytest.raises(AssemblyError, match="checkerboard cell = 1e-19 is too small"):
+        a(np.array([[0.1, 0.1], [0.95, 0.0]]))
 
 
 @pytest.mark.parametrize(

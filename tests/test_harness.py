@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steklovlab import cli, geometry, harness, weyl
+from steklovlab import cli, geometry, harness, potentials, weyl
 from steklovlab.assembly import AssemblyError
 from steklovlab.geometry import GeometryError, MeshingError
 from steklovlab.harness import (
@@ -474,6 +474,38 @@ def test_cli_mesh_solve_weyl_bem(tmp_path, capsys):
     assert "route_gap" in capsys.readouterr().out
 
 
+def test_cli_out_files_match_the_in_process_renderings(tmp_path, capsys):
+    mesh_out, weyl_out, bem_out = (tmp_path / f for f in ("mesh.txt", "weyl.csv", "bem.csv"))
+    dom = geometry.make_domain("sawtooth-square", teeth=2)
+    keys = ["domain.name=sawtooth-square", "domain.teeth=2"]
+    assert cli.main(["mesh", *keys, "mesh.levels=0.2", "--out", str(mesh_out)]) == 0
+    assert mesh_out.read_text(encoding="utf-8") == geometry.triangulate(dom, 0.2).to_text()
+
+    rho = ["rho.name=per-segment", "rho.values=1,0,-2,1,1,1,1"]
+    assert cli.main(["weyl", *keys, *rho, "--out", str(weyl_out)]) == 0
+    coeff = harness._coeff_from(ExperimentConfig(parse_config_text("\n".join(rho))), dom)
+    assert weyl_out.read_text(encoding="utf-8") == weyl.weyl_coefficient(dom, coeff).to_csv()
+
+    argv = ["bem", *keys, "bem.panels-per-edge=3", "--count", "5", "--out", str(bem_out)]
+    assert cli.main(argv) == 0
+    nd = potentials.nd_operator(potentials.build_layer_operators(dom, 3))
+    rows = ["index,eigenvalue"] + [f"{k},{float(nd.eigenvalues[k - 1])!r}" for k in range(1, 6)]
+    assert bem_out.read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+    capsys.readouterr()
+
+
+def test_cli_refuses_a_checkerboard_cell_whose_index_overflows(capsys):
+    # at cell = 1e-300 every cell index is beyond int64: the field would
+    # silently be uniform, so the command names the cell and exits 1
+    argv = ["weyl", "domain.name=square", "coeff.a=checkerboard", "coeff.a.cell=1e-300"]
+    assert cli.main([*argv, "coeff.a.low=1", "coeff.a.high=9"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("steklovlab: error:"), err
+    assert "checkerboard cell = 1e-300" in err[0]
+    assert captured.out == ""
+
+
 def test_cli_experiment_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.cfg"
     good.write_text(WEYL_SQUARE)
@@ -739,7 +771,7 @@ def test_config_surface_raises_only_typed_errors(experiment, entries, collar, le
     # fuzzed domain if it is charted, with the collar depth and mesh size
     # drawn as their own pair of fuzzed lengths.
     charted = [geometry.make_domain("square"), geometry.make_domain("sawtooth-square")]
-    if domain is not None and domain.charts:
+    if domain is not None and domain.chart is not None:
         charted.append(domain)
     for dom in charted:
         try:

@@ -29,7 +29,7 @@ from steklovlab.potentials import (
 @pytest.fixture(scope="module")
 def circle_op():
     dom = geometry.make_domain("regular-ngon", n=96, radius=1.0)
-    return build_layer_operators(dom, 2, rescale=False)
+    return build_layer_operators(dom, 2)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def test_panel_budget_is_enforced():
 @pytest.mark.parametrize("scale", [1.0, 0.37])
 def test_panels_split_every_segment_in_order(scale):
     # reference: each segment cut at the fractions k/p, one segment at a time
-    dom = geometry.make_domain("koch-prefractal", level=2).scaled(scale)
+    dom = geometry.PolygonDomain(geometry.make_domain("koch-prefractal", level=2).vertices * scale)
     p = 3
     pa, pb = dom.segment_points()
     t = np.arange(p + 1) / p
@@ -72,18 +72,25 @@ def test_panels_split_every_segment_in_order(scale):
     assert np.array_equal(panels.normal, np.repeat(dom.segment_normals(), p, axis=0))
 
 
-def test_rescale_diameter_must_sit_below_one(circle_op):
-    # the logarithmic capacity condition behind the default rescaling
-    assert 0 < potentials.RESCALE_DIAMETER < 1
-    assert circle_op.scale == 1.0  # built with rescale=False
-
-
-def test_default_rescale_keeps_capacity_sign(square_op):
-    assert square_op.scale == pytest.approx(0.8 / math.sqrt(2.0), rel=1e-12)
-    # single layer positive definite on mean-zero densities at this diameter
-    Q = householder_q(square_op)
-    eigs = np.linalg.eigvalsh(Q.T @ square_op.S @ Q)
-    assert eigs.min() > 0
+def test_nd_map_is_scale_covariant():
+    # On mean-zero densities the log kernel's −(1/2π)·log c shift under x ↦ c·x
+    # integrates to zero, so Ŝ stays positive definite at any logarithmic
+    # capacity and the ND map scales by c; D is scale invariant.
+    cases = [
+        ("square", {}, 16),
+        ("koch-prefractal", {"level": 2}, 2),
+        ("regular-ngon", {"n": 96, "radius": 1.0}, 2),
+    ]
+    for name, params, ppe in cases:
+        dom = geometry.make_domain(name, **params)
+        ref = nd_operator(build_layer_operators(dom, ppe))
+        for c in (0.37, 10.0):
+            op = build_layer_operators(geometry.PolygonDomain(dom.vertices * c), ppe)
+            nd = nd_operator(op)
+            assert nd.eigenvalues == pytest.approx(c * ref.eigenvalues, rel=1e-12), (name, c)
+            u, k = potentials._reflection(op)
+            assert np.linalg.eigvalsh(potentials._project(op.S, u, k)).min() > 0, (name, c)
+            assert nd.condition == pytest.approx(ref.condition, rel=1e-12), (name, c)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +173,7 @@ def test_neumann_to_dirichlet_converges_at_second_order():
     errs = []
     for n in (96, 192):
         dom = geometry.make_domain("regular-ngon", n=n, radius=1.0)
-        op = build_layer_operators(dom, 2, rescale=False)
+        op = build_layer_operators(dom, 2)
         nd = nd_operator(op)
         expected = np.repeat(1.0 / np.arange(1, 7), 2)
         errs.append(np.abs(nd.eigenvalues[:12] - expected).max())
@@ -265,7 +272,7 @@ def test_in_place_nd_operator_matches_the_out_of_place_formula(square_op):
     sym = 0.5 * (route1 + route1.T)
     nd = nd_operator(square_op)
     assert np.array_equal(nd.matrix, sym)
-    assert np.array_equal(nd.eigenvalues, np.linalg.eigvalsh(sym)[::-1] / square_op.scale)
+    assert np.array_equal(nd.eigenvalues, np.linalg.eigvalsh(sym)[::-1])
     assert nd.route_gap == float(np.linalg.norm(route1 - route2) / denom)
     assert nd.asymmetry == float(np.linalg.norm(route1 - route1.T) / denom)
     anorm = max(float(np.abs(A).sum(axis=0).max()), 0.5)
@@ -301,8 +308,15 @@ def test_fill_blocking_leaves_layers_bitwise_unchanged(monkeypatch):
         assert np.array_equal(op.D, ref.D), budget
 
 
-def _catalog_layers(name, ppe, rescale=True, **params):
-    op = build_layer_operators(geometry.make_domain(name, **params), ppe, rescale=rescale)
+def _catalog_layers(name, ppe, to_diameter=0.8, **params):
+    """Layers of a catalog domain, first scaled to diameter ``to_diameter``
+    (the largest vertex distance) unless it is None; the digests below were
+    pinned on domains scaled so."""
+    v = geometry.make_domain(name, **params).vertices
+    if to_diameter is not None:
+        d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
+        v = v * (to_diameter / float(np.sqrt(d2.max())))
+    op = build_layer_operators(geometry.PolygonDomain(v), ppe)
     return op.S, op.D
 
 
@@ -339,7 +353,7 @@ LAYER_DIGESTS = {
         "62eceff78fbc7f9e9a97f196a30336336362d4730f3c02e83318c04ed5207c31",
     ),
     "ngon96-2-unscaled": (
-        functools.partial(_catalog_layers, "regular-ngon", 2, rescale=False, n=96, radius=1.0),
+        functools.partial(_catalog_layers, "regular-ngon", 2, to_diameter=None, n=96, radius=1.0),
         "2ef4b0063d6dbe20b988b412597d1ec4c0ad81202cd039c123d4e3a2351686dc",
         "c53a4f6ae003180ce4052a2bd9ad7aa445209b10b935c610897294e90d95c2e5",
     ),

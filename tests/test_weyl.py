@@ -326,6 +326,15 @@ def test_package_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("rho", [[0.0] * 4, [2.0, 0.0, -1.0, 0.0]])
+def test_zero_weight_gives_positive_zeros(square_domain, rho):
+    # −ρ is −0.0 where ρ = 0: no negative zero may reach α±, W± or the CSV
+    data = weyl_coefficient(square_domain, _unit_coeff(rho))
+    assert not np.signbit([data.w_plus, data.w_minus]).any()
+    assert not np.signbit(data.alpha_plus).any() and not np.signbit(data.alpha_minus).any()
+    assert "-0.0" not in data.to_csv()
+
+
 def test_square_coefficient_is_four_over_pi(square_domain):
     data = weyl_coefficient(square_domain, _unit_coeff())
     assert data.w_plus == pytest.approx(4.0 / math.pi, rel=1e-12)

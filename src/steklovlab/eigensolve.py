@@ -10,11 +10,10 @@ the other n − nb are structural zeros.
 LU of A with those nodes last, whose trailing block is the Cholesky factor of
 the Schur complement S = A_bb − A_bi A_ii⁻¹ A_ib (the discrete
 Dirichlet-to-Neumann map) and whose pivots are the one SPD check; the n × n
-pencil is never formed densely.  It eigendecomposes the nb × nb pencil
-(B_bb, S) and lifts each eigenvector back to all n unknowns by one
-level-scheduled backward sweep over the elimination tree of L_ii, so it
-returns every nonzero pair of both branches with residuals on the full
-pencil.
+pencil is never formed densely.  A probe of S on four fixed vectors checks
+the factor against the Schur complement applied through A_ii⁻¹.  It
+eigendecomposes the nb × nb pencil (B_bb, S) and returns every nonzero pair
+of both branches with residuals on that condensed pencil.
 """
 
 from __future__ import annotations
@@ -26,12 +25,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-# Y += A X on raw CSR arrays, the kernel behind scipy's sparse-times-dense
-# product.  The sweep calls it on row ranges of one matrix: a scipy matrix per
-# level costs about 40 µs to build, more than the level's arithmetic on the
-# 500-2 000-unknown pencils of the acceptance gate.
-from scipy.sparse._sparsetools import csr_matvecs
 
 __all__ = [
     "EigensolveError",
@@ -45,8 +38,8 @@ __all__ = [
 ]
 
 DENSE_DIMENSION_CAP = 8000  # caps nb, the number of weighted nodes
-LIFT_BLOCK = 64  # columns per lifted block: the sweep's dense work arrays stay n × 64
 DENSE_RESIDUAL_TOL = 1e-8
+SCHUR_PROBE_TOL = 1e-10  # relative gap ‖G GᵀZ − S Z‖ / ‖S Z‖ of the condensation
 ZERO_THRESHOLD_REL = 1e-12
 
 
@@ -59,9 +52,10 @@ class Spectrum:
     """Signed ratio spectrum, split by branch.
 
     ``positive`` is sorted descending; ``negative`` is sorted by magnitude
-    descending (most negative first).  Residuals are ‖Bx − μAx‖₂ for the
-    A-normalized eigenvector of each retained pair.  ``boundary_rank`` is
-    nb, the size of the condensed pencil.
+    descending (most negative first).  Residuals are ‖B_bb x_b − μ S x_b‖₂
+    on the condensed pencil, for the S-normalized boundary eigenvector x_b of
+    each retained pair.  ``boundary_rank`` is nb, the size of the condensed
+    pencil, and ``schur_gap`` the relative probe gap of its condensation.
     """
 
     positive: np.ndarray
@@ -71,6 +65,7 @@ class Spectrum:
     zero_threshold: float
     boundary_rank: int
     n_dropped: int = 0
+    schur_gap: float = 0.0
 
     def branch(self, sign: str) -> np.ndarray:
         if sign == "+":
@@ -110,13 +105,6 @@ def _weighted_rows(B: sp.csr_matrix) -> np.ndarray:
     return np.asarray(np.abs(B).sum(axis=1)).ravel() > 0
 
 
-def _residuals(A, B, mu, X):
-    R = A @ X
-    R *= mu[None, :]
-    np.subtract(B @ X, R, out=R)
-    return np.linalg.norm(R, axis=0)
-
-
 def _splu(M, permc_spec):
     """Sparse LU with a symmetric ordering and diagonal pivots only, so that
     P M Pᵀ = L D Lᵀ with D = diag(U) when M is SPD."""
@@ -128,38 +116,6 @@ def _splu(M, permc_spec):
     )
 
 
-def _backward_levels(L_ii):
-    """Level schedule of the backward sweep Lᵀ x = y for a unit lower
-    triangle L (Anderson and Saad, 1989).
-
-    A column's parent in the elimination tree is its first off-diagonal row,
-    and its level is its depth below the root.  Row k of Lᵀ couples x_k only
-    to ancestors of k, so once the schedule is checked (every off-diagonal
-    entry on a strictly shallower level), each level is solved at once from
-    the levels above it.  Returns the stable depth order, N = −(Lᵀ − I) in
-    that order as CSR, and the rows s:e of each level below the roots; the
-    sweep is x[s:e] += N[s:e, :s] x[:s], level by level.  Raises
-    ``EigensolveError`` when the check fails."""
-    ni = L_ii.shape[0]
-    strict = sp.tril(L_ii, -1, format="csc")
-    strict.sort_indices()
-    counts = np.diff(strict.indptr)
-    parent = np.full(ni, -1)
-    parent[counts > 0] = strict.indices[strict.indptr[:-1][counts > 0]]
-    parent = parent.tolist()
-    depth = [0] * ni
-    for k in range(ni - 1, -1, -1):  # a parent comes after its children
-        if parent[k] >= 0:
-            depth[k] = depth[parent[k]] + 1
-    depth = np.array(depth, dtype=np.intp)
-    if np.any(depth[strict.indices] >= np.repeat(depth, counts)):
-        raise EigensolveError("interior factor does not follow its elimination tree")
-    order = np.argsort(depth, kind="stable")
-    N = -strict.T[order][:, order]  # CSR: row k holds column k of L
-    edges = np.append(np.flatnonzero(np.diff(depth[order])) + 1, ni).tolist()
-    return order, N, list(zip(edges[:-1], edges[1:]))
-
-
 def _condense(A, B):
     """Condense A onto the weighted nodes: the Cholesky factor of the Schur
     complement behind ``solve_dense``.
@@ -169,12 +125,13 @@ def _condense(A, B):
     with the weighted nodes last is L D Lᵀ, whose trailing block gives
     S = A_bb − A_bi A_ii⁻¹ A_ib = G Gᵀ with G = L_bb √D_bb.  By Sylvester's
     law A is SPD exactly when it keeps the order with positive pivots.
-    Returns G, the sparse B_bb and the lift that extends boundary
-    columns x_b to all n unknowns, x_i = −A_ii⁻¹ A_ib x_b = −L_ii⁻ᵀ L_biᵀ x_b,
-    one level-scheduled backward sweep over the elimination tree of L_ii
-    (``_backward_levels``).  Raises ``EigensolveError`` when A is not SPD
-    or nb exceeds ``DENSE_DIMENSION_CAP`` (a memory guard: the work arrays
-    are nb × nb)."""
+    Before it is dropped, the first LU also gives the probe
+    S Z = A_bb Z − A_bi A_ii⁻¹ (A_ib Z) on the fixed Z = cos(jk), j ≤ nb,
+    k ≤ 4; the relative gap ‖G GᵀZ − S Z‖ / ‖S Z‖ (0 when nb = 0) checks G
+    against it.  Returns G, the sparse B_bb and that gap.  Raises
+    ``EigensolveError`` when A is not SPD, the gap exceeds
+    ``SCHUR_PROBE_TOL``, or nb exceeds ``DENSE_DIMENSION_CAP`` (a memory
+    guard: the work arrays are nb × nb)."""
     n = A.shape[0]
     weighted = _weighted_rows(B)
     b = np.flatnonzero(weighted)
@@ -184,9 +141,14 @@ def _condense(A, B):
         raise EigensolveError(
             f"dense solve capped at {DENSE_DIMENSION_CAP} boundary unknowns (got {nb})"
         )
+    Z = np.cos(np.outer(np.arange(1, nb + 1), np.arange(1, 5)))
+    SZ = A[b][:, b] @ Z
     try:
-        if ni:  # perm_c sends node k to position perm_c[k]
-            i = i[np.argsort(_splu(A[i][:, i], "MMD_AT_PLUS_A").perm_c)]
+        if ni:
+            lu = _splu(A[i][:, i], "MMD_AT_PLUS_A")
+            SZ -= A[b][:, i] @ lu.solve(A[i][:, b] @ Z)
+            i = i[np.argsort(lu.perm_c)]  # perm_c sends node k to position perm_c[k]
+            del lu
         order = np.concatenate([i, b])
         lu = _splu(A[order][:, order], "NATURAL")
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
@@ -199,24 +161,23 @@ def _condense(A, B):
     L = lu.L
     del lu
     G = L[ni:, ni:].toarray() * np.sqrt(pivots[ni:])
-    sweep, N, levels = _backward_levels(L[:ni, :ni])
-    i = i[sweep]
-    L_bi_T = L[ni:, :ni].T[sweep]
-    del L
+    gap = float(np.linalg.norm(G @ (G.T @ Z) - SZ) / np.linalg.norm(SZ)) if nb else 0.0
+    if not gap <= SCHUR_PROBE_TOL:  # a NaN gap fails too
+        raise EigensolveError(
+            f"condensed factor misses the Schur complement: probe gap {gap:.1e} "
+            f"exceeds {SCHUR_PROBE_TOL:.0e}"
+        )
+    return G, B[b][:, b], gap
 
-    def lift(Xb):
-        X = np.zeros((n, Xb.shape[1]))
-        X[b] = Xb
-        Z = np.ascontiguousarray(L_bi_T @ Xb)  # the kernel writes through ravel views
-        for s, e in levels:  # Z[s:e] += N[s:e, :s] Z[:s]
-            csr_matvecs(
-                e - s, s, Z.shape[1], N.indptr[s : e + 1], N.indices, N.data,
-                Z.ravel(), Z[s:e].ravel(),
-            )
-        X[i] = -Z
-        return X
 
-    return G, B[b][:, b], lift
+def _condensed_eigh(G, B_bb):
+    """Eigenvalues and S-normalized boundary eigenvectors of the condensed
+    pencil (B_bb, G Gᵀ), via the symmetric matrix G⁻¹B_bbG⁻ᵀ."""
+    Y = sla.solve_triangular(G, B_bb.toarray(), lower=True)
+    C = sla.solve_triangular(G, Y.T, lower=True)
+    C = 0.5 * (C + C.T)
+    w, V = np.linalg.eigh(C)
+    return w, sla.solve_triangular(G, V, lower=True, trans="T")
 
 
 def solve_dense(A, B) -> Spectrum:
@@ -225,26 +186,21 @@ def solve_dense(A, B) -> Spectrum:
 
     With the Cholesky factor S = GGᵀ of the condensed energy from
     ``_condense``, a symmetric eigendecomposition of G⁻¹B_bbG⁻ᵀ gives every
-    nonzero μ.  Each eigenvector is lifted to all n unknowns, which keeps it
-    A-normalized, and its residual is taken on the full pencil.  The n − nb
-    structural zeros count in ``n_dropped``.  Raises ``EigensolveError`` as
-    ``_condense`` does."""
+    nonzero μ.  Each residual ‖B_bb x_b − μ G(Gᵀx_b)‖ is taken on the
+    condensed pencil, so it also covers the last triangular solve.  The
+    n − nb structural zeros count in ``n_dropped``.  Raises
+    ``EigensolveError`` as ``_condense`` does."""
     A = _as_csr(A)
     B = _as_csr(B)
-    G, B_bb, lift = _condense(A, B)
-    nb = len(G)
-    Y = sla.solve_triangular(G, B_bb.toarray(), lower=True)
-    C = sla.solve_triangular(G, Y.T, lower=True)
-    C = 0.5 * (C + C.T)
-    w, V = np.linalg.eigh(C)
-    Xb = sla.solve_triangular(G, V, lower=True, trans="T")
-    res = np.empty(nb)
-    for c in range(0, nb, LIFT_BLOCK):
-        cols = slice(c, c + LIFT_BLOCK)
-        res[cols] = _residuals(A, B, w[cols], lift(Xb[:, cols]))
+    G, B_bb, gap = _condense(A, B)
+    w, Xb = _condensed_eigh(G, B_bb)
+    R = G @ (G.T @ Xb)
+    R *= w
+    np.subtract(B_bb @ Xb, R, out=R)
     zero_threshold = ZERO_THRESHOLD_REL * float(np.abs(w).max(initial=0.0))
-    spec = _split_branches(w, res, zero_threshold, nb)
-    spec.n_dropped += A.shape[0] - nb
+    spec = _split_branches(w, np.linalg.norm(R, axis=0), zero_threshold, len(G))
+    spec.n_dropped += A.shape[0] - len(G)
+    spec.schur_gap = gap
     return spec
 
 

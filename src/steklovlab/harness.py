@@ -346,6 +346,7 @@ def _fit_level(mesh, coeff, tail: tuple) -> tuple:
                 spec.residuals_negative.max(initial=0.0),
             )
         ),
+        "schur_gap": spec.schur_gap,
     }
     for sign, key in (("+", "plus"), ("-", "minus")):
         kmin, kmax = eigensolve.tail_window(len(spec.branch(sign)), *tail)

@@ -6,10 +6,13 @@ entry or a renamed attribute breaks a traced run before any test of the
 layer itself would notice.  Names outside ``__all__`` that the benchmark
 reads are pinned here too: the tracer measures ``assemble_energy_split`` and
 ``NystromOperator.n``, and the bem-nd workload checks the ``"max_error"`` key
-of ``jump_relation_error``.
+of ``jump_relation_error``.  The package itself binds no private scipy
+module, whose names may change in any scipy release.
 """
 
 import importlib
+import pathlib
+import re
 
 import steklovlab
 from steklovlab import assembly, geometry, potentials
@@ -32,3 +35,16 @@ def test_benchmark_reads_panel_count_and_jump_residual():
     op = potentials.build_layer_operators(geometry.make_domain("square"), 2)
     assert op.n == 8
     assert set(potentials.jump_relation_error(op)) == {"max_error"}
+
+
+def test_package_imports_no_private_scipy_module():
+    # "import scipy.x._y", "from scipy.x._y import z" and "from scipy.x import _y"
+    private = re.compile(r"^\s*(from|import)\s+scipy(\.\w+)*(\._|\s+import\s+\(?_)")
+    src = pathlib.Path(steklovlab.__file__).parent
+    hits = [
+        f"{path.name}:{k}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if private.search(line)
+    ]
+    assert not hits, hits

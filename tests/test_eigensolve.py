@@ -1,25 +1,23 @@
 """Pencil eigensolver: exactness on diagonal pencils, the condensed dense
 solve against a full generalized eigh on small meshes, the SPD guard, the
-condensed factor and lift against a dense Schur complement, the
-level-scheduled lift on a deep elimination tree against a sparse solve, the
-Bessel-quotient oracle on a disk, the Steklov spectra of the disk and the
-square from the shifted pencil, counting and tail-extraction semantics, and
-the CSV round trip."""
+condensed factor against a dense Schur complement, with the returned pairs
+lifted densely to the full pencil, the Schur probe against a perturbed
+factorization, the Bessel-quotient oracle on a disk, the Steklov spectra of
+the disk and the square from the shifted pencil, counting and
+tail-extraction semantics, and the CSV round trip."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from steklovlab import assembly, geometry
+from steklovlab import assembly, eigensolve, geometry
 from steklovlab.eigensolve import (
     DENSE_RESIDUAL_TOL,
     EigensolveError,
     Spectrum,
-    _backward_levels,
     _condense,
     counting,
     solve_dense,
@@ -207,19 +205,34 @@ def _dense_schur(A, B):
     ],
     ids=["square", "sign-split", "partial-support", "rotated-diagonal"],
 )
-def test_condensed_factor_is_the_cholesky_factor_of_the_schur_complement(domain, rho, a):
+def test_condensed_factor_is_the_cholesky_factor_of_the_schur_complement(
+    domain, rho, a, monkeypatch
+):
     _, A, B = _mesh_pencil(domain, {}, 0.1, rho, a=a)
     S, A_ii_inv_A_ib, weighted = _dense_schur(A, B.toarray())
-    G, B_bb, lift = _condense(A.tocsr(), B.tocsr())
+    G, B_bb, _ = _condense(A.tocsr(), B.tocsr())
     assert np.array_equal(G, np.tril(G)) and np.all(np.diag(G) > 0)
     assert np.linalg.norm(G @ G.T - S) <= 1e-12 * np.linalg.norm(S)
     assert np.array_equal(B_bb.toarray(), B.toarray()[weighted][:, weighted])
-    # the backward-only lift is x_i = -A_ii^-1 A_ib x_b
-    Xb = np.random.default_rng(0).standard_normal((len(S), 3))
-    X = lift(Xb)
-    assert np.array_equal(X[weighted], Xb)
-    want = -A_ii_inv_A_ib @ Xb
-    assert np.abs(X[~weighted] - want).max() <= 1e-12 * np.abs(want).max()
+    # solve_dense's pairs, lifted by x_i = -A_ii^-1 A_ib x_b, solve the full pencil
+    pairs = []
+    condensed_eigh = eigensolve._condensed_eigh
+
+    def recording(G, B_bb):
+        pairs.append(condensed_eigh(G, B_bb))
+        return pairs[-1]
+
+    monkeypatch.setattr(eigensolve, "_condensed_eigh", recording)
+    spec = solve_dense(A, B)
+    mu, Xb = pairs[0]
+    retained = np.concatenate([spec.positive, spec.negative])
+    assert np.array_equal(np.sort(retained), np.sort(mu[np.abs(mu) > spec.zero_threshold]))
+    X = np.zeros((A.shape[0], len(mu)))
+    X[weighted], X[~weighted] = Xb, -A_ii_inv_A_ib @ Xb
+    A, B = A.toarray(), B.toarray()
+    assert np.allclose(np.einsum("ik,ij,jk->k", X, A, X), 1.0, rtol=1e-12)
+    assert np.linalg.norm(B @ X - (A @ X) * mu, axis=0).max() < 1e-12
+    assert spec.schur_gap < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -232,42 +245,30 @@ def test_condensed_factor_is_the_cholesky_factor_of_the_schur_complement(domain,
 )
 def test_condensation_without_interior_or_weighted_nodes(make_pencil, nb):
     A, B = make_pencil()
-    G, B_bb, lift = _condense(sp.csr_matrix(A), sp.csr_matrix(B))
+    G, B_bb, gap = _condense(sp.csr_matrix(A), sp.csr_matrix(B))
     assert G.shape == (nb, nb) and B_bb.shape == (nb, nb)
-    assert lift(np.ones((nb, 2))).shape == (A.shape[0], 2)
     if nb:
         assert np.allclose(G @ G.T, A.toarray())
+        assert gap < 1e-13
+    else:
+        assert gap == 0.0
 
 
-def test_lift_sweeps_a_deep_elimination_tree(monkeypatch):
-    # the sawtooth at h = 0.03 gives L_ii an elimination tree of 151 levels
-    _, A, B = _mesh_pencil("sawtooth-square", {}, 0.03, assembly.constant_weight(1.0))
-    depths = []
+def test_schur_probe_catches_a_perturbed_condensation(monkeypatch):
+    # the ordered factorization sees one A_bb diagonal entry scaled by
+    # 1 + 1e-6: it stays SPD and keeps its order, so only the probe can tell
+    splu = eigensolve._splu
 
-    def recording(L_ii):
-        schedule = _backward_levels(L_ii)
-        depths.append(len(schedule[2]) + 1)
-        return schedule
+    def perturbed(M, permc_spec):
+        if permc_spec == "NATURAL":
+            M = M.tolil()
+            M[-1, -1] *= 1 + 1e-6
+        return splu(M, permc_spec)
 
-    monkeypatch.setattr("steklovlab.eigensolve._backward_levels", recording)
-    _, _, lift = _condense(A.tocsr(), B.tocsr())
-    assert depths[0] >= 100
-    weighted = np.asarray(abs(B).sum(axis=1)).ravel() > 0
-    Xb = np.random.default_rng(1).standard_normal((np.count_nonzero(weighted), 5))
-    A = A.tocsc()
-    want = spla.splu(A[~weighted][:, ~weighted]).solve(-(A[~weighted][:, weighted] @ Xb))
-    got = lift(Xb)[~weighted]
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def test_broken_level_schedule_raises():
-    # column 0 reaches row 2, which is no ancestor of 0 in the elimination
-    # tree 0 -> 1 -> 4, 2 -> 3 -> 4, and sits on 0's own level
-    L = sp.identity(5, format="lil")
-    for row, col in ((1, 0), (2, 0), (4, 1), (3, 2), (4, 3)):
-        L[row, col] = 0.5
-    with pytest.raises(EigensolveError, match="elimination tree"):
-        _backward_levels(L.tocsc())
+    monkeypatch.setattr(eigensolve, "_splu", perturbed)
+    _, A, B = _square_pencil()
+    with pytest.raises(EigensolveError, match="Schur"):
+        solve_dense(A, B)
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,7 @@ def test_weyl_run_writes_outputs_and_is_reproducible(tmp_path):
     payload = json.loads((d1 / "report.json").read_text())
     assert payload["passed"] is True
     assert payload["levels"][0]["dofs"] > 0
+    assert all(row["schur_gap"] < 1e-13 for row in payload["levels"])
     assert not any(k.startswith("_") for k in payload["summary"])
     assert payload["provenance"]["versions"]["steklovlab"]
 

@@ -222,7 +222,7 @@ def test_stacked_symbols_equal_per_item_calls_bitwise(d):
     a = L @ np.swapaxes(L, -1, -2) + 0.1 * np.eye(d)
     n = rng.normal(size=(5, 1, d))
     rho = rng.normal(size=(5, 7))
-    rho[0, :2] = 0.0, -0.0  # the sign of a zero weight carries into α±
+    rho[0, :2] = 0.0, -0.0  # ±0.0 weights give the same bits stacked and per item
     det, (ap, am) = cometric_det(a, n), alpha_pm(a, n, rho)
     assert det.shape == ap.shape == (5, 7)
     for i, j in np.ndindex(5, 7):

@@ -62,15 +62,15 @@ class AssemblyError(RuntimeError):
 class MatrixField:
     """SPD 2x2 matrix coefficient a(x), evaluated pointwise.
 
-    ``smooth`` controls quadrature: fields flagged non-smooth get the refined
-    (subdivided) rule so interfaces crossing elements stay O(h) accurate.
+    Assembly samples every field, rough or smooth, at the same 12 points per
+    element: the edge-midpoint rule on each of the element's four congruent
+    subtriangles, so interfaces crossing elements stay O(h) accurate.
     ``ellipticity`` is the declared lower bound on the smallest eigenvalue,
     checked at every quadrature point during assembly.
     """
 
     name: str
     fn: object
-    smooth: bool = True
     ellipticity: float = 1e-9
 
     def __call__(self, points) -> np.ndarray:
@@ -200,7 +200,7 @@ def checkerboard(
         vals = np.where(odd, high, low)
         return vals[:, None, None] * eye
 
-    return MatrixField("checkerboard", fn, smooth=False, ellipticity=min(low, high))
+    return MatrixField("checkerboard", fn, ellipticity=min(low, high))
 
 
 def _distance_to_boundary(domain: PolygonDomain, pts: np.ndarray) -> np.ndarray:
@@ -234,10 +234,7 @@ def boundary_matched_rough(
         return (1 - s)[:, None, None] * trace(pts) + s[:, None, None] * interior(pts)
 
     return MatrixField(
-        "boundary-matched-rough",
-        fn,
-        smooth=interior.smooth and trace.smooth,
-        ellipticity=min(interior.ellipticity, trace.ellipticity),
+        "boundary-matched-rough", fn, ellipticity=min(interior.ellipticity, trace.ellipticity)
     )
 
 
@@ -264,10 +261,7 @@ def mollified(base: MatrixField, eps: float) -> MatrixField:
             out += w * base(pts + off)
         return out
 
-    # quadrature must follow the base field: for eps below the element size
-    # the averaged field still varies inside elements, and mixing rules would
-    # leave an eps-independent gap against the sharp assembly
-    return MatrixField("mollified", fn, smooth=base.smooth, ellipticity=base.ellipticity)
+    return MatrixField("mollified", fn, ellipticity=base.ellipticity)
 
 
 _MATRIX_FIELDS = {
@@ -358,15 +352,8 @@ def make_weight(name: str, **params) -> BoundaryWeight:
 # ---------------------------------------------------------------------------
 # quadrature
 
-# Order-2 Gauss rule on the reference triangle: edge midpoints, weights 1/3.
-_BARY_MID = np.array(
-    [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
-)
-_W_MID = np.full(3, 1.0 / 3.0)
-
-
-# The same rule on each of the 4 congruent subtriangles (corner, corner,
-# corner, middle) of the reference triangle.
+# The order-2 edge-midpoint rule on each of the 4 congruent subtriangles
+# (corner, corner, corner, middle) of the reference triangle.
 _BARY_FINE = np.array(
     [
         [0.75, 0.25, 0.0], [0.5, 0.25, 0.25], [0.75, 0.0, 0.25],
@@ -382,13 +369,12 @@ _W_FINE = np.full(12, 1.0 / 12.0)
 # element kernel
 
 
-def _element_forms(coords, a_sym, v_vals, bary, wq):
+def _element_forms(coords, a_sym, v_vals):
     """Per-element stiffness and mass blocks.
 
-    coords: (m, 3, 2) triangle vertices; a_sym: (m, nq, 3) packed SPD samples
-    (a11, a12, a22); v_vals: (m, nq) potential samples; bary: (nq, 3)
-    barycentric quadrature points with weights wq summing to 1.
-    Returns (m, 3, 3) stiffness and mass blocks.
+    coords: (m, 3, 2) triangle vertices; a_sym: (m, 12, 3) packed SPD samples
+    (a11, a12, a22) and v_vals: (m, 12) potential samples at the points
+    ``_BARY_FINE``.  Returns (m, 3, 3) stiffness and mass blocks.
     """
     d1 = coords[:, 1, :] - coords[:, 0, :]
     d2 = coords[:, 2, :] - coords[:, 0, :]
@@ -410,7 +396,7 @@ def _element_forms(coords, a_sym, v_vals, bary, wq):
         ],
         axis=1,
     )
-    abar = np.einsum("q,eqk->ek", wq, a_sym)
+    abar = np.einsum("q,eqk->ek", _W_FINE, a_sym)
     a11, a12, a22 = abar[:, 0], abar[:, 1], abar[:, 2]
     flux = (
         a11[:, None, None] * b[:, None, :] * b[:, :, None]
@@ -418,7 +404,7 @@ def _element_forms(coords, a_sym, v_vals, bary, wq):
         + a22[:, None, None] * c[:, None, :] * c[:, :, None]
     )
     K = flux * (area / (det * det))[:, None, None]
-    phi = np.einsum("q,eq,qi,qj->eij", wq, v_vals, bary, bary)
+    phi = np.einsum("q,eq,qi,qj->eij", _W_FINE, v_vals, _BARY_FINE, _BARY_FINE)
     M = phi * area[:, None, None]
     return K, M
 
@@ -446,22 +432,15 @@ def _check_spd_samples(a_field: MatrixField, samples: np.ndarray, points: np.nda
         )
 
 
-def _quad_rule_for(coeff: CoefficientField):
-    if coeff.a.smooth:
-        return _BARY_MID, _W_MID
-    return _BARY_FINE, _W_FINE
-
-
 def assemble_energy_split(mesh: TriangleMesh, coeff: CoefficientField):
     """Stiffness ``K`` and potential-mass ``M`` parts of the energy form;
     ``assemble_energy`` returns their sum."""
     coords = mesh.nodes[mesh.triangles]
-    bary, wq = _quad_rule_for(coeff)
     # Physical quadrature points, pulled a hair toward the element centroid so
     # samples are taken strictly inside the element: coefficient values at
     # points exactly on an interface (or on a straightening-piece edge) would
     # otherwise be ill-defined.
-    pts = np.einsum("qi,eik->eqk", bary, coords)
+    pts = np.einsum("qi,eik->eqk", _BARY_FINE, coords)
     cent = coords.mean(axis=1)
     pts = pts + 1e-9 * (cent[:, None, :] - pts)
     pts = pts.reshape(-1, 2)
@@ -471,14 +450,13 @@ def assemble_energy_split(mesh: TriangleMesh, coeff: CoefficientField):
     if (v_raw < -1e-14).any():
         k = int(np.argmin(v_raw))
         raise AssemblyError(f"potential negative at {pts[k].tolist()}")
-    m = len(mesh.triangles)
-    nq = len(wq)
+    m, nq = len(mesh.triangles), len(_W_FINE)
     a_sym = np.stack(
         [a_raw[:, 0, 0], 0.5 * (a_raw[:, 0, 1] + a_raw[:, 1, 0]), a_raw[:, 1, 1]],
         axis=1,
     ).reshape(m, nq, 3)
     v_vals = v_raw.reshape(m, nq)
-    K_e, M_e = _element_forms(coords, a_sym, v_vals, bary, wq)
+    K_e, M_e = _element_forms(coords, a_sym, v_vals)
 
     n = mesh.n_nodes
     tri = mesh.triangles
@@ -568,9 +546,7 @@ def pullback_coefficients(
     a_ell = base_a.ellipticity * min(
         1.0, float((1.0 / (np.linalg.norm(np.linalg.inv(jac), ord=2, axis=(1, 2)) ** 2 * dets)).min())
     )
-    a_out = MatrixField(
-        f"pullback({base_a.name})", a_fn, smooth=base_a.smooth, ellipticity=max(a_ell, 1e-12)
-    )
+    a_out = MatrixField(f"pullback({base_a.name})", a_fn, ellipticity=max(a_ell, 1e-12))
     v_out = ScalarField(f"pullback({base_v.name})", v_fn)
 
     def rho_fn(parents, p0, p1):

@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 DENSE_DIMENSION_CAP = 8000  # caps nb, the number of weighted nodes
-DENSE_RESIDUAL_TOL = 1e-8
 SCHUR_PROBE_TOL = 1e-10  # relative gap ‖G GᵀZ − S Z‖ / ‖S Z‖ of the condensation
 ZERO_THRESHOLD_REL = 1e-12
 
@@ -93,12 +92,6 @@ def _split_branches(mu, res, zero_threshold, boundary_rank):
         n_dropped=dropped,
         boundary_rank=boundary_rank,
     )
-
-
-def _as_csr(mat) -> sp.csr_matrix:
-    if sp.issparse(mat):
-        return mat.tocsr()
-    return sp.csr_matrix(np.asarray(mat, dtype=float))
 
 
 def _weighted_rows(B: sp.csr_matrix) -> np.ndarray:
@@ -190,8 +183,8 @@ def solve_dense(A, B) -> Spectrum:
     condensed pencil, so it also covers the last triangular solve.  The
     n − nb structural zeros count in ``n_dropped``.  Raises
     ``EigensolveError`` as ``_condense`` does."""
-    A = _as_csr(A)
-    B = _as_csr(B)
+    A = sp.csr_matrix(A, dtype=float)
+    B = sp.csr_matrix(B, dtype=float)
     G, B_bb, gap = _condense(A, B)
     w, Xb = _condensed_eigh(G, B_bb)
     R = G @ (G.T @ Xb)

@@ -331,15 +331,13 @@ class TriangleMesh:
     """Conforming triangle mesh of a polygon.
 
     ``boundary_edges[k] = (u, v)`` is directed so the interior lies to its
-    left; ``boundary_parent[k]`` is the polygon segment realizing it and
-    ``boundary_normals[k]`` its outward unit normal.
+    left; ``boundary_parent[k]`` is the polygon segment realizing it.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_parent: np.ndarray
-    boundary_normals: np.ndarray
     h: float
 
     @property
@@ -386,8 +384,10 @@ class TriangleMesh:
     # -- serialization ---------------------------------------------------
 
     def to_text(self) -> str:
+        """The mesh as text: a ``steklovlab-mesh 2`` header, then h, the
+        nodes, the triangles, and ``u v parent`` per boundary edge."""
         out = io.StringIO()
-        out.write("steklovlab-mesh 1\n")
+        out.write("steklovlab-mesh 2\n")
         out.write(f"h {self.h:.17g}\n")
         out.write(f"nodes {self.n_nodes}\n")
         for x, y in self.nodes:
@@ -396,10 +396,8 @@ class TriangleMesh:
         for a, b, c in self.triangles:
             out.write(f"{a} {b} {c}\n")
         out.write(f"boundary {len(self.boundary_edges)}\n")
-        for (u, v), parent, (nx, ny) in zip(
-            self.boundary_edges, self.boundary_parent, self.boundary_normals
-        ):
-            out.write(f"{u} {v} {parent} {nx:.17g} {ny:.17g}\n")
+        for (u, v), parent in zip(self.boundary_edges, self.boundary_parent):
+            out.write(f"{u} {v} {parent}\n")
         return out.getvalue()
 
 
@@ -409,10 +407,7 @@ def triangulate(domain: PolygonDomain, h: float) -> TriangleMesh:
     raw = triangulate_polygon(domain.vertices, h)
     edges = np.array([(u, v) for (u, v, _) in raw["boundary"]], dtype=np.int64)
     parents = np.array([p for (_, _, p) in raw["boundary"]], dtype=np.int64)
-    normals = domain.segment_normals()[parents]
-    mesh = TriangleMesh(
-        raw["points"], raw["triangles"], edges, parents, normals, float(h)
-    )
+    mesh = TriangleMesh(raw["points"], raw["triangles"], edges, parents, float(h))
     if raw["max_edge"] > DIAMETER_FACTOR * h * (1 + 1e-12):
         raise MeshingError(f"longest element edge exceeds {DIAMETER_FACTOR} h")
     return mesh
@@ -634,12 +629,6 @@ def build_matched_meshes(smap: StraighteningMap) -> tuple[TriangleMesh, Triangle
             np.full(len(left), sides[0]),
         ]
     )
-    normals_pre = dom.segment_normals()[parents]
-
-    mesh_pre = TriangleMesh(pre, tris, edges, parents, normals_pre, h)
-
-    d_post = post[edges[:, 1]] - post[edges[:, 0]]
-    normals_post = np.stack([d_post[:, 1], -d_post[:, 0]], axis=1)
-    normals_post /= np.linalg.norm(normals_post, axis=1)[:, None]
-    mesh_post = TriangleMesh(post, tris.copy(), edges.copy(), parents.copy(), normals_post, h)
+    mesh_pre = TriangleMesh(pre, tris, edges, parents, h)
+    mesh_post = TriangleMesh(post, tris.copy(), edges.copy(), parents.copy(), h)
     return mesh_pre, mesh_post

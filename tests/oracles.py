@@ -17,6 +17,9 @@ from scipy.optimize import brentq
 from scipy.special import iv
 
 
+# Largest eigenpair residual the tests accept from ``eigensolve.solve_dense``.
+DENSE_RESIDUAL_TOL = 1e-8
+
 # ---------------------------------------------------------------------------
 # disk pencil: -div(grad u) + v0 u = 0 inside, du/dn = sigma u on the circle.
 # Separation in polar coordinates gives u = I_k(sqrt(v0) r) e^{i k theta} and

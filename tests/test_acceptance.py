@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import DENSE_RESIDUAL_TOL
 from steklovlab import assembly, geometry, potentials, weyl
 from steklovlab.eigensolve import (
-    DENSE_RESIDUAL_TOL,
     counting,
     solve_dense,
     tail_coefficient,

@@ -128,7 +128,6 @@ def test_triangle_order_invariance(square_domain):
         triangles=mesh.triangles[::-1].copy(),
         boundary_edges=mesh.boundary_edges,
         boundary_parent=mesh.boundary_parent,
-        boundary_normals=mesh.boundary_normals,
         h=mesh.h,
     )
     coeff = _cf(a=checkerboard(cell=0.3, low=1.0, high=2.0))
@@ -166,14 +165,6 @@ def test_mollified_stays_between_phases(x, y, eps):
     eigs = np.linalg.eigvalsh(val)
     assert eigs.min() >= 1.0 - 1e-9
     assert eigs.max() <= 4.0 + 1e-9
-
-
-def test_mollified_keeps_quadrature_class():
-    base = checkerboard(cell=0.25)
-    assert mollified(base, 0.05).smooth == base.smooth
-    assert mollified(constant_matrix(2.0), 0.05).smooth is True
-    with pytest.raises(AssemblyError):
-        mollified(base, 0.0)
 
 
 def test_boundary_matched_rough_trace(square_domain):
@@ -228,6 +219,82 @@ def test_per_segment_weight_needs_a_value_per_segment(square_mesh):
     rho = assembly.make_weight("per-segment", values=5.0)  # a config's ``rho.values = 5``
     with pytest.raises(AssemblyError, match="no value"):
         assembly.assemble_boundary_weight(square_mesh, rho)
+
+
+def _broken(fn):
+    return _cf(a=assembly.MatrixField("broken", lambda pts: fn(len(pts))))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (
+            lambda dom: make_matrix_field("constant", value=0.0),
+            "constant coefficient must be positive",
+        ),
+        (
+            lambda dom: make_matrix_field("diagonal", p=1.0, q=0.0),
+            "diagonal entries must be positive",
+        ),
+        (
+            lambda dom: make_matrix_field("rotated-diagonal", p=-1.0, q=1.0, angle=0.3),
+            "diagonal entries must be positive",
+        ),
+        (
+            lambda dom: boundary_matched_rough(dom, constant_matrix(2.0), constant_matrix(), 0.0),
+            "blend width must be positive",
+        ),
+        (
+            lambda dom: mollified(checkerboard(cell=0.25), 0.0),
+            "mollification scale must be positive",
+        ),
+        (
+            lambda dom: assembly.make_potential("bump", center=[0.5, 0.5], radius=0.0),
+            "bump needs positive radius and nonnegative height",
+        ),
+        (
+            lambda dom: assembly.make_potential("bump", center=[0.5, 0.5], height=-1.0),
+            "bump needs positive radius and nonnegative height",
+        ),
+        (lambda dom: _broken(lambda k: np.ones((k, 2))), r"'broken' returned shape \(\d+, 2\)"),
+        (
+            lambda dom: _broken(lambda k: np.tile([[2.0, 0.5], [0.0, 2.0]], (k, 1, 1))),
+            "coefficient 'broken' not symmetric",
+        ),
+    ],
+    ids=[
+        "constant-zero", "diagonal-zero", "rotated-negative", "blend-width-zero",
+        "mollify-zero", "bump-radius-zero", "bump-height-negative", "wrong-shape",
+        "non-symmetric",
+    ],
+)
+def test_rejected_coefficients_raise_their_own_message(
+    square_mesh, square_domain, build, message
+):
+    # the last two build and fail only when assembly samples them
+    with pytest.raises(AssemblyError, match=message):
+        assemble_energy(square_mesh, build(square_domain))
+
+
+def test_bump_potential_integrates_to_its_radial_integral(square_domain):
+    center, radius, height = (0.5, 0.5), 0.3, 2.0
+    bump = assembly.make_potential("bump", center=list(center), radius=radius, height=height)
+    assert bump([center])[0] == height
+    # zero at the radius and beyond it
+    ring = [
+        [0.5 + r * math.cos(t), 0.5 + r * math.sin(t)] for r in (0.3, 0.31, 0.7) for t in (0, 2)
+    ]
+    assert (bump(ring) == 0.0).all()
+    # ∫ v0 = 1ᵀM1: the potential sampled at 12 points per element against
+    # 2π ∫_0^R r v0(r) dr
+    mesh = geometry.triangulate(square_domain, 0.04)
+    _, M = assemble_energy_split(mesh, _cf(v0=bump))
+    ones = np.ones(mesh.n_nodes)
+    x, w = np.polynomial.legendre.leggauss(200)
+    r = 0.5 * radius * (x + 1.0)
+    v0 = height * np.exp(1.0 - radius**2 / (radius**2 - r**2))
+    exact = math.pi * radius * float(w @ (r * v0))
+    assert ones @ (M @ ones) == pytest.approx(exact, rel=1e-5)
 
 
 def test_assembly_guards(square_mesh):

@@ -13,9 +13,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import DENSE_RESIDUAL_TOL
 from steklovlab import assembly, eigensolve, geometry
 from steklovlab.eigensolve import (
-    DENSE_RESIDUAL_TOL,
     EigensolveError,
     Spectrum,
     _condense,

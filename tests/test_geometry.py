@@ -33,6 +33,36 @@ def test_unknown_domain_rejected():
         make_domain("dodecahedron")
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: geometry.PolygonDomain([[0, 0], [1, 0]]), "at least 3 planar vertices"),
+    (lambda: geometry.PolygonDomain([[0, 0], [1, 0], [1, 0], [0, 1]]), "repeated consecutive"),
+    (lambda: geometry.PolygonDomain([[0, 0], [1, 0], [2, 0]]), "zero area"),
+    (lambda: geometry.PolygonDomain([[0, 0], [2, 0], [2, 2], [1, -1], [0, 2]]), "intersecting"),
+    (lambda: geometry.LipschitzChart([0.0, 1.0], [1.0], [0]), "matching 1-d xs and values"),
+    (lambda: geometry.LipschitzChart([0.0, 0.0], [1.0, 1.0], [0]), "strictly increasing"),
+    (lambda: geometry.LipschitzChart([0.0, 1.0], [1.0, 1.0], [0, 1]), "one segment id per piece"),
+    (lambda: make_domain("regular-ngon", n=2), "regular-ngon needs n >= 3"),
+    (lambda: make_domain("lshape", notch=1.0), "lshape notch must satisfy 0 < notch < 1"),
+    (lambda: make_domain("sawtooth-square", teeth=0), "sawtooth-square needs teeth >= 1"),
+    (lambda: make_domain("sawtooth-square", slope=0.0), "needs teeth >= 1 and slope > 0"),
+    (lambda: make_domain("koch-prefractal", level=5), r"koch-prefractal level must be 0\.\.4"),
+    (lambda: make_domain("square", side=10**400), "side must be a finite number"),  # beyond float
+], ids=[
+    "two-vertices", "repeated-vertex", "zero-area", "crossing-edges", "chart-shape",
+    "chart-not-increasing", "chart-ids", "ngon-n2", "lshape-notch1", "sawtooth-teeth0",
+    "sawtooth-slope0", "koch-level5", "square-side-overflow",
+])
+def test_invalid_geometry_raises_its_own_message(build, message):
+    with pytest.raises(GeometryError, match=message):
+        build()
+
+
+def test_clockwise_polygon_comes_back_counter_clockwise():
+    dom = geometry.PolygonDomain([[0, 0], [0, 1], [1, 1], [1, 0]])
+    assert dom.area == pytest.approx(1.0)
+    assert dom.vertices.tolist() == [[1, 0], [1, 1], [0, 1], [0, 0]]
+
+
 @pytest.mark.parametrize("name,params", [
     ("regular-ngon", {"n": 12.5}),  # np.arange would give 13 uneven vertices
     ("koch-prefractal", {"level": 2.7}),  # int() would give level 2
@@ -96,11 +126,6 @@ def test_mesh_quality(name, kwargs):
     assert lengths.sum() == pytest.approx(dom.perimeter, rel=1e-12)
     assert mesh.boundary_parent.min() >= 0
     assert mesh.boundary_parent.max() < dom.n_segments
-    # outward normals are unit and orthogonal to their edge
-    tang = p[be[:, 1]] - p[be[:, 0]]
-    dots = np.einsum("ij,ij->i", tang, mesh.boundary_normals)
-    assert np.abs(dots).max() < 1e-12
-    assert np.abs(np.linalg.norm(mesh.boundary_normals, axis=1) - 1).max() < 1e-12
 
 
 def test_min_angle_enforced(square_domain):
@@ -189,6 +214,16 @@ def test_mesh_bytes_match_golden(case):
     for arr in (mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.boundary_parent):
         digest.update(arr.tobytes())
     assert digest.hexdigest() == CATALOG_MESHES[case][3]
+
+
+def test_mesh_text_matches_golden():
+    # SHA-256 of the "steklovlab-mesh 2" text: h, nodes, triangles, and
+    # ``u v parent`` per boundary edge.  A format change must update it.
+    text = _catalog_mesh("square-h0.1")[1].to_text()
+    assert text.startswith("steklovlab-mesh 2\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "37b3a18745e777f1f31418e3275d397a0d35c8581adcb1b6f61dfc710d4c4902"
+    )
 
 
 @pytest.mark.parametrize("case", list(CATALOG_MESHES))

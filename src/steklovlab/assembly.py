@@ -414,8 +414,10 @@ def _element_forms(coords, a_sym, v_vals):
 
 
 def _check_spd_samples(a_field: MatrixField, samples: np.ndarray, points: np.ndarray):
+    # Each guard here and on v0 is written so that a NaN sample fails it, as
+    # every comparison with NaN is false; argmax and argmin pick the first NaN.
     sym_err = np.abs(samples[:, 0, 1] - samples[:, 1, 0])
-    if sym_err.max(initial=0.0) > 1e-14 * max(1.0, np.abs(samples).max()):
+    if not sym_err.max(initial=0.0) <= 1e-14 * max(1.0, np.abs(samples).max()):
         k = int(sym_err.argmax())
         raise AssemblyError(
             f"coefficient {a_field.name!r} not symmetric at {points[k].tolist()}"
@@ -423,7 +425,7 @@ def _check_spd_samples(a_field: MatrixField, samples: np.ndarray, points: np.nda
     tr = samples[:, 0, 0] + samples[:, 1, 1]
     det = samples[:, 0, 0] * samples[:, 1, 1] - samples[:, 0, 1] * samples[:, 1, 0]
     lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0.0)))
-    bad = lam_min < a_field.ellipticity * (1 - 1e-9)
+    bad = ~(lam_min >= a_field.ellipticity * (1 - 1e-9))
     if bad.any():
         k = int(np.argmax(bad))
         raise AssemblyError(
@@ -447,9 +449,9 @@ def assemble_energy_split(mesh: TriangleMesh, coeff: CoefficientField):
     a_raw = coeff.a(pts)
     _check_spd_samples(coeff.a, a_raw, pts)
     v_raw = coeff.v0(pts)
-    if (v_raw < -1e-14).any():
+    if not (v_raw >= -1e-14).all():
         k = int(np.argmin(v_raw))
-        raise AssemblyError(f"potential negative at {pts[k].tolist()}")
+        raise AssemblyError(f"potential negative or NaN at {pts[k].tolist()} (v0={v_raw[k]:.3e})")
     m, nq = len(mesh.triangles), len(_W_FINE)
     a_sym = np.stack(
         [a_raw[:, 0, 0], 0.5 * (a_raw[:, 0, 1] + a_raw[:, 1, 0]), a_raw[:, 1, 1]],

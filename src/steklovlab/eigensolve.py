@@ -199,7 +199,7 @@ def solve_dense(A, B) -> Spectrum:
 
 def counting(spec: Spectrum, lam: float, sign: str = "+") -> int:
     """n±(λ): eigenvalues of the branch with |μ| ≥ λ (closed count)."""
-    if lam <= 0:
+    if not lam > 0:  # a NaN threshold fails too
         raise EigensolveError("counting threshold must be positive")
     branch = spec.branch(sign)
     return int(np.count_nonzero(np.abs(branch) >= lam))

@@ -94,6 +94,8 @@ class PolygonDomain:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise GeometryError("polygon needs at least 3 planar vertices")
+        if not np.isfinite(v).all():
+            raise GeometryError("polygon vertices must be finite")
         if np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).min() < 1e-14:
             raise GeometryError("polygon has repeated consecutive vertices")
         area2 = _signed_area2(v)
@@ -198,6 +200,12 @@ def _not_finite(v) -> bool:
         return True
 
 
+def _shown(value) -> str:
+    """``repr(value)``, with the middle of a long one (a 400-digit integer) cut out."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:16]}...{text[-8:]} ({len(text)} characters)"
+
+
 def catalog_call(kind: str, table: dict, error: type, name, params: dict):
     """Build the entry ``name`` (case-insensitive, ``_`` as ``-``) of a catalog
     ``table`` from ``params``.  An unknown entry, a boolean or non-finite
@@ -209,7 +217,7 @@ def catalog_call(kind: str, table: dict, error: type, name, params: dict):
         raise error(f"unknown {kind} {name!r}; catalog: {sorted(table)}")
     for pname, value in params.items():
         if any(map(_not_finite, value if isinstance(value, (list, tuple)) else [value])):
-            raise error(f"{kind} {key!r}: {pname} must be a finite number (got {value!r})")
+            raise error(f"{kind} {key!r}: {pname} must be a finite number (got {_shown(value)})")
     try:
         return table[key](**params)
     except error:

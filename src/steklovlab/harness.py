@@ -7,7 +7,6 @@ become lists.  Schema (defaults in parentheses):
     experiment              weyl-verification | boundary-only-dependence |
                             mollification-convergence | bilipschitz-invariance |
                             bem-crosscheck
-    seed                    integer (0), echoed into every output file
     output.dir              directory for the artifact files ("out")
     domain.name             catalog domain
     domain.<p>              forwarded to the domain catalog (n, teeth, slope, ...)
@@ -24,21 +23,17 @@ become lists.  Schema (defaults in parentheses):
     tail.kmin, tail.kmax    tail-fit window, non-negative, a nonzero kmax at
                             least kmin (0 = [5, resolved/4])
     tolerance.deviation     Weyl-fit relative tolerance (0.10)
-    tolerance.pair          cross-method eigenvalue tolerance (0.02)
-    tolerance.drift         mollification final drift tolerance (0.02)
-    tolerance.invariance    straightening eigenvalue tolerance (1e-8)
     interior.a, interior.a.<p>   contrasting interior field (boundary-only),
                             a matrix coefficient like coeff.a
-    blend.width             boundary-blend collar width (0.1)
     moll.scales             mollification scales, positive and strictly
                             decreasing (0.16,0.08,0.04,0.02)
-    collar.depth            straightening collar depth (0.2); the collar
-                            grid follows the last mesh.levels entry
     bem.panels-per-edge     Nystrom panels per polygon edge (boundary route)
-    bem.count               leading Steklov/ND pairs compared, at least 1 (20)
 
-A key outside this schema is ignored.  The ``mesh``, ``solve``, ``weyl`` and
-``bem`` commands of the command line read the same keys (``domain.*``,
+A key outside this schema is ignored; the other tolerances and fixed inputs are
+constants next to their experiments: ``BLEND_WIDTH``, ``DRIFT_TOL``,
+``MONOTONE_SLACK``, ``INVARIANCE_TOL``, ``MISUSE_FACTOR``, ``COLLAR_DEPTH``,
+``PAIR_TOL``, ``BEM_COUNT`` and ``potentials.ROUTE_GAP_TOL``.  The command
+line's ``mesh``, ``solve``, ``weyl`` and ``bem`` read the same keys (``domain.*``,
 ``coeff.*``, ``rho.*``, ``mesh.levels`` and ``bem.panels-per-edge``) from
 ``KEY=VALUE`` arguments; they need no ``experiment``.
 
@@ -197,10 +192,6 @@ class ExperimentConfig:
     @property
     def experiment(self) -> str:
         return self.get_choice("experiment", tuple(_EXPERIMENTS))
-
-    @property
-    def seed(self) -> int:
-        return self.get_int("seed", 0)
 
     @property
     def output_dir(self) -> str:
@@ -400,6 +391,9 @@ def _weyl_verification(cfg: ExperimentConfig, report: Report, stage) -> None:
     report.passed = all(d is not None and d <= tol for d in devs.values())
 
 
+BLEND_WIDTH = 0.3  # collar width of the boundary-matched blend
+
+
 def _boundary_only_dependence(cfg: ExperimentConfig, report: Report, stage) -> None:
     tol = cfg.get_float("tolerance.deviation", 0.10)
     report.tolerances = {"deviation": tol}
@@ -407,10 +401,9 @@ def _boundary_only_dependence(cfg: ExperimentConfig, report: Report, stage) -> N
     smooth = _coeff_from(cfg, domain)
     trace_field = smooth.a
     interior_field = _matrix_from(cfg, prefix="interior.a")
-    width = cfg.get_float("blend.width", 0.1)
     h = cfg.mesh_levels()[-1]
     tail = _tail(cfg)
-    rough = assembly.boundary_matched_rough(domain, interior_field, trace_field, width)
+    rough = assembly.boundary_matched_rough(domain, interior_field, trace_field, BLEND_WIDTH)
 
     # reject mismatched traces up front
     per_segment = -(-1000 // domain.n_segments)
@@ -462,9 +455,12 @@ def _boundary_only_dependence(cfg: ExperimentConfig, report: Report, stage) -> N
     report.passed = max(dev1, dev2, mutual) <= tol
 
 
+DRIFT_TOL = 0.02  # final drift against the unmollified spectrum
+MONOTONE_SLACK = 0.02  # relative rise allowed from one drift to the next
+
+
 def _mollification_convergence(cfg: ExperimentConfig, report: Report, stage) -> None:
-    tol = cfg.get_float("tolerance.drift", 0.02)
-    report.tolerances = {"drift": tol, "monotone_slack": 0.02}
+    report.tolerances = {"drift": DRIFT_TOL, "monotone_slack": MONOTONE_SLACK}
     domain = _domain_from(cfg)
     coeff0 = _coeff_from(cfg, domain)
     _positive_branch(domain, coeff0)
@@ -493,23 +489,26 @@ def _mollification_convergence(cfg: ExperimentConfig, report: Report, stage) -> 
         row["drift"] = drift
         report.levels.append(row)
         drifts.append(drift)
-    monotone = all(b <= a * 1.02 + 1e-12 for a, b in zip(drifts, drifts[1:]))
+    monotone = all(b <= a * (1 + MONOTONE_SLACK) + 1e-12 for a, b in zip(drifts, drifts[1:]))
     report.fitted = {"drift": drifts}
     report.summary["scales"] = scales
     report.summary["monotone"] = monotone
     report.summary["final_drift"] = drifts[-1]
-    report.passed = monotone and drifts[-1] <= tol
+    report.passed = monotone and drifts[-1] <= DRIFT_TOL
+
+
+INVARIANCE_TOL = 1e-8  # relative eigenvalue gap across the straightening
+MISUSE_FACTOR = 100  # the control must move the spectrum this many tolerances
+COLLAR_DEPTH = 0.25  # below the chart's lowest point
 
 
 def _bilipschitz_invariance(cfg: ExperimentConfig, report: Report, stage) -> None:
-    tol = cfg.get_float("tolerance.invariance", 1e-8)
-    report.tolerances = {"invariance": tol}
+    report.tolerances = {"invariance": INVARIANCE_TOL}
     domain = _domain_from(cfg)
-    depth = cfg.get_float("collar.depth", 0.2)
     h = cfg.mesh_levels()[-1]
     coeff = _coeff_from(cfg, domain)
     _positive_branch(domain, coeff)
-    smap = geometry.build_straightening(domain, depth, h)
+    smap = geometry.build_straightening(domain, COLLAR_DEPTH, h)
     with stage("mesh"):
         mesh_pre, mesh_post = geometry.build_matched_meshes(smap)
     with stage("assembly"):
@@ -548,19 +547,19 @@ def _bilipschitz_invariance(cfg: ExperimentConfig, report: Report, stage) -> Non
     report.fitted = {"max_relative_gap": max_rel}
     report.summary["resolved_count"] = k
     report.summary["misuse_gap"] = misuse_gap
-    report.summary["misuse_detectable"] = misuse_gap > 100 * tol
-    report.passed = max_rel <= tol and misuse_gap > 100 * tol
+    report.summary["misuse_detectable"] = misuse_gap > MISUSE_FACTOR * INVARIANCE_TOL
+    report.passed = max_rel <= INVARIANCE_TOL and report.summary["misuse_detectable"]
     report.spectrum = spec_pre
     report.gaps = rel
 
 
+PAIR_TOL = 0.02  # relative gap of each FEM/BEM pair
+BEM_COUNT = 20  # leading Steklov/ND pairs compared
+
+
 def _bem_crosscheck(cfg: ExperimentConfig, report: Report, stage) -> None:
-    tol = cfg.get_float("tolerance.pair", 0.02)
-    report.tolerances = {"pair": tol, "route_gap": 1e-10}
+    report.tolerances = {"pair": PAIR_TOL, "route_gap": potentials.ROUTE_GAP_TOL}
     domain = _domain_from(cfg)
-    k = cfg.get_int("bem.count", 20)
-    if k < 1:
-        raise HarnessError(f"bem.count must be at least 1 (got {k})")
     ppe = cfg.panels_per_edge()
     levels = cfg.mesh_levels()
     coeff = assembly.CoefficientField(
@@ -571,14 +570,14 @@ def _bem_crosscheck(cfg: ExperimentConfig, report: Report, stage) -> None:
     with stage("bem"):
         op = potentials.build_layer_operators(domain, ppe)
         nd = potentials.nd_operator(op)
-    bem_eigs = nd.eigenvalues[:k]
+    bem_eigs = nd.eigenvalues[:BEM_COUNT]
 
     def fem_at(h: float):
         forms = assembly.assemble_forms(geometry.triangulate(domain, h), coeff)
         # K u = σ B u exactly when (K + B) u = (1 + σ) B u, and K + B is SPD:
         # μ = 1/(1 + σ) and the ND value 1/σ = μ/(1 − μ).  μ₀ = 1 (σ₀ = 0) is
         # the constant mode, which the ND map has no partner for.
-        mu = eigensolve.solve_dense(forms.A + forms.B, forms.B).positive[1 : k + 4]
+        mu = eigensolve.solve_dense(forms.A + forms.B, forms.B).positive[1 : BEM_COUNT + 4]
         return mu / (1.0 - mu)
 
     with stage("fem"):
@@ -592,7 +591,7 @@ def _bem_crosscheck(cfg: ExperimentConfig, report: Report, stage) -> None:
             m = min(len(fem), len(fem_c))
             fem = (fem[:m] * h_c**2 - fem_c[:m] * h_f**2) / (h_c**2 - h_f**2)
 
-    kk = min(k, len(fem), len(bem_eigs))
+    kk = min(BEM_COUNT, len(fem), len(bem_eigs))
     fem = fem[:kk]
     bem_k = bem_eigs[:kk]
     rel = np.abs(fem - bem_k) / bem_k
@@ -610,7 +609,9 @@ def _bem_crosscheck(cfg: ExperimentConfig, report: Report, stage) -> None:
     report.summary["route_gap"] = nd.route_gap
     report.summary["condition"] = nd.condition
     report.summary["nd_asymmetry"] = nd.asymmetry
-    report.passed = max_rel is not None and max_rel <= tol and nd.route_gap <= 1e-10
+    report.passed = (
+        max_rel is not None and max_rel <= PAIR_TOL and nd.route_gap <= potentials.ROUTE_GAP_TOL
+    )
     report.gaps = rel
 
 
@@ -842,7 +843,7 @@ def write_outputs(report: Report, cfg: ExperimentConfig, outdir=None) -> dict:
     texts = {}
     if report.error is None:
         # identifies the run in every artifact without the JSON
-        stamp = f"experiment={cfg.experiment} seed={cfg.seed}"
+        stamp = f"experiment={cfg.experiment}"
         try:
             texts["eigenvalues.csv"] = f"# {stamp}\n" + experiment.table(report)
             if report.weyl_data is not None:
@@ -885,12 +886,7 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> Report:
         cfg.experiment,
         passed=False,
         tolerances={},
-        provenance={
-            "config": cfg.echo(),
-            "seed": cfg.seed,
-            "versions": _versions(),
-            "timings": timings,
-        },
+        provenance={"config": cfg.echo(), "versions": _versions(), "timings": timings},
     )
     try:
         _EXPERIMENTS[cfg.experiment].body(cfg, report, functools.partial(_stage, timings))

@@ -39,6 +39,7 @@ __all__ = [
 
 PANEL_BUDGET = 6000
 CONDITION_LIMIT = 1e12
+ROUTE_GAP_TOL = 1e-10  # relative gap between the two ND evaluation routes
 # Rows × panels per block of the layer fill.  Each (rows, 4, panels) temporary
 # of ``_fill`` holds 4·FILL_BLOCK doubles, 256 KiB, so a block's working set
 # stays in a core's 2 MiB L2 cache; at 2**18 each held 8 MiB and every block
@@ -343,7 +344,7 @@ def nd_operator(op: NystromOperator) -> NDResult:
     del factor, A  # the LU goes before the eigensolve
     denom = np.linalg.norm(route1)
     gap = float(np.linalg.norm(np.subtract(route1, route2, out=route2)) / denom)
-    if gap > 1e-10:
+    if gap > ROUTE_GAP_TOL:
         raise PotentialsError(f"ND evaluation routes disagree ({gap:.3e})")
     asym = float(np.linalg.norm(np.subtract(route1, route1.T, out=route2)) / denom)
     sym = np.add(route1, route1.T, out=route2)

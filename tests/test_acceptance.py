@@ -237,7 +237,6 @@ interior.a.cell = 0.2
 interior.a.low = 1.0
 interior.a.high = 5.0
 interior.a.origin = 0.0137, 0.0071
-blend.width = 0.3
 tail.kmin = 16
 mesh.levels = 0.04, 0.025
 tolerance.deviation = 0.10
@@ -273,8 +272,6 @@ BILIPSCHITZ_CFG = """
 experiment = bilipschitz-invariance
 domain.name = sawtooth-square
 mesh.levels = 0.06
-collar.depth = 0.25
-tolerance.invariance = 1e-8
 """
 
 
@@ -312,7 +309,6 @@ coeff.a.high = 4.0
 coeff.a.origin = 0.0137, 0.0071
 mesh.levels = 0.04
 moll.scales = 0.16, 0.08, 0.04, 0.02, 0.01, 0.005, 0.0025, 0.00125
-tolerance.drift = 0.02
 """
 
 
@@ -347,8 +343,6 @@ domain.name = regular-ngon
 domain.n = 96
 mesh.levels = 0.05, 0.035
 bem.panels-per-edge = 10
-bem.count = 20
-tolerance.pair = 0.02
 """
 
 BEM_SQUARE_CFG = """
@@ -356,8 +350,6 @@ experiment = bem-crosscheck
 domain.name = square
 mesh.levels = 0.03, 0.02
 bem.panels-per-edge = 192
-bem.count = 20
-tolerance.pair = 0.02
 """
 
 

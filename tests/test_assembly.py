@@ -2,6 +2,7 @@
 coefficient catalog."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -307,6 +308,39 @@ def test_assembly_guards(square_mesh):
     negative_v = assembly.ScalarField("bad-v", lambda pts: -np.ones(len(pts)))
     with pytest.raises(AssemblyError, match="negative"):
         assemble_energy(square_mesh, _cf(v0=negative_v))
+
+
+def _nan_right_half(pts):
+    """1 on the left half of the unit square, NaN on the right half."""
+    return np.where(np.asarray(pts)[:, 0] > 0.5, np.nan, 1.0)
+
+
+def _nan_diagonal(pts):
+    a = np.zeros((len(pts), 2, 2))
+    a[:, 0, 0] = a[:, 1, 1] = _nan_right_half(pts)
+    return a
+
+
+def _nan_matrix(pts):
+    return _nan_right_half(pts)[:, None, None] * np.eye(2)
+
+
+# Every comparison with NaN is false, so a guard that fails only on "x < bound"
+# lets NaN samples through to the eigensolver.
+@pytest.mark.parametrize(
+    "coeff,message",
+    [
+        (_cf(a=assembly.MatrixField("nan-diagonal", _nan_diagonal)), "loses ellipticity"),
+        (_cf(a=assembly.MatrixField("nan", _nan_matrix)), "not symmetric"),
+        (_cf(v0=assembly.ScalarField("nan-v", _nan_right_half)), "negative or NaN"),
+    ],
+    ids=["matrix-diagonal", "matrix-full", "potential"],
+)
+def test_nan_samples_fail_the_guards_at_a_nan_point(square_mesh, coeff, message):
+    with pytest.raises(AssemblyError, match=message) as exc:
+        assemble_energy(square_mesh, coeff)
+    x, y = map(float, re.search(r"at \[([^\]]+)\]", str(exc.value)).group(1).split(","))
+    assert x > 0.5 and 0 < y < 1
 
 
 def test_pullback_preserves_energy_integrals():

@@ -355,8 +355,9 @@ def test_counting_is_a_closed_count():
     assert counting(spec, 3.0001) == 0
     assert counting(spec, 0.2, sign="-") == 2
     assert counting(spec, 1.0, sign="-") == 1
-    with pytest.raises(EigensolveError, match="positive"):
-        counting(spec, 0.0)
+    for lam in (0.0, float("nan")):
+        with pytest.raises(EigensolveError, match="positive"):
+            counting(spec, lam)
 
 
 def test_unknown_branch_name_raises():

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from steklovlab import geometry
+from steklovlab import assembly, geometry
 from steklovlab._mesher import DIAMETER_FACTOR, MIN_ANGLE_DEG
+from steklovlab.assembly import AssemblyError
 from steklovlab.geometry import GeometryError, make_domain, triangulate
 
 
@@ -47,14 +48,29 @@ def test_unknown_domain_rejected():
     (lambda: make_domain("sawtooth-square", slope=0.0), "needs teeth >= 1 and slope > 0"),
     (lambda: make_domain("koch-prefractal", level=5), r"koch-prefractal level must be 0\.\.4"),
     (lambda: make_domain("square", side=10**400), "side must be a finite number"),  # beyond float
+    (lambda: geometry.PolygonDomain([[0, 0], [1, 0], [math.nan, 1], [0, 1]]), "must be finite"),
+    (lambda: geometry.PolygonDomain([[0, 0], [1, 0], [math.inf, 1], [0, 1]]), "must be finite"),
+    (lambda: geometry.PolygonDomain([[0, 0], [1, 0], [1, -math.inf], [0, 1]]), "must be finite"),
 ], ids=[
     "two-vertices", "repeated-vertex", "zero-area", "crossing-edges", "chart-shape",
     "chart-not-increasing", "chart-ids", "ngon-n2", "lshape-notch1", "sawtooth-teeth0",
-    "sawtooth-slope0", "koch-level5", "square-side-overflow",
+    "sawtooth-slope0", "koch-level5", "square-side-overflow", "nan-vertex", "inf-vertex",
+    "minus-inf-vertex",
 ])
 def test_invalid_geometry_raises_its_own_message(build, message):
     with pytest.raises(GeometryError, match=message):
         build()
+
+
+@pytest.mark.parametrize("build,error,named", [
+    (lambda: make_domain("square", side=10**400), GeometryError, "side"),
+    (lambda: assembly.make_matrix_field("constant", value=10**400), AssemblyError, "value"),
+], ids=["domain", "matrix-field"])
+def test_catalog_errors_shorten_a_long_value(build, error, named):
+    with pytest.raises(error) as exc:
+        build()
+    message = str(exc.value)
+    assert len(message) < 120 and f"{named} must be a finite number" in message, message
 
 
 def test_clockwise_polygon_comes_back_counter_clockwise():

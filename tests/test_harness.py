@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import test_acceptance
 from steklovlab import cli, geometry, harness, potentials, weyl
 from steklovlab.assembly import AssemblyError
 from steklovlab.geometry import GeometryError, MeshingError
@@ -40,7 +41,7 @@ def test_config_coercion_types():
         # full-line comment
         experiment = weyl-verification
         mesh.levels = 0.1, 0.05
-        bem.count = 40
+        tail.kmin = 40
         tolerance.deviation = 0.08
         verbose = true
         quiet = off
@@ -48,7 +49,7 @@ def test_config_coercion_types():
         """
     )
     assert out["mesh.levels"] == [0.1, 0.05]
-    assert out["bem.count"] == 40 and isinstance(out["bem.count"], int)
+    assert out["tail.kmin"] == 40 and isinstance(out["tail.kmin"], int)
     assert out["tolerance.deviation"] == 0.08
     assert out["verbose"] is True and out["quiet"] is False
     assert out["domain.name"] == "square"
@@ -102,7 +103,6 @@ def test_config_defaults_and_groups():
         coeff.a.sub-field.low = 1.0
         """
     )
-    assert cfg.seed == 0
     assert cfg.output_dir == "out"
     g = cfg.group("coeff.a")
     assert g["cell"] == 0.25
@@ -154,7 +154,10 @@ SCHEMA_RUNS = {
 }
 
 
-def test_schema_docstring_lists_the_keys_the_harness_reads(tmp_path, monkeypatch):
+@pytest.fixture
+def first_stage(monkeypatch):
+    """Run a config text up to its first stage, writing to ``outdir`` (or its
+    ``output.dir``); returns the keys read and the group prefixes read."""
     groups = set()
     group = ExperimentConfig.group
 
@@ -162,26 +165,52 @@ def test_schema_docstring_lists_the_keys_the_harness_reads(tmp_path, monkeypatch
         groups.add(prefix)
         return group(self, prefix)
 
+    def run(text, outdir=None):
+        groups.clear()
+        values = _ReadKeys(parse_config_text(text))
+        rep = run_experiment(ExperimentConfig(values), outdir)
+        assert rep.error == "RuntimeError: halted at the first stage", text
+        return values.read, set(groups)
+
     monkeypatch.setattr(harness, "_stage", _halt)
     monkeypatch.setattr(ExperimentConfig, "group", recording_group)
-    read = set()
+    return run
+
+
+def test_schema_docstring_lists_the_keys_the_harness_reads(tmp_path, first_stage):
+    read, groups = set(), set()
     for name, extra in SCHEMA_RUNS.items():
-        values = _ReadKeys(
-            parse_config_text(
-                f"experiment = {name}\nmesh.levels = 0.1\n"
-                f"output.dir = {tmp_path / name}\n{extra}"
-            )
+        keys, prefixes = first_stage(
+            f"experiment = {name}\nmesh.levels = 0.1\noutput.dir = {tmp_path / name}\n{extra}"
         )
-        rep = run_experiment(ExperimentConfig(values))
-        assert rep.error == "RuntimeError: halted at the first stage", name
         assert (tmp_path / name / "report.json").exists()
-        read |= values.read
+        read |= keys
+        groups |= prefixes
     read |= {f"{prefix}.<p>" for prefix in groups}
     documented = _schema_keys()
     # domain.name and rho.name are read as members of their groups
     named = {k for k in documented if k.endswith(".name") and k[: -len(".name")] in groups}
     assert named == {"domain.name", "rho.name"}
     assert documented - named == read
+
+
+ACCEPTANCE_CONFIGS = {
+    name: text for name, text in vars(test_acceptance).items() if name.endswith("_CFG")
+}
+
+
+# The gate's configs set no line that the harness ignores, so none of them
+# can look like it sets a tolerance or an input that is fixed in the code.
+@pytest.mark.parametrize("name", sorted(ACCEPTANCE_CONFIGS))
+def test_acceptance_configs_set_only_keys_the_harness_reads(tmp_path, first_stage, name):
+    text = ACCEPTANCE_CONFIGS[name]
+    read, groups = first_stage(text, str(tmp_path))
+    unread = [
+        key
+        for key in parse_config_text(text)
+        if key not in read and not any(key.startswith(f"{prefix}.") for prefix in groups)
+    ]
+    assert unread == [], name
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +298,6 @@ def test_straightened_collar_run_detects_weight_misuse(tmp_path):
             experiment = bilipschitz-invariance
             domain.name = {name}
             mesh.levels = 0.06
-            collar.depth = 0.25
             """
         )
         rep = run_experiment(cfg, str(tmp_path / name))
@@ -287,7 +315,7 @@ def test_collar_grid_over_the_node_budget_fails_in_the_mesh_stage(tmp_path):
     # Jacobians (about 96 MiB at their peak)
     cfg = ExperimentConfig.from_text(
         "experiment = bilipschitz-invariance\ndomain.name = sawtooth-square\n"
-        "mesh.levels = 1e-3\ncollar.depth = 0.25\n"
+        "mesh.levels = 1e-3\n"
     )
     tracemalloc.start()
     try:
@@ -553,12 +581,6 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
     base = "experiment = bem-crosscheck\ndomain.name = square\nbem.panels-per-edge = 4\n"
     for line, named in (
         ("mesh.levels = abc", "mesh.levels"),
-        ("mesh.levels = 0.1\nseed = abc", "seed"),
-        ("mesh.levels = 0.1\ntolerance.pair = abc", "tolerance.pair"),
-        ("mesh.levels = 0.1\ntolerance.pair = yes", "tolerance.pair"),
-        ("mesh.levels = 0.1\nbem.count = abc", "bem.count"),
-        ("mesh.levels = 0.1\nbem.count = 0", "bem.count"),
-        ("mesh.levels = 0.1\nbem.count = -5", "bem.count"),
         ("mesh.levels = 0.1\ndomain.bogus = 3", "square"),
     ):
         broken.write_text(base + line + "\n")
@@ -568,6 +590,8 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
         assert "steklovlab: error:" in captured.err and named in captured.err, line
     for text, named in (
         (WEYL_SQUARE + "tolerance.deviation = abc\n", "tolerance.deviation"),
+        (WEYL_SQUARE + "tolerance.deviation = yes\n", "tolerance.deviation"),
+        (WEYL_SQUARE + "tail.kmin = abc\n", "tail.kmin"),
         (WEYL_SQUARE + "tail.kmin = -3\n", "tail.kmin"),
         (WEYL_SQUARE + "tail.kmax = -1\n", "tail.kmax"),
         (WEYL_SQUARE + "tail.kmin = 10\ntail.kmax = 5\n", "tail.kmax"),
@@ -585,6 +609,11 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
         (
             "experiment = bem-crosscheck\ndomain.name = square\nmesh.levels = 0.1\n"
             "bem.panels-per-edge = abc\n",
+            "bem.panels-per-edge",
+        ),
+        (
+            "experiment = bem-crosscheck\ndomain.name = square\nmesh.levels = 0.1\n"
+            "bem.panels-per-edge = 0\n",
             "bem.panels-per-edge",
         ),
     ):
@@ -682,8 +711,9 @@ def test_weyl_verification_needs_a_predicted_branch(tmp_path):
 
 
 # Schema keys of the harness docstring, catalog parameters, keys the harness
-# no longer reads (coeff.a.interior, coeff.a.base, blend.sweep, moll.floor,
-# collar.resolution), and junk.
+# no longer reads (seed, tolerance.pair, tolerance.drift, tolerance.invariance,
+# coeff.a.interior, coeff.a.base, blend.width, blend.sweep, moll.floor,
+# collar.depth, collar.resolution, bem.count), and junk.
 FUZZ_KEYS = (
     "seed", "output.dir", "domain.name", "domain.n", "domain.radius", "domain.side",
     "domain.notch", "domain.teeth", "domain.slope", "domain.level", "domain.bogus",
@@ -696,11 +726,8 @@ FUZZ_KEYS = (
     "blend.sweep", "moll.scales", "moll.floor", "collar.depth", "collar.resolution",
     "bem.panels-per-edge", "bem.count", "junk", "junk.key",
 )
-INT_KEYS = ("seed", "tail.kmin", "tail.kmax", "bem.count", "bem.panels-per-edge")
-FLOAT_KEYS = (
-    "tolerance.deviation", "tolerance.pair", "tolerance.drift", "tolerance.invariance",
-    "blend.width", "collar.depth",
-)
+INT_KEYS = ("tail.kmin", "tail.kmax", "bem.panels-per-edge")
+FLOAT_KEYS = ("tolerance.deviation",)
 LIST_KEYS = ("mesh.levels", "moll.scales")
 WORDS = (
     "abc", "yes", "off", "nan", "-inf", "", "square", "regular-ngon", "lshape",
@@ -715,6 +742,12 @@ _scalar = st.one_of(
 )
 _value = st.one_of(_scalar, st.lists(_scalar, min_size=2, max_size=4).map(", ".join))
 _length = st.one_of(_value, st.floats(0.0, 2.0, exclude_min=True).map(repr))
+_depth = st.one_of(
+    st.integers(-3, 40),
+    st.floats(-2.0, 2.0),
+    st.floats(0.0, 2.0, exclude_min=True),
+    st.sampled_from((math.nan, math.inf, -math.inf)),
+)
 # a valid mesh.levels: positive and strictly decreasing
 _levels = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3, unique=True).map(
     lambda hs: ", ".join(repr(h) for h in sorted(hs, reverse=True))
@@ -741,7 +774,7 @@ def _value_or_typed_error(fn, *args):
         )
     ),
     entries=st.dictionaries(st.sampled_from(FUZZ_KEYS), _value, max_size=8),
-    collar=st.tuples(_length, _length),
+    collar=st.tuples(_depth, _length),
     levels=st.one_of(st.none(), _levels),
 )
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -752,7 +785,6 @@ def test_config_surface_raises_only_typed_errors(experiment, entries, collar, le
     cfg = _value_or_typed_error(ExperimentConfig.from_text, text)
     if cfg is None:
         return
-    _value_or_typed_error(lambda: cfg.seed)
     for key in INT_KEYS:
         _value_or_typed_error(cfg.get_int, key, 0)
     for key in FLOAT_KEYS:
@@ -769,19 +801,15 @@ def test_config_surface_raises_only_typed_errors(experiment, entries, collar, le
         _value_or_typed_error(weyl.weyl_coefficient, target, coeff)
     _value_or_typed_error(harness._matrix_from, cfg, "interior.a")
     # The straightening builders on both charted catalog domains and on the
-    # fuzzed domain if it is charted, with the collar depth and mesh size
-    # drawn as their own pair of fuzzed lengths.
+    # fuzzed domain if it is charted, with a collar depth drawn as a number
+    # and a fuzzed mesh size.
     charted = [geometry.make_domain("square"), geometry.make_domain("sawtooth-square")]
     if domain is not None and domain.chart is not None:
         charted.append(domain)
     for dom in charted:
         try:
-            sized = ExperimentConfig.from_text(
-                "collar.depth = {}\nmesh.levels = {}".format(*collar)
-            )
-            smap = geometry.build_straightening(
-                dom, sized.get_float("collar.depth", 0.2), sized.mesh_levels()[-1]
-            )
+            sized = ExperimentConfig.from_text(f"mesh.levels = {collar[1]}")
+            smap = geometry.build_straightening(dom, collar[0], sized.mesh_levels()[-1])
             geometry.build_matched_meshes(smap)
         except (GeometryError, MeshingError, HarnessError):
             pass

@@ -13,7 +13,11 @@ Dirichlet-to-Neumann map) and whose pivots are the one SPD check; the n × n
 pencil is never formed densely.  A probe of S on four fixed vectors checks
 the factor against the Schur complement applied through A_ii⁻¹.  It
 eigendecomposes the nb × nb pencil (B_bb, S) and returns every nonzero pair
-of both branches with residuals on that condensed pencil.
+of both branches with residuals on that condensed pencil.  Its dense kernels
+(triangular solves and products, the eigendecomposition) all come from
+scipy.linalg: numpy and scipy each bundle an OpenBLAS with its own thread
+pool, and a solve that alternates between them leaves one pool's workers
+spinning against the other's call.
 """
 
 from __future__ import annotations
@@ -154,7 +158,7 @@ def _condense(A, B):
     L = lu.L
     del lu
     G = L[ni:, ni:].toarray() * np.sqrt(pivots[ni:])
-    gap = float(np.linalg.norm(G @ (G.T @ Z) - SZ) / np.linalg.norm(SZ)) if nb else 0.0
+    gap = float(np.linalg.norm(_schur_apply(G, Z) - SZ) / np.linalg.norm(SZ)) if nb else 0.0
     if not gap <= SCHUR_PROBE_TOL:  # a NaN gap fails too
         raise EigensolveError(
             f"condensed factor misses the Schur complement: probe gap {gap:.1e} "
@@ -163,13 +167,24 @@ def _condense(A, B):
     return G, B[b][:, b], gap
 
 
+def _schur_apply(G, X):
+    """S X = G (Gᵀ X) by two triangular products.  G is row-major, so BLAS
+    reads it in place as its transpose, the upper-triangular Gᵀ."""
+    trmm = sla.get_blas_funcs("trmm", (G,))
+    return trmm(1.0, G.T, trmm(1.0, G.T, X), trans_a=1, overwrite_b=1)
+
+
 def _condensed_eigh(G, B_bb):
     """Eigenvalues and S-normalized boundary eigenvectors of the condensed
-    pencil (B_bb, G Gᵀ), via the symmetric matrix G⁻¹B_bbG⁻ᵀ."""
+    pencil (B_bb, G Gᵀ), via the symmetric matrix G⁻¹B_bbG⁻ᵀ.  The
+    eigendecomposition is LAPACK's divide-and-conquer ``dsyevd`` through
+    scipy's ``evd`` driver, the routine numpy's ``eigh`` calls; scipy's
+    default ``evr`` (``dsyevr``) is a different algorithm and would move the
+    eigenvalues at roundoff."""
     Y = sla.solve_triangular(G, B_bb.toarray(), lower=True)
     C = sla.solve_triangular(G, Y.T, lower=True)
     C = 0.5 * (C + C.T)
-    w, V = np.linalg.eigh(C)
+    w, V = sla.eigh(C, driver="evd")
     return w, sla.solve_triangular(G, V, lower=True, trans="T")
 
 
@@ -187,7 +202,7 @@ def solve_dense(A, B) -> Spectrum:
     B = sp.csr_matrix(B, dtype=float)
     G, B_bb, gap = _condense(A, B)
     w, Xb = _condensed_eigh(G, B_bb)
-    R = G @ (G.T @ Xb)
+    R = _schur_apply(G, Xb)
     R *= w
     np.subtract(B_bb @ Xb, R, out=R)
     zero_threshold = ZERO_THRESHOLD_REL * float(np.abs(w).max(initial=0.0))

@@ -135,12 +135,14 @@ def _finite(key: str, val) -> float:
         with contextlib.suppress(OverflowError):  # an int beyond float range
             if math.isfinite(val):
                 return float(val)
-    raise HarnessError(f"{key} must be a finite number (got {val!r})")
+    raise HarnessError(f"{key} must be a finite number (got {geometry._shown(val)})")
 
 
 def _positive_decreasing(key: str, values: list) -> list:
     if any(v <= 0 for v in values) or any(b >= a for a, b in zip(values, values[1:])):
-        raise HarnessError(f"{key} must be positive and strictly decreasing (got {values})")
+        raise HarnessError(
+            f"{key} must be positive and strictly decreasing (got {geometry._shown(values)})"
+        )
     return values
 
 
@@ -172,7 +174,7 @@ class ExperimentConfig:
         val = self.values.get(key, default)
         if isinstance(val, int) and not isinstance(val, bool):
             return val
-        raise HarnessError(f"{key} must be an integer (got {val!r})")
+        raise HarnessError(f"{key} must be an integer (got {geometry._shown(val)})")
 
     def get_float(self, key: str, default: float | None) -> float | None:
         val = self.values.get(key)
@@ -186,7 +188,9 @@ class ExperimentConfig:
     def get_choice(self, key: str, choices: tuple):
         val = self.values.get(key)
         if val not in choices:
-            raise HarnessError(f"{key} must be one of {', '.join(choices)} (got {val!r})")
+            raise HarnessError(
+                f"{key} must be one of {', '.join(choices)} (got {geometry._shown(val)})"
+            )
         return val
 
     @property
@@ -609,9 +613,8 @@ def _bem_crosscheck(cfg: ExperimentConfig, report: Report, stage) -> None:
     report.summary["route_gap"] = nd.route_gap
     report.summary["condition"] = nd.condition
     report.summary["nd_asymmetry"] = nd.asymmetry
-    report.passed = (
-        max_rel is not None and max_rel <= PAIR_TOL and nd.route_gap <= potentials.ROUTE_GAP_TOL
-    )
+    # nd_operator raises above potentials.ROUTE_GAP_TOL, so a run here met it
+    report.passed = max_rel is not None and max_rel <= PAIR_TOL
     report.gaps = rel
 
 

@@ -1,10 +1,11 @@
 """Pencil eigensolver: exactness on diagonal pencils, the condensed dense
 solve against a full generalized eigh on small meshes, the SPD guard, the
 condensed factor against a dense Schur complement, with the returned pairs
-lifted densely to the full pencil, the Schur probe against a perturbed
-factorization, the Bessel-quotient oracle on a disk, the Steklov spectra of
-the disk and the square from the shifted pencil, counting and
-tail-extraction semantics, and the CSV round trip."""
+lifted densely to the full pencil, the dense solve on scipy's kernels alone
+against numpy's eigh, the Schur probe against a perturbed factorization, the
+Bessel-quotient oracle on a disk, the Steklov spectra of the disk and the
+square from the shifted pencil, counting and tail-extraction semantics, and
+the CSV round trip."""
 
 import numpy as np
 import pytest
@@ -233,6 +234,49 @@ def test_condensed_factor_is_the_cholesky_factor_of_the_schur_complement(
     assert np.allclose(np.einsum("ik,ij,jk->k", X, A, X), 1.0, rtol=1e-12)
     assert np.linalg.norm(B @ X - (A @ X) * mu, axis=0).max() < 1e-12
     assert spec.schur_gap < 1e-13
+
+
+@pytest.mark.parametrize(
+    "rho,a",
+    [
+        (assembly.segment_weight([1.0, 1.0, -1.0, -1.0]), None),
+        (assembly.constant_weight(1.0), assembly.rotated_diagonal(1.0, 4.0, 0.5)),
+    ],
+    ids=["sign-split", "rotated-diagonal"],
+)
+def test_dense_solve_runs_on_scipy_kernels_alone(rho, a, monkeypatch):
+    # numpy's eigh must not be reached: its OpenBLAS pool is not scipy's
+    _, A, B = _mesh_pencil("square", {}, 0.1, rho, a=a)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg eigensolver called")
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    pairs = []
+    condensed_eigh = eigensolve._condensed_eigh
+
+    def recording(G, B_bb):
+        pairs.append(condensed_eigh(G, B_bb))
+        return pairs[-1]
+
+    monkeypatch.setattr(eigensolve, "_condensed_eigh", recording)
+    spec = solve_dense(A, B)
+    monkeypatch.undo()
+    # numpy's eigh of the same G⁻¹B_bbG⁻ᵀ, and the residuals written with @
+    G, B_bb, _ = _condense(A.tocsr(), B.tocsr())
+    C = sla.solve_triangular(G, sla.solve_triangular(G, B_bb.toarray(), lower=True).T, lower=True)
+    w = np.linalg.eigh(0.5 * (C + C.T))[0]
+    mu, Xb = pairs[0]
+    res = np.linalg.norm(B_bb @ Xb - (G @ (G.T @ Xb)) * mu, axis=0)
+    ref = eigensolve._split_branches(w, res, spec.zero_threshold, len(G))
+    assert len(spec.positive) == len(ref.positive) > 0
+    assert len(spec.negative) == len(ref.negative)
+    for got, want in ((spec.positive, ref.positive), (spec.negative, ref.negative)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    ref = eigensolve._split_branches(mu, res, spec.zero_threshold, len(G))
+    assert np.all(np.abs(spec.residuals_positive - ref.residuals_positive) <= 1e-14)
+    assert np.all(np.abs(spec.residuals_negative - ref.residuals_negative) <= 1e-14)
 
 
 @pytest.mark.parametrize(

@@ -93,6 +93,28 @@ def test_config_rejects_non_decreasing_mesh_levels():
             )
 
 
+_LONG_VALUES = {
+    "finite": (
+        "tolerance.deviation", "1" + "0" * 400, lambda c: c.get_float("tolerance.deviation", 0.1)
+    ),
+    "integer": ("tail.kmin", "k" * 10_000, lambda c: c.get_int("tail.kmin", 0)),
+    "choice": ("experiment", "x" * 10_000, None),
+    "decreasing": ("mesh.levels", ", ".join(map(str, range(1, 10_001))), None),
+}
+
+
+@pytest.mark.parametrize("key,value,read", _LONG_VALUES.values(), ids=_LONG_VALUES)
+def test_config_errors_shorten_a_long_value(key, value, read):
+    # a 400-digit integer, a 10 000-character word or a 10 000-entry list is
+    # cut down to its ends; only the experiment names, a fixed list, add length
+    with pytest.raises(HarnessError) as err:
+        cfg = ExperimentConfig.from_text(f"{key} = {value}")
+        read(cfg)
+    message = str(err.value)
+    fixed = len(", ".join(harness._EXPERIMENTS)) if key == "experiment" else 0
+    assert message.startswith(key) and len(message) - fixed < 120, message
+
+
 def test_config_defaults_and_groups():
     cfg = ExperimentConfig.from_text(
         """
@@ -370,6 +392,23 @@ def test_failed_level_yields_partial_report(tmp_path, text, named):
     assert payload["error"] == rep.error
     assert not (tmp_path / "eigenvalues.csv").exists()
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_route_gap_over_its_bound_fails_the_nd_operator_and_the_run(tmp_path, monkeypatch):
+    # nd_operator is the one place the route-gap bound is enforced: with the
+    # bound at zero, any roundoff between the two routes must stop the run
+    monkeypatch.setattr(potentials, "ROUTE_GAP_TOL", 0.0)
+    op = potentials.build_layer_operators(geometry.make_domain("square"), 4)
+    with pytest.raises(potentials.PotentialsError, match="ND evaluation routes disagree"):
+        potentials.nd_operator(op)
+    cfg = ExperimentConfig.from_text(
+        "experiment = bem-crosscheck\ndomain.name = square\nbem.panels-per-edge = 4\n"
+        "mesh.levels = 0.2\n"
+    )
+    rep = run_experiment(cfg, str(tmp_path))
+    assert not rep.passed
+    assert rep.error.startswith("PotentialsError: ND evaluation routes disagree")
+    assert json.loads((tmp_path / "report.json").read_text())["error"] == rep.error
 
 
 def test_outputs_are_rendered_before_any_is_written(tmp_path, monkeypatch):

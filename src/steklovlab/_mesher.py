@@ -435,9 +435,9 @@ def triangulate_polygon(vertices, h):
             continue
 
         idx, stamp = tri_queue.popleft()
+        # A live entry is still bad: triangle ids are never reused and points
+        # never move, so it is as bad as when it was queued.
         if idx >= len(tr.tris) or tr.tris[idx] != stamp:
-            continue
-        if not tri_is_bad(idx):
             continue
         a, b, c = tr.tris[idx]
         cc = _circumcenter(

@@ -11,19 +11,29 @@ double layer kernel is ⟨x−y, n(y)⟩ / (2π|x−y|²), whose boundary integr
 against the constant density equals −1/2 at every smooth boundary point
 (Gauss identity).  Panel integrals of both kernels are evaluated in closed
 form, so that identity holds to roundoff at every resolution.
+
+The layer fill spreads its row blocks over one thread per available CPU;
+numpy's ufuncs release the GIL, and each thread writes into scratch allocated
+before it starts.  The ND map's dense kernels (matrix-vector and
+matrix-matrix products, dot products, the LU factorization and solves, the
+condition estimate and the eigenvalues) all come from scipy: numpy and scipy
+each bundle an OpenBLAS with its own thread pool, and a stage that alternates
+between them leaves one pool's workers spinning against the other's call.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cython_lapack
+from scipy.linalg import blas, cython_lapack
 
 from .geometry import PolygonDomain
 
@@ -98,63 +108,142 @@ def _build_panels(domain: PolygonDomain, panels_per_edge: int) -> PanelSet:
 _GAUSS_X, _GAUSS_W = leggauss(4)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_scratch(rows: int, n: int) -> tuple[np.ndarray, ...]:
+    """One fill worker's temporaries for blocks of up to ``rows`` rows: five
+    (rows, n) and five (rows, 4, n) arrays, and the two zero masks."""
+    q = len(_GAUSS_X)
+    return (
+        np.empty((5, rows, n)),
+        np.empty((5, rows, q, n)),
+        np.empty((rows, n), dtype=bool),
+        np.empty((rows, q, n), dtype=bool),
+    )
+
+
+def _primitive(w, vv, out, tmp, zero):
+    """Inner-integral primitive w·log(w² + v²) − 2w + 2v·arctan(w/v) into
+    ``out``, one ufunc at a time in the expression's order of operations, with
+    one temporary; ``w`` is overwritten.  No branch for collinear pairs: at
+    v = 0 the last term is a signed zero, and adding it leaves
+    w·log(w²) − 2w bitwise as it is.  Where w² + v² = 0 the primitive is 0."""
+    np.multiply(w, w, out=out)
+    np.multiply(vv, vv, out=tmp)
+    np.add(out, tmp, out=out)  # r²
+    np.equal(out, 0.0, out=zero)
+    np.log(out, out=out)
+    np.multiply(w, out, out=out)
+    np.multiply(2.0, w, out=tmp)
+    np.subtract(out, tmp, out=out)
+    np.divide(w, vv, out=w)
+    np.arctan(w, out=w)
+    np.multiply(2.0, vv, out=tmp)
+    np.multiply(tmp, w, out=tmp)
+    np.add(out, tmp, out=out)
+    np.copyto(out, 0.0, where=zero)
+
+
 def _fill(panels: PanelSet) -> tuple[np.ndarray, np.ndarray]:
     """Galerkin single layer (outer Gauss × exact inner) and collocated
     double layer over straight panels, in the orthonormal basis.
 
     Both are filled in one pass over blocks of ``FILL_BLOCK // n`` rows, each
     written already in the orthonormal basis: S divided by s_i·s_j and D
-    multiplied by s_i/s_j, with s = √ℓ.  The largest temporaries hold
-    4·FILL_BLOCK Gauss-point values (256 KiB), so a block runs in L2 cache
-    (the sweep is at ``FILL_BLOCK``), and the build holds S, D and, while S
-    is symmetrized in place, one buffered copy of Sᵀ.  Every entry is the
-    same elementwise arithmetic in any block size, so S and D do not depend
-    on the blocking."""
+    multiplied by s_i/s_j, with s = √ℓ.  The blocks are dealt round-robin to
+    one worker per available CPU, at most one per block: the calling thread
+    is the first worker, so a one-block fill starts no thread.  numpy's
+    ufuncs release the GIL, so the workers run in parallel.  Every ufunc
+    writes with ``out=`` into its worker's scratch (``_fill_scratch``), which
+    this thread allocates before any worker starts; a worker allocating
+    its own temporaries would leave freed blocks in glibc's per-thread
+    arenas and raise the process's peak.  A worker's scratch holds
+    25·FILL_BLOCK doubles (1.6 MiB), so a block runs in a core's L2 cache
+    (the sweep is at ``FILL_BLOCK``), and the build holds S, D, the scratch
+    and, while S is symmetrized in place, one buffered copy of Sᵀ.  Every
+    entry is the same elementwise arithmetic in the same order in any block
+    size and on any worker, so S and D depend on neither."""
     mid, tangent, normal, length = panels.mid, panels.tangent, panels.normal, panels.length
     n = len(panels)
     S = np.empty((n, n))
     D = np.empty((n, n))
     a = 0.5 * length
+    neg_a = -a
     s = np.sqrt(length)
+    # four Gauss points on each panel, (n, q, 2)
+    xi = mid[:, None, :] + _GAUSS_X[None, :, None] * (a[:, None, None] * tangent[:, None, :])
 
-    def primitive(w, vv):
-        # No branch for collinear pairs: at v = 0 the last term is a signed
-        # zero, and adding it leaves w·log(w²) − 2w bitwise as it is.
-        r2 = w * w + vv * vv
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = w * np.log(r2) - 2.0 * w + 2.0 * vv * np.arctan(w / vv)
-        out[r2 == 0.0] = 0.0
-        return out
+    def fill_rows(lo, hi, scratch):
+        flat, gauss, zero, zero_q = scratch
+        rows = hi - lo
+        dx, dy, u, v, tmp = flat[:, :rows]
+        dxq, dyq, uq, vq, t = gauss[:, :rows]
+        zero, zero_q = zero[:rows], zero_q[:rows]
+        # double layer: the block's midpoints against all panels
+        np.subtract(mid[lo:hi, None, 0], mid[None, :, 0], out=dx)
+        np.subtract(mid[lo:hi, None, 1], mid[None, :, 1], out=dy)
+        np.multiply(dx, tangent[None, :, 0], out=u)
+        np.multiply(dy, tangent[None, :, 1], out=tmp)
+        np.add(u, tmp, out=u)
+        np.multiply(dx, normal[None, :, 0], out=v)
+        np.multiply(dy, normal[None, :, 1], out=tmp)
+        np.add(v, tmp, out=v)
+        np.subtract(a[None, :], u, out=dx)
+        np.divide(dx, v, out=dx)
+        np.arctan(dx, out=dx)
+        np.add(a[None, :], u, out=dy)
+        np.divide(dy, v, out=dy)
+        np.arctan(dy, out=dy)
+        np.add(dx, dy, out=dx)
+        np.divide(dx, 2.0 * math.pi, out=dx)
+        np.equal(v, 0.0, out=zero)
+        np.copyto(dx, 0.0, where=zero)  # includes the diagonal
+        np.multiply(dx, s[lo:hi, None], out=D[lo:hi])
+        np.divide(D[lo:hi], s[None, :], out=D[lo:hi])
+        # single layer: the block's Gauss points against all panels
+        np.subtract(xi[lo:hi, :, None, 0], mid[None, None, :, 0], out=dxq)
+        np.subtract(xi[lo:hi, :, None, 1], mid[None, None, :, 1], out=dyq)
+        np.multiply(dxq, tangent[None, None, :, 0], out=uq)
+        np.multiply(dyq, tangent[None, None, :, 1], out=t)
+        np.add(uq, t, out=uq)
+        np.multiply(dxq, normal[None, None, :, 0], out=vq)
+        np.multiply(dyq, normal[None, None, :, 1], out=t)
+        np.add(vq, t, out=vq)
+        upper, lower = dyq, dxq  # the primitive at the panel's two ends
+        np.subtract(a[None, None, :], uq, out=dxq)
+        _primitive(dxq, vq, upper, t, zero_q)
+        np.subtract(neg_a[None, None, :], uq, out=uq)
+        _primitive(uq, vq, lower, t, zero_q)
+        np.subtract(upper, lower, out=upper)
+        acc = dx
+        np.einsum("q,bqj->bj", _GAUSS_W, upper, out=acc)
+        np.multiply(acc, a[lo:hi, None], out=acc)
+        np.negative(acc, out=acc)
+        np.divide(acc, 4.0 * math.pi, out=acc)
+        np.multiply(s[lo:hi, None], s[None, :], out=tmp)
+        np.divide(acc, tmp, out=S[lo:hi])
 
     block = max(1, FILL_BLOCK // max(n, 1))
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        # double layer: the block's midpoints against all panels
-        dx = mid[lo:hi, None, 0] - mid[None, :, 0]
-        dy = mid[lo:hi, None, 1] - mid[None, :, 1]
-        u = dx * tangent[None, :, 0] + dy * tangent[None, :, 1]
-        v = dx * normal[None, :, 0] + dy * normal[None, :, 1]
+    starts = range(0, n, block)
+    workers = min(_available_cpus(), len(starts))
+    scratch = [_fill_scratch(block, n) for _ in range(workers)]
+
+    def work(k):
         with np.errstate(divide="ignore", invalid="ignore"):
-            dmat = (np.arctan((a[None, :] - u) / v) + np.arctan((a[None, :] + u) / v)) / (
-                2.0 * math.pi
-            )
-        dmat[v == 0.0] = 0.0  # includes the diagonal
-        np.multiply(dmat, s[lo:hi, None], out=D[lo:hi])
-        D[lo:hi] /= s[None, :]
-        # single layer: four Gauss points on each of the block's panels
-        xi = (
-            mid[lo:hi, None, :]
-            + _GAUSS_X[None, :, None] * (a[lo:hi, None, None] * tangent[lo:hi, None, :])
-        )  # (b, q, 2)
-        dxq = xi[:, :, None, 0] - mid[None, None, :, 0]
-        dyq = xi[:, :, None, 1] - mid[None, None, :, 1]
-        uq = dxq * tangent[None, None, :, 0] + dyq * tangent[None, None, :, 1]
-        vq = dxq * normal[None, None, :, 0] + dyq * normal[None, None, :, 1]
-        inner = primitive(a[None, None, :] - uq, vq) - primitive(
-            -a[None, None, :] - uq, vq
-        )
-        acc = np.einsum("q,bqj->bj", _GAUSS_W, inner) * a[lo:hi, None]
-        np.divide(-acc / (4.0 * math.pi), s[lo:hi, None] * s[None, :], out=S[lo:hi])
+            for lo in starts[k::workers]:
+                fill_rows(lo, min(n, lo + block), scratch[k])
+
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        futures = [pool.submit(work, k) for k in range(1, workers)]
+        work(0)
+        for future in futures:
+            future.result()
+    del scratch  # freed before S's symmetrization buffers its copy of Sᵀ
     diag = -(length * length) * (np.log(length) - 1.5) / (2.0 * math.pi)
     np.fill_diagonal(S, diag / (s * s))
     np.add(S, S.T, out=S)  # numpy buffers the overlapping Sᵀ: one n × n copy
@@ -218,6 +307,13 @@ def jump_relation_error(op: NystromOperator) -> dict:
 # Neumann-to-Dirichlet map
 
 
+def _frobenius(M: np.ndarray) -> float:
+    """‖M‖_F as √(x·x) over M's memory, as ``np.linalg.norm`` computes it.
+    BLAS ``ddot``, not ``dnrm2``, whose scaled sum rounds differently."""
+    x = M.ravel(order="K")
+    return math.sqrt(blas.ddot(x, x))
+
+
 def _reflection(op: NystromOperator) -> tuple[np.ndarray, float]:
     """u and c of the Householder reflection H = I − c·uuᵀ that maps
     w = √ℓ/‖√ℓ‖ onto e₀ (u = w − e₀, c = 2/uᵀu).
@@ -227,17 +323,19 @@ def _reflection(op: NystromOperator) -> tuple[np.ndarray, float]:
     plain orthogonality to w, and the columns H[:, 1:] are an orthonormal
     basis of the mean-zero densities.
     """
-    u = op.sqrt_length / np.linalg.norm(op.sqrt_length)
+    u = op.sqrt_length / _frobenius(op.sqrt_length)
     u[0] -= 1.0
-    return u, 2.0 / (u @ u)
+    return u, 2.0 / blas.ddot(u, u)
 
 
 def _project(M: np.ndarray, u: np.ndarray, c: float, order: str = "C") -> np.ndarray:
     """(H M H)[1:, 1:] for H = I − c·uuᵀ in O(n²): one matrix-vector
     product per side and two rank-one updates.  ``order`` is the memory
     layout of the result; it does not change its values."""
-    r = M.T @ u  # H M = M − c·u rᵀ
-    p = M @ u - c * (r @ u) * u  # (H M) u
+    # BLAS gemv on whichever of M and Mᵀ is column-major, so M is not copied
+    F, flip = (M, 0) if M.flags.f_contiguous else (M.T, 1)
+    r = blas.dgemv(1.0, F, u, trans=1 - flip)  # Mᵀu: H M = M − c·u rᵀ
+    p = blas.dgemv(1.0, F, u, trans=flip) - c * blas.ddot(r, u) * u  # (H M) u
     out = np.subtract(M[1:, 1:], np.outer(c * u[1:], r[1:]), order=order)
     out -= np.outer(c * p[1:], u[1:])
     return out
@@ -319,11 +417,19 @@ def nd_operator(op: NystromOperator) -> NDResult:
     floor measures distance to singularity against the ½I part of the
     operator: a D̂* that cancels it leaves A at roundoff size, whose
     scale-invariant condition number can look harmless.
+
+    Every dense kernel is scipy's, so one OpenBLAS thread pool serves the
+    stage: ``dgemv`` and ``ddot`` in the projection, one ``dgemm`` for
+    (Ŝ D̂*)ᵀ = D̂*ᵀŜᵀ, which is column-major and so the right-hand side as it
+    stands, ``lu_factor``/``lu_solve``, ``dgecon``, the Frobenius norms as
+    √(x·x) by ``ddot``, and the eigenvalues from LAPACK's ``dsyevd`` (scipy's
+    ``evd`` driver).  Each is the routine that numpy's ``@``, ``norm`` and
+    ``eigvalsh`` call on the same layouts, so the results are numpy's bits.
     """
     u, c = _reflection(op)
     Shat = _project(op.S, u, c)
     A = _project(op.D.T, u, c, order="F")  # D̂*, column-major for LAPACK
-    SD = Shat @ A
+    SDt = blas.dgemm(1.0, A, Shat.T, trans_a=1)  # (Ŝ D̂*)ᵀ = D̂*ᵀŜᵀ, column-major
     A.flat[:: A.shape[0] + 1] += 0.5  # A = ½I + D̂*, in place
     # |A| row-major, as the out-of-place ½I + D̂* is, so ‖A‖₁ rounds alike
     anorm = max(float(np.abs(A, order="C").sum(axis=0).max()), 0.5)
@@ -337,19 +443,19 @@ def nd_operator(op: NystromOperator) -> NDResult:
         )
     # Both routes solve in place: route2 in the memory of Ŝ D̂*, route1 in
     # that of Ŝ, and 2Ŝ − 2Y = 2(Ŝ − Y) exactly.
-    route2 = sla.lu_solve(factor, SD.T, trans=1, overwrite_b=True, check_finite=False).T
+    route2 = sla.lu_solve(factor, SDt, trans=1, overwrite_b=True, check_finite=False).T
     np.subtract(Shat, route2, out=route2)
     route2 *= 2.0
     route1 = sla.lu_solve(factor, Shat.T, trans=1, overwrite_b=True, check_finite=False).T
     del factor, A  # the LU goes before the eigensolve
-    denom = np.linalg.norm(route1)
-    gap = float(np.linalg.norm(np.subtract(route1, route2, out=route2)) / denom)
+    denom = _frobenius(route1)
+    gap = _frobenius(np.subtract(route1, route2, out=route2)) / denom
     if gap > ROUTE_GAP_TOL:
         raise PotentialsError(f"ND evaluation routes disagree ({gap:.3e})")
-    asym = float(np.linalg.norm(np.subtract(route1, route1.T, out=route2)) / denom)
+    asym = _frobenius(np.subtract(route1, route1.T, out=route2)) / denom
     sym = np.add(route1, route1.T, out=route2)
     sym *= 0.5
-    eigs = np.linalg.eigvalsh(sym)[::-1]
+    eigs = sla.eigh(sym, eigvals_only=True, driver="evd", check_finite=False)[::-1]
     return NDResult(
         matrix=sym,
         eigenvalues=eigs,

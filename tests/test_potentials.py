@@ -2,12 +2,16 @@
 identity, circle spectra of the single layer and of the Neumann-to-Dirichlet
 map, the square's ND spectrum against separation of variables, symmetry
 structure, the row-blocked fill and its pinned digests, the mean-zero
-projection and the in-place ND operator."""
+projection, the in-place ND operator on scipy's kernels, and the fill's
+worker threads."""
 
+import ast
 import dataclasses
 import functools
 import hashlib
+import inspect
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -279,6 +283,29 @@ def test_in_place_nd_operator_matches_the_out_of_place_formula(square_op):
     assert nd.condition == potentials._condition(factor[0], anorm)
 
 
+def test_nd_operator_runs_on_scipy_kernels_alone(square_op, monkeypatch):
+    # numpy's linalg must not be reached: its OpenBLAS pool is not scipy's
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("eigvalsh", "eigh", "norm"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    nd = nd_operator(square_op)
+    monkeypatch.undo()
+    assert np.array_equal(nd.eigenvalues, np.linalg.eigvalsh(nd.matrix)[::-1])
+    # numpy's @ cannot be patched away: read the stage's source instead
+    for fn in (potentials._reflection, potentials._project, nd_operator):
+        tree = ast.parse(inspect.getsource(fn))
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.MatMult), fn.__name__
+            assert not (
+                isinstance(node, ast.Attribute)
+                and node.attr == "linalg"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "np"
+            ), fn.__name__
+
+
 def test_nd_operator_memory_is_bounded():
     op = build_layer_operators(geometry.make_domain("square"), 128)
     n = op.n
@@ -306,6 +333,66 @@ def test_fill_blocking_leaves_layers_bitwise_unchanged(monkeypatch):
         op = build_layer_operators(dom, 32)
         assert np.array_equal(op.S, ref.S), budget
         assert np.array_equal(op.D, ref.D), budget
+
+
+def _counted_thread_starts(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counting(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [None, 3])
+def test_fill_workers_leave_layers_bitwise_unchanged(cpus, monkeypatch):
+    # 608 panels in blocks of 7 rows: 87 blocks, the last one of 6 rows, dealt
+    # to more than one worker; the one-block build is the reference
+    dom = geometry.make_domain("sawtooth-square")
+    monkeypatch.setattr(potentials, "FILL_BLOCK", 608 * 608)
+    ref = build_layer_operators(dom, 32)
+    if cpus is not None:
+        monkeypatch.setattr(potentials, "_available_cpus", lambda: cpus)
+    cpus = potentials._available_cpus()
+    monkeypatch.setattr(potentials, "FILL_BLOCK", 7 * 608)
+    assert 608 % 7 == 6 and 87 > cpus
+    started = _counted_thread_starts(monkeypatch)
+    op = build_layer_operators(dom, 32)
+    assert len(started) == cpus - 1  # the calling thread is the first worker
+    assert np.array_equal(op.S, ref.S)
+    assert np.array_equal(op.D, ref.D)
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_fill_error_reaches_the_caller_and_joins_the_workers(where, monkeypatch):
+    monkeypatch.setattr(potentials, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(potentials, "FILL_BLOCK", 7 * 608)
+    primitive = potentials._primitive
+
+    def failing(*args):
+        in_caller = threading.current_thread() is threading.main_thread()
+        if in_caller == (where == "caller"):
+            raise RuntimeError(f"{where} failed")
+        primitive(*args)
+
+    monkeypatch.setattr(potentials, "_primitive", failing)
+    before = threading.active_count()
+    started = _counted_thread_starts(monkeypatch)
+    with pytest.raises(RuntimeError, match=f"{where} failed"):
+        build_layer_operators(geometry.make_domain("sawtooth-square"), 32)
+    assert len(started) == 1
+    assert threading.active_count() == before
+
+
+def test_one_block_fill_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(potentials, "_available_cpus", lambda: 4)
+    started = _counted_thread_starts(monkeypatch)
+    op = build_layer_operators(geometry.make_domain("square"), 16)
+    assert potentials.FILL_BLOCK // op.n >= op.n  # one block
+    assert started == []
 
 
 def _catalog_layers(name, ppe, to_diameter=0.8, **params):

@@ -12,9 +12,9 @@ against the constant density equals −1/2 at every smooth boundary point
 (Gauss identity).  Panel integrals of both kernels are evaluated in closed
 form, so that identity holds to roundoff at every resolution.
 
-The layer fill spreads its row blocks over one thread per available CPU;
-numpy's ufuncs release the GIL, and each thread writes into scratch allocated
-before it starts.  The ND map's dense kernels (matrix-vector and
+The layer fill spreads its row blocks over one thread per available CPU,
+capped so that the blocks' temporaries fit in one n × n matrix; numpy's
+ufuncs release the GIL.  The ND map's dense kernels (matrix-vector and
 matrix-matrix products, dot products, the LU factorization and solves, the
 condition estimate and the eigenvalues) all come from scipy: numpy and scipy
 each bundle an OpenBLAS with its own thread pool, and a stage that alternates
@@ -29,6 +29,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
@@ -54,9 +55,11 @@ ROUTE_GAP_TOL = 1e-10  # relative gap between the two ND evaluation routes
 # of ``_fill`` holds 4·FILL_BLOCK doubles, 256 KiB, so a block's working set
 # stays in a core's 2 MiB L2 cache; at 2**18 each held 8 MiB and every block
 # streamed from memory.  Fill time summed over the four bem-nd inputs, in s,
-# min / median of 6 interleaved rounds on a 2-vCPU Xeon:
-#   2**11  1.38/1.65   2**12  1.36/1.54   2**13  1.25/1.54   2**14  1.54/1.77
-#   2**15  1.98/2.07   2**16  2.23/2.38   2**17  2.52/3.04   2**18  2.47/2.86
+# min / median of 6 interleaved rounds on a 2-vCPU Xeon, with the blocks on
+# up to two workers (below 2**12 the blocks are a row or two, and the
+# per-block overhead dominates; from 2**16 up the worker cap leaves one):
+#   2**11  2.11/2.33   2**12  1.17/1.34   2**13  0.98/1.11   2**14  0.91/1.14
+#   2**15  0.96/1.29   2**16  1.68/2.25   2**17  2.46/3.19   2**18  2.72/3.04
 FILL_BLOCK = 2**13
 
 
@@ -108,45 +111,47 @@ def _build_panels(domain: PolygonDomain, panels_per_edge: int) -> PanelSet:
 _GAUSS_X, _GAUSS_W = leggauss(4)
 
 
+# A cgroup's CPU quota, as the cgroup v2 file "<quota> <period>" (quota "max"
+# when unset) or the cgroup v1 pair of files (quota −1 when unset).
+_CPU_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
+
 def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
+    """CPUs this process may run on: its affinity mask where the OS has one,
+    cut to the CPU quota of the cgroup mounted at /sys/fs/cgroup (a
+    container's own cgroup) where one is set, rounded up."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    for files in _CPU_QUOTA_FILES:
+        try:
+            fields = " ".join(Path(f).read_text() for f in files).split()
+        except OSError:
+            continue
+        if fields[0] not in ("max", "-1"):
+            cpus = min(cpus, max(1, math.ceil(int(fields[0]) / int(fields[1]))))
+        break
+    return cpus
 
 
-def _fill_scratch(rows: int, n: int) -> tuple[np.ndarray, ...]:
-    """One fill worker's temporaries for blocks of up to ``rows`` rows: five
-    (rows, n) and five (rows, 4, n) arrays, and the two zero masks."""
-    q = len(_GAUSS_X)
-    return (
-        np.empty((5, rows, n)),
-        np.empty((5, rows, q, n)),
-        np.empty((rows, n), dtype=bool),
-        np.empty((rows, q, n), dtype=bool),
-    )
+# Doubles per (row, panel) entry that one block's temporaries in ``_fill`` hold
+# at their peak: 49.0 by tracemalloc on a one-block fill of 608 panels.
+_BLOCK_TEMPS = 50
 
 
-def _primitive(w, vv, out, tmp, zero):
-    """Inner-integral primitive w·log(w² + v²) − 2w + 2v·arctan(w/v) into
-    ``out``, one ufunc at a time in the expression's order of operations, with
-    one temporary; ``w`` is overwritten.  No branch for collinear pairs: at
-    v = 0 the last term is a signed zero, and adding it leaves
-    w·log(w²) − 2w bitwise as it is.  Where w² + v² = 0 the primitive is 0."""
-    np.multiply(w, w, out=out)
-    np.multiply(vv, vv, out=tmp)
-    np.add(out, tmp, out=out)  # r²
-    np.equal(out, 0.0, out=zero)
-    np.log(out, out=out)
-    np.multiply(w, out, out=out)
-    np.multiply(2.0, w, out=tmp)
-    np.subtract(out, tmp, out=out)
-    np.divide(w, vv, out=w)
-    np.arctan(w, out=w)
-    np.multiply(2.0, vv, out=tmp)
-    np.multiply(tmp, w, out=tmp)
-    np.add(out, tmp, out=out)
-    np.copyto(out, 0.0, where=zero)
+def _primitive(w, vv):
+    """Inner-integral primitive w·log(w² + v²) − 2w + 2v·arctan(w/v), 0 where
+    w² + v² = 0.  No branch for collinear pairs: at v = 0 the last term is a
+    signed zero, and adding it leaves w·log(w²) − 2w bitwise as it is."""
+    r2 = w * w + vv * vv
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = w * np.log(r2) - 2.0 * w + 2.0 * vv * np.arctan(w / vv)
+    out[r2 == 0.0] = 0.0
+    return out
 
 
 def _fill(panels: PanelSet) -> tuple[np.ndarray, np.ndarray]:
@@ -155,95 +160,66 @@ def _fill(panels: PanelSet) -> tuple[np.ndarray, np.ndarray]:
 
     Both are filled in one pass over blocks of ``FILL_BLOCK // n`` rows, each
     written already in the orthonormal basis: S divided by s_i·s_j and D
-    multiplied by s_i/s_j, with s = √ℓ.  The blocks are dealt round-robin to
-    one worker per available CPU, at most one per block: the calling thread
-    is the first worker, so a one-block fill starts no thread.  numpy's
-    ufuncs release the GIL, so the workers run in parallel.  Every ufunc
-    writes with ``out=`` into its worker's scratch (``_fill_scratch``), which
-    this thread allocates before any worker starts; a worker allocating
-    its own temporaries would leave freed blocks in glibc's per-thread
-    arenas and raise the process's peak.  A worker's scratch holds
-    25·FILL_BLOCK doubles (1.6 MiB), so a block runs in a core's L2 cache
-    (the sweep is at ``FILL_BLOCK``), and the build holds S, D, the scratch
-    and, while S is symmetrized in place, one buffered copy of Sᵀ.  Every
-    entry is the same elementwise arithmetic in the same order in any block
-    size and on any worker, so S and D depend on neither."""
+    multiplied by s_i/s_j, with s = √ℓ.  The largest temporaries hold
+    4·FILL_BLOCK Gauss-point values (256 KiB), so a block runs in L2 cache
+    (the sweep is at ``FILL_BLOCK``).  The blocks are dealt round-robin to
+    workers, one per available CPU but no more than there are blocks, and
+    no more than keep their temporaries (``_BLOCK_TEMPS`` doubles per block
+    entry each) within one n × n matrix, the size of the copy of Sᵀ that
+    the in-place symmetrization buffers after them; so the build holds at
+    most three n × n matrices on any host.  The calling thread is the first
+    worker, so a one-worker fill starts no thread; numpy's ufuncs release
+    the GIL, so the workers run in parallel.  Every entry is the same
+    elementwise arithmetic in any block size and on any worker, so S and D
+    depend on neither."""
     mid, tangent, normal, length = panels.mid, panels.tangent, panels.normal, panels.length
     n = len(panels)
     S = np.empty((n, n))
     D = np.empty((n, n))
     a = 0.5 * length
-    neg_a = -a
     s = np.sqrt(length)
-    # four Gauss points on each panel, (n, q, 2)
-    xi = mid[:, None, :] + _GAUSS_X[None, :, None] * (a[:, None, None] * tangent[:, None, :])
 
-    def fill_rows(lo, hi, scratch):
-        flat, gauss, zero, zero_q = scratch
-        rows = hi - lo
-        dx, dy, u, v, tmp = flat[:, :rows]
-        dxq, dyq, uq, vq, t = gauss[:, :rows]
-        zero, zero_q = zero[:rows], zero_q[:rows]
+    def fill_rows(lo, hi):
         # double layer: the block's midpoints against all panels
-        np.subtract(mid[lo:hi, None, 0], mid[None, :, 0], out=dx)
-        np.subtract(mid[lo:hi, None, 1], mid[None, :, 1], out=dy)
-        np.multiply(dx, tangent[None, :, 0], out=u)
-        np.multiply(dy, tangent[None, :, 1], out=tmp)
-        np.add(u, tmp, out=u)
-        np.multiply(dx, normal[None, :, 0], out=v)
-        np.multiply(dy, normal[None, :, 1], out=tmp)
-        np.add(v, tmp, out=v)
-        np.subtract(a[None, :], u, out=dx)
-        np.divide(dx, v, out=dx)
-        np.arctan(dx, out=dx)
-        np.add(a[None, :], u, out=dy)
-        np.divide(dy, v, out=dy)
-        np.arctan(dy, out=dy)
-        np.add(dx, dy, out=dx)
-        np.divide(dx, 2.0 * math.pi, out=dx)
-        np.equal(v, 0.0, out=zero)
-        np.copyto(dx, 0.0, where=zero)  # includes the diagonal
-        np.multiply(dx, s[lo:hi, None], out=D[lo:hi])
-        np.divide(D[lo:hi], s[None, :], out=D[lo:hi])
-        # single layer: the block's Gauss points against all panels
-        np.subtract(xi[lo:hi, :, None, 0], mid[None, None, :, 0], out=dxq)
-        np.subtract(xi[lo:hi, :, None, 1], mid[None, None, :, 1], out=dyq)
-        np.multiply(dxq, tangent[None, None, :, 0], out=uq)
-        np.multiply(dyq, tangent[None, None, :, 1], out=t)
-        np.add(uq, t, out=uq)
-        np.multiply(dxq, normal[None, None, :, 0], out=vq)
-        np.multiply(dyq, normal[None, None, :, 1], out=t)
-        np.add(vq, t, out=vq)
-        upper, lower = dyq, dxq  # the primitive at the panel's two ends
-        np.subtract(a[None, None, :], uq, out=dxq)
-        _primitive(dxq, vq, upper, t, zero_q)
-        np.subtract(neg_a[None, None, :], uq, out=uq)
-        _primitive(uq, vq, lower, t, zero_q)
-        np.subtract(upper, lower, out=upper)
-        acc = dx
-        np.einsum("q,bqj->bj", _GAUSS_W, upper, out=acc)
-        np.multiply(acc, a[lo:hi, None], out=acc)
-        np.negative(acc, out=acc)
-        np.divide(acc, 4.0 * math.pi, out=acc)
-        np.multiply(s[lo:hi, None], s[None, :], out=tmp)
-        np.divide(acc, tmp, out=S[lo:hi])
+        dx = mid[lo:hi, None, 0] - mid[None, :, 0]
+        dy = mid[lo:hi, None, 1] - mid[None, :, 1]
+        u = dx * tangent[None, :, 0] + dy * tangent[None, :, 1]
+        v = dx * normal[None, :, 0] + dy * normal[None, :, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dmat = (np.arctan((a[None, :] - u) / v) + np.arctan((a[None, :] + u) / v)) / (
+                2.0 * math.pi
+            )
+        dmat[v == 0.0] = 0.0  # includes the diagonal
+        np.multiply(dmat, s[lo:hi, None], out=D[lo:hi])
+        D[lo:hi] /= s[None, :]
+        # single layer: four Gauss points on each of the block's panels
+        xi = (
+            mid[lo:hi, None, :]
+            + _GAUSS_X[None, :, None] * (a[lo:hi, None, None] * tangent[lo:hi, None, :])
+        )  # (b, q, 2)
+        dxq = xi[:, :, None, 0] - mid[None, None, :, 0]
+        dyq = xi[:, :, None, 1] - mid[None, None, :, 1]
+        uq = dxq * tangent[None, None, :, 0] + dyq * tangent[None, None, :, 1]
+        vq = dxq * normal[None, None, :, 0] + dyq * normal[None, None, :, 1]
+        inner = _primitive(a[None, None, :] - uq, vq) - _primitive(
+            -a[None, None, :] - uq, vq
+        )
+        acc = np.einsum("q,bqj->bj", _GAUSS_W, inner) * a[lo:hi, None]
+        np.divide(-acc / (4.0 * math.pi), s[lo:hi, None] * s[None, :], out=S[lo:hi])
 
     block = max(1, FILL_BLOCK // max(n, 1))
     starts = range(0, n, block)
-    workers = min(_available_cpus(), len(starts))
-    scratch = [_fill_scratch(block, n) for _ in range(workers)]
+    workers = min(_available_cpus(), len(starts), max(1, n // (_BLOCK_TEMPS * block)))
 
     def work(k):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for lo in starts[k::workers]:
-                fill_rows(lo, min(n, lo + block), scratch[k])
+        for lo in starts[k::workers]:
+            fill_rows(lo, min(n, lo + block))
 
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         futures = [pool.submit(work, k) for k in range(1, workers)]
         work(0)
         for future in futures:
             future.result()
-    del scratch  # freed before S's symmetrization buffers its copy of Sᵀ
     diag = -(length * length) * (np.log(length) - 1.5) / (2.0 * math.pi)
     np.fill_diagonal(S, diag / (s * s))
     np.add(S, S.T, out=S)  # numpy buffers the overlapping Sᵀ: one n × n copy

@@ -290,9 +290,7 @@ def test_nd_operator_runs_on_scipy_kernels_alone(square_op, monkeypatch):
 
     for name in ("eigvalsh", "eigh", "norm"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    nd = nd_operator(square_op)
-    monkeypatch.undo()
-    assert np.array_equal(nd.eigenvalues, np.linalg.eigvalsh(nd.matrix)[::-1])
+    nd_operator(square_op)
     # numpy's @ cannot be patched away: read the stage's source instead
     for fn in (potentials._reflection, potentials._project, nd_operator):
         tree = ast.parse(inspect.getsource(fn))
@@ -347,9 +345,9 @@ def _counted_thread_starts(monkeypatch):
     return started
 
 
-@pytest.mark.parametrize("cpus", [None, 3])
+@pytest.mark.parametrize("cpus", [None, 2, 16])
 def test_fill_workers_leave_layers_bitwise_unchanged(cpus, monkeypatch):
-    # 608 panels in blocks of 7 rows: 87 blocks, the last one of 6 rows, dealt
+    # 608 panels in blocks of 3 rows: 203 blocks, the last one of 2 rows, dealt
     # to more than one worker; the one-block build is the reference
     dom = geometry.make_domain("sawtooth-square")
     monkeypatch.setattr(potentials, "FILL_BLOCK", 608 * 608)
@@ -357,11 +355,14 @@ def test_fill_workers_leave_layers_bitwise_unchanged(cpus, monkeypatch):
     if cpus is not None:
         monkeypatch.setattr(potentials, "_available_cpus", lambda: cpus)
     cpus = potentials._available_cpus()
-    monkeypatch.setattr(potentials, "FILL_BLOCK", 7 * 608)
-    assert 608 % 7 == 6 and 87 > cpus
+    monkeypatch.setattr(potentials, "FILL_BLOCK", 3 * 608)
+    assert 608 % 3 == 2
+    # a worker's temporaries for 3 × 608 entries are 0.25 of a 608 × 608
+    # matrix, and the workers share one such matrix: at most four of them
+    assert 608 // (3 * potentials._BLOCK_TEMPS) == 4
     started = _counted_thread_starts(monkeypatch)
     op = build_layer_operators(dom, 32)
-    assert len(started) == cpus - 1  # the calling thread is the first worker
+    assert len(started) == min(cpus, 4) - 1  # the calling thread is the first worker
     assert np.array_equal(op.S, ref.S)
     assert np.array_equal(op.D, ref.D)
 
@@ -369,14 +370,14 @@ def test_fill_workers_leave_layers_bitwise_unchanged(cpus, monkeypatch):
 @pytest.mark.parametrize("where", ["worker", "caller"])
 def test_fill_error_reaches_the_caller_and_joins_the_workers(where, monkeypatch):
     monkeypatch.setattr(potentials, "_available_cpus", lambda: 2)
-    monkeypatch.setattr(potentials, "FILL_BLOCK", 7 * 608)
+    monkeypatch.setattr(potentials, "FILL_BLOCK", 3 * 608)
     primitive = potentials._primitive
 
     def failing(*args):
         in_caller = threading.current_thread() is threading.main_thread()
         if in_caller == (where == "caller"):
             raise RuntimeError(f"{where} failed")
-        primitive(*args)
+        return primitive(*args)
 
     monkeypatch.setattr(potentials, "_primitive", failing)
     before = threading.active_count()
@@ -385,6 +386,46 @@ def test_fill_error_reaches_the_caller_and_joins_the_workers(where, monkeypatch)
         build_layer_operators(geometry.make_domain("sawtooth-square"), 32)
     assert len(started) == 1
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "texts, cpus",
+    [
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "max 100000\n"}, 64),
+        ({"quota": "-1\n", "period": "100000\n"}, 64),
+        ({"quota": "50000\n", "period": "100000\n"}, 1),
+        ({}, 64),
+    ],
+)
+def test_available_cpus_honours_the_cgroup_quota(texts, cpus, tmp_path, monkeypatch):
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    files = (("cpu.max",), ("quota", "period"))
+    monkeypatch.setattr(
+        potentials,
+        "_CPU_QUOTA_FILES",
+        tuple(tuple(str(tmp_path / f) for f in group) for group in files),
+    )
+    monkeypatch.setattr(potentials.os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert potentials._available_cpus() == cpus
+
+
+def test_block_temporaries_fit_their_budget(monkeypatch):
+    # one worker filling one block of all 608 rows: beside S and D, the
+    # block's temporaries must stay within the _BLOCK_TEMPS doubles per entry
+    # that the worker count is sized by
+    monkeypatch.setattr(potentials, "_available_cpus", lambda: 1)
+    monkeypatch.setattr(potentials, "FILL_BLOCK", 608 * 608)
+    panels = potentials._build_panels(geometry.make_domain("sawtooth-square"), 32)
+    n = len(panels)
+    tracemalloc.start()
+    try:
+        potentials._fill(panels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 + potentials._BLOCK_TEMPS) * n * n * 8, peak / (n * n * 8)
 
 
 def test_one_block_fill_starts_no_thread(monkeypatch):
@@ -472,6 +513,22 @@ def test_layer_build_peak_is_three_matrices(ppe):
     n = op.n
     # S, D and the copy of Sᵀ that the in-place symmetrization buffers; the
     # cache-sized fill blocks are a small fraction of one n × n matrix
+    assert peak <= 3.5 * n * n * 8, peak / (n * n * 8)
+
+
+@pytest.mark.parametrize("ppe", [256, 512])
+def test_layer_build_peak_does_not_grow_with_the_cpu_count(ppe, monkeypatch):
+    # the fill workers' temporaries share one n × n budget, so a host with
+    # many CPUs keeps the three-matrix peak of test_layer_build_peak_is_three_matrices
+    monkeypatch.setattr(potentials, "_available_cpus", lambda: 64)
+    dom = geometry.make_domain("square")
+    tracemalloc.start()
+    try:
+        op = build_layer_operators(dom, ppe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = op.n
     assert peak <= 3.5 * n * n * 8, peak / (n * n * 8)
 
 

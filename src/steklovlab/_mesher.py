@@ -309,8 +309,8 @@ def triangulate_polygon(vertices, h):
     """
     verts = np.asarray(vertices, dtype=float)
     nseg = len(verts)
-    if h <= 0:
-        raise MeshingError("mesh size h must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise MeshingError("mesh size h must be finite and positive")
     span = float(max(np.ptp(verts[:, 0]), np.ptp(verts[:, 1])))
     if h < 1e-6 * span:
         raise MeshingError("mesh size h is below 1e-6 of the domain span")

@@ -16,25 +16,24 @@ The layer fill spreads its row blocks over one thread per available CPU,
 capped so that the blocks' temporaries fit in one n × n matrix; numpy's
 ufuncs release the GIL.  The ND map's dense kernels (matrix-vector and
 matrix-matrix products, dot products, the LU factorization and solves, the
-condition estimate and the eigenvalues) all come from scipy: numpy and scipy
-each bundle an OpenBLAS with its own thread pool, and a stage that alternates
-between them leaves one pool's workers spinning against the other's call.
+condition estimate and the eigenvalues) all come from scipy, so that one
+OpenBLAS thread pool serves the stage: numpy and scipy each bundle an
+OpenBLAS with its own pool.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import blas, cython_lapack
+from scipy.linalg import blas, lapack
 
 from .geometry import PolygonDomain
 
@@ -85,6 +84,10 @@ class PanelSet:
 
 
 def _build_panels(domain: PolygonDomain, panels_per_edge: int) -> PanelSet:
+    if isinstance(panels_per_edge, bool) or not isinstance(panels_per_edge, numbers.Integral):
+        raise PotentialsError(
+            f"panels_per_edge must be an integer, not {type(panels_per_edge).__name__}"
+        )
     if panels_per_edge < 1:
         raise PotentialsError("panels_per_edge must be at least 1")
     nseg = domain.n_segments
@@ -111,31 +114,11 @@ def _build_panels(domain: PolygonDomain, panels_per_edge: int) -> PanelSet:
 _GAUSS_X, _GAUSS_W = leggauss(4)
 
 
-# A cgroup's CPU quota, as the cgroup v2 file "<quota> <period>" (quota "max"
-# when unset) or the cgroup v1 pair of files (quota −1 when unset).
-_CPU_QUOTA_FILES = (
-    ("/sys/fs/cgroup/cpu.max",),
-    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
-)
-
-
 def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one,
-    cut to the CPU quota of the cgroup mounted at /sys/fs/cgroup (a
-    container's own cgroup) where one is set, rounded up."""
+    """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    for files in _CPU_QUOTA_FILES:
-        try:
-            fields = " ".join(Path(f).read_text() for f in files).split()
-        except OSError:
-            continue
-        if fields[0] not in ("max", "-1"):
-            cpus = min(cpus, max(1, math.ceil(int(fields[0]) / int(fields[1]))))
-        break
-    return cpus
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # Doubles per (row, panel) entry that one block's temporaries in ``_fill`` hold
@@ -317,40 +300,15 @@ def _project(M: np.ndarray, u: np.ndarray, c: float, order: str = "C") -> np.nda
     return out
 
 
-def _dgecon():
-    """LAPACK ``dgecon`` from scipy's Cython LAPACK table as a ctypes function.
-
-    scipy's f2py wrapper allocates the work array wherever the heap puts it,
-    and OpenBLAS's vector kernels round the estimate differently with that
-    array's alignment; called this way, the caller supplies the array."""
-    api = ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api)
-    )
-    capsule = cython_lapack.__pyx_capi__["dgecon"]
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 9)(pointer(capsule, name(capsule)))
-
-
-_DGECON = _dgecon()
-
-
 def _condition(lu: np.ndarray, anorm: float) -> float:
-    """1/rcond from LAPACK's 1-norm estimate on an LU factor, with the work
-    array on a 64-byte boundary so that the value is the same in every
-    process."""
-    lu = np.asfortranarray(lu, dtype=np.float64)  # no copy for lu_factor's output
-    n = lu.shape[0]
-    work = np.empty(4 * n + 8)
-    work = work[(-work.ctypes.data % 64) // 8 :]
-    iwork = np.empty(n, dtype=np.intc)
-    size, norm, rcond = ctypes.c_int(n), ctypes.c_double(anorm), ctypes.c_double()
-    ref = ctypes.byref
-    _DGECON(
-        b"1", ref(size), lu.ctypes.data, ref(size), ref(norm), ref(rcond),
-        work.ctypes.data, iwork.ctypes.data, ref(ctypes.c_int()),
-    )
-    return 1.0 / rcond.value if rcond.value > 0 else math.inf
+    """1/rcond from LAPACK's 1-norm estimate on an LU factor, to four
+    significant digits.  OpenBLAS rounds the estimate's last bits with the
+    alignment of the work array that scipy's wrapper allocates, so the raw
+    value can change from call to call; the estimate is good to a factor of
+    about 3 (Higham, ACM TOMS 14, 1988), so no digit past the fourth means
+    anything."""
+    rcond, _ = lapack.dgecon(lu, anorm, norm="1")
+    return float(f"{1.0 / rcond:.4g}") if rcond > 0 else math.inf
 
 
 @dataclass
@@ -397,10 +355,11 @@ def nd_operator(op: NystromOperator) -> NDResult:
     Every dense kernel is scipy's, so one OpenBLAS thread pool serves the
     stage: ``dgemv`` and ``ddot`` in the projection, one ``dgemm`` for
     (Ŝ D̂*)ᵀ = D̂*ᵀŜᵀ, which is column-major and so the right-hand side as it
-    stands, ``lu_factor``/``lu_solve``, ``dgecon``, the Frobenius norms as
-    √(x·x) by ``ddot``, and the eigenvalues from LAPACK's ``dsyevd`` (scipy's
-    ``evd`` driver).  Each is the routine that numpy's ``@``, ``norm`` and
-    ``eigvalsh`` call on the same layouts, so the results are numpy's bits.
+    stands, ``lu_factor``/``lu_solve``, ``dgecon`` (reported to four
+    significant digits), the Frobenius norms as √(x·x) by ``ddot``, and the
+    eigenvalues from LAPACK's ``dsyevd`` (scipy's ``evd`` driver).  Each is
+    the routine that numpy's ``@``, ``norm`` and ``eigvalsh`` call on the
+    same layouts, so the results equal numpy's bit for bit.
     """
     u, c = _reflection(op)
     Shat = _project(op.S, u, c)

@@ -311,6 +311,12 @@ def test_random_star_meshes_or_raises_meshing_error():
     assert dom.contains(mesh.nodes[mesh.triangles].mean(axis=1)).all()
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf")])
+def test_triangulate_rejects_a_mesh_size_that_is_not_finite_and_positive(h):
+    with pytest.raises(geometry.MeshingError, match="finite and positive"):
+        triangulate(make_domain("square"), h)
+
+
 def test_triangulate_deterministic(square_domain):
     m1 = triangulate(square_domain, 0.11)
     m2 = triangulate(square_domain, 0.11)

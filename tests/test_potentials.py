@@ -58,6 +58,10 @@ def test_panel_budget_is_enforced():
         build_layer_operators(geometry.make_domain("square"), PANEL_BUDGET // 4 + 1)
     with pytest.raises(PotentialsError, match="at least 1"):
         build_layer_operators(geometry.make_domain("square"), 0)
+    for bad in (2.5, 3.0, True, "4"):
+        with pytest.raises(PotentialsError, match="must be an integer"):
+            build_layer_operators(geometry.make_domain("square"), bad)
+    assert len(build_layer_operators(geometry.make_domain("square"), np.int64(2)).panels) == 8
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.37])
@@ -245,15 +249,31 @@ def test_reflection_projection_matches_explicit_householder(square_op):
 
 
 def test_condition_estimate_matches_the_f2py_wrapper(square_op):
-    # the ctypes call reaches the same LAPACK routine with the same arguments
+    # scipy's dgecon on the same factor, to the four digits that are reported
     u, c = potentials._reflection(square_op)
     A = 0.5 * np.eye(square_op.n - 1) + potentials._project(square_op.D.T, u, c)
     anorm = float(np.abs(A).sum(axis=0).max())
     lu, _ = scipy.linalg.lu_factor(A)
     rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
     assert info == 0
-    assert potentials._condition(lu, anorm) == pytest.approx(1.0 / rcond, rel=1e-12)
-    assert nd_operator(square_op).condition == pytest.approx(1.0 / rcond, rel=1e-12)
+    assert potentials._condition(lu, anorm) == float(f"{1.0 / rcond:.4g}")
+    assert nd_operator(square_op).condition == float(f"{1.0 / rcond:.4g}")
+
+
+def test_condition_estimate_is_one_value_under_heap_churn():
+    # OpenBLAS rounds dgecon's last bits with the alignment of the work array
+    # that scipy's wrapper allocates; blocks of random size kept alive between
+    # calls move that array around the heap
+    n = 300
+    rng = np.random.default_rng(0)
+    A = 0.5 * np.eye(n) + rng.standard_normal((n, n)) / (4.0 * math.sqrt(n))
+    anorm = float(np.abs(A).sum(axis=0).max())
+    lu, _ = scipy.linalg.lu_factor(A)
+    values, held = set(), []
+    for _ in range(100):
+        values.add(potentials._condition(lu, anorm))
+        held.append(np.empty(int(rng.integers(1, 4096))))
+    assert len(values) == 1, values
 
 
 def test_nd_operator_is_bitwise_repeatable(square_op):
@@ -386,29 +406,6 @@ def test_fill_error_reaches_the_caller_and_joins_the_workers(where, monkeypatch)
         build_layer_operators(geometry.make_domain("sawtooth-square"), 32)
     assert len(started) == 1
     assert threading.active_count() == before
-
-
-@pytest.mark.parametrize(
-    "texts, cpus",
-    [
-        ({"cpu.max": "150000 100000\n"}, 2),
-        ({"cpu.max": "max 100000\n"}, 64),
-        ({"quota": "-1\n", "period": "100000\n"}, 64),
-        ({"quota": "50000\n", "period": "100000\n"}, 1),
-        ({}, 64),
-    ],
-)
-def test_available_cpus_honours_the_cgroup_quota(texts, cpus, tmp_path, monkeypatch):
-    for name, text in texts.items():
-        (tmp_path / name).write_text(text)
-    files = (("cpu.max",), ("quota", "period"))
-    monkeypatch.setattr(
-        potentials,
-        "_CPU_QUOTA_FILES",
-        tuple(tuple(str(tmp_path / f) for f in group) for group in files),
-    )
-    monkeypatch.setattr(potentials.os, "sched_getaffinity", lambda pid: set(range(64)))
-    assert potentials._available_cpus() == cpus
 
 
 def test_block_temporaries_fit_their_budget(monkeypatch):

@@ -545,8 +545,8 @@ def build_straightening(domain: PolygonDomain, collar_depth: float, h: float) ->
     chart = domain.chart
     if chart is None:
         raise GeometryError(f"domain {domain.name!r} has no chart to straighten")
-    if not (collar_depth > 0 and h > 0):
-        raise GeometryError("collar depth and mesh size h must be positive")
+    if not (0 < collar_depth < math.inf and 0 < h < math.inf):  # False for NaN too
+        raise GeometryError("collar depth and mesh size h must be finite and positive")
     base = float(chart.values.min()) - float(collar_depth)
     with np.errstate(over="ignore"):  # a tiny h gives inf columns, which the budget refuses
         pieces = np.maximum(1, np.ceil(np.diff(chart.xs) / h - 1e-12))

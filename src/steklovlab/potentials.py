@@ -14,11 +14,12 @@ form, so that identity holds to roundoff at every resolution.
 
 The layer fill spreads its row blocks over one thread per available CPU,
 capped so that the blocks' temporaries fit in one n × n matrix; numpy's
-ufuncs release the GIL.  The ND map's dense kernels (matrix-vector and
-matrix-matrix products, dot products, the LU factorization and solves, the
-condition estimate and the eigenvalues) all come from scipy, so that one
-OpenBLAS thread pool serves the stage: numpy and scipy each bundle an
-OpenBLAS with its own pool.
+ufuncs release the GIL.  The ND map runs in two n × n buffers, and its
+dense kernels (matrix-vector products, the thin matrix-matrix products of
+its four-column route check, dot products, the 1-norm, the LU factorization
+and solves, the condition estimate and the eigenvalues) all come from scipy,
+so that one OpenBLAS thread pool serves the stage: numpy and scipy each
+bundle an OpenBLAS with its own pool.
 """
 
 from __future__ import annotations
@@ -256,10 +257,19 @@ def jump_relation_error(op: NystromOperator) -> dict:
 
     Returns ``{"max_error": …}``, the largest residual over the midpoints.
     With closed-form panel integrals it is pure roundoff at any resolution.
+    The rows are taken in blocks of ``FILL_BLOCK`` entries, so the check
+    holds no n × n temporary; each row is summed whole, so the residuals do
+    not depend on the block size.
     """
     s = op.sqrt_length
-    raw = (op.D / s[:, None]) * s[None, :]  # acts on collocation values
-    return {"max_error": float(np.abs(raw.sum(axis=1) + 0.5).max())}
+    n = op.n
+    residual = np.empty(n)
+    block = max(1, FILL_BLOCK // max(n, 1))
+    for lo in range(0, n, block):
+        hi = min(n, lo + block)
+        raw = (op.D[lo:hi] / s[lo:hi, None]) * s[None, :]  # acts on collocation values
+        np.abs(raw.sum(axis=1) + 0.5, out=residual[lo:hi])
+    return {"max_error": float(residual.max())}
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +300,23 @@ def _reflection(op: NystromOperator) -> tuple[np.ndarray, float]:
 def _project(M: np.ndarray, u: np.ndarray, c: float, order: str = "C") -> np.ndarray:
     """(H M H)[1:, 1:] for H = I − c·uuᵀ in O(n²): one matrix-vector
     product per side and two rank-one updates.  ``order`` is the memory
-    layout of the result; it does not change its values."""
+    layout of the result; it does not change its values.  The updates run
+    over bands of ``FILL_BLOCK`` entries that are contiguous in that layout
+    (rows for "C", columns for "F"), so the result is the only n × n
+    allocation."""
     # BLAS gemv on whichever of M and Mᵀ is column-major, so M is not copied
     F, flip = (M, 0) if M.flags.f_contiguous else (M.T, 1)
     r = blas.dgemv(1.0, F, u, trans=1 - flip)  # Mᵀu: H M = M − c·u rᵀ
     p = blas.dgemv(1.0, F, u, trans=flip) - c * blas.ddot(r, u) * u  # (H M) u
-    out = np.subtract(M[1:, 1:], np.outer(c * u[1:], r[1:]), order=order)
-    out -= np.outer(c * p[1:], u[1:])
+    cu, cp, r, u, M = c * u[1:], c * p[1:], r[1:], u[1:], M[1:, 1:]  # trailing parts
+    m = len(u)
+    out = np.empty((m, m), order=order)
+    block = max(1, FILL_BLOCK // max(m, 1))
+    for lo in range(0, m, block):
+        band = slice(lo, min(m, lo + block))
+        i, j = (band, slice(None)) if order == "C" else (slice(None), band)
+        part = np.subtract(M[i, j], np.outer(cu[i], r[j]), out=out[i, j])
+        part -= np.outer(cp[i], u[j])
     return out
 
 
@@ -318,9 +338,10 @@ class NDResult:
     ``matrix`` is the symmetrized primary route in the basis H[:, 1:], the
     last n − 1 columns of the Householder reflection H that maps √ℓ/‖√ℓ‖
     onto e₀ (``_reflection``); ``eigenvalues`` are descending and of the
-    given geometry.  ``route_gap`` is the relative difference between the
-    direct solve and the split form, which agree by an exact algebraic
-    identity; ``asymmetry`` is the relative skew part of the primary route,
+    given geometry.  ``route_gap`` is ‖P₁ − P₂‖_F / ‖P₁‖_F on the probe
+    Z = cos(outer(1..n−1, 1..4)), where P₁ is the primary route applied to Z
+    and P₂ the split form applied to Z; the two agree by an exact algebraic
+    identity.  ``asymmetry`` is the relative skew part of the primary route,
     a pure discretization error.
     """
 
@@ -333,7 +354,8 @@ class NDResult:
 
 def nd_operator(op: NystromOperator) -> NDResult:
     """Neumann-to-Dirichlet operator ND = S(½ + D*)⁻¹ projected to
-    mean-zero, with the split form 2S − 2SD*(½ + D*)⁻¹ as cross-check.
+    mean-zero, with the split form 2S − 2SD*(½ + D*)⁻¹ as cross-check on a
+    four-column probe.
 
     The single-layer ansatz u = S[σ] turns Neumann data g into the
     density equation (½I + D*)σ = g, so the trace map g ↦ u|∂Ω is
@@ -345,29 +367,39 @@ def nd_operator(op: NystromOperator) -> NDResult:
     D̂* = (H Dᵀ H)[1:, 1:], with the reflection H = I − c·uuᵀ applied to
     rows and columns in O(n²) (no basis matrix is formed).  One LU
     factorization of A = ½I + D̂*, formed and factored in D̂*'s memory,
-    serves both routes (each solves Aᵀ Yᵀ = Xᵀ in place of X, so the stage
-    peaks at about 4·n² doubles) and the condition estimate, which is
-    LAPACK's 1-norm estimate from that factor with ‖A‖₁ floored at ½.  The
-    floor measures distance to singularity against the ½I part of the
-    operator: a D̂* that cancels it leaves A at roundoff size, whose
-    scale-invariant condition number can look harmless.
+    serves the primary route ŜA⁻¹ (solved as Aᵀ Yᵀ = Ŝᵀ in Ŝ's memory), the
+    probe check and the condition estimate, which is LAPACK's 1-norm
+    estimate from that factor with ‖A‖₁ floored at ½.  The floor measures
+    distance to singularity against the ½I part of the operator: a D̂* that
+    cancels it leaves A at roundoff size, whose scale-invariant condition
+    number can look harmless.
+
+    The split form is checked on the probe Z alone: D̂* and A commute, so
+    2Ŝ(I − D̂*A⁻¹)Z = 2Ŝ(Z − A⁻¹W) with W = D̂*Z, taken before A is formed.
+    On the 256-panel square, a factor off by a relative 1e-9 in its middle
+    diagonal entry moves the probe gap past ``ROUTE_GAP_TOL``.  The stage holds two n × n buffers, Ŝ's and
+    A's, and the n × 4 probe products: the skew part and the symmetrized
+    matrix are formed in the factor's memory once the solve is done, and
+    the eigensolver overwrites a copy of the matrix in Ŝ's.
 
     Every dense kernel is scipy's, so one OpenBLAS thread pool serves the
-    stage: ``dgemv`` and ``ddot`` in the projection, one ``dgemm`` for
-    (Ŝ D̂*)ᵀ = D̂*ᵀŜᵀ, which is column-major and so the right-hand side as it
-    stands, ``lu_factor``/``lu_solve``, ``dgecon`` (reported to four
-    significant digits), the Frobenius norms as √(x·x) by ``ddot``, and the
-    eigenvalues from LAPACK's ``dsyevd`` (scipy's ``evd`` driver).  Each is
-    the routine that numpy's ``@``, ``norm`` and ``eigvalsh`` call on the
-    same layouts, so the results equal numpy's bit for bit.
+    stage: ``dgemv`` and ``ddot`` in the projection, thin ``dgemm``s for
+    the probe products (each column-major operand as it stands, so f2py
+    copies no n × n matrix), ``dlange`` for ‖A‖₁,
+    ``lu_factor``/``lu_solve``, ``dgecon`` (reported to four significant
+    digits), the Frobenius norms as √(x·x) by ``ddot``, and the eigenvalues
+    from LAPACK's ``dsyevd`` (scipy's ``evd`` driver).  Each is the routine
+    that numpy's ``@``, ``norm`` and ``eigvalsh`` call on the same layouts,
+    so the results equal numpy's bit for bit.
     """
     u, c = _reflection(op)
     Shat = _project(op.S, u, c)
     A = _project(op.D.T, u, c, order="F")  # D̂*, column-major for LAPACK
-    SDt = blas.dgemm(1.0, A, Shat.T, trans_a=1)  # (Ŝ D̂*)ᵀ = D̂*ᵀŜᵀ, column-major
-    A.flat[:: A.shape[0] + 1] += 0.5  # A = ½I + D̂*, in place
-    # |A| row-major, as the out-of-place ½I + D̂* is, so ‖A‖₁ rounds alike
-    anorm = max(float(np.abs(A, order="C").sum(axis=0).max()), 0.5)
+    m = A.shape[0]
+    Z = np.cos(np.outer(np.arange(1.0, m + 1), np.arange(1.0, 5)), order="F")
+    W = blas.dgemm(1.0, A, Z)  # D̂*Z
+    A.flat[:: m + 1] += 0.5  # A = ½I + D̂*, in place
+    anorm = max(float(lapack.dlange("1", A)), 0.5)
     with warnings.catch_warnings():  # an exactly singular A: the condition check reports it
         warnings.simplefilter("ignore", sla.LinAlgWarning)
         factor = sla.lu_factor(A, overwrite_a=True, check_finite=False)
@@ -376,21 +408,24 @@ def nd_operator(op: NystromOperator) -> NDResult:
         raise PotentialsError(
             f"half-plus-double-layer is near singular (cond ≈ {cond:.3e})"
         )
-    # Both routes solve in place: route2 in the memory of Ŝ D̂*, route1 in
-    # that of Ŝ, and 2Ŝ − 2Y = 2(Ŝ − Y) exactly.
-    route2 = sla.lu_solve(factor, SDt, trans=1, overwrite_b=True, check_finite=False).T
-    np.subtract(Shat, route2, out=route2)
-    route2 *= 2.0
+    AinvW = sla.lu_solve(factor, W, overwrite_b=True, check_finite=False)
+    P2 = blas.dgemm(2.0, Shat.T, np.subtract(Z, AinvW, out=AinvW), trans_a=1)
     route1 = sla.lu_solve(factor, Shat.T, trans=1, overwrite_b=True, check_finite=False).T
-    del factor, A  # the LU goes before the eigensolve
-    denom = _frobenius(route1)
-    gap = _frobenius(np.subtract(route1, route2, out=route2)) / denom
+    P1 = blas.dgemm(1.0, route1.T, Z, trans_a=1)
+    gap = _frobenius(np.subtract(P1, P2, out=P2)) / _frobenius(P1)
     if gap > ROUTE_GAP_TOL:
         raise PotentialsError(f"ND evaluation routes disagree ({gap:.3e})")
-    asym = _frobenius(np.subtract(route1, route1.T, out=route2)) / denom
-    sym = np.add(route1, route1.T, out=route2)
+    spare = factor[0].T  # the factor's memory, row-major like route1
+    denom = _frobenius(route1)
+    asym = _frobenius(np.subtract(route1, route1.T, out=spare)) / denom
+    sym = np.add(route1, route1.T, out=spare)
     sym *= 0.5
-    eigs = sla.eigh(sym, eigvals_only=True, driver="evd", check_finite=False)[::-1]
+    # sym is exactly symmetric, so the transpose of its copy in route1's
+    # memory is sym in column-major order, which dsyevd overwrites in place
+    np.copyto(route1, sym)
+    eigs = sla.eigh(
+        route1.T, eigvals_only=True, driver="evd", overwrite_a=True, check_finite=False
+    )[::-1]
     return NDResult(
         matrix=sym,
         eigenvalues=eigs,

@@ -391,6 +391,15 @@ def test_straightening_collar_guard():
             geometry.build_matched_meshes(smap)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("argument", ["collar_depth", "h"])
+def test_straightening_refuses_a_non_finite_collar_depth_or_h(argument, bad):
+    # an infinite h once built a one-level map and meshes whose h was inf
+    kwargs = {"collar_depth": 0.2, "h": 0.1, argument: bad}
+    with pytest.raises(GeometryError, match="finite and positive"):
+        geometry.build_straightening(make_domain("sawtooth-square"), **kwargs)
+
+
 @pytest.mark.parametrize("name", ["square", "sawtooth-square"])
 @pytest.mark.parametrize("h", [0.06, 0.125])
 def test_matched_source_mesh_keeps_the_mesher_edge_bound(name, h):

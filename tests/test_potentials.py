@@ -291,13 +291,18 @@ def test_in_place_nd_operator_matches_the_out_of_place_formula(square_op):
     A = 0.5 * np.eye(Dhat.shape[0]) + Dhat
     factor = scipy.linalg.lu_factor(A)
     route1 = scipy.linalg.lu_solve(factor, Shat.T, trans=1).T
-    route2 = 2.0 * Shat - 2.0 * scipy.linalg.lu_solve(factor, (Shat @ Dhat).T, trans=1).T
+    # the split form 2Ŝ − 2ŜD̂*A⁻¹ on the probe Z, with D̂*A⁻¹ = A⁻¹D̂*;
+    # nd_operator holds D̂* column-major
+    Z = np.cos(np.outer(np.arange(1, A.shape[0] + 1), np.arange(1, 5)))
+    W = np.asfortranarray(Dhat) @ Z
+    probe1 = route1 @ Z
+    probe2 = 2.0 * (Shat @ (Z - scipy.linalg.lu_solve(factor, W)))
     denom = np.linalg.norm(route1)
     sym = 0.5 * (route1 + route1.T)
     nd = nd_operator(square_op)
     assert np.array_equal(nd.matrix, sym)
     assert np.array_equal(nd.eigenvalues, np.linalg.eigvalsh(sym)[::-1])
-    assert nd.route_gap == float(np.linalg.norm(route1 - route2) / denom)
+    assert nd.route_gap == float(np.linalg.norm(probe1 - probe2) / np.linalg.norm(probe1))
     assert nd.asymmetry == float(np.linalg.norm(route1 - route1.T) / denom)
     anorm = max(float(np.abs(A).sum(axis=0).max()), 0.5)
     assert nd.condition == potentials._condition(factor[0], anorm)
@@ -324,6 +329,22 @@ def test_nd_operator_runs_on_scipy_kernels_alone(square_op, monkeypatch):
             ), fn.__name__
 
 
+def test_route_check_catches_a_perturbed_factor(square_op, monkeypatch):
+    # one LU entry off by a relative 1e-9 breaks the identity that the probe
+    # checks; both routes share the factor, so only the split form sees it
+    real = scipy.linalg.lu_factor
+
+    def perturbed(a, *args, **kwargs):
+        lu, piv = real(a, *args, **kwargs)
+        k = lu.shape[0] // 2
+        lu[k, k] *= 1.0 + 1e-9
+        return lu, piv
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", perturbed)
+    with pytest.raises(PotentialsError, match="ND evaluation routes disagree"):
+        nd_operator(square_op)
+
+
 def test_nd_operator_memory_is_bounded():
     op = build_layer_operators(geometry.make_domain("square"), 128)
     n = op.n
@@ -333,8 +354,21 @@ def test_nd_operator_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Ŝ, Ŝ D̂* and A = ½I + D̂* factored in place, plus one n × n temporary
-    assert peak <= 5 * n * n * 8, peak / (n * n * 8)
+    # Ŝ and A = ½I + D̂* factored in place, plus thin probe products and bands
+    assert peak <= 2.5 * n * n * 8, peak / (n * n * 8)
+
+
+def test_jump_relation_error_memory_is_bounded():
+    op = build_layer_operators(geometry.make_domain("square"), 128)
+    n = op.n
+    tracemalloc.start()
+    try:
+        jump_relation_error(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # row blocks of FILL_BLOCK entries, not a scaled copy of D
+    assert peak <= 0.25 * n * n * 8, peak / (n * n * 8)
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,10 @@ def triangulate_polygon(vertices, h):
     span = float(max(np.ptp(verts[:, 0]), np.ptp(verts[:, 1])))
     if h < 1e-6 * span:
         raise MeshingError("mesh size h is below 1e-6 of the domain span")
+    # the in-circle test multiplies four coordinate differences of up to 64
+    # spans (the enclosing triangle), which overflows past about 1.7e75
+    if not span <= 1e75:
+        raise MeshingError(f"domain span {span:g} is above the mesher's limit of 1e75")
 
     tr = _Triangulation(scale=max(span, 1.0))
 

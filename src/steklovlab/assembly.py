@@ -102,7 +102,7 @@ class BoundaryWeight:
     Called as ``rho(parents, p0, p1)`` (and ``fn`` likewise), it evaluates ρ on
     boundary edges given by their parent polygon-segment ids and endpoints; a
     point on the boundary, such as a quadrature node, is the zero-length edge
-    ``p0 = p1``.
+    ``p0 = p1``.  A NaN or infinite value is an error.
     """
 
     name: str
@@ -112,7 +112,14 @@ class BoundaryWeight:
         parents = np.asarray(parents, dtype=np.int64)
         p0 = np.atleast_2d(np.asarray(p0, dtype=float))
         p1 = np.atleast_2d(np.asarray(p1, dtype=float))
-        return np.asarray(self.fn(parents, p0, p1), dtype=float).reshape(len(parents))
+        out = np.asarray(self.fn(parents, p0, p1), dtype=float).reshape(len(parents))
+        bad = ~np.isfinite(out)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise AssemblyError(
+                f"boundary weight {self.name!r} is {out[k]:g} on segment {parents[k]}"
+            )
+        return out
 
 
 @dataclass(frozen=True)
@@ -132,8 +139,8 @@ class CoefficientField:
 
 def constant_matrix(value: float = 1.0) -> MatrixField:
     v = float(value)
-    if v <= 0:
-        raise AssemblyError("constant coefficient must be positive")
+    if not 0 < v < math.inf:
+        raise AssemblyError("constant coefficient must be positive and finite")
     mat = v * np.eye(2)
 
     def fn(pts):
@@ -144,8 +151,8 @@ def constant_matrix(value: float = 1.0) -> MatrixField:
 
 def diagonal_matrix(p: float, q: float) -> MatrixField:
     p, q = float(p), float(q)
-    if min(p, q) <= 0:
-        raise AssemblyError("diagonal entries must be positive")
+    if not (0 < p < math.inf and 0 < q < math.inf):
+        raise AssemblyError("diagonal entries must be positive and finite")
     mat = np.diag([p, q])
 
     def fn(pts):
@@ -157,8 +164,10 @@ def diagonal_matrix(p: float, q: float) -> MatrixField:
 def rotated_diagonal(p: float, q: float, angle: float) -> MatrixField:
     """diag(p, q) conjugated by a rotation of ``angle`` radians."""
     p, q, t = float(p), float(q), float(angle)
-    if min(p, q) <= 0:
-        raise AssemblyError("diagonal entries must be positive")
+    if not (0 < p < math.inf and 0 < q < math.inf):
+        raise AssemblyError("diagonal entries must be positive and finite")
+    if not math.isfinite(t):
+        raise AssemblyError(f"rotated-diagonal needs a finite angle (got {t})")
     c, s = math.cos(t), math.sin(t)
     R = np.array([[c, -s], [s, c]])
     mat = R @ np.diag([p, q]) @ R.T
@@ -170,10 +179,13 @@ def rotated_diagonal(p: float, q: float, angle: float) -> MatrixField:
 
 
 def _point(entry: str, key: str, value) -> tuple[float, float]:
-    """``value`` as a planar point: exactly two numbers."""
+    """``value`` as a planar point: exactly two finite numbers."""
     if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 2:
         raise AssemblyError(f"{entry} needs {key} as two numbers (x, y) (got {value!r})")
-    return float(value[0]), float(value[1])
+    x, y = float(value[0]), float(value[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise AssemblyError(f"{entry} needs a finite {key} (got {value!r})")
+    return x, y
 
 
 def checkerboard(
@@ -181,9 +193,9 @@ def checkerboard(
 ) -> MatrixField:
     """Isotropic two-phase field: ``low``·I and ``high``·I on alternating
     cells of the given pitch."""
-    cell = float(cell)
-    if cell <= 0 or min(low, high) <= 0:
-        raise AssemblyError("checkerboard needs positive cell and values")
+    cell, low, high = float(cell), float(low), float(high)
+    if not all(0 < v < math.inf for v in (cell, low, high)):
+        raise AssemblyError("checkerboard needs positive, finite cell and values")
     ox, oy = _point("checkerboard", "origin", origin)
     eye = np.eye(2)
 
@@ -224,8 +236,8 @@ def boundary_matched_rough(
     """Field equal to ``trace`` on the boundary, blended into ``interior``
     over a collar of the given width (smoothstep in boundary distance)."""
     w = float(blend_width)
-    if w <= 0:
-        raise AssemblyError("blend width must be positive")
+    if not 0 < w < math.inf:
+        raise AssemblyError("blend width must be positive and finite")
 
     def fn(pts):
         dist = _distance_to_boundary(domain, pts)
@@ -248,8 +260,8 @@ def mollified(base: MatrixField, eps: float) -> MatrixField:
     carry over unchanged; the result is continuous in x.
     """
     eps = float(eps)
-    if eps <= 0:
-        raise AssemblyError("mollification scale must be positive")
+    if not 0 < eps < math.inf:
+        raise AssemblyError("mollification scale must be positive and finite")
     gx, gy = np.meshgrid(_MOLL_NODES, _MOLL_NODES, indexing="ij")
     offsets = eps * np.stack([gx.ravel(), gy.ravel()], axis=1)
     wts = np.outer(_MOLL_WEIGHTS, _MOLL_WEIGHTS).ravel()
@@ -282,8 +294,8 @@ def make_matrix_field(name: str, **params) -> MatrixField:
 
 def constant_potential(value: float = 1.0) -> ScalarField:
     v = float(value)
-    if v < 0:
-        raise AssemblyError("potential must be nonnegative")
+    if not 0 <= v < math.inf:
+        raise AssemblyError("potential must be nonnegative and finite")
 
     def fn(pts):
         return np.full(len(pts), v)
@@ -296,8 +308,8 @@ def bump_potential(center=(0.0, 0.0), radius: float = 0.5, height: float = 1.0) 
     the disk of the given radius, zero outside."""
     cx, cy = _point("bump", "center", center)
     R, hgt = float(radius), float(height)
-    if R <= 0 or hgt < 0:
-        raise AssemblyError("bump needs positive radius and nonnegative height")
+    if not (0 < R < math.inf and 0 <= hgt < math.inf):
+        raise AssemblyError("bump needs positive radius and nonnegative height, both finite")
 
     def fn(pts):
         r2 = (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2

@@ -183,7 +183,8 @@ def _check_simple(v: np.ndarray):
         o2 = cross2(d[i], q[js] - p[i])
         o3 = cross2(d[js], p[i] - p[js])
         o4 = cross2(d[js], q[i] - p[js])
-        crossing = (o1 * o2 < 0) & (o3 * o4 < 0)
+        # signs, not products, which overflow for a span past about 1e77
+        crossing = (np.sign(o1) * np.sign(o2) < 0) & (np.sign(o3) * np.sign(o4) < 0)
         if crossing.any():
             raise GeometryError("polygon is self-intersecting")
 

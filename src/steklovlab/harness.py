@@ -58,14 +58,13 @@ reproducible for a fixed config; wall-clock timings live only in report.json.
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import json
 import math
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -223,9 +222,6 @@ class ExperimentConfig:
             if key.startswith(prefix + ".")
         }
 
-    def echo(self) -> dict:
-        return dict(sorted(self.values.items()))
-
 
 def _domain_from(cfg: ExperimentConfig) -> geometry.PolygonDomain:
     params = cfg.group("domain")
@@ -295,18 +291,23 @@ class Report:
     weyl_data: weyl.WeylData | None = None
     gaps: np.ndarray | None = None  # relative gap per index k
 
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        """Time one stage into ``provenance["timings"][name]``, also when it fails."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.provenance.setdefault("timings", {})[name] = time.perf_counter() - t0
+
+    def fail(self, exc: Exception) -> None:
+        self.passed = False
+        self.error = f"{type(exc).__name__}: {exc}"
+
     def to_json(self) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "passed": bool(self.passed),
-            "tolerances": self.tolerances,
-            "predicted": self.predicted,
-            "fitted": self.fitted,
-            "levels": self.levels,
-            "summary": self.summary,
-            "provenance": self.provenance,
-            "error": self.error,
-        }
+        names = [f.name for f in fields(self)]
+        payload = {name: getattr(self, name) for name in names[: names.index("error") + 1]}
+        payload["passed"] = bool(self.passed)
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
@@ -362,10 +363,10 @@ def _deviation(fit: float, predicted: float) -> float:
 # experiments
 #
 # Each body reads its config first, so a config error raises before anything
-# is computed; ``stage(name)`` then times one step into provenance.timings.
+# is computed; ``report.stage(name)`` then times each step of the run.
 
 
-def _weyl_verification(cfg: ExperimentConfig, report: Report, stage) -> None:
+def _weyl_verification(cfg: ExperimentConfig, report: Report) -> None:
     tol = cfg.get_float("tolerance.deviation", 0.10)
     report.tolerances = {"deviation": tol}
     domain = _domain_from(cfg)
@@ -379,7 +380,7 @@ def _weyl_verification(cfg: ExperimentConfig, report: Report, stage) -> None:
     report.predicted = {"w_plus": wd.w_plus, "w_minus": wd.w_minus}
     report.summary["surface_measure"] = domain.perimeter
     for h in levels:
-        with stage(f"level_h={h:g}"):
+        with report.stage(f"level_h={h:g}"):
             mesh = geometry.triangulate(domain, h)
             row, report.spectrum = _fit_level(mesh, coeff, tail)
         report.levels.append(row)
@@ -398,7 +399,7 @@ def _weyl_verification(cfg: ExperimentConfig, report: Report, stage) -> None:
 BLEND_WIDTH = 0.3  # collar width of the boundary-matched blend
 
 
-def _boundary_only_dependence(cfg: ExperimentConfig, report: Report, stage) -> None:
+def _boundary_only_dependence(cfg: ExperimentConfig, report: Report) -> None:
     tol = cfg.get_float("tolerance.deviation", 0.10)
     report.tolerances = {"deviation": tol}
     domain = _domain_from(cfg)
@@ -435,11 +436,11 @@ def _boundary_only_dependence(cfg: ExperimentConfig, report: Report, stage) -> N
     report.weyl_data = wd
     report.predicted = {"w_plus": wd.w_plus, "w_minus": wd.w_minus}
 
-    with stage("mesh"):
+    with report.stage("mesh"):
         mesh = geometry.triangulate(domain, h)
     fits = {}
     for tag, coeff in (("smooth", smooth), ("rough", smooth.with_(a=rough))):
-        with stage(tag):
+        with report.stage(tag):
             row, report.spectrum = _fit_level(mesh, coeff, tail)
         row["field"] = tag
         report.levels.append(row)
@@ -463,7 +464,7 @@ DRIFT_TOL = 0.02  # final drift against the unmollified spectrum
 MONOTONE_SLACK = 0.02  # relative rise allowed from one drift to the next
 
 
-def _mollification_convergence(cfg: ExperimentConfig, report: Report, stage) -> None:
+def _mollification_convergence(cfg: ExperimentConfig, report: Report) -> None:
     report.tolerances = {"drift": DRIFT_TOL, "monotone_slack": MONOTONE_SLACK}
     domain = _domain_from(cfg)
     coeff0 = _coeff_from(cfg, domain)
@@ -473,9 +474,9 @@ def _mollification_convergence(cfg: ExperimentConfig, report: Report, stage) -> 
     )
     h = cfg.mesh_levels()[-1]
     tail = _tail(cfg)
-    with stage("mesh"):
+    with report.stage("mesh"):
         mesh = geometry.triangulate(domain, h)
-    with stage("reference"):
+    with report.stage("reference"):
         row0, report.spectrum = _fit_level(mesh, coeff0, tail)
     row0["eps"] = 0.0
     report.levels.append(row0)
@@ -484,7 +485,7 @@ def _mollification_convergence(cfg: ExperimentConfig, report: Report, stage) -> 
 
     drifts = []
     for eps in scales:
-        with stage(f"eps={eps:g}"):
+        with report.stage(f"eps={eps:g}"):
             fld = assembly.mollified(coeff0.a, eps)
             row, spec = _fit_level(mesh, coeff0.with_(a=fld), tail)
         cur = spec.positive[:kmax]
@@ -506,19 +507,19 @@ MISUSE_FACTOR = 100  # the control must move the spectrum this many tolerances
 COLLAR_DEPTH = 0.25  # below the chart's lowest point
 
 
-def _bilipschitz_invariance(cfg: ExperimentConfig, report: Report, stage) -> None:
+def _bilipschitz_invariance(cfg: ExperimentConfig, report: Report) -> None:
     report.tolerances = {"invariance": INVARIANCE_TOL}
     domain = _domain_from(cfg)
     h = cfg.mesh_levels()[-1]
     coeff = _coeff_from(cfg, domain)
     _positive_branch(domain, coeff)
     smap = geometry.build_straightening(domain, COLLAR_DEPTH, h)
-    with stage("mesh"):
+    with report.stage("mesh"):
         mesh_pre, mesh_post = geometry.build_matched_meshes(smap)
-    with stage("assembly"):
+    with report.stage("assembly"):
         forms_pre = assembly.assemble_forms(mesh_pre, coeff)
         forms_post = assembly.assemble_forms(mesh_post, assembly.pullback_coefficients(coeff, smap))
-    with stage("solve"):
+    with report.stage("solve"):
         spec_pre = eigensolve.solve_dense(forms_pre.A, forms_pre.B)
         spec_post = eigensolve.solve_dense(forms_post.A, forms_post.B)
 
@@ -531,7 +532,7 @@ def _bilipschitz_invariance(cfg: ExperimentConfig, report: Report, stage) -> Non
 
     # negative control: drop the boundary length factor from the pulled-back
     # weight, which must visibly move the spectrum
-    with stage("control"):
+    with report.stage("control"):
         misuse = assembly.pullback_coefficients(coeff, smap, omit_boundary_jacobian=True)
         bad = assembly.assemble_forms(mesh_post, misuse)
         spec_bad = eigensolve.solve_dense(bad.A, bad.B)
@@ -561,7 +562,7 @@ PAIR_TOL = 0.02  # relative gap of each FEM/BEM pair
 BEM_COUNT = 20  # leading Steklov/ND pairs compared
 
 
-def _bem_crosscheck(cfg: ExperimentConfig, report: Report, stage) -> None:
+def _bem_crosscheck(cfg: ExperimentConfig, report: Report) -> None:
     report.tolerances = {"pair": PAIR_TOL, "route_gap": potentials.ROUTE_GAP_TOL}
     domain = _domain_from(cfg)
     ppe = cfg.panels_per_edge()
@@ -571,7 +572,7 @@ def _bem_crosscheck(cfg: ExperimentConfig, report: Report, stage) -> None:
         assembly.constant_potential(0.0),
         assembly.constant_weight(1.0),
     )
-    with stage("bem"):
+    with report.stage("bem"):
         op = potentials.build_layer_operators(domain, ppe)
         nd = potentials.nd_operator(op)
     bem_eigs = nd.eigenvalues[:BEM_COUNT]
@@ -584,7 +585,7 @@ def _bem_crosscheck(cfg: ExperimentConfig, report: Report, stage) -> None:
         mu = eigensolve.solve_dense(forms.A + forms.B, forms.B).positive[1 : BEM_COUNT + 4]
         return mu / (1.0 - mu)
 
-    with stage("fem"):
+    with report.stage("fem"):
         fem = fem_at(levels[-1])
         if len(levels) >= 2:
             # second-order Richardson step across the two finest meshes; the
@@ -803,7 +804,7 @@ def _route_table(report: Report) -> str:
 
 @dataclass(frozen=True)
 class _Experiment:
-    body: Callable  # (cfg, report, stage) -> None; fills the report
+    body: Callable  # (cfg, report) -> None; fills the report, timing its stages
     table: Callable = _spectrum_table  # report -> eigenvalues.csv body
     plot: Callable = _tail_plot  # (report, comment) -> plot.svg
 
@@ -835,10 +836,10 @@ _EXPERIMENTS = {
 # output files and the runner
 
 
-def write_outputs(report: Report, cfg: ExperimentConfig, outdir=None) -> dict:
-    """Write report.json and, unless the run failed, eigenvalues.csv,
-    plot.svg and (when the report carries Weyl data) weyl.csv; returns the
-    path map.
+def write_outputs(report: Report, outdir) -> dict:
+    """Write report.json to ``outdir`` and, unless the run failed,
+    eigenvalues.csv, plot.svg and (with Weyl data) weyl.csv, each stamped
+    with ``report.experiment``; returns the paths by file name.
 
     Every artifact is rendered before any is written: a rendering failure
     fails the report and only report.json is written, with the error."""
@@ -846,7 +847,7 @@ def write_outputs(report: Report, cfg: ExperimentConfig, outdir=None) -> dict:
     texts = {}
     if report.error is None:
         # identifies the run in every artifact without the JSON
-        stamp = f"experiment={cfg.experiment}"
+        stamp = f"experiment={report.experiment}"
         try:
             texts["eigenvalues.csv"] = f"# {stamp}\n" + experiment.table(report)
             if report.weyl_data is not None:
@@ -854,10 +855,8 @@ def write_outputs(report: Report, cfg: ExperimentConfig, outdir=None) -> dict:
             texts["plot.svg"] = experiment.plot(report, stamp)
         except Exception as exc:
             texts = {}
-            report.passed = False
-            report.error = f"{type(exc).__name__}: {exc}"
+            report.fail(exc)
     texts["report.json"] = report.to_json() + "\n"
-    outdir = outdir or cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     paths = {}
     for name, text in texts.items():
@@ -867,37 +866,26 @@ def write_outputs(report: Report, cfg: ExperimentConfig, outdir=None) -> dict:
     return paths
 
 
-@contextlib.contextmanager
-def _stage(timings: dict, name: str):
-    """Time one stage into ``timings[name]``, also when it fails."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        timings[name] = time.perf_counter() - t0
-
-
 def run_experiment(cfg: ExperimentConfig, outdir=None) -> Report:
-    """Run the configured experiment and write its outputs.
+    """Run the configured experiment and write its outputs to ``outdir``
+    (default: the config's ``output.dir``).
 
     A config error raises before the first stage and writes nothing.  Any
     failure after that sets ``report.error`` and fails the report, which is
     still written as report.json with what was computed so far."""
     t0 = time.perf_counter()
-    timings: dict = {}
     report = Report(
         cfg.experiment,
         passed=False,
         tolerances={},
-        provenance={"config": cfg.echo(), "versions": _versions(), "timings": timings},
+        provenance={"config": dict(cfg.values), "versions": _versions()},
     )
     try:
-        _EXPERIMENTS[cfg.experiment].body(cfg, report, functools.partial(_stage, timings))
+        _EXPERIMENTS[cfg.experiment].body(cfg, report)
     except Exception as exc:
-        if not timings:  # no stage has started: the config is at fault
+        if "timings" not in report.provenance:  # no stage has started: the config is at fault
             raise
-        report.passed = False
-        report.error = f"{type(exc).__name__}: {exc}"
-    timings["total"] = time.perf_counter() - t0
-    write_outputs(report, cfg, outdir)
+        report.fail(exc)
+    report.provenance["timings"]["total"] = time.perf_counter() - t0
+    write_outputs(report, outdir or cfg.output_dir)
     return report

@@ -5,18 +5,22 @@ through ``getattr``, and its runner reads a few names directly, so a stale
 entry or a renamed attribute breaks a traced run before any test of the
 layer itself would notice.  Names outside ``__all__`` that the benchmark
 reads are pinned here too: the tracer measures ``assemble_energy_split`` and
-``NystromOperator.n``, and the bem-nd workload checks the ``"max_error"`` key
-of ``jump_relation_error``.  The package itself binds no private scipy
+``NystromOperator.n``, the bem-nd workload checks the ``"max_error"`` key
+of ``jump_relation_error``, and the harness workloads time
+``harness.write_outputs`` and sum the sizes of the paths it returns.  The package itself binds no private scipy
 module, whose names may change in any scipy release, and calls no LAPACK
 routine through ctypes.
 """
 
 import importlib
+import os
 import pathlib
 import re
 
+import pytest
+
 import steklovlab
-from steklovlab import assembly, geometry, potentials
+from steklovlab import assembly, geometry, harness, potentials
 
 LAYERS = ("geometry", "assembly", "eigensolve", "weyl", "potentials", "harness")
 
@@ -36,6 +40,32 @@ def test_benchmark_reads_panel_count_and_jump_residual():
     op = potentials.build_layer_operators(geometry.make_domain("square"), 2)
     assert op.n == 8
     assert set(potentials.jump_relation_error(op)) == {"max_error"}
+
+
+def test_benchmark_reads_the_writer_and_the_stage_timings(tmp_path, monkeypatch):
+    calls = []
+    write = harness.write_outputs
+
+    def spy(*args, **kwargs):
+        calls.append(write(*args, **kwargs))
+        return calls[-1]
+
+    # the runner resolves the writer through the module, where a tracer wraps it
+    monkeypatch.setattr(harness, "write_outputs", spy)
+    cfg = harness.ExperimentConfig.from_text(
+        "experiment = weyl-verification\ndomain.name = square\nmesh.levels = 0.25\n"
+    )
+    harness.run_experiment(cfg, str(tmp_path))
+    assert len(calls) == 1
+    paths = calls[0]
+    assert sorted(paths) == ["eigenvalues.csv", "plot.svg", "report.json", "weyl.csv"]
+    assert all(os.path.basename(p) == name and os.path.isfile(p) for name, p in paths.items())
+
+    # a stage that raises still records its time
+    report = harness.Report("weyl-verification", passed=False, tolerances={})
+    with pytest.raises(RuntimeError, match="halted"), report.stage("mesh"):
+        raise RuntimeError("halted")
+    assert report.provenance["timings"]["mesh"] >= 0.0
 
 
 def test_package_imports_no_private_scipy_module():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklovlab import assembly, geometry
+from steklovlab import assembly, geometry, weyl
 from steklovlab.assembly import (
     AssemblyError,
     CoefficientField,
@@ -220,6 +220,51 @@ def test_per_segment_weight_needs_a_value_per_segment(square_mesh):
     rho = assembly.make_weight("per-segment", values=5.0)  # a config's ``rho.values = 5``
     with pytest.raises(AssemblyError, match="no value"):
         assembly.assemble_boundary_weight(square_mesh, rho)
+
+
+# Each weight is refused where it is evaluated: by the Weyl coefficient and
+# by assembly, instead of counting as zero or ending in an untyped error.
+@pytest.mark.parametrize(
+    "rho",
+    [constant_weight(math.nan), segment_weight([1, math.nan, 1, 1]), constant_weight(math.inf)],
+    ids=["constant-nan", "segment-nan", "constant-inf"],
+)
+def test_non_finite_weight_is_an_assembly_error(square_domain, square_mesh, rho):
+    coeff = _cf(rho=rho)
+    with pytest.raises(AssemblyError, match=r"boundary weight .* is (nan|inf) on segment"):
+        weyl.weyl_coefficient(square_domain, coeff)
+    with pytest.raises(AssemblyError, match=r"boundary weight .* is (nan|inf) on segment"):
+        assembly.assemble_forms(square_mesh, coeff)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: assembly.bump_potential(center=(0.5, 0.5), radius=math.nan),
+        lambda: assembly.bump_potential(center=(0.5, 0.5), radius=math.inf),
+        lambda: assembly.bump_potential(center=(math.nan, 0.5)),
+        lambda: assembly.bump_potential(center=(0.5, 0.5), height=math.inf),
+        lambda: checkerboard(cell=math.inf),
+        lambda: checkerboard(cell=math.nan),
+        lambda: checkerboard(cell=0.2, high=math.inf),
+        lambda: checkerboard(cell=0.2, origin=(0.0, math.inf)),
+        lambda: rotated_diagonal(4.0, 1.0, angle=math.inf),
+        lambda: rotated_diagonal(math.nan, 1.0, angle=0.3),
+        lambda: assembly.diagonal_matrix(1.0, math.inf),
+        lambda: constant_matrix(math.nan),
+        lambda: constant_potential(math.inf),
+        lambda: mollified(constant_matrix(), math.nan),
+    ],
+    ids=[
+        "bump-radius-nan", "bump-radius-inf", "bump-center-nan", "bump-height-inf",
+        "checkerboard-cell-inf", "checkerboard-cell-nan", "checkerboard-high-inf",
+        "checkerboard-origin-inf", "rotated-angle-inf", "rotated-p-nan", "diagonal-q-inf",
+        "constant-nan", "potential-inf", "mollify-nan",
+    ],
+)
+def test_non_finite_constructor_parameters_are_refused(build):
+    with pytest.raises(AssemblyError, match="finite"):
+        build()
 
 
 def _broken(fn):

@@ -160,8 +160,8 @@ def _schema_keys() -> set:
 
 
 @contextlib.contextmanager
-def _halt(timings, name):
-    timings[name] = 0.0  # a stage has started, so the run writes its report
+def _halt(report, name):
+    report.provenance["timings"] = {name: 0.0}  # a stage has started: the report is written
     raise RuntimeError("halted at the first stage")
     yield
 
@@ -194,7 +194,7 @@ def first_stage(monkeypatch):
         assert rep.error == "RuntimeError: halted at the first stage", text
         return values.read, set(groups)
 
-    monkeypatch.setattr(harness, "_stage", _halt)
+    monkeypatch.setattr(Report, "stage", _halt)
     monkeypatch.setattr(ExperimentConfig, "group", recording_group)
     return run
 
@@ -467,7 +467,7 @@ BAD_WEIGHTS = {
     ],
 )
 def test_weight_errors_raise_before_the_first_stage(tmp_path, monkeypatch, experiment, weight):
-    monkeypatch.setattr(harness, "_stage", _halt)
+    monkeypatch.setattr(Report, "stage", _halt)
     text, named = BAD_WEIGHTS[weight]
     cfg = ExperimentConfig.from_text(
         f"experiment = {experiment}\ndomain.name = square\nmesh.levels = 0.1\n{text}"
@@ -615,6 +615,12 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "steklovlab: error:" in captured.err
+
+    # a span whose in-circle products would overflow the mesher's floats
+    rc = cli.main(["mesh", "domain.name=square", "domain.side=1e100", "mesh.levels=1e99"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "steklovlab: error:" in captured.err and "span" in captured.err
 
     # values of the wrong type, for the harness and for the domain catalog
     base = "experiment = bem-crosscheck\ndomain.name = square\nbem.panels-per-edge = 4\n"

@@ -250,9 +250,6 @@ class _Triangulation:
         my = 0.5 * (self.pts_y[u] + self.pts_y[v])
         m = self.add_point(mx, my)
         created, _ = self.insert(m, seeds=seeds)
-        if not created:
-            self.subseg[key] = parent
-            raise MeshingError("failed to split boundary subsegment")
         self.subseg[self.seg_key(u, m)] = parent
         self.subseg[self.seg_key(m, v)] = parent
         return m, created
@@ -303,9 +300,11 @@ class _Triangulation:
 def triangulate_polygon(vertices, h):
     """Mesh the interior of a simple CCW polygon.
 
-    Returns a dict with ``points`` (n, 2), ``triangles`` (m, 3) CCW,
-    ``boundary`` as a list of ``(u, v, parent)`` directed so the interior lies
-    to the left, and the longest triangle edge ``max_edge``.
+    Returns the arrays points (n, 2), triangles (m, 3) CCW, boundary edges
+    (k, 2) ``(u, v)`` with the interior on the left, and each edge's parent
+    segment.  An element edge over ``DIAMETER_FACTOR`` h is a ``MeshingError``.
+    The tie tolerances scale with the span, so the mesh of the polygon scaled
+    by a power of two is the mesh scaled by it, bit for bit.
     """
     verts = np.asarray(vertices, dtype=float)
     nseg = len(verts)
@@ -314,12 +313,8 @@ def triangulate_polygon(vertices, h):
     span = float(max(np.ptp(verts[:, 0]), np.ptp(verts[:, 1])))
     if h < 1e-6 * span:
         raise MeshingError("mesh size h is below 1e-6 of the domain span")
-    # the in-circle test multiplies four coordinate differences of up to 64
-    # spans (the enclosing triangle), which overflows past about 1.7e75
-    if not span <= 1e75:
-        raise MeshingError(f"domain span {span:g} is above the mesher's limit of 1e75")
 
-    tr = _Triangulation(scale=max(span, 1.0))
+    tr = _Triangulation(scale=span)
 
     # Enclosing super-triangle, generously sized.
     cx = float(verts[:, 0].mean())
@@ -405,9 +400,7 @@ def triangulate_polygon(vertices, h):
 
     seg_queue = deque(k for k in tr.subseg if tr.seg_encroached(k))
     tri_queue = deque(
-        (i, tr.tris[i])
-        for i in range(len(tr.tris))
-        if tr.tris[i] is not None and tr.flag[i] and tri_is_bad(i)
+        i for i in range(len(tr.tris)) if tr.tris[i] is not None and tr.flag[i] and tri_is_bad(i)
     )
 
     def after_insertion(created):
@@ -423,7 +416,7 @@ def triangulate_polygon(vertices, h):
                 if k in tr.subseg and tr.seg_encroached(k):
                     seg_queue.append(k)
             if tr.flag[t] and tri_is_bad(t):
-                tri_queue.append((t, tr.tris[t]))
+                tri_queue.append(t)
 
     while seg_queue or tri_queue:
         if seg_queue:
@@ -438,10 +431,10 @@ def triangulate_polygon(vertices, h):
                     seg_queue.append(half)
             continue
 
-        idx, stamp = tri_queue.popleft()
-        # A live entry is still bad: triangle ids are never reused and points
-        # never move, so it is as bad as when it was queued.
-        if idx >= len(tr.tris) or tr.tris[idx] != stamp:
+        idx = tri_queue.popleft()
+        # A live entry is still bad: ids are never reused and neither a live
+        # triangle's corners nor points ever move, so it is as bad as queued.
+        if tr.tris[idx] is None:
             continue
         a, b, c = tr.tris[idx]
         cc = _circumcenter(
@@ -483,8 +476,8 @@ def triangulate_polygon(vertices, h):
                 for (u, v) in ((a, b), (b, c), (c, a))
                 if tr.seg_key(u, v) in tr.subseg
             ]
-            if split_keys(own) and tr.tris[idx] == stamp:
-                tri_queue.append((idx, stamp))
+            if split_keys(own) and tr.tris[idx] is not None:
+                tri_queue.append(idx)
             continue
         pid = tr.add_point(ccx, ccy)
         created, hit = tr.insert(pid, reject_encroached=True, seeds=[t0])
@@ -493,8 +486,8 @@ def triangulate_polygon(vertices, h):
             tr.pts_y.pop()
             # The rejected circumcenter witnesses encroachment: split the hit
             # segments outright (the apex test cannot see the phantom point).
-            if split_keys(hit) and tr.tris[idx] == stamp:
-                tri_queue.append((idx, stamp))
+            if split_keys(hit) and tr.tris[idx] is not None:
+                tri_queue.append(idx)
             continue
         after_insertion(created)
 
@@ -513,7 +506,7 @@ def triangulate_polygon(vertices, h):
     )
 
     kept_set = set(kept)
-    boundary = []
+    boundary = []  # (u, v, parent), u -> v with the interior on the left
     for (u, v), parent in tr.subseg.items():
         fwd = tr.edge.get((u, v))
         rev = tr.edge.get((v, u))
@@ -525,13 +518,10 @@ def triangulate_polygon(vertices, h):
             boundary.append((renum[u], renum[v], parent))
         else:
             boundary.append((renum[v], renum[u], parent))
-    boundary.sort()
+    boundary = np.array(sorted(boundary), dtype=np.int64)
 
     corners = points[triangles]
     edges = corners - np.roll(corners, -1, axis=1)
-    return {
-        "points": points,
-        "triangles": triangles,
-        "boundary": boundary,
-        "max_edge": float(np.linalg.norm(edges, axis=2).max()),
-    }
+    if np.linalg.norm(edges, axis=2).max() > DIAMETER_FACTOR * h * (1 + 1e-12):
+        raise MeshingError(f"longest element edge exceeds {DIAMETER_FACTOR} h")
+    return points, triangles, boundary[:, :2].copy(), boundary[:, 2].copy()

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._mesher import DIAMETER_FACTOR, MAX_INSERTIONS, MeshingError, triangulate_polygon
+from ._mesher import MAX_INSERTIONS, MeshingError, triangulate_polygon
 
 __all__ = [
     "GeometryError",
@@ -83,7 +83,11 @@ class PolygonDomain:
     """Simple CCW polygon with an optional boundary chart.
 
     ``vertices`` has shape (k, 2); segment ``i`` runs from vertex ``i`` to
-    vertex ``i+1`` (cyclically).
+    vertex ``i+1`` (cyclically).  The span must lie in [2^-200, 2^200], where
+    no product of up to four lengths leaves the normal doubles, so a domain
+    scaled by a power of two meshes and solves to the scaled result exactly.
+    An edge below 1e-14 span is a repeated vertex, and an area below
+    1e-14 span² / 2 is degenerate.
     """
 
     vertices: np.ndarray
@@ -96,13 +100,17 @@ class PolygonDomain:
             raise GeometryError("polygon needs at least 3 planar vertices")
         if not np.isfinite(v).all():
             raise GeometryError("polygon vertices must be finite")
-        if np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).min() < 1e-14:
+        self.vertices = v
+        span = self.span
+        if not 2.0**-200 <= span <= 2.0**200:
+            raise GeometryError(f"polygon span {span:g} is outside [2^-200, 2^200]")
+        if np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).min() < 1e-14 * span:
             raise GeometryError("polygon has repeated consecutive vertices")
         area2 = _signed_area2(v)
         if area2 < 0:
             v = v[::-1].copy()
             area2 = -area2
-        if area2 < 1e-14:
+        if area2 < 1e-14 * span * span:
             raise GeometryError("polygon is degenerate (zero area)")
         _check_simple(v)
         self.vertices = v
@@ -112,6 +120,11 @@ class PolygonDomain:
     @property
     def n_segments(self) -> int:
         return len(self.vertices)
+
+    @property
+    def span(self) -> float:
+        """The larger side of the bounding box."""
+        return float(np.ptp(self.vertices, axis=0).max())
 
     def segment_points(self):
         """Pairs (p, q) for each boundary segment, CCW."""
@@ -183,7 +196,7 @@ def _check_simple(v: np.ndarray):
         o2 = cross2(d[i], q[js] - p[i])
         o3 = cross2(d[js], p[i] - p[js])
         o4 = cross2(d[js], q[i] - p[js])
-        # signs, not products, which overflow for a span past about 1e77
+        # signs, not products, which underflow to 0 for nearly collinear points
         crossing = (np.sign(o1) * np.sign(o2) < 0) & (np.sign(o3) * np.sign(o4) < 0)
         if crossing.any():
             raise GeometryError("polygon is self-intersecting")
@@ -413,13 +426,7 @@ class TriangleMesh:
 def triangulate(domain: PolygonDomain, h: float) -> TriangleMesh:
     """Quality constrained-Delaunay mesh with longest element edge <= 1.5 h and,
     where input angles are 60 degrees or more, no angle below ``MIN_ANGLE_DEG``."""
-    raw = triangulate_polygon(domain.vertices, h)
-    edges = np.array([(u, v) for (u, v, _) in raw["boundary"]], dtype=np.int64)
-    parents = np.array([p for (_, _, p) in raw["boundary"]], dtype=np.int64)
-    mesh = TriangleMesh(raw["points"], raw["triangles"], edges, parents, float(h))
-    if raw["max_edge"] > DIAMETER_FACTOR * h * (1 + 1e-12):
-        raise MeshingError(f"longest element edge exceeds {DIAMETER_FACTOR} h")
-    return mesh
+    return TriangleMesh(*triangulate_polygon(domain.vertices, h), float(h))
 
 
 # ---------------------------------------------------------------------------

@@ -579,11 +579,12 @@ def _bem_crosscheck(cfg: ExperimentConfig, report: Report) -> None:
 
     def fem_at(h: float):
         forms = assembly.assemble_forms(geometry.triangulate(domain, h), coeff)
-        # K u = σ B u exactly when (K + B) u = (1 + σ) B u, and K + B is SPD:
-        # μ = 1/(1 + σ) and the ND value 1/σ = μ/(1 − μ).  μ₀ = 1 (σ₀ = 0) is
-        # the constant mode, which the ND map has no partner for.
-        mu = eigensolve.solve_dense(forms.A + forms.B, forms.B).positive[1 : BEM_COUNT + 4]
-        return mu / (1.0 - mu)
+        # K u = σ B u exactly when (K + B/L) u = (σ + 1/L) B u, K + B/L SPD: μ = 1/(σ + 1/L)
+        # and the ND value 1/σ = μ/(1 − μ/L).  With L the span, the shift is of σ's order at
+        # any size, so no digits cancel.  μ₀ = L (σ₀ = 0) is the constant mode: no ND partner.
+        L = domain.span
+        mu = eigensolve.solve_dense(forms.A + forms.B / L, forms.B).positive[1 : BEM_COUNT + 4]
+        return mu / (1.0 - mu / L)
 
     with report.stage("fem"):
         fem = fem_at(levels[-1])

@@ -413,7 +413,7 @@ def nd_operator(op: NystromOperator) -> NDResult:
     route1 = sla.lu_solve(factor, Shat.T, trans=1, overwrite_b=True, check_finite=False).T
     P1 = blas.dgemm(1.0, route1.T, Z, trans_a=1)
     gap = _frobenius(np.subtract(P1, P2, out=P2)) / _frobenius(P1)
-    if gap > ROUTE_GAP_TOL:
+    if not gap <= ROUTE_GAP_TOL:  # a NaN gap fails too
         raise PotentialsError(f"ND evaluation routes disagree ({gap:.3e})")
     spare = factor[0].T  # the factor's memory, row-major like route1
     denom = _frobenius(route1)

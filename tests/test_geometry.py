@@ -325,6 +325,59 @@ def test_triangulate_deterministic(square_domain):
     assert np.array_equal(m1.boundary_edges, m2.boundary_edges)
 
 
+_SCALED_DOMAINS = {
+    "square": ("square", {}),
+    "lshape": ("lshape", {}),
+    "ngon96": ("regular-ngon", {"n": 96}),
+    "koch2": ("koch-prefractal", {"level": 2}),
+    "sawtooth": ("sawtooth-square", {}),
+}
+
+
+@pytest.mark.parametrize("case", list(_SCALED_DOMAINS))
+def test_mesh_of_a_power_of_two_dilation_is_the_dilated_mesh(case):
+    # the mesher's tolerances follow the span, so a dilation by 2^k changes
+    # no decision; absolute polygon floors once refused k = -40 and -199
+    name, params = _SCALED_DOMAINS[case]
+    dom = make_domain(name, **params)
+    base = triangulate(dom, 0.1)
+    for k in (-199, -40, -1, 1, 60, 199):
+        f = 2.0**k
+        mesh = triangulate(geometry.PolygonDomain(dom.vertices * f), 0.1 * f)
+        assert np.array_equal(mesh.nodes, base.nodes * f), k
+        assert np.array_equal(mesh.triangles, base.triangles), k
+        assert np.array_equal(mesh.boundary_edges, base.boundary_edges), k
+        assert np.array_equal(mesh.boundary_parent, base.boundary_parent), k
+
+
+@pytest.mark.parametrize("side", [0.01, 0.003, 1e-3, 1e-7])
+def test_small_squares_mesh_like_the_unit_square(side):
+    # these once failed with "point location failed", "refinement produced a
+    # triangle with coincident vertices" or "segment recovery did not converge"
+    assert triangulate(make_domain("square", side=side), side / 10).n_nodes == 143
+
+
+def test_polygon_floors_are_relative_to_the_span():
+    # a square of side 1e-8 was "degenerate (zero area)" under an absolute floor
+    assert make_domain("square", side=1e-8).area == pytest.approx(1e-16)
+    with pytest.raises(GeometryError, match="repeated consecutive"):
+        geometry.PolygonDomain([[0, 0], [1e-8, 0], [1e-8 + 1e-23, 0], [0, 1e-8]])
+
+
+@pytest.mark.parametrize("side", [2.0**-200, 2.0**200], ids=["2^-200", "2^200"])
+def test_span_range_ends_are_accepted(side):
+    dom = make_domain("square", side=side)
+    assert dom.span == side
+
+
+@pytest.mark.parametrize(
+    "side", [2.0**-201, 2.0**201, 1e100, 1e-100], ids=["2^-201", "2^201", "1e100", "1e-100"]
+)
+def test_span_outside_the_range_is_a_geometry_error(side):
+    with pytest.raises(GeometryError, match="span"):
+        make_domain("square", side=side)
+
+
 def test_straightening_matched_meshes():
     dom = make_domain("sawtooth-square")
     smap = geometry.build_straightening(dom, 0.2, 0.1)

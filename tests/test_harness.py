@@ -411,6 +411,25 @@ def test_route_gap_over_its_bound_fails_the_nd_operator_and_the_run(tmp_path, mo
     assert json.loads((tmp_path / "report.json").read_text())["error"] == rep.error
 
 
+def test_bem_crosscheck_keeps_its_digits_at_every_scale(tmp_path):
+    # the FEM pencil is shifted by 1/span, the order of σ; a unit shift made
+    # μ/(1 − μ) cancel on a large domain and divide by zero at side 2^60
+    runs = {}
+    for k in (0, -60, 60):
+        s = 2.0**k
+        cfg = ExperimentConfig.from_text(
+            f"experiment = bem-crosscheck\ndomain.name = square\ndomain.side = {s!r}\n"
+            f"mesh.levels = {0.1 * s!r}, {0.07 * s!r}\nbem.panels-per-edge = 16\n"
+        )
+        rep = run_experiment(cfg, str(tmp_path / str(k)))
+        assert rep.error is None, rep.error
+        runs[k] = (np.array([lv["fem"] for lv in rep.levels]) / s, rep.fitted["max_relative"])
+    fem, max_rel = runs[0]
+    for k in (-60, 60):
+        np.testing.assert_allclose(runs[k][0], fem, rtol=1e-12, atol=0)
+        assert runs[k][1] == pytest.approx(max_rel, rel=1e-9)
+
+
 def test_outputs_are_rendered_before_any_is_written(tmp_path, monkeypatch):
     # a negative weight has only the negative branch; the plot draws that one
     neg = tmp_path / "neg"
@@ -616,7 +635,7 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
     assert rc == 1
     assert "steklovlab: error:" in captured.err
 
-    # a span whose in-circle products would overflow the mesher's floats
+    # a span outside the range a polygon domain accepts
     rc = cli.main(["mesh", "domain.name=square", "domain.side=1e100", "mesh.levels=1e99"])
     captured = capsys.readouterr()
     assert rc == 1

@@ -101,6 +101,15 @@ def test_nd_map_is_scale_covariant():
             assert nd.condition == pytest.approx(ref.condition, rel=1e-12), (name, c)
 
 
+@pytest.mark.parametrize("k", [-200, 200])
+def test_nd_eigenvalues_scale_with_the_domain_at_the_span_range_ends(k):
+    unit = nd_operator(build_layer_operators(geometry.make_domain("square"), 16)).eigenvalues
+    scaled = build_layer_operators(geometry.make_domain("square", side=2.0**k), 16)
+    eigs = nd_operator(scaled).eigenvalues
+    assert np.isfinite(eigs).all()
+    np.testing.assert_allclose(eigs, 2.0**k * unit, rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # closed-form self-integral of the log kernel over a straight panel
 
@@ -343,6 +352,15 @@ def test_route_check_catches_a_perturbed_factor(square_op, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "lu_factor", perturbed)
     with pytest.raises(PotentialsError, match="ND evaluation routes disagree"):
         nd_operator(square_op)
+
+
+def test_route_check_catches_a_nan_gap():
+    # a NaN in S makes the probe gap NaN, which once passed the check and
+    # ended in an untyped LinAlgError from the eigensolver
+    op = build_layer_operators(geometry.make_domain("square"), 16)
+    op.S[3, 5] = math.nan
+    with pytest.raises(PotentialsError, match="ND evaluation routes disagree"):
+        nd_operator(op)
 
 
 def test_nd_operator_memory_is_bounded():

@@ -574,6 +574,7 @@ def _bem_crosscheck(cfg: ExperimentConfig, report: Report) -> None:
     )
     with report.stage("bem"):
         op = potentials.build_layer_operators(domain, ppe)
+        report.summary["jump_relation"] = potentials.jump_relation_error(op)["max_error"]
         nd = potentials.nd_operator(op)
     bem_eigs = nd.eigenvalues[:BEM_COUNT]
 

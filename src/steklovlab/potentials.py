@@ -10,11 +10,15 @@ Kernel conventions: the fundamental solution is −(1/2π)·log|x−y| and the
 double layer kernel is ⟨x−y, n(y)⟩ / (2π|x−y|²), whose boundary integral
 against the constant density equals −1/2 at every smooth boundary point
 (Gauss identity).  Panel integrals of both kernels are evaluated in closed
-form, so that identity holds to roundoff at every resolution.
+form, so that identity holds to roundoff at every resolution: each row
+point evaluates the primitives once per boundary node, and a panel's
+integral is the difference across its two end nodes.
 
 The layer fill spreads its row blocks over one thread per available CPU,
 capped so that the blocks' temporaries fit in one n × n matrix; numpy's
-ufuncs release the GIL.  The ND map runs in two n × n buffers, and its
+ufuncs release the GIL.  Transpose sums (the symmetrized S, the skew and
+symmetric parts of the ND map) run over pairs of cache-sized square tiles
+and hold no n × n temporary.  The ND map runs in two n × n buffers, and its
 dense kernels (matrix-vector products, the thin matrix-matrix products of
 its four-column route check, dot products, the 1-norm, the LU factorization
 and solves, the condition estimate and the eigenvalues) all come from scipy,
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,16 +56,20 @@ __all__ = [
 PANEL_BUDGET = 6000
 CONDITION_LIMIT = 1e12
 ROUTE_GAP_TOL = 1e-10  # relative gap between the two ND evaluation routes
-# Rows × panels per block of the layer fill.  Each (rows, 4, panels) temporary
-# of ``_fill`` holds 4·FILL_BLOCK doubles, 256 KiB, so a block's working set
-# stays in a core's 2 MiB L2 cache; at 2**18 each held 8 MiB and every block
-# streamed from memory.  Fill time summed over the four bem-nd inputs, in s,
-# min / median of 6 interleaved rounds on a 2-vCPU Xeon, with the blocks on
-# up to two workers (below 2**12 the blocks are a row or two, and the
-# per-block overhead dominates; from 2**16 up the worker cap leaves one):
-#   2**11  2.11/2.33   2**12  1.17/1.34   2**13  0.98/1.11   2**14  0.91/1.14
-#   2**15  0.96/1.29   2**16  1.68/2.25   2**17  2.46/3.19   2**18  2.72/3.04
-FILL_BLOCK = 2**13
+# Rows × panels per block of the layer fill.  Each of a fill worker's three
+# (rows, 4, nodes) scratch arrays holds about 4·FILL_BLOCK doubles, 512 KiB,
+# so a block's working set stays in a core's 2 MiB L2 cache; at 2**18 each
+# held 8 MiB and every block streamed from memory.  Fill time summed over the
+# four bem-nd inputs, in s, min / median of 6 interleaved rounds on a 2-vCPU
+# Xeon, with the blocks on up to two workers (below 2**12 the blocks are a
+# row or two, and the per-block overhead dominates; the worker cap leaves the
+# 768- and 960-panel inputs one worker from 2**15 up, and every input one
+# from 2**17):
+#   2**11  0.80/0.86   2**12  0.47/0.49   2**13  0.31/0.35   2**14  0.28/0.29
+#   2**15  0.34/0.37   2**16  0.37/0.40   2**17  0.51/0.56   2**18  0.57/0.62
+# Whole bem-nd passes (8 alternating rounds) read 1.463 s median at 2**13 and
+# 1.398 s at 2**14, where the ND stage's bands and tiles are this size too.
+FILL_BLOCK = 2**14
 
 
 class PotentialsError(RuntimeError):
@@ -73,12 +82,15 @@ class PotentialsError(RuntimeError):
 
 @dataclass(frozen=True)
 class PanelSet:
-    """Straight-panel subdivision of a polygon boundary."""
+    """Straight-panel subdivision of a polygon boundary, every segment cut
+    into the same number p of panels, numbered segment by segment.
+    ``nodes[g]`` holds the p + 1 panel ends along segment g in order."""
 
     mid: np.ndarray
     length: np.ndarray
     tangent: np.ndarray
     normal: np.ndarray
+    nodes: np.ndarray  # (segments, p + 1, 2)
 
     def __len__(self) -> int:
         return len(self.length)
@@ -106,7 +118,7 @@ def _build_panels(domain: PolygonDomain, panels_per_edge: int) -> PanelSet:
     length = np.hypot(vec[:, 0], vec[:, 1])
     tangent = vec / length[:, None]
     normal = np.repeat(domain.segment_normals(), panels_per_edge, axis=0)
-    return PanelSet(mid=mid, length=length, tangent=tangent, normal=normal)
+    return PanelSet(mid=mid, length=length, tangent=tangent, normal=normal, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -123,71 +135,139 @@ def _available_cpus() -> int:
 
 
 # Doubles per (row, panel) entry that one block's temporaries in ``_fill`` hold
-# at their peak: 49.0 by tracemalloc on a one-block fill of 608 panels.
-_BLOCK_TEMPS = 50
+# at their peak: 16.6 by tracemalloc on a one-block fill of 608 panels.
+_BLOCK_TEMPS = 17
 
 
-def _primitive(w, vv):
+def _primitive(w, v, vv, twov, out, tmp):
     """Inner-integral primitive w·log(w² + v²) − 2w + 2v·arctan(w/v), 0 where
-    w² + v² = 0.  No branch for collinear pairs: at v = 0 the last term is a
-    signed zero, and adding it leaves w·log(w²) − 2w bitwise as it is."""
-    r2 = w * w + vv * vv
+    w² + v² = 0, written into ``out``; v² and 2v come at v's shape, and
+    ``tmp`` is scratch of w's shape.  No branch for collinear pairs: at v = 0
+    the last term is a signed zero, and adding it leaves w·log(w²) − 2w
+    bitwise as it is."""
+    r2 = np.multiply(w, w, out=tmp)
+    r2 += vv
+    zero = r2 == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = w * np.log(r2) - 2.0 * w + 2.0 * vv * np.arctan(w / vv)
-    out[r2 == 0.0] = 0.0
+        np.log(r2, out=out)
+        out *= w
+        out -= np.multiply(w, 2.0, out=tmp)
+        term = np.arctan(np.divide(w, v, out=tmp), out=tmp)
+        term *= twov
+        out += term
+    out[zero] = 0.0
     return out
+
+
+def _add_transpose(M: np.ndarray, out: np.ndarray, sign: float = 1.0) -> None:
+    """out = M + sign·Mᵀ for sign ±1, over pairs of square tiles of about
+    ``FILL_BLOCK`` entries, so both reads stay in cache and no n × n
+    temporary is made; ``out`` may be M.  Entry (j, i) is written as
+    sign·entry (i, j), which is fl(M_ji + sign·M_ij) exactly: addition
+    commutes and negation is exact, so every bit is that of the untiled
+    sum."""
+    n = M.shape[0]
+    t = max(1, math.isqrt(FILL_BLOCK))
+    for lo in range(0, n, t):
+        rows = slice(lo, lo + t)
+        for lo2 in range(lo, n, t):
+            cols = slice(lo2, lo2 + t)
+            tile = M[rows, cols] + sign * M[cols, rows].T
+            out[rows, cols] = tile
+            out[cols, rows] = sign * tile.T
+
+
+def _along(p, q, e):
+    """(p − q)·e over a last axis of two coordinates, the other axes
+    broadcast."""
+    return (p[..., 0] - q[..., 0]) * e[..., 0] + (p[..., 1] - q[..., 1]) * e[..., 1]
 
 
 def _fill(panels: PanelSet) -> tuple[np.ndarray, np.ndarray]:
     """Galerkin single layer (outer Gauss × exact inner) and collocated
     double layer over straight panels, in the orthonormal basis.
 
+    Each row point x (a midpoint for D, a Gauss point for S) evaluates the
+    closed-form primitives once per boundary node, in the coordinates
+    w = (node − x)·t and v = (x − node₀)·n of the node's segment, and every
+    panel's integral is the difference of its two ends along the segment:
+    D_ij = (θ_end − θ_start)/2π with θ = arctan(w/v), and the inner integral
+    of S is F_end − F_start with F = ``_primitive``.  v is taken once per
+    segment, so all its panels see the same side of x, and it is exactly 0
+    on the row's own segment, where D vanishes (D_ii = 0 included).
+
     Both are filled in one pass over blocks of ``FILL_BLOCK // n`` rows, each
     written already in the orthonormal basis: S divided by s_i·s_j and D
-    multiplied by s_i/s_j, with s = √ℓ.  The largest temporaries hold
-    4·FILL_BLOCK Gauss-point values (256 KiB), so a block runs in L2 cache
+    multiplied by s_i/s_j, with s = √ℓ.  A block's node-axis arithmetic runs
+    in three scratch arrays of about 4·FILL_BLOCK Gauss-point values each,
+    which its worker reuses from block to block, so a block runs in L2 cache
     (the sweep is at ``FILL_BLOCK``).  The blocks are dealt round-robin to
     workers, one per available CPU but no more than there are blocks, and
     no more than keep their temporaries (``_BLOCK_TEMPS`` doubles per block
-    entry each) within one n × n matrix, the size of the copy of Sᵀ that
-    the in-place symmetrization buffers after them; so the build holds at
-    most three n × n matrices on any host.  The calling thread is the first
-    worker, so a one-worker fill starts no thread; numpy's ufuncs release
-    the GIL, so the workers run in parallel.  Every entry is the same
-    elementwise arithmetic in any block size and on any worker, so S and D
-    depend on neither."""
-    mid, tangent, normal, length = panels.mid, panels.tangent, panels.normal, panels.length
+    entry each) within one n × n matrix; S is then symmetrized in place over
+    cache-sized tiles, so the build holds at most three n × n matrices on
+    any host.  The calling thread is the first worker, so a one-worker fill
+    starts no thread; numpy's ufuncs release the GIL, so the workers run in
+    parallel.  Every entry is the same elementwise arithmetic in any block
+    size and on any worker, so S and D depend on neither."""
+    mid, tangent, length, nodes = panels.mid, panels.tangent, panels.length, panels.nodes
     n = len(panels)
+    p = nodes.shape[1] - 1
+    chord = nodes[:, -1] - nodes[:, 0]
+    t_seg = chord / np.hypot(chord[:, 0], chord[:, 1])[:, None]
+    n_seg = panels.normal[::p]
+    # each node's coordinates and its segment's tangent, one contiguous
+    # (segments, p + 1) array per component, so that w runs in one inner
+    # loop over all nodes per row point
+    grid = nodes.shape[:2]  # (segments, p + 1)
+    node_xy = [np.ascontiguousarray(nodes[..., k]) for k in (0, 1)]
+    tan_xy = [np.broadcast_to(t_seg[:, None, k], grid).copy() for k in (0, 1)]
+
+    def along_nodes(x, out, tmp):
+        """w = (node − x)·t for points x of shape (..., 2), written into
+        ``out`` of shape (..., segments, p + 1); ``tmp`` is scratch of that
+        shape."""
+        x = x[..., None, None, :]
+        w = np.subtract(node_xy[0], x[..., 0], out=out)
+        w *= tan_xy[0]
+        wy = np.subtract(node_xy[1], x[..., 1], out=tmp)
+        wy *= tan_xy[1]
+        w += wy
+        return w
+
+    own = np.arange(n) // p  # each row's segment
     S = np.empty((n, n))
     D = np.empty((n, n))
     a = 0.5 * length
     s = np.sqrt(length)
+    q = len(_GAUSS_W)
+    per_row = q * math.prod(grid)  # Gauss-point values per row and node
 
-    def fill_rows(lo, hi):
-        # double layer: the block's midpoints against all panels
-        dx = mid[lo:hi, None, 0] - mid[None, :, 0]
-        dy = mid[lo:hi, None, 1] - mid[None, :, 1]
-        u = dx * tangent[None, :, 0] + dy * tangent[None, :, 1]
-        v = dx * normal[None, :, 0] + dy * normal[None, :, 1]
+    def fill_rows(lo, hi, scratch):
+        b = hi - lo
+        W, F, T = (buf[: b * per_row].reshape(b, q, *grid) for buf in scratch)
+        # double layer: the block's midpoints against every node
+        x = mid[lo:hi, None, :]  # (b, 1, 2)
+        v = _along(x, nodes[:, 0], n_seg)  # (b, segments)
+        v[np.arange(b), own[lo:hi]] = 0.0
+        w = along_nodes(mid[lo:hi], W[:, 0], T[:, 0])  # (b, segments, p + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            dmat = (np.arctan((a[None, :] - u) / v) + np.arctan((a[None, :] + u) / v)) / (
-                2.0 * math.pi
-            )
-        dmat[v == 0.0] = 0.0  # includes the diagonal
-        np.multiply(dmat, s[lo:hi, None], out=D[lo:hi])
+            dmat = np.diff(np.arctan(w / v[:, :, None]), axis=2) / (2.0 * math.pi)
+        dmat[v == 0.0] = 0.0  # the own segment and any collinear one
+        np.multiply(dmat.reshape(b, n), s[lo:hi, None], out=D[lo:hi])
         D[lo:hi] /= s[None, :]
         # single layer: four Gauss points on each of the block's panels
         xi = (
             mid[lo:hi, None, :]
             + _GAUSS_X[None, :, None] * (a[lo:hi, None, None] * tangent[lo:hi, None, :])
-        )  # (b, q, 2)
-        dxq = xi[:, :, None, 0] - mid[None, None, :, 0]
-        dyq = xi[:, :, None, 1] - mid[None, None, :, 1]
-        uq = dxq * tangent[None, None, :, 0] + dyq * tangent[None, None, :, 1]
-        vq = dxq * normal[None, None, :, 0] + dyq * normal[None, None, :, 1]
-        inner = _primitive(a[None, None, :] - uq, vq) - _primitive(
-            -a[None, None, :] - uq, vq
-        )
+        )[:, :, None, :]  # (b, q, 1, 2)
+        vq = _along(xi, nodes[:, 0], n_seg)  # (b, q, segments)
+        vq[np.arange(b), :, own[lo:hi]] = 0.0
+        vq = vq[..., None]
+        wq = along_nodes(xi[:, :, 0], W, T)  # (b, q, segments, p + 1)
+        _primitive(wq, vq, vq * vq, 2.0 * vq, F, T)
+        inner = scratch[2][: b * q * n].reshape(b, q, n)  # T's memory, T now spent
+        np.subtract(F[..., 1:], F[..., :-1], out=inner.reshape(b, q, -1, p))
         acc = np.einsum("q,bqj->bj", _GAUSS_W, inner) * a[lo:hi, None]
         np.divide(-acc / (4.0 * math.pi), s[lo:hi, None] * s[None, :], out=S[lo:hi])
 
@@ -195,18 +275,33 @@ def _fill(panels: PanelSet) -> tuple[np.ndarray, np.ndarray]:
     starts = range(0, n, block)
     workers = min(_available_cpus(), len(starts), max(1, n // (_BLOCK_TEMPS * block)))
 
+    # a share done before the last submit would free its thread for the
+    # next, and the fill would run on fewer threads than it has workers
+    submitted = threading.Event()
+
     def work(k):
+        submitted.wait()
+        # Each worker fills its blocks in three (block, q, segments, p + 1)
+        # scratch arrays.  Allocated afresh per block, such arrays made the
+        # allocator hand their pages back and fault them in again, most of all
+        # on the worker threads' heaps: the fill of the four bem-nd inputs
+        # read 0.45-0.57 s on two workers, against 0.32-0.33 s reusing them
+        # (blocks of 2**13 entries).
+        scratch = [np.empty(block * per_row) for _ in range(3)]
         for lo in starts[k::workers]:
-            fill_rows(lo, min(n, lo + block))
+            fill_rows(lo, min(n, lo + block), scratch)
 
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        futures = [pool.submit(work, k) for k in range(1, workers)]
+        try:
+            futures = [pool.submit(work, k) for k in range(1, workers)]
+        finally:
+            submitted.set()
         work(0)
         for future in futures:
             future.result()
     diag = -(length * length) * (np.log(length) - 1.5) / (2.0 * math.pi)
     np.fill_diagonal(S, diag / (s * s))
-    np.add(S, S.T, out=S)  # numpy buffers the overlapping Sᵀ: one n × n copy
+    _add_transpose(S, S)
     S *= 0.5
     return S, D
 
@@ -379,7 +474,8 @@ def nd_operator(op: NystromOperator) -> NDResult:
     On the 256-panel square, a factor off by a relative 1e-9 in its middle
     diagonal entry moves the probe gap past ``ROUTE_GAP_TOL``.  The stage holds two n × n buffers, Ŝ's and
     A's, and the n × 4 probe products: the skew part and the symmetrized
-    matrix are formed in the factor's memory once the solve is done, and
+    matrix are formed in the factor's memory once the solve is done, over
+    pairs of square tiles so that the transposed reads stay in cache, and
     the eigensolver overwrites a copy of the matrix in Ŝ's.
 
     Every dense kernel is scipy's, so one OpenBLAS thread pool serves the
@@ -417,8 +513,10 @@ def nd_operator(op: NystromOperator) -> NDResult:
         raise PotentialsError(f"ND evaluation routes disagree ({gap:.3e})")
     spare = factor[0].T  # the factor's memory, row-major like route1
     denom = _frobenius(route1)
-    asym = _frobenius(np.subtract(route1, route1.T, out=spare)) / denom
-    sym = np.add(route1, route1.T, out=spare)
+    _add_transpose(route1, spare, -1.0)
+    asym = _frobenius(spare) / denom
+    sym = spare
+    _add_transpose(route1, sym)
     sym *= 0.5
     # sym is exactly symmetric, so the transpose of its copy in route1's
     # memory is sym in column-major order, which dsyevd overwrites in place

@@ -5,8 +5,9 @@ share no code with ``steklovlab``: Bessel recurrences for the disk pencil,
 the square's Steklov spectrum by separation of variables,
 ellipsoid volumes by Monte Carlo, the boundary symbol integral by adaptive
 quadrature, the tangential co-metric Θ built in an explicit tangent basis,
-dense tensor quadrature for single-element energy integrals, and synthetic
-eigenvalue sequences with known tails.
+dense tensor quadrature for single-element energy integrals, the layer
+matrices from per-panel closed forms, and synthetic eigenvalue sequences with
+known tails.
 """
 
 import math
@@ -265,6 +266,52 @@ def element_energy_brute(tri, grad_u, grad_w, a_fn, levels: int = 6) -> float:
     gu = np.asarray(grad_u, dtype=float)
     gw = np.asarray(grad_w, dtype=float)
     return float(np.einsum("nij,j,i->n", a, gu, gw).sum() * w)
+
+
+# ---------------------------------------------------------------------------
+# straight-panel layer matrices, one panel at a time: each entry integrates
+# the kernel over panel j in that panel's own frame (u along, v across, both
+# from its midpoint, half-length a), with the two ends ±a evaluated for every
+# panel.  The double layer is the angle the panel subtends at the row's
+# midpoint, (arctan((a − u)/v) + arctan((a + u)/v))/2π, 0 for v = 0; the
+# single layer takes 4 Gauss points on the row's panel and the exact inner
+# integral of log r², from the primitive w·log(w² + v²) − 2w + 2v·arctan(w/v)
+# at w = ±a − u, with the self entries in closed form.  Both are returned in
+# the orthonormal basis χ_i/√ℓ_i, S symmetrized.
+
+
+def _log_primitive(w, v):
+    r2 = w * w + v * v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = w * np.log(r2) - 2.0 * w + 2.0 * v * np.arctan(w / v)
+    return np.where(r2 == 0.0, 0.0, out)
+
+
+def panel_layer_matrices(mid, length, tangent, normal):
+    """(S, D) of straight panels from per-panel closed forms, one row at a
+    time."""
+    n = len(length)
+    a = 0.5 * length
+    s = np.sqrt(length)
+    gx, gw = np.polynomial.legendre.leggauss(4)
+    S = np.empty((n, n))
+    D = np.empty((n, n))
+    for i in range(n):
+        dx = mid[i] - mid
+        u = dx[:, 0] * tangent[:, 0] + dx[:, 1] * tangent[:, 1]
+        v = dx[:, 0] * normal[:, 0] + dx[:, 1] * normal[:, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            row = (np.arctan((a - u) / v) + np.arctan((a + u) / v)) / (2.0 * math.pi)
+        D[i] = np.where(v == 0.0, 0.0, row) * s[i] / s
+        xi = mid[i] + gx[:, None] * (a[i] * tangent[i])  # (q, 2)
+        dq = xi[:, None, :] - mid[None, :, :]
+        uq = dq[..., 0] * tangent[:, 0] + dq[..., 1] * tangent[:, 1]
+        vq = dq[..., 0] * normal[:, 0] + dq[..., 1] * normal[:, 1]
+        inner = _log_primitive(a - uq, vq) - _log_primitive(-a - uq, vq)
+        S[i] = -(gw @ inner) * a[i] / (4.0 * math.pi) / (s[i] * s)
+    self_term = -(length * length) * (np.log(length) - 1.5) / (2.0 * math.pi)
+    np.fill_diagonal(S, self_term / length)
+    return 0.5 * (S + S.T), D
 
 
 # ---------------------------------------------------------------------------

@@ -430,6 +430,24 @@ def test_bem_crosscheck_keeps_its_digits_at_every_scale(tmp_path):
         assert runs[k][1] == pytest.approx(max_rel, rel=1e-9)
 
 
+def test_bem_crosscheck_reports_the_jump_relation(tmp_path, monkeypatch):
+    # the discrete Gauss identity of the run's own layers, in report.json,
+    # also when the ND map fails after it
+    cfg = ExperimentConfig.from_text(
+        "experiment = bem-crosscheck\ndomain.name = square\nmesh.levels = 0.1\n"
+        "bem.panels-per-edge = 64\n"
+    )
+    rep = run_experiment(cfg, str(tmp_path / "ok"))
+    assert rep.error is None, rep.error
+    payload = json.loads((tmp_path / "ok" / "report.json").read_text())
+    assert payload["summary"]["jump_relation"] == rep.summary["jump_relation"]
+    assert 0.0 <= rep.summary["jump_relation"] <= 1e-12
+    monkeypatch.setattr(potentials, "ROUTE_GAP_TOL", 0.0)
+    failed = run_experiment(cfg, str(tmp_path / "failed"))
+    assert failed.error.startswith("PotentialsError: ND evaluation routes disagree")
+    assert failed.summary["jump_relation"] == rep.summary["jump_relation"]
+
+
 def test_outputs_are_rendered_before_any_is_written(tmp_path, monkeypatch):
     # a negative weight has only the negative branch; the plot draws that one
     neg = tmp_path / "neg"

@@ -1,7 +1,8 @@
 """Boundary layer operators: closed-form panel integrals, the discrete Gauss
 identity, circle spectra of the single layer and of the Neumann-to-Dirichlet
 map, the square's ND spectrum against separation of variables, symmetry
-structure, the row-blocked fill and its pinned digests, the mean-zero
+structure, the row-blocked fill, its pinned digests and the per-panel
+oracle it must match, the tiled transpose sums, the mean-zero
 projection, the in-place ND operator on scipy's kernels, and the fill's
 worker threads."""
 
@@ -152,6 +153,18 @@ def test_gauss_identity_on_smooth_boundary(circle_op):
 def test_gauss_identity_survives_corners(square_op):
     rep = jump_relation_error(square_op)
     assert rep["max_error"] < 1e-12
+
+
+@pytest.mark.parametrize("degrees", [0.5, 5.0, 15.0])
+def test_gauss_identity_holds_in_thin_wedges(degrees):
+    # near the tip each midpoint sees the other side at a grazing angle;
+    # evaluating both ends of every panel on their own read 1.1e-12 at 0.5°
+    tip = math.radians(degrees)
+    dom = geometry.PolygonDomain(
+        np.array([[0.0, 0.0], [1.0, 0.0], [math.cos(tip), math.sin(tip)]])
+    )
+    rep = jump_relation_error(build_layer_operators(dom, 256))
+    assert rep["max_error"] <= 2e-13
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +442,12 @@ def test_fill_workers_leave_layers_bitwise_unchanged(cpus, monkeypatch):
     cpus = potentials._available_cpus()
     monkeypatch.setattr(potentials, "FILL_BLOCK", 3 * 608)
     assert 608 % 3 == 2
-    # a worker's temporaries for 3 × 608 entries are 0.25 of a 608 × 608
-    # matrix, and the workers share one such matrix: at most four of them
-    assert 608 // (3 * potentials._BLOCK_TEMPS) == 4
+    # a worker's temporaries for 3 × 608 entries are 0.08 of a 608 × 608
+    # matrix, and the workers share one such matrix: at most eleven of them
+    assert 608 // (3 * potentials._BLOCK_TEMPS) == 11
     started = _counted_thread_starts(monkeypatch)
     op = build_layer_operators(dom, 32)
-    assert len(started) == min(cpus, 4) - 1  # the calling thread is the first worker
+    assert len(started) == min(cpus, 11) - 1  # the calling thread is the first worker
     assert np.array_equal(op.S, ref.S)
     assert np.array_equal(op.D, ref.D)
 
@@ -497,16 +510,21 @@ def _catalog_layers(name, ppe, to_diameter=0.8, **params):
     return op.S, op.D
 
 
-def _touching_pair_layers():
-    # panel 1 starts at x = g, the outer Gauss point of panel 0
+def _touching_pair_panels():
+    # panel 1 starts at x = g, the outer Gauss point of panel 0; each panel is
+    # a segment of one
     g = potentials._GAUSS_X[3]
-    panels = potentials.PanelSet(
+    return potentials.PanelSet(
         mid=np.array([[0.0, 0.0], [2.0 * g, 0.0]]),
         length=np.array([2.0, 2.0 * g]),
         tangent=np.array([[1.0, 0.0], [1.0, 0.0]]),
         normal=np.array([[0.0, -1.0], [0.0, -1.0]]),
+        nodes=np.array([[[-1.0, 0.0], [1.0, 0.0]], [[g, 0.0], [3.0 * g, 0.0]]]),
     )
-    return potentials._fill(panels)
+
+
+def _touching_pair_layers():
+    return potentials._fill(_touching_pair_panels())
 
 
 # Layers and the SHA-256 of S.tobytes() and D.tobytes(): any change to the
@@ -516,27 +534,27 @@ def _touching_pair_layers():
 LAYER_DIGESTS = {
     "square-32": (
         functools.partial(_catalog_layers, "square", 32),
-        "9f79a11f0441f1c80426f36a1d489781922849ed7e016a2ec415681a85588400",
-        "9f1262d146770c1843acb07c84c2cc15c8b5ae94eeef017cbf0e3513c5cab3dc",
+        "78501cf80763dc65885d069734ec3991d313403e38ea34d5c35a4cd41e30cf8a",
+        "15519d82f1b55b61bc9c5248ae76672d244cfa40b60886a687eb0bf1d9205b32",
     ),
     "sawtooth-32": (
         functools.partial(_catalog_layers, "sawtooth-square", 32),
-        "17d87f044db063436febb70342cffeeebd32110d909215da85b85ce0bf25de84",
-        "54825de0963549106c008acfbbc7ec75809372dc5f19a0b416272980c69a20cd",
+        "0347c300b683907d2e1968ad64757d761c9f5eac39b9c525f281cfbbfdd64e9d",
+        "a3ecb98cc46c261d6457e2561e6edb044191b55ca3662ff2bd6cdef1e7db39d6",
     ),
     "koch-l2-8": (
         functools.partial(_catalog_layers, "koch-prefractal", 8, level=2),
-        "75450aceb96b7542c938fa8cd6fd5caa7570a8cdc95044203b1c7b9e25f2275a",
-        "62eceff78fbc7f9e9a97f196a30336336362d4730f3c02e83318c04ed5207c31",
+        "008b89f2abd896b44a78760fd70392d4e2b6e1280ac63dd52f8c29e3af2f030e",
+        "4eeae0070472201e9a7f47bd438ae1511a32b6a8f5dac61bac038990561d15fe",
     ),
     "ngon96-2-unscaled": (
         functools.partial(_catalog_layers, "regular-ngon", 2, to_diameter=None, n=96, radius=1.0),
-        "2ef4b0063d6dbe20b988b412597d1ec4c0ad81202cd039c123d4e3a2351686dc",
-        "c53a4f6ae003180ce4052a2bd9ad7aa445209b10b935c610897294e90d95c2e5",
+        "edc41c6a02330420edaf5d8572f1a13b7373819c18c9b486243feb3fd9b12242",
+        "3b60fab8b6175c26fce7175e512ab6eedba00fcc107c70190baea700faba4635",
     ),
     "touching-pair": (
         _touching_pair_layers,
-        "872d5112e3c96b17a4a2e9ae8061bce391324f1917d8cadad1f431408ee7e496",
+        "bb2fdbe41c7c99d01ac0b797a350392b0f53c283f0392b05588378d1470e82cd",
         "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
     ),
 }
@@ -548,6 +566,51 @@ def test_layer_matrices_match_golden_digests(case):
     S, D = layers()
     assert np.isfinite(S).all() and np.isfinite(D).all()
     assert [hashlib.sha256(M.tobytes()).hexdigest() for M in (S, D)] == expected
+
+
+# the fill against the per-panel closed forms (tests/oracles.py), which
+# evaluate both ends of every panel on their own; bounds fixed beforehand
+ORACLE_DOMAINS = {
+    "square-64": ("square", {}, 64),
+    "lshape-32": ("lshape", {}, 32),
+    "ngon96-2": ("regular-ngon", {"n": 96, "radius": 1.0}, 2),
+    "koch-l2-8": ("koch-prefractal", {"level": 2}, 8),
+    "sawtooth-32": ("sawtooth-square", {}, 32),
+}
+
+
+def _assert_layers_match_oracle(panels, S, D):
+    S0, D0 = oracles.panel_layer_matrices(panels.mid, panels.length, panels.tangent, panels.normal)
+    for got, ref in ((S, S0), (D, D0)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    return S0, D0
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_DOMAINS))
+def test_fill_matches_the_per_panel_oracle(case):
+    name, params, ppe = ORACLE_DOMAINS[case]
+    op = build_layer_operators(geometry.make_domain(name, **params), ppe)
+    S0, D0 = _assert_layers_match_oracle(op.panels, op.S, op.D)
+    ref = nd_operator(dataclasses.replace(op, S=S0, D=D0)).eigenvalues
+    np.testing.assert_allclose(nd_operator(op).eigenvalues, ref, rtol=1e-11, atol=0)
+
+
+def test_fill_matches_the_per_panel_oracle_where_a_gauss_point_is_a_node():
+    panels = _touching_pair_panels()
+    _assert_layers_match_oracle(panels, *potentials._fill(panels))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_tiled_transpose_sum_is_the_untiled_sum_bitwise(sign):
+    # 300 rows in tiles of 128: two whole tiles and a part on each axis
+    assert math.isqrt(potentials.FILL_BLOCK) == 128
+    M = np.random.default_rng(1).standard_normal((300, 300))
+    want = np.add(M, M.T) if sign > 0 else np.subtract(M, M.T)
+    out = np.empty_like(M)
+    potentials._add_transpose(M, out, sign)
+    assert np.array_equal(out, want)
+    potentials._add_transpose(M, M, sign)  # in place
+    assert np.array_equal(M, want)
 
 
 @pytest.mark.parametrize("ppe", [256, 512])

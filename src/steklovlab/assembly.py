@@ -227,17 +227,16 @@ def _distance_to_boundary(domain: PolygonDomain, pts: np.ndarray) -> np.ndarray:
     return dist.min(axis=1)
 
 
+BLEND_WIDTH = 0.3  # collar width of the boundary-matched blend, in domain spans
+
+
 def boundary_matched_rough(
-    domain: PolygonDomain,
-    interior: MatrixField,
-    trace: MatrixField,
-    blend_width: float,
+    domain: PolygonDomain, interior: MatrixField, trace: MatrixField
 ) -> MatrixField:
     """Field equal to ``trace`` on the boundary, blended into ``interior``
-    over a collar of the given width (smoothstep in boundary distance)."""
-    w = float(blend_width)
-    if not 0 < w < math.inf:
-        raise AssemblyError("blend width must be positive and finite")
+    over a collar ``BLEND_WIDTH`` spans wide (smoothstep in boundary distance),
+    so the field scales with the domain."""
+    w = BLEND_WIDTH * domain.span
 
     def fn(pts):
         dist = _distance_to_boundary(domain, pts)

@@ -180,11 +180,17 @@ def _condensed_eigh(G, B_bb):
     eigendecomposition is LAPACK's divide-and-conquer ``dsyevd`` through
     scipy's ``evd`` driver, the routine numpy's ``eigh`` calls; scipy's
     default ``evr`` (``dsyevr``) is a different algorithm and would move the
-    eigenvalues at roundoff."""
+    eigenvalues at roundoff.  A weight so large against the energy that the
+    matrix overflows raises ``EigensolveError``."""
     Y = sla.solve_triangular(G, B_bb.toarray(), lower=True)
-    C = sla.solve_triangular(G, Y.T, lower=True)
-    C = 0.5 * (C + C.T)
-    w, V = sla.eigh(C, driver="evd")
+    C = sla.solve_triangular(G, Y.T, lower=True, check_finite=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = 0.5 * (C + C.T)
+    if not np.isfinite(C).all():
+        raise EigensolveError(
+            "condensed pencil matrix overflows: the weight is too large for the energy"
+        )
+    w, V = sla.eigh(C, driver="evd", check_finite=False)
     return w, sla.solve_triangular(G, V, lower=True, trans="T")
 
 
@@ -197,16 +203,21 @@ def solve_dense(A, B) -> Spectrum:
     nonzero μ.  Each residual ‖B_bb x_b − μ G(Gᵀx_b)‖ is taken on the
     condensed pencil, so it also covers the last triangular solve.  The
     n − nb structural zeros count in ``n_dropped``.  Raises
-    ``EigensolveError`` as ``_condense`` does."""
+    ``EigensolveError`` as ``_condense`` and ``_condensed_eigh`` do, and when
+    a residual overflows."""
     A = sp.csr_matrix(A, dtype=float)
     B = sp.csr_matrix(B, dtype=float)
     G, B_bb, gap = _condense(A, B)
     w, Xb = _condensed_eigh(G, B_bb)
-    R = _schur_apply(G, Xb)
-    R *= w
-    np.subtract(B_bb @ Xb, R, out=R)
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = _schur_apply(G, Xb)
+        R *= w
+        np.subtract(B_bb @ Xb, R, out=R)
+        res = np.linalg.norm(R, axis=0)
+    if not np.isfinite(res).all():
+        raise EigensolveError("pencil residuals overflow: the weight is too large for the energy")
     zero_threshold = ZERO_THRESHOLD_REL * float(np.abs(w).max(initial=0.0))
-    spec = _split_branches(w, np.linalg.norm(R, axis=0), zero_threshold, len(G))
+    spec = _split_branches(w, res, zero_threshold, len(G))
     spec.n_dropped += A.shape[0] - len(G)
     spec.schur_gap = gap
     return spec

@@ -458,9 +458,9 @@ class StraighteningMap:
     The collar is the region between the chart graph and the horizontal base
     line ``y = base``.  Its grid has a node column at each of the ``stations``
     with ``levels + 1`` nodes per column (`nodes`), both at most the mesh size
-    ``h`` apart in the source: there, level j sits the fraction j/levels of the local collar
-    thickness above the base line; in the image, at height ``base + j/levels``,
-    so the collar maps onto the rectangle ``[x0, x1] x [base, base + 1]``.
+    ``h`` apart in the source: there, level j sits j/levels of the local collar
+    thickness above the base line; in the image, j/levels of the chart width
+    w = x1 - x0, so the collar maps onto the box ``[x0, x1] x (base, base + w]``.
     Every grid cell splits into two triangles as ``_CELL_SPLIT`` says, and the
     map is affine on each of these pieces: half s of cell (i, j) is piece
     ``2 (i·levels + j) + s``, ``jacobians[k]`` is the constant 2x2 Jacobian
@@ -494,16 +494,17 @@ class StraighteningMap:
         """Source and image positions of the collar nodes, each indexed
         ``[station, level, xy]``; level 0 is the base line."""
         frac = np.arange(self.levels + 1) / self.levels
+        width = self.stations[-1] - self.stations[0]
         thick = self.chart(self.stations) - self.base
         x = np.broadcast_to(self.stations[:, None], (self.stations.size, self.levels + 1))
         pre = np.stack([x, self.base + frac[None, :] * thick[:, None]], axis=2)
-        post = np.stack([x, np.broadcast_to(self.base + frac, x.shape)], axis=2)
+        post = np.stack([x, np.broadcast_to(self.base + frac * width, x.shape)], axis=2)
         return pre, post
 
     def pull(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Source position and piece of each image-coordinate point.
 
-        Points off the collar keep their position and get piece -1.  Image
+        Points off the image box keep their position and get piece -1.  Image
         cells are axis-aligned rectangles, so a point's cell follows from its
         coordinates and its half from the side of the cell diagonal it is on.
         """
@@ -511,18 +512,15 @@ class StraighteningMap:
         x, y = pts[:, 0], pts[:, 1]
         src = pts.copy()
         piece = np.full(len(pts), -1, dtype=np.int64)
-        hit = (
-            (x >= self.stations[0] - 1e-12)
-            & (x <= self.stations[-1] + 1e-12)
-            & (y > self.base + 1e-14)
-            & (y <= self.base + 1.0 + 1e-12)
-        )
+        x0, x1 = self.stations[0], self.stations[-1]
+        width = x1 - x0
+        hit = (x >= x0) & (x <= x1) & (y > self.base) & (y <= self.base + width)
         if not hit.any():
             return src, piece
         xi, yi = x[hit], y[hit]
         cols = np.searchsorted(self.stations, xi, side="right") - 1
         cols = np.clip(cols, 0, self.stations.size - 2)
-        rows = np.floor((yi - self.base) * self.levels).astype(np.int64)
+        rows = np.floor((yi - self.base) / width * self.levels).astype(np.int64)
         rows = np.clip(rows, 0, self.levels - 1)
         pre, post = self.nodes()
         lo, hi = post[cols, rows], post[cols + 1, rows + 1]
@@ -533,33 +531,58 @@ class StraighteningMap:
         return src, piece
 
 
+COLLAR_DEPTH = 0.25  # base line below the chart's lowest point, in chart widths
+
+
 def _check_budget(nodes: float, h: float) -> None:
     """Refuse a grid of more nodes than the mesher may insert; the count grows as 1/h²."""
     if not nodes <= MAX_INSERTIONS:
         raise MeshingError(f"h = {h:g} needs {nodes:.3g} nodes, over the budget {MAX_INSERTIONS}")
 
 
-def build_straightening(domain: PolygonDomain, collar_depth: float, h: float) -> StraighteningMap:
+def _sides(domain: PolygonDomain) -> np.ndarray:
+    """Segment ids of a charted domain's left side, bottom and right side: k0 - 1,
+    k0 and k0 + 1, with k0 the bottom-left vertex (the chart's first piece ends at k0 - 1)."""
+    k0 = (domain.chart.segment_ids[0] + 2) % domain.n_segments
+    return (k0 + np.arange(-1, 2)) % domain.n_segments
+
+
+def build_straightening(domain: PolygonDomain, h: float) -> StraighteningMap:
     """Construct the collar-flattening map of the domain's chart at mesh size ``h``.
 
-    The base line sits ``collar_depth`` below the lowest point of the graph,
-    and the collar must stay inside the domain, which is checked.  Each chart
-    piece splits into ⌈width/h⌉ equal columns and the collar into
+    The domain must be its chart over a rectangle: the two polygon vertices
+    off the chart are the bottom corners, exactly below the chart's ends (the
+    catalog square and sawtooth domains qualify).  The base line sits
+    ``COLLAR_DEPTH`` chart widths below the lowest point of the graph and
+    strictly above the bottom side, so the collar lies inside the domain.
+    Each chart piece splits into ⌈width/h⌉ equal columns and the collar into
     ⌈largest collar thickness/h⌉ levels, so no vertical or horizontal side of
-    a source cell is longer than h.  A domain without a chart raises
-    ``GeometryError``; a grid over the mesher's node budget raises
-    ``MeshingError`` before it is allocated.
+    a source cell is longer than h.  A domain without a chart or outside that
+    shape raises ``GeometryError``; a grid over the mesher's node budget
+    raises ``MeshingError`` before it is allocated.
     """
     chart = domain.chart
     if chart is None:
         raise GeometryError(f"domain {domain.name!r} has no chart to straighten")
-    if not (0 < collar_depth < math.inf and 0 < h < math.inf):  # False for NaN too
-        raise GeometryError("collar depth and mesh size h must be finite and positive")
-    base = float(chart.values.min()) - float(collar_depth)
-    with np.errstate(over="ignore"):  # a tiny h gives inf columns, which the budget refuses
+    if not 0 < h < math.inf:  # False for NaN too
+        raise GeometryError("mesh size h must be finite and positive")
+    x0, x1 = chart.xs[0], chart.xs[-1]
+    sides = _sides(domain)
+    yb = float(domain.vertices[sides[1], 1])
+    base = float(chart.values.min()) - COLLAR_DEPTH * (x1 - x0)
+    segments = np.sort(np.concatenate([chart.segment_ids, sides]))
+    if not (
+        np.array_equal(segments, np.arange(domain.n_segments))
+        and np.array_equal(domain.vertices[sides[1:]], [[x0, yb], [x1, yb]])
+        and yb < base
+    ):
+        raise GeometryError(
+            "straightening needs a chart over a rectangular remainder below its collar"
+        )
+    with np.errstate(over="ignore"):  # a tiny h gives inf counts, which the budget refuses
         pieces = np.maximum(1, np.ceil(np.diff(chart.xs) / h - 1e-12))
         columns = float(pieces.sum())
-    levels = max(1, np.ceil((float(chart.values.max()) - base) / h - 1e-12))
+        levels = max(1, np.ceil((float(chart.values.max()) - base) / h - 1e-12))
     _check_budget((columns + 1) * float(levels + 1), h)
 
     # column index to x, piecewise linear: chart piece i spans columns knots[i..i+1]
@@ -567,49 +590,25 @@ def build_straightening(domain: PolygonDomain, collar_depth: float, h: float) ->
     stations = np.interp(np.arange(knots[-1] + 1), knots, chart.xs)
     if (chart(stations) - base <= 0).any():
         raise GeometryError("collar base must stay strictly below the graph")
-
-    # The collar rectangle footprint must stay inside the domain: sample a
-    # safety grid strictly inside and check membership.
-    gx = 0.5 * (stations[:-1] + stations[1:])
-    probe = np.stack([gx, np.full_like(gx, base + 1e-9)], axis=1)
-    if not domain.contains(probe).all():
-        raise GeometryError("collar of this depth leaves the domain")
-
     return StraighteningMap(domain, chart, base, stations, int(levels), float(h))
 
 
 def build_matched_meshes(smap: StraighteningMap) -> tuple[TriangleMesh, TriangleMesh]:
     """Node-matched meshes of the source domain and its straightened image at ``smap.h``.
 
-    Requires the chart to span a full horizontal side of the domain over a
-    rectangular remainder: the two polygon vertices off the chart are the
-    bottom corners below the chart's ends (the catalog square and sawtooth
-    domains qualify).  Both meshes are one structured grid: a lower grid of
-    spacing at most h fills the remainder up to the base line, and the
-    collar nodes of ``smap.nodes()`` stand on its top row.  Every cell splits
-    as ``_CELL_SPLIT`` says, so the collar triangles are the straightening
+    ``build_straightening`` has checked that the domain is its chart over a
+    rectangle.  Both meshes are one structured grid: a lower grid of spacing
+    at most h fills that rectangle up to the base line, and the collar nodes
+    of ``smap.nodes()`` stand on its top row.  Every cell splits as
+    ``_CELL_SPLIT`` says, so the collar triangles are the straightening
     pieces in piece order.  The source mesh takes the source node positions,
     the image mesh the image positions (the lower grid is the same in both),
     and the connectivity is identical.  A grid over the mesher's node budget
     raises ``MeshingError`` before it is allocated.
     """
     dom, chart, h = smap.domain, smap.chart, smap.h
-    x0, x1 = chart.xs[0], chart.xs[-1]
-
-    # With k0 the bottom-left corner (the chart's first piece ends at k0 - 1), the bottom
-    # is segment k0, the right side k0 + 1, the left side k0 - 1; the chart covers the rest.
-    n = dom.n_segments
-    k0 = (chart.segment_ids[0] + 2) % n
-    sides = (k0 + np.arange(-1, 2)) % n
-    yb = float(dom.vertices[k0, 1])
-    if not (
-        np.array_equal(np.sort(np.concatenate([chart.segment_ids, sides])), np.arange(n))
-        and np.allclose(dom.vertices[sides[1:]], [[x0, yb], [x1, yb]], rtol=0, atol=1e-12)
-        and yb < smap.base
-    ):
-        raise GeometryError(
-            "matched meshing needs a full-width chart over a rectangular remainder"
-        )
+    sides = _sides(dom)
+    yb = float(dom.vertices[sides[1], 1])
     stations = smap.stations
     nx = stations.size
     rows = np.ceil((smap.base - yb) / h - 1e-12)

@@ -20,8 +20,9 @@ become lists.  Schema (defaults in parentheses):
     mesh.levels             positive, strictly decreasing h values; the
                             boundary-only, mollification and bilipschitz
                             experiments mesh only the last (finest) one
-    tail.kmin, tail.kmax    tail-fit window, non-negative, a nonzero kmax at
-                            least kmin (0 = [5, resolved/4])
+    tail.kmin, tail.kmax    tail-fit window, non-negative (0 = the default end
+                            of [5, resolved/4]), a nonzero kmax at least the
+                            lower end
     tolerance.deviation     Weyl-fit relative tolerance (0.10)
     interior.a, interior.a.<p>   contrasting interior field (boundary-only),
                             a matrix coefficient like coeff.a
@@ -30,9 +31,10 @@ become lists.  Schema (defaults in parentheses):
     bem.panels-per-edge     Nystrom panels per polygon edge (boundary route)
 
 A key outside this schema is ignored; the other tolerances and fixed inputs are
-constants next to their experiments: ``BLEND_WIDTH``, ``DRIFT_TOL``,
-``MONOTONE_SLACK``, ``INVARIANCE_TOL``, ``MISUSE_FACTOR``, ``COLLAR_DEPTH``,
-``PAIR_TOL``, ``BEM_COUNT`` and ``potentials.ROUTE_GAP_TOL``.  The command
+constants next to their experiments: ``DRIFT_TOL``, ``MONOTONE_SLACK``,
+``INVARIANCE_TOL``, ``MISUSE_FACTOR``, ``PAIR_TOL``, ``BEM_COUNT`` and
+``potentials.ROUTE_GAP_TOL``; the collar lengths are ``geometry.COLLAR_DEPTH``
+and ``assembly.BLEND_WIDTH``, measured in the domain's own size.  The command
 line's ``mesh``, ``solve``, ``weyl`` and ``bem`` read the same keys (``domain.*``,
 ``coeff.*``, ``rho.*``, ``mesh.levels`` and ``bem.panels-per-edge``) from
 ``KEY=VALUE`` arguments; they need no ``experiment``.
@@ -317,12 +319,14 @@ class Report:
 
 def _tail(cfg: ExperimentConfig) -> tuple:
     """Configured (kmin, kmax) of the tail window; 0 = the default end of
-    ``eigensolve.tail_window``."""
+    ``eigensolve.tail_window``.  A nonzero kmax below the window's lower end
+    would leave every branch nothing to fit, so it is a config error."""
     kmin, kmax = cfg.get_int("tail.kmin", 0), cfg.get_int("tail.kmax", 0)
-    if kmin < 0 or kmax < 0 or 0 < kmax < kmin:
+    lower = eigensolve.tail_window(0, kmin, 0)[0]  # kmin, or the default lower end
+    if kmin < 0 or kmax < 0 or 0 < kmax < lower:
         raise HarnessError(
             "tail.kmin and tail.kmax must be non-negative, with tail.kmax 0 or at "
-            f"least tail.kmin (got {kmin}, {kmax})"
+            f"least the window's lower end {lower} (got {kmin}, {kmax})"
         )
     return kmin, kmax
 
@@ -355,6 +359,20 @@ def _fit_level(mesh, coeff, tail: tuple) -> tuple:
     return row, spec
 
 
+def _fit_of(row: dict, spec, tail: tuple, sign: str, where: str) -> float:
+    """The tail fit of branch ``sign`` in a level row; a window that left the
+    branch nothing to fit raises ``HarnessError``."""
+    key, branch = {"+": ("plus", "positive"), "-": ("minus", "negative")}[sign]
+    if f"fit_{key}" not in row:
+        n = len(spec.branch(sign))
+        kmin, kmax = eigensolve.tail_window(n, *tail)
+        raise HarnessError(
+            f"tail window [{kmin}, {kmax}] (tail.kmin, tail.kmax) leaves nothing "
+            f"to fit among the {n} {branch} pairs {where}"
+        )
+    return row[f"fit_{key}"]
+
+
 def _deviation(fit: float, predicted: float) -> float:
     return abs(fit - predicted) / predicted
 
@@ -384,19 +402,15 @@ def _weyl_verification(cfg: ExperimentConfig, report: Report) -> None:
             mesh = geometry.triangulate(domain, h)
             row, report.spectrum = _fit_level(mesh, coeff, tail)
         report.levels.append(row)
-    last = report.levels[-1]
-    report.fitted = {k: last[f"fit_{k}"] for k in ("plus", "minus") if f"fit_{k}" in last}
-    # a predicted branch without a fit fails the run
+    last, where = report.levels[-1], f"at h = {levels[-1]:g}"
     devs = {
-        key: _deviation(report.fitted[key], pred) if key in report.fitted else None
-        for key, pred in (("plus", wd.w_plus), ("minus", wd.w_minus))
+        key: _deviation(_fit_of(last, report.spectrum, tail, sign, where), pred)
+        for sign, key, pred in (("+", "plus", wd.w_plus), ("-", "minus", wd.w_minus))
         if pred > 0
     }
+    report.fitted = {k: last[f"fit_{k}"] for k in ("plus", "minus") if f"fit_{k}" in last}
     report.summary["deviation"] = devs
-    report.passed = all(d is not None and d <= tol for d in devs.values())
-
-
-BLEND_WIDTH = 0.3  # collar width of the boundary-matched blend
+    report.passed = all(d <= tol for d in devs.values())
 
 
 def _boundary_only_dependence(cfg: ExperimentConfig, report: Report) -> None:
@@ -408,7 +422,7 @@ def _boundary_only_dependence(cfg: ExperimentConfig, report: Report) -> None:
     interior_field = _matrix_from(cfg, prefix="interior.a")
     h = cfg.mesh_levels()[-1]
     tail = _tail(cfg)
-    rough = assembly.boundary_matched_rough(domain, interior_field, trace_field, BLEND_WIDTH)
+    rough = assembly.boundary_matched_rough(domain, interior_field, trace_field)
 
     # reject mismatched traces up front
     per_segment = -(-1000 // domain.n_segments)
@@ -444,14 +458,7 @@ def _boundary_only_dependence(cfg: ExperimentConfig, report: Report) -> None:
             row, report.spectrum = _fit_level(mesh, coeff, tail)
         row["field"] = tag
         report.levels.append(row)
-        if "fit_plus" not in row:
-            n = len(report.spectrum.positive)
-            kmin, kmax = eigensolve.tail_window(n, *tail)
-            raise HarnessError(
-                f"tail window [{kmin}, {kmax}] (tail.kmin, tail.kmax) leaves nothing "
-                f"to fit among the {n} positive pairs of the {tag} field"
-            )
-        fits[tag] = row["fit_plus"]
+        fits[tag] = _fit_of(row, report.spectrum, tail, "+", f"of the {tag} field")
     dev1 = _deviation(fits["smooth"], wd.w_plus)
     dev2 = _deviation(fits["rough"], wd.w_plus)
     mutual = abs(fits["smooth"] - fits["rough"]) / fits["smooth"]
@@ -504,7 +511,6 @@ def _mollification_convergence(cfg: ExperimentConfig, report: Report) -> None:
 
 INVARIANCE_TOL = 1e-8  # relative eigenvalue gap across the straightening
 MISUSE_FACTOR = 100  # the control must move the spectrum this many tolerances
-COLLAR_DEPTH = 0.25  # below the chart's lowest point
 
 
 def _bilipschitz_invariance(cfg: ExperimentConfig, report: Report) -> None:
@@ -513,7 +519,7 @@ def _bilipschitz_invariance(cfg: ExperimentConfig, report: Report) -> None:
     h = cfg.mesh_levels()[-1]
     coeff = _coeff_from(cfg, domain)
     _positive_branch(domain, coeff)
-    smap = geometry.build_straightening(domain, COLLAR_DEPTH, h)
+    smap = geometry.build_straightening(domain, h)
     with report.stage("mesh"):
         mesh_pre, mesh_post = geometry.build_matched_meshes(smap)
     with report.stage("assembly"):

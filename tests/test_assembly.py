@@ -171,7 +171,7 @@ def test_mollified_stays_between_phases(x, y, eps):
 def test_boundary_matched_rough_trace(square_domain):
     trace = constant_matrix(1.0)
     interior = checkerboard(cell=0.2, low=1.0, high=6.0)
-    fld = boundary_matched_rough(square_domain, interior, trace, 0.15)
+    fld = boundary_matched_rough(square_domain, interior, trace)
 
     # exact agreement on the boundary itself
     t = np.linspace(0.0, 1.0, 57)
@@ -287,10 +287,6 @@ def _broken(fn):
             "diagonal entries must be positive",
         ),
         (
-            lambda dom: boundary_matched_rough(dom, constant_matrix(2.0), constant_matrix(), 0.0),
-            "blend width must be positive",
-        ),
-        (
             lambda dom: mollified(checkerboard(cell=0.25), 0.0),
             "mollification scale must be positive",
         ),
@@ -309,7 +305,7 @@ def _broken(fn):
         ),
     ],
     ids=[
-        "constant-zero", "diagonal-zero", "rotated-negative", "blend-width-zero",
+        "constant-zero", "diagonal-zero", "rotated-negative",
         "mollify-zero", "bump-radius-zero", "bump-height-negative", "wrong-shape",
         "non-symmetric",
     ],
@@ -390,7 +386,7 @@ def test_nan_samples_fail_the_guards_at_a_nan_point(square_mesh, coeff, message)
 
 def test_pullback_preserves_energy_integrals():
     dom = geometry.make_domain("sawtooth-square")
-    smap = geometry.build_straightening(dom, 0.2, 0.125)
+    smap = geometry.build_straightening(dom, 0.125)
     src, img = geometry.build_matched_meshes(smap)
     coeff = _cf(
         a=rotated_diagonal(p=2.0, q=1.0, angle=0.2), v0=constant_potential(1.0)

@@ -380,7 +380,7 @@ def test_span_outside_the_range_is_a_geometry_error(side):
 
 def test_straightening_matched_meshes():
     dom = make_domain("sawtooth-square")
-    smap = geometry.build_straightening(dom, 0.2, 0.1)
+    smap = geometry.build_straightening(dom, 0.1)
     src, img = geometry.build_matched_meshes(smap)
     # identical connectivity, bijective node map
     assert np.array_equal(src.triangles, img.triangles)
@@ -399,7 +399,7 @@ def test_straightening_matched_meshes():
 
 def test_straightening_pull_inverts_every_piece():
     dom = make_domain("sawtooth-square")
-    smap = geometry.build_straightening(dom, 0.25, 0.06)
+    smap = geometry.build_straightening(dom, 0.06)
     pre, post = smap.nodes()
     # Reference loop: half s of cell (i, j) is piece 2(i·levels + j) + s,
     # half 0 below the cell's lower-left to upper-right diagonal.
@@ -422,42 +422,40 @@ def test_straightening_pull_inverts_every_piece():
 
 def test_straightening_collar_guard():
     dom = make_domain("sawtooth-square")
-    with pytest.raises(GeometryError):
-        geometry.build_straightening(dom, -0.1, 0.1)
     with pytest.raises(GeometryError, match="chart"):
-        geometry.build_straightening(make_domain("lshape"), 0.2, 0.1)
+        geometry.build_straightening(make_domain("lshape"), 0.1)
     # the collar grid alone would take ~3e11 nodes; refused before allocation.
     # At h = 2.2e-309 each column count is finite but their sum overflows.
     for h in (1e-6, 2.225073858507203e-309):
         with pytest.raises(geometry.MeshingError, match="budget"):
-            geometry.build_straightening(dom, 0.25, h)
-    # a sloped bottom, and an extra bottom vertex, leave no rectangular remainder
+            geometry.build_straightening(dom, h)
+    # a sloped bottom, and an extra bottom vertex, leave no rectangular
+    # remainder; on a 1 x 0.2 rectangle the collar, a quarter of the chart
+    # width deep, would reach the bottom side
     sloped = [[0, 0], [1, 0.1], [1, 1], [0, 1]]
-    for verts in (sloped, [[0, 0], [0.5, -0.1], [1, 0], [1, 1], [0, 1]]):
+    thin = [[0, 0.8], [1, 0.8], [1, 1], [0, 1]]
+    for verts in (sloped, [[0, 0], [0.5, -0.1], [1, 0], [1, 1], [0, 1]], thin):
         top = len(verts) - 2
         dom = geometry.PolygonDomain(
             np.array(verts, dtype=float),
             chart=geometry.LipschitzChart(np.array([0.0, 1.0]), np.ones(2), np.array([top])),
         )
-        smap = geometry.build_straightening(dom, 0.2, 0.1)
         with pytest.raises(GeometryError, match="rectangular remainder"):
-            geometry.build_matched_meshes(smap)
+            geometry.build_straightening(dom, 0.1)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
-@pytest.mark.parametrize("argument", ["collar_depth", "h"])
-def test_straightening_refuses_a_non_finite_collar_depth_or_h(argument, bad):
+def test_straightening_refuses_a_non_finite_h(bad):
     # an infinite h once built a one-level map and meshes whose h was inf
-    kwargs = {"collar_depth": 0.2, "h": 0.1, argument: bad}
     with pytest.raises(GeometryError, match="finite and positive"):
-        geometry.build_straightening(make_domain("sawtooth-square"), **kwargs)
+        geometry.build_straightening(make_domain("sawtooth-square"), bad)
 
 
 @pytest.mark.parametrize("name", ["square", "sawtooth-square"])
 @pytest.mark.parametrize("h", [0.06, 0.125])
 def test_matched_source_mesh_keeps_the_mesher_edge_bound(name, h):
     # the collar grid follows h, so no source edge exceeds what triangulate allows
-    smap = geometry.build_straightening(make_domain(name), 0.25, h)
+    smap = geometry.build_straightening(make_domain(name), h)
     src, _ = geometry.build_matched_meshes(smap)
     assert src.h == h
     assert src.edge_lengths().max() <= DIAMETER_FACTOR * h

@@ -374,6 +374,17 @@ UNMESHABLE = "mesh.levels = 1e-7\n"
             "tail.kmin = 500\n",
             "tail window",
         ),
+        (
+            "experiment = weyl-verification\ndomain.name = square\nmesh.levels = 0.1\n"
+            "tail.kmin = 400\n",
+            "tail window",
+        ),
+        # a weight this large overflows every residual of the pencil
+        (
+            "experiment = weyl-verification\ndomain.name = square\nmesh.levels = 0.2\n"
+            "rho.value = 1e200\n",
+            "EigensolveError",
+        ),
     ],
     ids=[
         "weyl-verification",
@@ -381,6 +392,8 @@ UNMESHABLE = "mesh.levels = 1e-7\n"
         "mollification-convergence",
         "bem-crosscheck",
         "boundary-only-short-window",
+        "weyl-verification-short-window",
+        "weyl-verification-overflowing-weight",
     ],
 )
 def test_failed_level_yields_partial_report(tmp_path, text, named):
@@ -428,6 +441,52 @@ def test_bem_crosscheck_keeps_its_digits_at_every_scale(tmp_path):
     for k in (-60, 60):
         np.testing.assert_allclose(runs[k][0], fem, rtol=1e-12, atol=0)
         assert runs[k][1] == pytest.approx(max_rel, rel=1e-9)
+
+
+# Each experiment on a small square of side s, with every length key a
+# multiple of s.
+DILATED = {
+    "weyl-verification": lambda s: (
+        f"mesh.levels = {0.1 * s!r}\nrho.name = per-segment\nrho.values = 1, 1, -1, -1\n"
+    ),
+    "bilipschitz-invariance": lambda s: f"mesh.levels = {0.1 * s!r}\n",
+    "boundary-only-dependence": lambda s: (
+        f"mesh.levels = {0.1 * s!r}\ninterior.a = checkerboard\ninterior.a.cell = {0.2 * s!r}\n"
+    ),
+    "mollification-convergence": lambda s: (
+        f"mesh.levels = {0.1 * s!r}\ncoeff.a = checkerboard\ncoeff.a.cell = {0.25 * s!r}\n"
+        f"moll.scales = {0.16 * s!r}, {0.08 * s!r}\n"
+    ),
+    "bem-crosscheck": lambda s: (
+        f"mesh.levels = {0.1 * s!r}, {0.07 * s!r}\nbem.panels-per-edge = 16\n"
+    ),
+}
+DILATION_FREE = ("deviation", "trace_gap", "interior_contrast", "misuse_gap", "final_drift")
+
+
+@pytest.mark.parametrize("k", [-2, 2])
+@pytest.mark.parametrize("experiment", list(DILATED))
+def test_every_experiment_commutes_with_dilation(tmp_path, experiment, k):
+    # On 2^k Ω, with every length scaled and v0 (units 1/length²) by 2^-2k,
+    # every pair scales by 2^k exactly, so the verdict and every relative
+    # figure keep their bits.  The layer fill is covariant to about 5e-12.
+    reps = []
+    for s in (1.0, 2.0**k):
+        text = (
+            f"experiment = {experiment}\ndomain.name = square\ndomain.side = {s!r}\n"
+            f"coeff.v0.value = {s**-2!r}\n" + DILATED[experiment](s)
+        )
+        reps.append(run_experiment(ExperimentConfig.from_text(text), str(tmp_path / str(s))))
+    ref, rep = reps
+    assert ref.error is None and rep.error is None, rep.error
+    assert rep.passed == ref.passed
+    for key in DILATION_FREE:
+        assert rep.summary.get(key) == ref.summary.get(key), key
+    if experiment == "bem-crosscheck":
+        assert rep.fitted["max_relative"] == pytest.approx(ref.fitted["max_relative"], rel=1e-11)
+    else:
+        assert rep.fitted.get("drift") == ref.fitted.get("drift")
+        assert np.array_equal(rep.gaps, ref.gaps)
 
 
 def test_bem_crosscheck_reports_the_jump_relation(tmp_path, monkeypatch):
@@ -677,6 +736,7 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
         (WEYL_SQUARE + "tail.kmin = -3\n", "tail.kmin"),
         (WEYL_SQUARE + "tail.kmax = -1\n", "tail.kmax"),
         (WEYL_SQUARE + "tail.kmin = 10\ntail.kmax = 5\n", "tail.kmax"),
+        (WEYL_SQUARE + "tail.kmax = 3\n", "tail.kmax"),
         (
             WEYL_SQUARE + "coeff.a = checkerboard\ncoeff.a.cell = 0.2\ncoeff.a.origin = 0.5,\n",
             "checkerboard",
@@ -715,6 +775,11 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "steklovlab: error:" in captured.err and "per-segment" in captured.err
+    # a weight that overflows the condensed pencil
+    rc = cli.main(["solve", "domain.name=square", "mesh.levels=0.3", "rho.value=1e308"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "steklovlab: error:" in captured.err and "overflow" in captured.err
 
 
 def test_cli_rejects_a_negative_count(capsys):
@@ -824,12 +889,6 @@ _scalar = st.one_of(
 )
 _value = st.one_of(_scalar, st.lists(_scalar, min_size=2, max_size=4).map(", ".join))
 _length = st.one_of(_value, st.floats(0.0, 2.0, exclude_min=True).map(repr))
-_depth = st.one_of(
-    st.integers(-3, 40),
-    st.floats(-2.0, 2.0),
-    st.floats(0.0, 2.0, exclude_min=True),
-    st.sampled_from((math.nan, math.inf, -math.inf)),
-)
 # a valid mesh.levels: positive and strictly decreasing
 _levels = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3, unique=True).map(
     lambda hs: ", ".join(repr(h) for h in sorted(hs, reverse=True))
@@ -856,11 +915,11 @@ def _value_or_typed_error(fn, *args):
         )
     ),
     entries=st.dictionaries(st.sampled_from(FUZZ_KEYS), _value, max_size=8),
-    collar=st.tuples(_depth, _length),
+    collar_h=_length,
     levels=st.one_of(st.none(), _levels),
 )
 @settings(derandomize=True, max_examples=300, deadline=None)
-def test_config_surface_raises_only_typed_errors(experiment, entries, collar, levels):
+def test_config_surface_raises_only_typed_errors(experiment, entries, collar_h, levels):
     if levels is not None:
         entries = {**entries, "mesh.levels": levels}
     text = "\n".join(f"{k} = {v}" for k, v in {"experiment": experiment, **entries}.items())
@@ -883,15 +942,14 @@ def test_config_surface_raises_only_typed_errors(experiment, entries, collar, le
         _value_or_typed_error(weyl.weyl_coefficient, target, coeff)
     _value_or_typed_error(harness._matrix_from, cfg, "interior.a")
     # The straightening builders on both charted catalog domains and on the
-    # fuzzed domain if it is charted, with a collar depth drawn as a number
-    # and a fuzzed mesh size.
+    # fuzzed domain if it is charted, with a fuzzed mesh size.
     charted = [geometry.make_domain("square"), geometry.make_domain("sawtooth-square")]
     if domain is not None and domain.chart is not None:
         charted.append(domain)
     for dom in charted:
         try:
-            sized = ExperimentConfig.from_text(f"mesh.levels = {collar[1]}")
-            smap = geometry.build_straightening(dom, collar[0], sized.mesh_levels()[-1])
+            sized = ExperimentConfig.from_text(f"mesh.levels = {collar_h}")
+            smap = geometry.build_straightening(dom, sized.mesh_levels()[-1])
             geometry.build_matched_meshes(smap)
         except (GeometryError, MeshingError, HarnessError):
             pass

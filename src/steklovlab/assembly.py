@@ -30,7 +30,6 @@ __all__ = [
     "CoefficientField",
     "AssembledForms",
     "constant_matrix",
-    "diagonal_matrix",
     "rotated_diagonal",
     "checkerboard",
     "boundary_matched_rough",
@@ -149,18 +148,6 @@ def constant_matrix(value: float = 1.0) -> MatrixField:
     return MatrixField("constant", fn, ellipticity=v)
 
 
-def diagonal_matrix(p: float, q: float) -> MatrixField:
-    p, q = float(p), float(q)
-    if not (0 < p < math.inf and 0 < q < math.inf):
-        raise AssemblyError("diagonal entries must be positive and finite")
-    mat = np.diag([p, q])
-
-    def fn(pts):
-        return np.broadcast_to(mat, (len(pts), 2, 2))
-
-    return MatrixField("diagonal", fn, ellipticity=min(p, q))
-
-
 def rotated_diagonal(p: float, q: float, angle: float) -> MatrixField:
     """diag(p, q) conjugated by a rotation of ``angle`` radians."""
     p, q, t = float(p), float(q), float(angle)
@@ -277,14 +264,13 @@ def mollified(base: MatrixField, eps: float) -> MatrixField:
 
 _MATRIX_FIELDS = {
     "constant": constant_matrix,
-    "diagonal": diagonal_matrix,
     "rotated-diagonal": rotated_diagonal,
     "checkerboard": checkerboard,
 }
 
 
 def make_matrix_field(name: str, **params) -> MatrixField:
-    """Catalog dispatch: constant, diagonal, rotated-diagonal, checkerboard."""
+    """Catalog dispatch: constant, rotated-diagonal, checkerboard."""
     return catalog_call("matrix coefficient", _MATRIX_FIELDS, AssemblyError, name, params)
 
 
@@ -433,9 +419,10 @@ def _check_spd_samples(a_field: MatrixField, samples: np.ndarray, points: np.nda
         raise AssemblyError(
             f"coefficient {a_field.name!r} not symmetric at {points[k].tolist()}"
         )
-    tr = samples[:, 0, 0] + samples[:, 1, 1]
-    det = samples[:, 0, 0] * samples[:, 1, 1] - samples[:, 0, 1] * samples[:, 1, 0]
-    lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0.0)))
+    # λ_min = mean − radius from halved entries, which square nothing
+    half = 0.5 * samples
+    a12 = half[:, 0, 1] + half[:, 1, 0]
+    lam_min = (half[:, 0, 0] + half[:, 1, 1]) - np.hypot(half[:, 0, 0] - half[:, 1, 1], a12)
     bad = ~(lam_min >= a_field.ellipticity * (1 - 1e-9))
     if bad.any():
         k = int(np.argmax(bad))

@@ -125,10 +125,10 @@ def _condense(A, B):
     Before it is dropped, the first LU also gives the probe
     S Z = A_bb Z − A_bi A_ii⁻¹ (A_ib Z) on the fixed Z = cos(jk), j ≤ nb,
     k ≤ 4; the relative gap ‖G GᵀZ − S Z‖ / ‖S Z‖ (0 when nb = 0) checks G
-    against it.  Returns G, the sparse B_bb and that gap.  Raises
-    ``EigensolveError`` when A is not SPD, the gap exceeds
-    ``SCHUR_PROBE_TOL``, or nb exceeds ``DENSE_DIMENSION_CAP`` (a memory
-    guard: the work arrays are nb × nb)."""
+    against it, both norms taken after one power-of-two scaling.  Returns G,
+    the sparse B_bb and that gap.  Raises ``EigensolveError`` when A is not
+    SPD, the gap exceeds ``SCHUR_PROBE_TOL``, or nb exceeds
+    ``DENSE_DIMENSION_CAP`` (a memory guard: the work arrays are nb × nb)."""
     n = A.shape[0]
     weighted = _weighted_rows(B)
     b = np.flatnonzero(weighted)
@@ -158,7 +158,11 @@ def _condense(A, B):
     L = lu.L
     del lu
     G = L[ni:, ni:].toarray() * np.sqrt(pivots[ni:])
-    gap = float(np.linalg.norm(_schur_apply(G, Z) - SZ) / np.linalg.norm(SZ)) if nb else 0.0
+    gap = 0.0
+    if nb:  # scaled so that max|SZ| < 1: no square in either norm overflows
+        e = -np.frexp(np.abs(SZ).max())[1]
+        R = np.ldexp(_schur_apply(G, Z) - SZ, e)
+        gap = float(np.linalg.norm(R) / np.linalg.norm(np.ldexp(SZ, e)))
     if not gap <= SCHUR_PROBE_TOL:  # a NaN gap fails too
         raise EigensolveError(
             f"condensed factor misses the Schur complement: probe gap {gap:.1e} "

@@ -10,7 +10,7 @@ become lists.  Schema (defaults in parentheses):
     output.dir              directory for the artifact files ("out")
     domain.name             catalog domain
     domain.<p>              forwarded to the domain catalog (n, teeth, slope, ...)
-    coeff.a                 matrix coefficient: constant (default), diagonal,
+    coeff.a                 matrix coefficient: constant (default),
                             rotated-diagonal or checkerboard
     coeff.a.<p>             forwarded to it (p, q, angle, cell, low, high, origin)
     coeff.v0, coeff.v0.<p>  potential: constant (default) or bump, and its

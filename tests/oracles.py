@@ -149,8 +149,8 @@ def ellipsoid_volume_mc(Q, r: float, n: int = 1_000_000, seed: int = 7) -> float
 
 # ---------------------------------------------------------------------------
 # tangential co-metric by construction: Θ = (nᵀan)a − (an)(an)ᵀ, restricted to
-# n^⊥ through a Gram–Schmidt tangent basis.  Its determinant checks the
-# closed form det Θ′ = (nᵀan)^(d−2) det a that ``weyl.cometric_det`` uses, and
+# n^⊥ through a Gram–Schmidt tangent basis.  Its determinant checks
+# det Θ′ = det a, which ``weyl`` takes in the plane without a normal, and
 # β(x, ξ) = √(ξᵀΘξ) is the symbol's tangential length.
 
 TANGENT_TOL = 1e-9  # relative |ξ·n| that ``beta`` still takes as tangent

@@ -169,8 +169,9 @@ def test_criterion_3_signed_weight_branches(tmp_path):
 
 # ---------------------------------------------------------------------------
 # 4. anisotropic conductivity rotated by 30 degrees, plus mutual consistency
-#    of the closed-form co-metric route, the oracle's beta route, and the
-#    symbol integral
+#    of the run's co-metric route (det Θ′ = det a at every boundary node, no
+#    normal), the oracle's beta route at several normals, and the symbol
+#    integral
 
 ANISO_TOL = 0.10
 SYMBOL_TOL = 1e-8
@@ -195,14 +196,14 @@ def test_criterion_4_anisotropic_coefficient(tmp_path):
 
     a_field = assembly.rotated_diagonal(4.0, 1.0, math.pi / 6.0)
     a = a_field(np.array([[0.5, 0.0]]))[0]
+    det_route = np.sqrt(rep.weyl_data.det_theta_prime)
     route_gap = 0.0
     symbol_gap = 0.0
     for th in (0.0, 0.9, 2.2, 4.0):
         n = np.array([math.cos(th), math.sin(th)])
         tau = oracles.tangent_basis(n)[:, 0]
-        det_route = math.sqrt(weyl.cometric_det(a, n))
         beta_route = oracles.beta(a, n, tau)
-        route_gap = max(route_gap, abs(det_route - beta_route) / beta_route)
+        route_gap = max(route_gap, float(np.abs(det_route - beta_route).max()) / beta_route)
         s = oracles.symbol_oracle(a, n, tau)
         symbol_gap = max(symbol_gap, abs(s * beta_route - 0.5))
 
@@ -386,24 +387,23 @@ def test_criterion_9_property_battery(tmp_path):
     rng = np.random.default_rng(20260814)
     failures = []
 
-    # closed-form co-metric determinant against the oracle's construction in
-    # a randomly rotated tangent basis (3-d, so the tangent plane has genuine
-    # rotational freedom)
+    # the package's co-metric determinant, det a with no normal, against the
+    # oracle's construction from each segment normal of a heptagon, in a
+    # tangent basis of random orientation (the tangent line's basis is ±τ)
     basis_gap = 0.0
+    heptagon = geometry.make_domain("regular-ngon", n=7)
     for _ in range(20):
-        L = np.tril(rng.uniform(-1, 1, (3, 3))) + 2 * np.eye(3)
-        a = L @ L.T
-        n = rng.standard_normal(3)
-        n /= np.linalg.norm(n)
-        P = oracles.tangent_basis(n)
-        ang = rng.uniform(0, 2 * math.pi)
-        R = np.array(
-            [[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]]
+        p, q = rng.uniform(0.5, 4.0, 2)
+        a_field = assembly.rotated_diagonal(p, q, rng.uniform(0, 2 * math.pi))
+        a = a_field(np.zeros((1, 2)))[0]
+        coeff = assembly.CoefficientField(
+            a_field, assembly.constant_potential(1.0), assembly.constant_weight(1.0)
         )
-        T = oracles.theta_matrix(a, n)
-        d1 = weyl.cometric_det(a, n)
-        d2 = np.linalg.det((P @ R).T @ T @ (P @ R))
-        basis_gap = max(basis_gap, abs(d1 - d2) / abs(d1))
+        d1 = weyl.weyl_coefficient(heptagon, coeff).det_theta_prime
+        for n, row in zip(heptagon.segment_normals(), d1.reshape(7, -1)):
+            P = oracles.tangent_basis(n) * rng.choice([-1.0, 1.0])
+            d2 = np.linalg.det(P.T @ oracles.theta_matrix(a, n) @ P)
+            basis_gap = max(basis_gap, float(np.abs(row - d2).max()) / abs(d2))
     if basis_gap > BASIS_TOL:
         failures.append(f"basis dependence {basis_gap:.1e}")
 

@@ -45,7 +45,7 @@ def _cf(a=None, v0=None, rho=None):
 def test_constant_energy_matches_dirichlet_integral(square_mesh):
     # u(x, y) = x is in the P1 space, grad u = (1, 0), a = diag(3, 7):
     # the energy is exactly 3 * area.
-    A = assemble_energy(square_mesh, _cf(a=make_matrix_field("diagonal", p=3.0, q=7.0)))
+    A = assemble_energy(square_mesh, _cf(a=make_matrix_field("rotated-diagonal", p=3.0, q=7.0, angle=0.0)))
     u = square_mesh.nodes[:, 0]
     assert u @ (A @ u) == pytest.approx(3.0, rel=1e-12)
     v = square_mesh.nodes[:, 1]
@@ -250,7 +250,7 @@ def test_non_finite_weight_is_an_assembly_error(square_domain, square_mesh, rho)
         lambda: checkerboard(cell=0.2, origin=(0.0, math.inf)),
         lambda: rotated_diagonal(4.0, 1.0, angle=math.inf),
         lambda: rotated_diagonal(math.nan, 1.0, angle=0.3),
-        lambda: assembly.diagonal_matrix(1.0, math.inf),
+        lambda: rotated_diagonal(1.0, math.inf, angle=0.0),
         lambda: constant_matrix(math.nan),
         lambda: constant_potential(math.inf),
         lambda: mollified(constant_matrix(), math.nan),
@@ -279,7 +279,7 @@ def _broken(fn):
             "constant coefficient must be positive",
         ),
         (
-            lambda dom: make_matrix_field("diagonal", p=1.0, q=0.0),
+            lambda dom: make_matrix_field("rotated-diagonal", p=1.0, q=0.0, angle=0.0),
             "diagonal entries must be positive",
         ),
         (
@@ -382,6 +382,18 @@ def test_nan_samples_fail_the_guards_at_a_nan_point(square_mesh, coeff, message)
         assemble_energy(square_mesh, coeff)
     x, y = map(float, re.search(r"at \[([^\]]+)\]", str(exc.value)).group(1).split(","))
     assert x > 0.5 and 0 < y < 1
+
+
+def test_ellipticity_guard_squares_no_sample(square_mesh):
+    # λ_min from halved entries: a huge SPD field assembles, its energy a
+    # power-of-two multiple of the unit field's, and a huge negative entry
+    # reports a finite λ_min
+    big = 2.0**600
+    A = assemble_energy(square_mesh, _cf(a=constant_matrix(big)))
+    assert (A.data / big).tobytes() == assemble_energy(square_mesh, _cf()).data.tobytes()
+    wrong = assembly.MatrixField("wrong", lambda pts: np.tile(np.diag([1.0, -1e300]), (len(pts), 1, 1)))
+    with pytest.raises(AssemblyError, match=r"loses ellipticity .*\(lambda_min=-1\.000e\+300\)"):
+        assemble_energy(square_mesh, _cf(a=wrong))
 
 
 def test_pullback_preserves_energy_integrals():

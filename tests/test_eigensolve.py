@@ -3,6 +3,7 @@ solve against a full generalized eigh on small meshes, the SPD guard, the
 condensed factor against a dense Schur complement, with the returned pairs
 lifted densely to the full pencil, the dense solve on scipy's kernels alone
 against numpy's eigh, the Schur probe against a perturbed factorization, the
+Schur probe's scale-free gap, the
 Bessel-quotient oracle on a disk, the Steklov spectra of the disk and the
 square from the shifted pencil, counting and tail-extraction semantics, and
 the CSV round trip."""
@@ -313,6 +314,18 @@ def test_schur_probe_catches_a_perturbed_condensation(monkeypatch):
     _, A, B = _square_pencil()
     with pytest.raises(EigensolveError, match="Schur"):
         solve_dense(A, B)
+
+
+def test_schur_probe_gap_is_scale_free():
+    # a power-of-two scale of both forms changes no rounding step of the
+    # solve; at 2^900 the probe's norms, taken unscaled, overflow to a NaN gap
+    _, A, B = _mesh_pencil("square", {}, 0.2, assembly.segment_weight([1.0, 1.0, -1.0, -1.0]))
+    ref = solve_dense(A, B)
+    big = solve_dense(2.0**900 * A, 2.0**900 * B)
+    for got, want in ((big.positive, ref.positive), (big.negative, ref.negative)):
+        assert got.tobytes() == want.tobytes()
+    assert np.float64(big.schur_gap).tobytes() == np.float64(ref.schur_gap).tobytes()
+    assert len(ref.positive) and len(ref.negative) and 0 < ref.schur_gap < 1e-13
 
 
 # ---------------------------------------------------------------------------

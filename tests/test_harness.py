@@ -808,7 +808,7 @@ def test_readme_command_lines_run(capsys):
 # parameter of each catalog: (key, value template, keys selecting the entry).
 CATALOG_PARAMETERS = (
     ("domain.side", "{}", ""),
-    ("coeff.a.p", "{}", "coeff.a = diagonal\ncoeff.a.q = 1\n"),
+    ("coeff.a.p", "{}", "coeff.a = rotated-diagonal\ncoeff.a.q = 1\ncoeff.a.angle = 0\n"),
     ("coeff.v0.value", "{}", ""),
     ("coeff.v0.radius", "{}", "coeff.v0 = bump\n"),
     ("rho.value", "{}", ""),
@@ -840,7 +840,14 @@ def test_catalog_parameters_must_be_finite_numbers(tmp_path, capsys, key, templa
 
 
 @pytest.mark.parametrize(
-    "coeff", ["coeff.a.value = 1e300", "coeff.a = diagonal\ncoeff.a.p = 1e200\ncoeff.a.q = 1e200"]
+    "coeff",
+    [
+        "coeff.a.value = 1e300",
+        pytest.param(
+            "coeff.a = rotated-diagonal\ncoeff.a.p = 1e200\ncoeff.a.q = 1e200\ncoeff.a.angle = 0",
+            id="rotated-diagonal-1e200",
+        ),
+    ],
 )
 def test_overflowing_weyl_coefficient_is_a_config_error(tmp_path, coeff):
     out = tmp_path / "out"

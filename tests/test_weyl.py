@@ -1,9 +1,11 @@
-"""Asymptotic-coefficient algebra: the closed-form co-metric determinant
+"""Asymptotic-coefficient algebra: the planar co-metric determinant det a
 against the oracle's tangent-basis construction of Θ′, the oracle's Θ
 invariants, the branch densities α± (per item and over stacks), closed-form
-boundary integrals on catalog domains, and the symbol-integral cross-check
-that ties s·β to the dimensionless constant 1/2."""
+boundary integrals on catalog domains, pinned bits of the boundary quadrature,
+and the symbol-integral cross-check that ties s·β to the dimensionless
+constant 1/2."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -18,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 import oracles
 from oracles import beta, tangent_basis, theta_matrix, theta_prime
 from steklovlab import assembly, geometry, weyl
-from steklovlab.weyl import WeylError, alpha_pm, ball_volume, cometric_det, weyl_coefficient
+from steklovlab.weyl import WeylError, _densities, _planar_det, weyl_coefficient
 
 
 def _spd(entries):
@@ -96,50 +98,39 @@ def test_tangential_cometric_determinant_equals_det_a(a, th):
     assert tp[0, 0] == pytest.approx(np.linalg.det(a), rel=1e-10)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_cometric_det_equals_the_constructed_determinant(d):
-    # det Θ′ = (uᵀau)^(d−2) det a against det(PᵀΘP) in the oracle's tangent
-    # basis, on well-conditioned SPD a and normals of any length
-    rng = np.random.default_rng(100 + d)
-    L = rng.uniform(-1.0, 1.0, size=(500, d, d))
-    a = L @ np.swapaxes(L, -1, -2) + 0.5 * np.eye(d)
-    n = rng.normal(size=(500, d)) * rng.uniform(0.1, 10.0, size=(500, 1))
-    got = cometric_det(a, n)
+def test_planar_det_equals_the_constructed_determinant():
+    # det a against det(PᵀΘP) in the oracle's tangent basis, on well-conditioned
+    # SPD a and unit normals n/|n| of any direction
+    rng = np.random.default_rng(102)
+    L = rng.uniform(-1.0, 1.0, size=(500, 2, 2))
+    a = L @ np.swapaxes(L, -1, -2) + 0.5 * np.eye(2)
+    n = rng.normal(size=(500, 2)) * rng.uniform(0.1, 10.0, size=(500, 1))
+    got = _planar_det(a)
     want = np.array([np.linalg.det(theta_prime(ai, ni / np.linalg.norm(ni))) for ai, ni in zip(a, n)])
     assert got.shape == (500,)
     assert np.max(np.abs(got - want) / want) <= 1e-12
-
-
-@pytest.mark.parametrize("n", [np.zeros(2), np.zeros(3), np.array([np.nan, 1.0])])
-def test_cometric_det_refuses_a_zero_or_non_finite_normal(n):
-    with pytest.raises(WeylError, match="normal vector is zero"):
-        cometric_det(np.eye(len(n)), n)
-    with pytest.raises(WeylError, match="normal vector is zero"):
-        cometric_det(np.eye(len(n)), np.stack([np.ones(len(n)), n]))
 
 
 # ---------------------------------------------------------------------------
 # branch densities
 
 
-def test_ball_volumes():
-    assert ball_volume(1) == pytest.approx(2.0, rel=1e-15)
-    assert ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
-    assert ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
+def _alpha(a, rho):
+    return _densities(_planar_det(a), rho)
 
 
 def test_alpha_splits_by_weight_sign():
     n = _unit(0.7)
-    ap, am = alpha_pm(np.eye(2), n, 1.0)
+    ap, am = _alpha(np.eye(2), 1.0)
     assert (ap, am) == pytest.approx((2.0, 0.0), abs=1e-14)
-    ap, am = alpha_pm(np.eye(2), n, -2.0)
+    ap, am = _alpha(np.eye(2), -2.0)
     assert (ap, am) == pytest.approx((0.0, 4.0), abs=1e-14)
     with pytest.raises(WeylError, match="degenerate"):
-        alpha_pm(np.outer(n, n), n, 1.0)  # rank-one conductivity
+        _alpha(np.outer(n, n), 1.0)  # rank-one conductivity
     # det a overflows to inf
     for a in (1e300 * np.eye(2), np.diag([1e200, 1e200])):
         with pytest.raises(WeylError, match="overflows"):
-            alpha_pm(a, n, 1.0)
+            _alpha(a, 1.0)
 
 
 @pytest.mark.parametrize("th", np.linspace(0.05, 3.1, 12))
@@ -147,13 +138,7 @@ def test_alpha_refuses_a_rank_one_conductivity_at_every_angle(th):
     # rounding leaves det a = det Θ′ within a few ulps of zero, of either sign
     n = _unit(th)
     with pytest.raises(WeylError, match="degenerate"):
-        alpha_pm(np.outer(n, n), n, 1.0)
-
-
-def test_cometric_det_refuses_a_non_positive_cometric_with_positive_det_a():
-    # two negative eigenvalues: det a = 1 > 0 but uᵀau = −1, so det Θ′ = −1
-    with pytest.raises(WeylError, match=r"degenerate or overflows \(det -1.0\)"):
-        cometric_det(np.diag([-1.0, -1.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+        _alpha(np.outer(n, n), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -163,34 +148,18 @@ def test_cometric_det_refuses_a_non_positive_cometric_with_positive_det_a():
         np.diag([1e154, 1e154]),
         np.diag([1.0, 1e-12]),
         np.diag([1e-12, 1.0]),
-        np.diag([1e-3, 1e-3, 1e-15]),
-        np.diag([1.0, 1e-6, 1e-12]),  # det a = 1e-18 is far below ε·max|a_ij|³
     ],
-    ids=["diag-4-1", "near-overflow", "cond-1e12", "cond-1e12-swapped", "3d-cond-1e12", "3d-spread"],
+    ids=["diag-4-1", "near-overflow", "cond-1e12", "cond-1e12-swapped"],
 )
 def test_alpha_accepts_spd_conductivities_up_to_rounding_level(a):
-    d = len(a)
     for th in (0.0, 0.4, 2.0):
-        R = np.eye(d)
-        R[:2, :2] = [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]
+        R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         ar = R @ a @ R.T
-        n = np.eye(d)[0]
-        ap, _ = alpha_pm(ar, n, 1.0)
-        want = ball_volume(d - 1) / math.sqrt(float(np.linalg.det(theta_prime(ar, n))))
+        n = np.eye(2)[0]
+        ap, _ = _alpha(ar, 1.0)
+        # α₊ is the length 2ρ/√Θ′ of the tangent-frequency interval {ξ : ξΘ′ξ ≤ ρ²}
+        want = 2.0 / math.sqrt(float(np.linalg.det(theta_prime(ar, n))))
         assert ap == pytest.approx(want, rel=1e-3)
-
-
-def test_alpha_matches_monte_carlo_ellipsoid_volume():
-    # α± is the volume of the tangent-frequency ellipsoid {ξ : ξᵀΘ'ξ ≤ ρ²};
-    # check that through an independent Monte Carlo volume in two tangent
-    # dimensions (a three-dimensional conductivity)
-    a = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
-    n = np.array([0.0, 0.0, 1.0])
-    rho = 1.3
-    ap, _ = alpha_pm(a, n, rho)
-    tp = theta_prime(a, n)
-    mc = oracles.ellipsoid_volume_mc(tp, rho, n=400_000, seed=5)
-    assert ap == pytest.approx(mc, rel=0.01)
 
 
 @given(spd2, angles, st.floats(-3.0, 3.0), st.floats(0.05, 20.0))
@@ -214,20 +183,17 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_stacked_symbols_equal_per_item_calls_bitwise(d):
-    # five normals, each broadcast over seven conductivities and weights
-    rng = np.random.default_rng(d)
-    L = rng.normal(size=(5, 7, d, d))
-    a = L @ np.swapaxes(L, -1, -2) + 0.1 * np.eye(d)
-    n = rng.normal(size=(5, 1, d))
+def test_stacked_symbols_equal_per_item_calls_bitwise():
+    rng = np.random.default_rng(2)
+    L = rng.normal(size=(5, 7, 2, 2))
+    a = L @ np.swapaxes(L, -1, -2) + 0.1 * np.eye(2)
     rho = rng.normal(size=(5, 7))
     rho[0, :2] = 0.0, -0.0  # ±0.0 weights give the same bits stacked and per item
-    det, (ap, am) = cometric_det(a, n), alpha_pm(a, n, rho)
+    det, (ap, am) = _planar_det(a), _alpha(a, rho)
     assert det.shape == ap.shape == (5, 7)
     for i, j in np.ndindex(5, 7):
-        assert _bits(det[i, j]) == _bits(cometric_det(a[i, j], n[i, 0]))
-        single = alpha_pm(a[i, j], n[i, 0], float(rho[i, j]))
+        assert _bits(det[i, j]) == _bits(_planar_det(a[i, j]))
+        single = _alpha(a[i, j], float(rho[i, j]))
         assert _bits([ap[i, j], am[i, j]]) == _bits(single)
 
 
@@ -238,7 +204,7 @@ def test_stacked_alpha_names_the_first_degenerate_entry():
     a[3] = 1e300 * np.eye(2)  # Θ′ overflows
     first = float(np.linalg.det(a[2]))  # in the plane det Θ′ = det a
     with pytest.raises(WeylError, match="degenerate") as info:
-        alpha_pm(a, n, np.ones(4))
+        _alpha(a, np.ones(4))
     assert f"(det {first!r})" in str(info.value)
 
 
@@ -275,7 +241,6 @@ def _per_node_reference(domain, coeff):
     """The per-node loop: a and ρ per segment, α± and det Θ′ per node, and
     running sums in boundary order."""
     pts_a, pts_b = domain.segment_points()
-    normals = domain.segment_normals()
     lengths = domain.segment_lengths()
     gx, gw = leggauss(weyl.GAUSS_ORDER)
     t = 0.5 * (gx + 1.0)
@@ -286,8 +251,9 @@ def _per_node_reference(domain, coeff):
         a_vals = coeff.a(pts)
         rho_vals = coeff.rho(np.full(len(t), i), pts, pts)
         for q in range(len(t)):
-            ap, am = alpha_pm(a_vals[q], normals[i], float(rho_vals[q]))
-            det = float(cometric_det(a_vals[q], normals[i]))
+            det = _planar_det(a_vals[q])
+            ap, am = _densities(det, float(rho_vals[q]))
+            det = float(det)
             rows.append((offset + t[q] * lengths[i], det, ap, am))
             wp += w[q] * ap
             wm += w[q] * am
@@ -314,6 +280,41 @@ def test_weyl_coefficient_equals_the_per_node_loop_bitwise(domain, a, rho):
     table = np.column_stack([data.arclength, data.det_theta_prime, data.alpha_plus, data.alpha_minus])
     assert _bits(table) == _bits(rows)
     assert _bits([data.w_plus, data.w_minus]) == _bits([wp, wm])
+
+
+# SHA-256 of the arclength, det Θ′ and α± arrays and of (W+, W−), taken before
+# the symbol calculus became planar: any change to the quadrature's arithmetic
+# shows here.
+WEYL_DATA_DIGESTS = {
+    "square": ("square", {}, ("constant", {}), None,
+               "6f11ebab6398c6de39315a8f2aa0d9d3c0432b6a1ebc287790889e734f9f1785"),
+    "sawtooth": ("sawtooth-square", {}, ("constant", {}), None,
+                 "7995b7c46712cc10a9fc3f899a4e94596dbeab4148cd9a5b46c421da9099db5a"),
+    "koch-l3": ("koch-prefractal", {"level": 3}, ("constant", {}), None,
+                "3b3b7ce5cf49e3feae122997ab390414eefc3ecd1a68ff22af7300f5a139ad14"),
+    "ngon-256": ("regular-ngon", {"n": 256}, ("constant", {}), None,
+                 "b72a1bc8b3b9eb7d1b051fb30eac1cbe9accfe5e2174b894014cc440db897a87"),
+    "sign-split": ("square", {}, ("constant", {}), [1.0, 1.0, -1.0, -1.0],
+                   "c63bd4012c4ab3975650f0913f42a791f5d93e030a0ce8c89f8a942988f431c3"),
+    "rotated-diagonal": ("square", {}, ("rotated-diagonal", {"p": 4.0, "q": 1.0, "angle": 0.35}), None,
+                         "475f80a0a66ea65d91bd6bc2128994f57bf8b8b7d070effa9f2049163c189045"),
+    "checkerboard": ("square", {}, ("checkerboard", {"cell": 0.25}), None,
+                     "e2ec7f8fa9d2c3a0d4403b62b1f62b912b2a1d13acb4d5322feb2ea0b718d2da"),
+    "lshape-diagonal": ("lshape", {}, ("rotated-diagonal", {"p": 3.0, "q": 7.0, "angle": 0.0}), None,
+                        "f07cc947493f96fe8d15e7e9c66600b48307a7ed3603d1372bc8135610532e81"),
+}
+
+
+@pytest.mark.parametrize("case", list(WEYL_DATA_DIGESTS))
+def test_weyl_data_bits_are_pinned(case):
+    name, params, a, rho, digest = WEYL_DATA_DIGESTS[case]
+    coeff = _unit_coeff(rho).with_(a=assembly.make_matrix_field(a[0], **a[1]))
+    data = weyl_coefficient(geometry.make_domain(name, **params), coeff)
+    h = hashlib.sha256()
+    for x in (data.arclength, data.det_theta_prime, data.alpha_plus, data.alpha_minus):
+        h.update(_bits(x))
+    h.update(_bits([data.w_plus, data.w_minus]))
+    assert h.hexdigest() == digest
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():

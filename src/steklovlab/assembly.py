@@ -507,19 +507,13 @@ def assemble_forms(mesh: TriangleMesh, coeff: CoefficientField) -> AssembledForm
 # pullback under straightening
 
 
-def pullback_coefficients(
-    coeff: CoefficientField,
-    smap: StraighteningMap,
-    *,
-    omit_boundary_jacobian: bool = False,
-) -> CoefficientField:
+def pullback_coefficients(coeff: CoefficientField, smap: StraighteningMap) -> CoefficientField:
     """Transform (a, v₀, ρ) so the straightened problem has the same forms.
 
     On collar pieces with Jacobian J: ǎ(y) = J a(Ψ(y)) Jᵀ / det J and
     v̌(y) = v₀(Ψ(y)) / det J; outside the collar the map is the identity and
     coefficients pass through.  The boundary weight picks up the length ratio
-    of source to image edges (the boundary Jacobian); ``omit_boundary_jacobian``
-    drops that factor deliberately (negative-control experiments).
+    of source to image edges (the boundary Jacobian).
     """
     base_a, base_v, base_rho = coeff.a, coeff.v0, coeff.rho
     jac = smap.jacobians
@@ -553,13 +547,10 @@ def pullback_coefficients(
         # the factor is the local boundary stretch: source over image length
         # of each edge, so a zero-length edge (a single point) has none
         img_len = np.linalg.norm(p1 - p0, axis=1)
-        if not omit_boundary_jacobian and not (img_len > 0).all():
+        if not (img_len > 0).all():
             raise AssemblyError("pulled-back weight needs boundary edges of positive length")
         s0, s1 = np.split(smap.pull(np.vstack([p0, p1]))[0], 2)
-        vals = base_rho(parents, s0, s1)
-        if not omit_boundary_jacobian:
-            vals = vals * (np.linalg.norm(s1 - s0, axis=1) / img_len)
-        return vals
+        return base_rho(parents, s0, s1) * (np.linalg.norm(s1 - s0, axis=1) / img_len)
 
     rho_out = BoundaryWeight(f"pullback({base_rho.name})", rho_fn)
     return CoefficientField(a_out, v_out, rho_out)

@@ -44,6 +44,7 @@ __all__ = [
 DENSE_DIMENSION_CAP = 8000  # caps nb, the number of weighted nodes
 SCHUR_PROBE_TOL = 1e-10  # relative gap ‖G GᵀZ − S Z‖ / ‖S Z‖ of the condensation
 ZERO_THRESHOLD_REL = 1e-12
+CONDITION_BOUND = 1e10  # largest estimated cond S = (1 / rcond G)² of a condensed energy
 
 
 class EigensolveError(RuntimeError):
@@ -127,7 +128,9 @@ def _condense(A, B):
     k ≤ 4; the relative gap ‖G GᵀZ − S Z‖ / ‖S Z‖ (0 when nb = 0) checks G
     against it, both norms taken after one power-of-two scaling.  Returns G,
     the sparse B_bb and that gap.  Raises ``EigensolveError`` when A is not
-    SPD, the gap exceeds ``SCHUR_PROBE_TOL``, or nb exceeds
+    SPD, when LAPACK's estimate (1 / rcond G)² of cond S exceeds
+    ``CONDITION_BOUND`` (the smaller pairs would be lost to rounding), when
+    the gap exceeds ``SCHUR_PROBE_TOL``, or when nb exceeds
     ``DENSE_DIMENSION_CAP`` (a memory guard: the work arrays are nb × nb)."""
     n = A.shape[0]
     weighted = _weighted_rows(B)
@@ -158,6 +161,15 @@ def _condense(A, B):
     L = lu.L
     del lu
     G = L[ni:, ni:].toarray() * np.sqrt(pivots[ni:])
+    if nb:  # Gᵀ is column-major and upper triangular: LAPACK reads G in place
+        rcond = sla.lapack.dtrcon(G.T, norm="I", uplo="U")[0]
+        with np.errstate(divide="ignore", over="ignore"):
+            cond = float(np.float64(rcond) ** -2)
+        if not cond <= CONDITION_BOUND:
+            raise EigensolveError(
+                f"condensed energy too ill-conditioned to resolve its pairs: cond estimate "
+                f"{cond:.1e} exceeds {CONDITION_BOUND:.0e}"
+            )
     gap = 0.0
     if nb:  # scaled so that max|SZ| < 1: no square in either norm overflows
         e = -np.frexp(np.abs(SZ).max())[1]

@@ -1,11 +1,10 @@
-"""Polygon domains, boundary charts, meshes, and piecewise-affine straightening.
+"""Polygon domains, meshes, and piecewise-affine straightening.
 
-The boundary of every domain here is a simple CCW polygon.  Boundary portions
-that are graphs ``y = psi(x)`` over an interval carry a `LipschitzChart`, which
-is what the vertical-straightening construction consumes: the collar between
-the graph and a horizontal base line is flattened by a piecewise-affine map
-with explicit per-piece Jacobians, exact at mesh nodes, so discrete energy and
-boundary forms transport exactly.
+The boundary of every domain here is a simple CCW polygon.  A domain whose top
+is a graph ``y = psi(x)`` over a rectangle can be straightened: the collar
+between the graph and a horizontal base line is flattened by a piecewise-affine
+map with explicit per-piece Jacobians, exact at mesh nodes, so discrete energy
+and boundary forms transport exactly.
 """
 
 from __future__ import annotations
@@ -24,54 +23,16 @@ __all__ = [
     "GeometryError",
     "MeshingError",
     "PolygonDomain",
-    "LipschitzChart",
     "TriangleMesh",
     "StraighteningMap",
     "make_domain",
     "triangulate",
     "build_straightening",
-    "build_matched_meshes",
 ]
 
 
 class GeometryError(ValueError):
-    """Invalid polygon, chart, or straightening input."""
-
-
-# ---------------------------------------------------------------------------
-# charts
-
-
-@dataclass(frozen=True)
-class LipschitzChart:
-    """Piecewise-linear boundary graph ``y = psi(x)`` over ``[xs[0], xs[-1]]``.
-
-    ``xs`` is strictly increasing; the domain interior lies below the graph.
-    ``segment_ids`` maps each chart piece ``[xs[i], xs[i+1]]`` to the index of
-    the polygon segment realizing it (the polygon may traverse the graph in
-    either direction).
-    """
-
-    xs: np.ndarray
-    values: np.ndarray
-    segment_ids: np.ndarray
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        ids = np.asarray(self.segment_ids, dtype=np.int64)
-        if xs.ndim != 1 or xs.size < 2 or vals.shape != xs.shape:
-            raise GeometryError("chart needs matching 1-d xs and values")
-        if not (np.diff(xs) > 0).all():
-            raise GeometryError("chart xs must be strictly increasing")
-        if ids.shape != (xs.size - 1,):
-            raise GeometryError("chart needs one segment id per piece")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "segment_ids", ids)
-
-    def __call__(self, x):
-        return np.interp(x, self.xs, self.values)
+    """Invalid polygon or straightening input."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +41,7 @@ class LipschitzChart:
 
 @dataclass
 class PolygonDomain:
-    """Simple CCW polygon with an optional boundary chart.
+    """Simple CCW polygon.
 
     ``vertices`` has shape (k, 2); segment ``i`` runs from vertex ``i`` to
     vertex ``i+1`` (cyclically).  The span must lie in [2^-200, 2^200], where
@@ -92,7 +53,6 @@ class PolygonDomain:
 
     vertices: np.ndarray
     name: str = "polygon"
-    chart: LipschitzChart | None = None
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -179,14 +139,20 @@ def _signed_area2(v: np.ndarray) -> float:
 
 
 def _check_simple(v: np.ndarray):
-    """Reject self-intersecting polygons (vectorized segment-pair test)."""
+    """Reject a polygon two of whose non-adjacent edges share a point: a
+    crossing, a vertex on another edge, or collinear edges that overlap
+    (vectorized segment-pair test)."""
     n = len(v)
     p = v
     q = np.roll(v, -1, axis=0)
     d = q - p
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
     # orientation of point r relative to segment i: cross(d_i, r - p_i)
     for i in range(n):
         js = np.arange(i + 2, n if i > 0 else n - 1)
+        # only an edge whose bounding box meets edge i's can share a point with
+        # it; for collinear edges, that decides
+        js = js[(lo[js] <= hi[i]).all(axis=1) & (lo[i] <= hi[js]).all(axis=1)]
         if js.size == 0:
             continue
         def cross2(u, w):
@@ -196,10 +162,10 @@ def _check_simple(v: np.ndarray):
         o2 = cross2(d[i], q[js] - p[i])
         o3 = cross2(d[js], p[i] - p[js])
         o4 = cross2(d[js], q[i] - p[js])
-        # signs, not products, which underflow to 0 for nearly collinear points
-        crossing = (np.sign(o1) * np.sign(o2) < 0) & (np.sign(o3) * np.sign(o4) < 0)
-        if crossing.any():
-            raise GeometryError("polygon is self-intersecting")
+        # each edge reaches the other's line; signs, not products, which
+        # underflow to 0 for nearly collinear points
+        if ((np.sign(o1) * np.sign(o2) <= 0) & (np.sign(o3) * np.sign(o4) <= 0)).any():
+            raise GeometryError("polygon is self-intersecting or touches itself")
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +232,7 @@ def _regular_ngon(n: int = 64, radius: float = 1.0) -> PolygonDomain:
 def _square(side: float = 1.0) -> PolygonDomain:
     s = _length("square", "side", side)
     verts = np.array([[0.0, 0.0], [s, 0.0], [s, s], [0.0, s]])
-    # Flat chart along the top side (segment 2 runs right-to-left).
-    chart = LipschitzChart(np.array([0.0, s]), np.array([s, s]), np.array([2]))
-    return PolygonDomain(verts, "square", chart)
+    return PolygonDomain(verts, "square")
 
 
 def _lshape(size: float = 1.0, notch: float = 0.5) -> PolygonDomain:
@@ -296,13 +260,7 @@ def _sawtooth_square(teeth: int = 8, slope: float = 1.0) -> PolygonDomain:
     verts = [[0.0, 0.0], [1.0, 0.0]]
     # top traversed right-to-left to keep the polygon CCW
     verts.extend([[x, y] for x, y in zip(reversed(xs), reversed(ys))])
-    # Chart pieces map to polygon segments: segment j runs vertex j -> j+1.
-    # Vertices 2 .. 2 + 2m are the top, in decreasing x, so the chart piece
-    # [xs[i], xs[i+1]] is polygon segment (2 + 2m - 1 - i).
-    npieces = 2 * m
-    seg_ids = np.array([2 + npieces - 1 - i for i in range(npieces)])
-    chart = LipschitzChart(np.array(xs), np.array(ys), seg_ids)
-    return PolygonDomain(np.array(verts), "sawtooth-square", chart)
+    return PolygonDomain(np.array(verts), "sawtooth-square")
 
 
 def _koch_prefractal(level: int = 2, side: float = 1.0) -> PolygonDomain:
@@ -439,42 +397,48 @@ _CELL_SPLIT = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
 
 
 def _cell_triangles(grid: np.ndarray) -> np.ndarray:
-    """Both triangles of every cell of a node grid, as ``[triangle, corner, ...]``.
+    """Both triangles of every cell of a node-id grid indexed ``[column, row]``.
 
-    ``grid`` holds node ids or positions indexed ``[column, row, ...]``.  The
-    triangles come in (column, row, half) order: half s of cell (i, j) is
+    The triangles come in (column, row, half) order: half s of cell (i, j) is
     triangle ``2 (i·rows + j) + s``, with ``rows`` cells per column.
     """
     ncol, nrow = grid.shape[0] - 1, grid.shape[1] - 1
     i = np.arange(ncol)[:, None, None, None] + _CELL_SPLIT[..., 0]
     j = np.arange(nrow)[None, :, None, None] + _CELL_SPLIT[..., 1]
-    return grid[i, j].reshape(2 * ncol * nrow, 3, *grid.shape[2:])
+    return grid[i, j].reshape(2 * ncol * nrow, 3)
 
 
 @dataclass
 class StraighteningMap:
-    """Piecewise-affine flattening of a graph collar over one structured grid.
+    """Piecewise-affine flattening of a graph collar, with its node-matched meshes.
 
-    The collar is the region between the chart graph and the horizontal base
-    line ``y = base``.  Its grid has a node column at each of the ``stations``
-    with ``levels + 1`` nodes per column (`nodes`), both at most the mesh size
-    ``h`` apart in the source: there, level j sits j/levels of the local collar
-    thickness above the base line; in the image, j/levels of the chart width
-    w = x1 - x0, so the collar maps onto the box ``[x0, x1] x (base, base + w]``.
+    The collar is the region between the domain's top graph and the
+    horizontal base line ``y = base``.  ``source`` and ``image`` are one
+    structured grid with the same node numbering and triangles: a lower grid
+    fills the rectangle below the base line, and the collar grid has a node
+    column at each of the ``stations`` with ``levels + 1`` nodes per column,
+    level 0 being the lower grid's top row.  In the source, level j sits
+    j/levels of the local collar thickness above the base line; in the image,
+    j/levels of the graph width w = x1 - x0, so the collar maps onto the box
+    ``[x0, x1] x (base, base + w]``; the lower grid is the same in both.
     Every grid cell splits into two triangles as ``_CELL_SPLIT`` says, and the
-    map is affine on each of these pieces: half s of cell (i, j) is piece
-    ``2 (i·levels + j) + s``, ``jacobians[k]`` is the constant 2x2 Jacobian
-    on piece k and ``dets[k]`` its determinant, both computed on first use.
-    Outside the collar the map is the identity; the glue along the base line
-    is continuous.
+    map is affine on each collar triangle: half s of collar cell (i, j) is
+    piece k = ``2 (i·levels + j) + s``, mesh triangle ``first + k``.
+    ``jacobians[k]`` is the constant 2x2 Jacobian on piece k and ``dets[k]``
+    its determinant, both computed on first use.  Outside the collar the map
+    is the identity; the glue along the base line is continuous.
     """
 
-    domain: PolygonDomain
-    chart: LipschitzChart
+    source: TriangleMesh
+    image: TriangleMesh
     base: float
     stations: np.ndarray
     levels: int
-    h: float
+
+    @property
+    def first(self) -> int:
+        """Mesh index of the first collar triangle, piece 0."""
+        return len(self.source.triangles) - 2 * (self.stations.size - 1) * self.levels
 
     @cached_property
     def jacobians(self) -> np.ndarray:
@@ -482,24 +446,13 @@ class StraighteningMap:
         # edge vectors from corner 0 are the columns of dpre and dpost.
         dpre, dpost = (
             np.stack([t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]], axis=2)
-            for t in map(_cell_triangles, self.nodes())
+            for t in (m.nodes[m.triangles[self.first :]] for m in (self.source, self.image))
         )
         return dpost @ np.linalg.inv(dpre)
 
     @cached_property
     def dets(self) -> np.ndarray:
         return np.linalg.det(self.jacobians)
-
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Source and image positions of the collar nodes, each indexed
-        ``[station, level, xy]``; level 0 is the base line."""
-        frac = np.arange(self.levels + 1) / self.levels
-        width = self.stations[-1] - self.stations[0]
-        thick = self.chart(self.stations) - self.base
-        x = np.broadcast_to(self.stations[:, None], (self.stations.size, self.levels + 1))
-        pre = np.stack([x, self.base + frac[None, :] * thick[:, None]], axis=2)
-        post = np.stack([x, np.broadcast_to(self.base + frac * width, x.shape)], axis=2)
-        return pre, post
 
     def pull(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Source position and piece of each image-coordinate point.
@@ -522,128 +475,97 @@ class StraighteningMap:
         cols = np.clip(cols, 0, self.stations.size - 2)
         rows = np.floor((yi - self.base) / width * self.levels).astype(np.int64)
         rows = np.clip(rows, 0, self.levels - 1)
-        pre, post = self.nodes()
-        lo, hi = post[cols, rows], post[cols + 1, rows + 1]
+        # half 0 of the cell: its lower-left, lower-right and upper-right corners
+        corners = self.image.triangles[self.first + 2 * (cols * self.levels + rows)]
+        lo, hi = self.image.nodes[corners[:, 0]], self.image.nodes[corners[:, 2]]
         above = (yi - lo[:, 1]) * (hi[:, 0] - lo[:, 0]) > (xi - lo[:, 0]) * (hi[:, 1] - lo[:, 1])
         piece[hit] = 2 * (cols * self.levels + rows) + above
         inv = np.linalg.inv(self.jacobians)[piece[hit]]
-        src[hit] = np.einsum("kij,kj->ki", inv, pts[hit] - lo) + pre[cols, rows]
+        src[hit] = np.einsum("kij,kj->ki", inv, pts[hit] - lo) + self.source.nodes[corners[:, 0]]
         return src, piece
 
 
-COLLAR_DEPTH = 0.25  # base line below the chart's lowest point, in chart widths
-
-
-def _check_budget(nodes: float, h: float) -> None:
-    """Refuse a grid of more nodes than the mesher may insert; the count grows as 1/h²."""
-    if not nodes <= MAX_INSERTIONS:
-        raise MeshingError(f"h = {h:g} needs {nodes:.3g} nodes, over the budget {MAX_INSERTIONS}")
-
-
-def _sides(domain: PolygonDomain) -> np.ndarray:
-    """Segment ids of a charted domain's left side, bottom and right side: k0 - 1,
-    k0 and k0 + 1, with k0 the bottom-left vertex (the chart's first piece ends at k0 - 1)."""
-    k0 = (domain.chart.segment_ids[0] + 2) % domain.n_segments
-    return (k0 + np.arange(-1, 2)) % domain.n_segments
+COLLAR_DEPTH = 0.25  # base line below the graph's lowest point, in graph widths
 
 
 def build_straightening(domain: PolygonDomain, h: float) -> StraighteningMap:
-    """Construct the collar-flattening map of the domain's chart at mesh size ``h``.
+    """The collar-flattening map of the domain's top graph at mesh size ``h``,
+    with its node-matched source and image meshes.
 
-    The domain must be its chart over a rectangle: the two polygon vertices
-    off the chart are the bottom corners, exactly below the chart's ends (the
-    catalog square and sawtooth domains qualify).  The base line sits
-    ``COLLAR_DEPTH`` chart widths below the lowest point of the graph and
+    The domain must be a graph over a rectangle.  Its CCW vertices from the
+    bottom-left corner k0 (the lowest, then leftmost) are the bottom-right
+    corner and then the graph from right to left, and the graph's ends stand
+    exactly above the bottom corners; graph piece i, counted left to right,
+    is polygon segment (k0 + n - 2 - i) mod n.  The base line sits
+    ``COLLAR_DEPTH`` graph widths below the lowest point of the graph and
     strictly above the bottom side, so the collar lies inside the domain.
-    Each chart piece splits into ⌈width/h⌉ equal columns and the collar into
-    ⌈largest collar thickness/h⌉ levels, so no vertical or horizontal side of
-    a source cell is longer than h.  A domain without a chart or outside that
-    shape raises ``GeometryError``; a grid over the mesher's node budget
-    raises ``MeshingError`` before it is allocated.
+    Each graph piece splits into ⌈width/h⌉ equal columns, the collar into
+    ⌈largest collar thickness/h⌉ levels and the rectangle below it into
+    ⌈its height/h⌉ rows, so no vertical or horizontal side of a source cell
+    is longer than h.  A domain of another shape raises ``GeometryError``; a
+    grid over the mesher's node budget raises ``MeshingError`` before it is
+    allocated.
     """
-    chart = domain.chart
-    if chart is None:
-        raise GeometryError(f"domain {domain.name!r} has no chart to straighten")
     if not 0 < h < math.inf:  # False for NaN too
         raise GeometryError("mesh size h must be finite and positive")
-    x0, x1 = chart.xs[0], chart.xs[-1]
-    sides = _sides(domain)
-    yb = float(domain.vertices[sides[1], 1])
-    base = float(chart.values.min()) - COLLAR_DEPTH * (x1 - x0)
-    segments = np.sort(np.concatenate([chart.segment_ids, sides]))
-    if not (
-        np.array_equal(segments, np.arange(domain.n_segments))
-        and np.array_equal(domain.vertices[sides[1:]], [[x0, yb], [x1, yb]])
-        and yb < base
-    ):
+    v, n = domain.vertices, domain.n_segments
+    k0 = int(np.lexsort((v[:, 0], v[:, 1]))[0])
+    xs, ys = v[(k0 - 1 - np.arange(n - 2)) % n].T
+    (xb, yb), (xr, yr) = v[k0], v[(k0 + 1) % n]
+    width = xs[-1] - xs[0]
+    base = float(ys.min()) - COLLAR_DEPTH * width
+    corners = np.array_equal([xb, xr, yr], [xs[0], xs[-1], yb])
+    if not (n >= 4 and (np.diff(xs) > 0).all() and corners and yb < base):
         raise GeometryError(
-            "straightening needs a chart over a rectangular remainder below its collar"
+            f"domain {domain.name!r} is not a graph over a rectangular remainder below its collar"
         )
     with np.errstate(over="ignore"):  # a tiny h gives inf counts, which the budget refuses
-        pieces = np.maximum(1, np.ceil(np.diff(chart.xs) / h - 1e-12))
-        columns = float(pieces.sum())
-        levels = max(1, np.ceil((float(chart.values.max()) - base) / h - 1e-12))
-    _check_budget((columns + 1) * float(levels + 1), h)
+        pieces = np.maximum(1, np.ceil(np.diff(xs) / h - 1e-12))
+        levels = max(1, np.ceil((float(ys.max()) - base) / h - 1e-12))
+        rows = max(1, np.ceil((base - yb) / h - 1e-12))
+        nodes = (float(pieces.sum()) + 1) * float(rows + 1 + levels)
+    if not nodes <= MAX_INSERTIONS:
+        raise MeshingError(f"h = {h:g} needs {nodes:.3g} nodes, over the budget {MAX_INSERTIONS}")
 
-    # column index to x, piecewise linear: chart piece i spans columns knots[i..i+1]
+    # column index to x, piecewise linear: graph piece i spans columns knots[i..i+1]
     knots = np.concatenate([[0], np.cumsum(pieces)])
-    stations = np.interp(np.arange(knots[-1] + 1), knots, chart.xs)
-    if (chart(stations) - base <= 0).any():
+    stations = np.interp(np.arange(knots[-1] + 1), knots, xs)
+    thick = np.interp(stations, xs, ys) - base
+    if (thick <= 0).any():
         raise GeometryError("collar base must stay strictly below the graph")
-    return StraighteningMap(domain, chart, base, stations, int(levels), float(h))
-
-
-def build_matched_meshes(smap: StraighteningMap) -> tuple[TriangleMesh, TriangleMesh]:
-    """Node-matched meshes of the source domain and its straightened image at ``smap.h``.
-
-    ``build_straightening`` has checked that the domain is its chart over a
-    rectangle.  Both meshes are one structured grid: a lower grid of spacing
-    at most h fills that rectangle up to the base line, and the collar nodes
-    of ``smap.nodes()`` stand on its top row.  Every cell splits as
-    ``_CELL_SPLIT`` says, so the collar triangles are the straightening
-    pieces in piece order.  The source mesh takes the source node positions,
-    the image mesh the image positions (the lower grid is the same in both),
-    and the connectivity is identical.  A grid over the mesher's node budget
-    raises ``MeshingError`` before it is allocated.
-    """
-    dom, chart, h = smap.domain, smap.chart, smap.h
-    sides = _sides(dom)
-    yb = float(dom.vertices[sides[1], 1])
-    stations = smap.stations
-    nx = stations.size
-    rows = np.ceil((smap.base - yb) / h - 1e-12)
-    _check_budget(nx * (rows + 1 + smap.levels), h)
-    nrow_lower = max(1, int(rows))
-    ys_lower = yb + (smap.base - yb) * np.arange(nrow_lower + 1) / nrow_lower
+    levels, rows, nx = int(levels), int(rows), stations.size
 
     # Node ids: the lower grid column by column, then collar levels 1..levels
-    # column by column; collar level 0 is the lower grid's top row.
-    lower = np.arange(nx * (nrow_lower + 1)).reshape(nx, nrow_lower + 1)
-    collar = np.hstack([lower[:, -1:], lower.size + np.arange(nx * smap.levels).reshape(nx, -1)])
-    lower_xy = np.stack(
-        [np.broadcast_to(stations[:, None], lower.shape), np.broadcast_to(ys_lower, lower.shape)],
-        axis=2,
-    ).reshape(-1, 2)
-    pre, post = (np.vstack([lower_xy, xy[:, 1:].reshape(-1, 2)]) for xy in smap.nodes())
+    # column by column; collar level 0 is the lower grid's top row, at base.
+    lower = np.arange(nx * (rows + 1)).reshape(nx, rows + 1)
+    collar = np.hstack([lower[:, -1:], lower.size + np.arange(nx * levels).reshape(nx, -1)])
+    g = np.hstack([lower, collar[:, 1:]])
+    lower_y = yb + (base - yb) * np.arange(rows + 1) / rows
+    lower_y[-1] = base
+    frac = np.arange(1, levels + 1) / levels
+    pre, post = np.empty((g.size, 2)), np.empty((g.size, 2))
+    for xy, collar_y in ((pre, base + frac * thick[:, None]), (post, base + frac * width)):
+        xy[g, 0] = stations[:, None]
+        xy[lower, 1] = lower_y
+        xy[collar[:, 1:], 1] = collar_y
     tris = np.vstack([_cell_triangles(lower), _cell_triangles(collar)])
 
     # boundary edges, interior on the left: bottom, right side, the graph
     # right to left, left side
-    g = np.hstack([lower, collar[:, 1:]])
     bottom = np.stack([g[:-1, 0], g[1:, 0]], axis=1)
     right = np.stack([g[-1, :-1], g[-1, 1:]], axis=1)
     graph = np.stack([g[:0:-1, -1], g[-2::-1, -1]], axis=1)
     left = np.stack([g[0, :0:-1], g[0, -2::-1]], axis=1)
     edges = np.vstack([bottom, right, graph, left])
-    mids = 0.5 * (stations[1:] + stations[:-1])
+    piece_ids = (k0 - 2 - np.arange(len(pieces))) % n
     parents = np.concatenate(
         [
-            np.full(len(bottom), sides[1]),
-            np.full(len(right), sides[2]),
-            chart.segment_ids[np.searchsorted(chart.xs, mids[::-1]) - 1],
-            np.full(len(left), sides[0]),
+            np.full(len(bottom), k0),
+            np.full(len(right), (k0 + 1) % n),
+            np.repeat(piece_ids, pieces.astype(np.int64))[::-1],
+            np.full(len(left), (k0 - 1) % n),
         ]
     )
-    mesh_pre = TriangleMesh(pre, tris, edges, parents, h)
-    mesh_post = TriangleMesh(post, tris.copy(), edges.copy(), parents.copy(), h)
-    return mesh_pre, mesh_post
+    source = TriangleMesh(pre, tris, edges, parents, float(h))
+    image = TriangleMesh(post, tris.copy(), edges.copy(), parents.copy(), float(h))
+    return StraighteningMap(source, image, base, stations, levels)

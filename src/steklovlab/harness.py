@@ -45,12 +45,13 @@ exactly one value per domain segment, a weight that predicts no positive
 branch (W+ = 0) in the boundary-only, mollification or bilipschitz
 experiment, which read only that branch, or a coefficient whose W±
 overflows ends ``run_experiment`` in ``HarnessError`` (or the catalog's
-``GeometryError``/``AssemblyError``, or ``WeylError``; a collar grid alone
-over the node budget in ``MeshingError``) before the first stage starts, and
-nothing is written.  Once a stage has started, every experiment
+``GeometryError``/``AssemblyError``, or ``WeylError``) before the first stage
+starts, and nothing is written.  Once a stage has started, every experiment
 turns a failure into ``report.error`` and writes a partial ``report.json``
 (and no CSV or SVG) holding what was computed up to the failure; so does a
-failure to render the CSV or SVG artifacts.
+failure to render the CSV or SVG artifacts.  A domain that is not a graph
+over a rectangle ends the bilipschitz run that way in its "mesh" stage, with
+a ``GeometryError``, like an unmeshable h elsewhere.
 
 Reports never widen a tolerance at runtime: the numbers in the JSON are the
 numbers the pass/fail verdict was computed from.  CSV outputs are bitwise
@@ -519,12 +520,12 @@ def _bilipschitz_invariance(cfg: ExperimentConfig, report: Report) -> None:
     h = cfg.mesh_levels()[-1]
     coeff = _coeff_from(cfg, domain)
     _positive_branch(domain, coeff)
-    smap = geometry.build_straightening(domain, h)
     with report.stage("mesh"):
-        mesh_pre, mesh_post = geometry.build_matched_meshes(smap)
+        smap = geometry.build_straightening(domain, h)
     with report.stage("assembly"):
-        forms_pre = assembly.assemble_forms(mesh_pre, coeff)
-        forms_post = assembly.assemble_forms(mesh_post, assembly.pullback_coefficients(coeff, smap))
+        pulled = assembly.pullback_coefficients(coeff, smap)
+        forms_pre = assembly.assemble_forms(smap.source, coeff)
+        forms_post = assembly.assemble_forms(smap.image, pulled)
     with report.stage("solve"):
         spec_pre = eigensolve.solve_dense(forms_pre.A, forms_pre.B)
         spec_post = eigensolve.solve_dense(forms_post.A, forms_post.B)
@@ -536,11 +537,10 @@ def _bilipschitz_invariance(cfg: ExperimentConfig, report: Report) -> None:
     rel = np.abs(spec_pre.positive[:k] - spec_post.positive[:k]) / spec_pre.positive[:k]
     max_rel = float(rel.max())
 
-    # negative control: drop the boundary length factor from the pulled-back
-    # weight, which must visibly move the spectrum
+    # negative control: the unpulled weight on the image mesh drops the
+    # boundary length factor, which must visibly move the spectrum
     with report.stage("control"):
-        misuse = assembly.pullback_coefficients(coeff, smap, omit_boundary_jacobian=True)
-        bad = assembly.assemble_forms(mesh_post, misuse)
+        bad = assembly.assemble_forms(smap.image, pulled.with_(rho=coeff.rho))
         spec_bad = eigensolve.solve_dense(bad.A, bad.B)
     kb = min(k, len(spec_bad.positive))
     ref = spec_pre.positive[:kb]

@@ -37,15 +37,21 @@ def _planar_det(a: np.ndarray) -> np.ndarray:
 
     Raises ``WeylError`` for any det a that is non-finite or does not exceed
     its rounding level 8ε·max|a_ij|² (so also any det a ≤ 0), reached at
-    about cond a ≥ 5e14.  The message names the first such det a."""
+    about cond a ≥ 5e14, and for any a with a₁₁ ≤ 0: a positive det a and a
+    positive a₁₁ make a positive definite, where det(−I) = 1 alone would
+    not.  The message names the first such det a and its a₁₁."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         det = np.linalg.det(a)
         amax = np.abs(a).max(axis=(-2, -1))
         floor = 4 * 2 * np.finfo(float).eps * amax * amax
-        bad = np.flatnonzero(~(np.isfinite(det) & (det > floor)))
+        bad = np.flatnonzero(~(np.isfinite(det) & (det > floor) & (a[..., 0, 0] > 0)))
     if bad.size:
         first = float(np.ravel(det)[bad[0]])
-        raise WeylError(f"tangential co-metric is degenerate or overflows (det {first!r})")
+        a11 = float(np.ravel(a[..., 0, 0])[bad[0]])
+        raise WeylError(
+            "tangential co-metric is degenerate, overflows or is not positive definite "
+            f"(det {first!r}, a11 {a11!r})"
+        )
     return det
 
 

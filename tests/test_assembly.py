@@ -399,7 +399,7 @@ def test_ellipticity_guard_squares_no_sample(square_mesh):
 def test_pullback_preserves_energy_integrals():
     dom = geometry.make_domain("sawtooth-square")
     smap = geometry.build_straightening(dom, 0.125)
-    src, img = geometry.build_matched_meshes(smap)
+    src, img = smap.source, smap.image
     coeff = _cf(
         a=rotated_diagonal(p=2.0, q=1.0, angle=0.2), v0=constant_potential(1.0)
     )

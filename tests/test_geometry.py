@@ -39,9 +39,13 @@ def test_unknown_domain_rejected():
     (lambda: geometry.PolygonDomain([[0, 0], [1, 0], [1, 0], [0, 1]]), "repeated consecutive"),
     (lambda: geometry.PolygonDomain([[0, 0], [1, 0], [2, 0]]), "zero area"),
     (lambda: geometry.PolygonDomain([[0, 0], [2, 0], [2, 2], [1, -1], [0, 2]]), "intersecting"),
-    (lambda: geometry.LipschitzChart([0.0, 1.0], [1.0], [0]), "matching 1-d xs and values"),
-    (lambda: geometry.LipschitzChart([0.0, 0.0], [1.0, 1.0], [0]), "strictly increasing"),
-    (lambda: geometry.LipschitzChart([0.0, 1.0], [1.0, 1.0], [0, 1]), "one segment id per piece"),
+    (lambda: geometry.PolygonDomain([[0, 0], [2, 0], [2, 2], [1, 0], [0, 2]]), "touches itself"),
+    (
+        lambda: geometry.PolygonDomain(
+            [[0, 0], [2, 0], [2, 1], [1, 1], [1, 0], [1.5, 0], [1.5, -1], [0, -1]]
+        ),
+        "touches itself",
+    ),
     (lambda: make_domain("regular-ngon", n=2), "regular-ngon needs n >= 3"),
     (lambda: make_domain("lshape", notch=1.0), "lshape notch must satisfy 0 < notch < 1"),
     (lambda: make_domain("sawtooth-square", teeth=0), "sawtooth-square needs teeth >= 1"),
@@ -52,8 +56,8 @@ def test_unknown_domain_rejected():
     (lambda: geometry.PolygonDomain([[0, 0], [1, 0], [math.inf, 1], [0, 1]]), "must be finite"),
     (lambda: geometry.PolygonDomain([[0, 0], [1, 0], [1, -math.inf], [0, 1]]), "must be finite"),
 ], ids=[
-    "two-vertices", "repeated-vertex", "zero-area", "crossing-edges", "chart-shape",
-    "chart-not-increasing", "chart-ids", "ngon-n2", "lshape-notch1", "sawtooth-teeth0",
+    "two-vertices", "repeated-vertex", "zero-area", "crossing-edges", "vertex-on-edge",
+    "overlapping-edges", "ngon-n2", "lshape-notch1", "sawtooth-teeth0",
     "sawtooth-slope0", "koch-level5", "square-side-overflow", "nan-vertex", "inf-vertex",
     "minus-inf-vertex",
 ])
@@ -297,6 +301,16 @@ def _random_star(seed, index):
     return geometry.PolygonDomain(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1))
 
 
+def test_disjoint_collinear_edges_are_simple():
+    # Koch prefractals keep both outer thirds of every edge, on one line; the
+    # seeded random stars are simple by construction
+    for level in range(5):
+        make_domain("koch-prefractal", level=level)
+    for index in range(120):
+        _random_star(12345, index)
+    geometry.PolygonDomain([[0, 0], [1, 0], [1, 1], [2, 1], [2, 0], [3, 0], [3, 2], [0, 2]])
+
+
 def test_random_star_meshes_or_raises_meshing_error():
     # 34 vertices with input angles far below 60 degrees: refinement here once
     # ended in a ZeroDivisionError on a triangle with coincident vertices
@@ -381,7 +395,7 @@ def test_span_outside_the_range_is_a_geometry_error(side):
 def test_straightening_matched_meshes():
     dom = make_domain("sawtooth-square")
     smap = geometry.build_straightening(dom, 0.1)
-    src, img = geometry.build_matched_meshes(smap)
+    src, img = smap.source, smap.image
     # identical connectivity, bijective node map
     assert np.array_equal(src.triangles, img.triangles)
     assert src.n_nodes == img.n_nodes
@@ -400,9 +414,13 @@ def test_straightening_matched_meshes():
 def test_straightening_pull_inverts_every_piece():
     dom = make_domain("sawtooth-square")
     smap = geometry.build_straightening(dom, 0.06)
-    pre, post = smap.nodes()
-    # Reference loop: half s of cell (i, j) is piece 2(i·levels + j) + s,
-    # half 0 below the cell's lower-left to upper-right diagonal.
+    # Reference loop: half s of collar cell (i, j) is piece 2(i·levels + j) + s,
+    # half 0 below the cell's lower-left to upper-right diagonal; the collar
+    # nodes of column i are the top levels + 1 of the column's nodes.
+    columns = [np.flatnonzero(smap.source.nodes[:, 0] == x) for x in smap.stations]
+    pre = np.array([smap.source.nodes[c[-smap.levels - 1 :]] for c in columns])
+    post = np.array([smap.image.nodes[c[-smap.levels - 1 :]] for c in columns])
+    assert (pre[:, 0, 1] == smap.base).all() and (post[:, 0, 1] == smap.base).all()
     halves = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
     for i in range(len(smap.stations) - 1):
         for j in range(smap.levels):
@@ -410,11 +428,12 @@ def test_straightening_pull_inverts_every_piece():
                 k = 2 * (i * smap.levels + j) + s
                 src = np.array([pre[i + a, j + b] for a, b in corners])
                 img = np.array([post[i + a, j + b] for a, b in corners])
+                assert np.array_equal(smap.source.nodes[smap.source.triangles[smap.first + k]], src)
                 assert np.allclose((src - src[0]) @ smap.jacobians[k].T, img - img[0])
                 back, piece = smap.pull(img.mean(axis=0))
                 assert piece[0] == k
                 assert np.allclose(back[0], src.mean(axis=0))
-    assert len(smap.dets) == k + 1
+    assert len(smap.dets) == k + 1 == len(smap.source.triangles) - smap.first
     below = np.array([[0.5, smap.base - 0.1]])
     back, piece = smap.pull(below)
     assert piece[0] == -1 and np.array_equal(back, below)
@@ -422,26 +441,70 @@ def test_straightening_pull_inverts_every_piece():
 
 def test_straightening_collar_guard():
     dom = make_domain("sawtooth-square")
-    with pytest.raises(GeometryError, match="chart"):
+    with pytest.raises(GeometryError, match="rectangular remainder"):
         geometry.build_straightening(make_domain("lshape"), 0.1)
-    # the collar grid alone would take ~3e11 nodes; refused before allocation.
-    # At h = 2.2e-309 each column count is finite but their sum overflows.
+    # the grid would take ~3e11 nodes; refused before allocation.  At
+    # h = 2.2e-309 each column count is finite but their sum overflows.
     for h in (1e-6, 2.225073858507203e-309):
         with pytest.raises(geometry.MeshingError, match="budget"):
             geometry.build_straightening(dom, h)
     # a sloped bottom, and an extra bottom vertex, leave no rectangular
-    # remainder; on a 1 x 0.2 rectangle the collar, a quarter of the chart
+    # remainder; on a 1 x 0.2 rectangle the collar, a quarter of the graph
     # width deep, would reach the bottom side
     sloped = [[0, 0], [1, 0.1], [1, 1], [0, 1]]
     thin = [[0, 0.8], [1, 0.8], [1, 1], [0, 1]]
     for verts in (sloped, [[0, 0], [0.5, -0.1], [1, 0], [1, 1], [0, 1]], thin):
-        top = len(verts) - 2
-        dom = geometry.PolygonDomain(
-            np.array(verts, dtype=float),
-            chart=geometry.LipschitzChart(np.array([0.0, 1.0]), np.ones(2), np.array([top])),
-        )
+        with pytest.raises(GeometryError, match="rectangular remainder"):
+            geometry.build_straightening(geometry.PolygonDomain(verts), 0.1)
+
+
+def test_clockwise_square_straightens_like_the_counter_clockwise_one():
+    ccw = geometry.build_straightening(make_domain("square"), 0.06)
+    cw = geometry.build_straightening(geometry.PolygonDomain([[0, 0], [0, 1], [1, 1], [1, 0]]), 0.06)
+    for a, b in ((ccw.source, cw.source), (ccw.image, cw.image)):
+        for field in ("nodes", "triangles", "boundary_edges"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        # the clockwise input comes back CCW from vertex (1, 0), so each segment
+        # id is the counter-clockwise square's plus 3, mod 4
+        assert np.array_equal(b.boundary_parent, (a.boundary_parent + 3) % 4)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("square", {}),
+    ("sawtooth-square", {}),
+    ("lshape", {}),
+    ("regular-ngon", {"n": 4}),
+    ("regular-ngon", {"n": 6}),
+    ("koch-prefractal", {}),
+], ids=["square", "sawtooth-square", "lshape", "ngon-4", "ngon-6", "koch"])
+def test_only_the_graph_domains_of_the_catalog_straighten(name, params):
+    dom = make_domain(name, **params)
+    if name in ("square", "sawtooth-square"):
+        assert geometry.build_straightening(dom, 0.1).source.n_nodes > 0
+    else:
         with pytest.raises(GeometryError, match="rectangular remainder"):
             geometry.build_straightening(dom, 0.1)
+
+
+def test_a_graph_over_a_rectangle_outside_the_catalog_straightens():
+    # a rectangle [0, 2] x [-1, 0.5] under a four-piece graph, not in the catalog
+    verts = [[0, -1], [2, -1], [2, 0.5], [1.5, 0.8], [1.1, 0.6], [0.7, 0.9], [0, 1]]
+    dom = geometry.PolygonDomain(verts, "roof")
+    smap = geometry.build_straightening(dom, 0.1)
+    src, img = smap.source, smap.image
+    assert src.triangle_areas().sum() == pytest.approx(dom.area, rel=1e-12)
+    assert (src.triangle_areas() > 0).all() and (img.triangle_areas() > 0).all()
+    # each boundary edge lies on the segment its parent names
+    p, q = dom.segment_points()
+    par = src.boundary_parent
+    for end in (0, 1):
+        r = src.nodes[src.boundary_edges[:, end]] - p[par]
+        d = q[par] - p[par]
+        assert np.abs(d[:, 0] * r[:, 1] - d[:, 1] * r[:, 0]).max() < 1e-12
+    assert set(par) == set(range(dom.n_segments))
+    # the image collar is the box one graph width (2) tall on the base line
+    assert img.nodes[:, 1].max() == smap.base + 2.0
+    assert (smap.dets > 0).all()
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -455,7 +518,6 @@ def test_straightening_refuses_a_non_finite_h(bad):
 @pytest.mark.parametrize("h", [0.06, 0.125])
 def test_matched_source_mesh_keeps_the_mesher_edge_bound(name, h):
     # the collar grid follows h, so no source edge exceeds what triangulate allows
-    smap = geometry.build_straightening(make_domain(name), h)
-    src, _ = geometry.build_matched_meshes(smap)
+    src = geometry.build_straightening(make_domain(name), h).source
     assert src.h == h
     assert src.edge_lengths().max() <= DIAMETER_FACTOR * h

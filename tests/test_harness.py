@@ -351,6 +351,16 @@ def test_collar_grid_over_the_node_budget_fails_in_the_mesh_stage(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+def test_bilipschitz_on_a_domain_that_is_no_graph_fails_in_the_mesh_stage(tmp_path):
+    cfg = ExperimentConfig.from_text(
+        "experiment = bilipschitz-invariance\ndomain.name = lshape\nmesh.levels = 0.1\n"
+    )
+    rep = run_experiment(cfg, str(tmp_path))
+    assert rep.error.startswith("GeometryError") and "'lshape'" in rep.error
+    assert list(rep.provenance["timings"]) == ["mesh", "total"]
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 # A mesh size far below the domain span passes config reading and fails
 # inside the first mesh stage.
 UNMESHABLE = "mesh.levels = 1e-7\n"
@@ -782,6 +792,23 @@ def test_cli_reports_usage_errors_without_traceback(tmp_path, capsys):
     assert "steklovlab: error:" in captured.err and "overflow" in captured.err
 
 
+@pytest.mark.parametrize("value", ["1e14", "1e17"])
+def test_cli_refuses_an_energy_too_ill_conditioned_to_resolve(value, capsys):
+    # cond S ≈ 6.4e14 and 2.3e15: the potential's mass is lost to the
+    # rounding of a·K, and the solve once printed mu_1 = 4.129 and 0.0147
+    rc = cli.main(["solve", "domain.name=square", "mesh.levels=0.3", f"coeff.a.value={value}"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("steklovlab: error:") and "ill-conditioned" in captured.err
+
+
+def test_cli_solves_a_stiff_energy_under_the_condition_bound(capsys):
+    # cond S ≈ 6.4e5: every pair is resolved
+    assert cli.main(["solve", "domain.name=square", "mesh.levels=0.3", "coeff.a.value=1e5"]) == 0
+    out = capsys.readouterr().out
+    assert "positive=16" in out and "mu_1 = 4.0000016\n" in out
+
+
 def test_cli_rejects_a_negative_count(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", "domain.name=square", "mesh.levels=0.3", "--count", "-1"])
@@ -948,15 +975,12 @@ def test_config_surface_raises_only_typed_errors(experiment, entries, collar_h, 
     if coeff is not None:
         _value_or_typed_error(weyl.weyl_coefficient, target, coeff)
     _value_or_typed_error(harness._matrix_from, cfg, "interior.a")
-    # The straightening builders on both charted catalog domains and on the
-    # fuzzed domain if it is charted, with a fuzzed mesh size.
-    charted = [geometry.make_domain("square"), geometry.make_domain("sawtooth-square")]
-    if domain is not None and domain.chart is not None:
-        charted.append(domain)
-    for dom in charted:
+    # The straightening on both graph domains of the catalog and on the
+    # fuzzed domain, with a fuzzed mesh size.
+    graphs = [geometry.make_domain("square"), geometry.make_domain("sawtooth-square")]
+    for dom in graphs + ([domain] if domain is not None else []):
         try:
             sized = ExperimentConfig.from_text(f"mesh.levels = {collar_h}")
-            smap = geometry.build_straightening(dom, sized.mesh_levels()[-1])
-            geometry.build_matched_meshes(smap)
+            geometry.build_straightening(dom, sized.mesh_levels()[-1])
         except (GeometryError, MeshingError, HarnessError):
             pass

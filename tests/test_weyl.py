@@ -205,7 +205,15 @@ def test_stacked_alpha_names_the_first_degenerate_entry():
     first = float(np.linalg.det(a[2]))  # in the plane det Θ′ = det a
     with pytest.raises(WeylError, match="degenerate") as info:
         _alpha(a, np.ones(4))
-    assert f"(det {first!r})" in str(info.value)
+    assert f"(det {first!r}, a11 " in str(info.value)
+
+
+def test_weyl_coefficient_refuses_a_negative_definite_conductivity():
+    # det(-I) = 1 passes the determinant floor; a11 = -1 does not
+    minus = assembly.MatrixField("minus-identity", lambda pts: np.tile(-np.eye(2), (len(pts), 1, 1)))
+    coeff = _unit_coeff().with_(a=minus)
+    with pytest.raises(WeylError, match=r"not positive definite \(det 1\.0, a11 -1\.0\)"):
+        weyl_coefficient(geometry.make_domain("square"), coeff)
 
 
 # ---------------------------------------------------------------------------

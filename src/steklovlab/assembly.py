@@ -203,15 +203,21 @@ def checkerboard(
 
 
 def _distance_to_boundary(domain: PolygonDomain, pts: np.ndarray) -> np.ndarray:
+    """Distance from each point to the polygon's boundary.
+
+    One segment at a time with a running minimum, so the work arrays hold one
+    entry per point whatever the segment count."""
     p, q = domain.segment_points()
     d = q - p
     L2 = np.sum(d * d, axis=1)
-    # (npts, nseg) projection parameter, clamped to the segment
-    w = pts[:, None, :] - p[None, :, :]
-    t = np.clip(np.einsum("psk,sk->ps", w, d) / L2[None, :], 0.0, 1.0)
-    closest = p[None, :, :] + t[:, :, None] * d[None, :, :]
-    dist = np.linalg.norm(pts[:, None, :] - closest, axis=2)
-    return dist.min(axis=1)
+    x, y = pts[:, 0], pts[:, 1]
+    dist = np.full(len(pts), np.inf)
+    for (px, py), (dx, dy), l2 in zip(p, d, L2):
+        # projection parameter, clamped to the segment, then the closest point
+        t = np.clip(((x - px) * dx + (y - py) * dy) / l2, 0.0, 1.0)
+        ex, ey = x - (px + t * dx), y - (py + t * dy)
+        np.minimum(dist, np.sqrt(ex * ex + ey * ey), out=dist)
+    return dist
 
 
 BLEND_WIDTH = 0.3  # collar width of the boundary-matched blend, in domain spans

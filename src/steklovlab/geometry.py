@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._mesher import MAX_INSERTIONS, MeshingError, triangulate_polygon
+from ._mesher import DIAMETER_FACTOR, MAX_INSERTIONS, MeshingError, triangulate_polygon
 
 __all__ = [
     "GeometryError",
@@ -324,16 +324,6 @@ class TriangleMesh:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def boundary_nodes(self) -> np.ndarray:
-        return np.unique(self.boundary_edges)
-
-    def triangle_areas(self) -> np.ndarray:
-        p = self.nodes
-        t = self.triangles
-        d1 = p[t[:, 1]] - p[t[:, 0]]
-        d2 = p[t[:, 2]] - p[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
     def edge_lengths(self) -> np.ndarray:
         p = self.nodes
         t = self.triangles
@@ -488,6 +478,36 @@ class StraighteningMap:
 COLLAR_DEPTH = 0.25  # base line below the graph's lowest point, in graph widths
 
 
+def _collar_columns(xs, ys, base, pieces):
+    """Column knots of the graph pieces, the station of each column edge and
+    the collar thickness there: graph piece i spans columns knots[i..i+1]."""
+    knots = np.concatenate([[0], np.cumsum(pieces)])
+    stations = np.interp(np.arange(knots[-1] + 1), knots, xs)
+    return knots, stations, np.interp(stations, xs, ys) - base
+
+
+def _longest_collar_edges(stations, thick, base, levels):
+    """Longest source-mesh edge in each collar column, measured as
+    ``TriangleMesh.edge_lengths`` measures it.  Vertical sides are at most h
+    by construction; the others cross the column."""
+    y = base + np.arange(levels + 1) / levels * thick[:, None]
+    dx2 = np.diff(stations)[:, None] ** 2
+    dy = np.hstack([np.diff(y, axis=0), y[1:, 1:] - y[:-1, :-1]])
+    return np.sqrt(dx2 + dy * dy).max(axis=1)
+
+
+def _column_width_within(bound, slope, depth):
+    """Widest column on a graph piece of the given slope whose cells keep
+    every edge within ``bound`` when one collar level is at most ``depth``
+    thick.  A cell's rising edges climb at most ``depth`` plus the slope's
+    rise when the piece goes up to the right, and the slope's rise when it
+    goes down; solve dx² + (depth + s⁺dx)² = bound² and cap the slanted sides
+    at dx√(1 + s²) = bound."""
+    up = np.maximum(slope, 0.0)
+    diagonal = (np.sqrt(bound**2 * (1 + up**2) - depth**2) - up * depth) / (1 + up**2)
+    return np.minimum(diagonal, bound / np.sqrt(1 + slope**2))
+
+
 def build_straightening(domain: PolygonDomain, h: float) -> StraighteningMap:
     """The collar-flattening map of the domain's top graph at mesh size ``h``,
     with its node-matched source and image meshes.
@@ -501,10 +521,13 @@ def build_straightening(domain: PolygonDomain, h: float) -> StraighteningMap:
     strictly above the bottom side, so the collar lies inside the domain.
     Each graph piece splits into ⌈width/h⌉ equal columns, the collar into
     ⌈largest collar thickness/h⌉ levels and the rectangle below it into
-    ⌈its height/h⌉ rows, so no vertical or horizontal side of a source cell
-    is longer than h.  A domain of another shape raises ``GeometryError``; a
-    grid over the mesher's node budget raises ``MeshingError`` before it is
-    allocated.
+    ⌈its height/h⌉ rows, so no vertical side of a source cell is longer than
+    h.  A cell's other sides follow the graph's slope, so on a steep piece
+    they can pass the mesher's bound of ``DIAMETER_FACTOR``·h; each piece
+    whose cells do gets the columns that bring every edge within it, and no
+    other piece changes.  A domain of another shape raises ``GeometryError``;
+    a grid over the mesher's node budget, before or after that refinement,
+    raises ``MeshingError`` before it is allocated.
     """
     if not 0 < h < math.inf:  # False for NaN too
         raise GeometryError("mesh size h must be finite and positive")
@@ -519,21 +542,35 @@ def build_straightening(domain: PolygonDomain, h: float) -> StraighteningMap:
         raise GeometryError(
             f"domain {domain.name!r} is not a graph over a rectangular remainder below its collar"
         )
+
+    def check_budget():
+        nodes = (float(pieces.sum()) + 1) * float(rows + 1 + levels)
+        if not nodes <= MAX_INSERTIONS:
+            raise MeshingError(
+                f"h = {h:g} needs {nodes:.3g} nodes, over the budget {MAX_INSERTIONS}"
+            )
+
     with np.errstate(over="ignore"):  # a tiny h gives inf counts, which the budget refuses
         pieces = np.maximum(1, np.ceil(np.diff(xs) / h - 1e-12))
         levels = max(1, np.ceil((float(ys.max()) - base) / h - 1e-12))
         rows = max(1, np.ceil((base - yb) / h - 1e-12))
-        nodes = (float(pieces.sum()) + 1) * float(rows + 1 + levels)
-    if not nodes <= MAX_INSERTIONS:
-        raise MeshingError(f"h = {h:g} needs {nodes:.3g} nodes, over the budget {MAX_INSERTIONS}")
-
-    # column index to x, piecewise linear: graph piece i spans columns knots[i..i+1]
-    knots = np.concatenate([[0], np.cumsum(pieces)])
-    stations = np.interp(np.arange(knots[-1] + 1), knots, xs)
-    thick = np.interp(stations, xs, ys) - base
+        check_budget()
+    pieces, levels, rows = pieces.astype(np.int64), int(levels), int(rows)
+    knots, stations, thick = _collar_columns(xs, ys, base, pieces)
     if (thick <= 0).any():
         raise GeometryError("collar base must stay strictly below the graph")
-    levels, rows, nx = int(levels), int(rows), stations.size
+
+    bound = DIAMETER_FACTOR * h
+    longest = _longest_collar_edges(stations, thick, base, levels)
+    long = np.maximum.reduceat(longest, knots[:-1]) > bound
+    if long.any():
+        run = np.diff(xs)[long]
+        depth = np.maximum(thick[knots[:-1]], thick[knots[1:]])[long] / levels
+        fit = _column_width_within(bound, np.diff(ys)[long] / run, depth)
+        pieces[long] = np.maximum(pieces[long], np.floor(run / fit) + 1)
+        check_budget()
+        knots, stations, thick = _collar_columns(xs, ys, base, pieces)
+    nx = stations.size
 
     # Node ids: the lower grid column by column, then collar levels 1..levels
     # column by column; collar level 0 is the lower grid's top row, at base.
@@ -562,7 +599,7 @@ def build_straightening(domain: PolygonDomain, h: float) -> StraighteningMap:
         [
             np.full(len(bottom), k0),
             np.full(len(right), (k0 + 1) % n),
-            np.repeat(piece_ids, pieces.astype(np.int64))[::-1],
+            np.repeat(piece_ids, pieces)[::-1],
             np.full(len(left), (k0 - 1) % n),
         ]
     )

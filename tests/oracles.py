@@ -6,11 +6,14 @@ the square's Steklov spectrum by separation of variables,
 ellipsoid volumes by Monte Carlo, the boundary symbol integral by adaptive
 quadrature, the tangential co-metric Θ built in an explicit tangent basis,
 dense tensor quadrature for single-element energy integrals, the layer
-matrices from per-panel closed forms, and synthetic eigenvalue sequences with
-known tails.
+matrices from per-panel closed forms, the distance to a polygon's boundary
+over all point-segment pairs at once, and synthetic eigenvalue sequences with
+known tails.  Two mesh measures and a tracemalloc probe that only the tests
+read live here too.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.integrate import quad
@@ -322,3 +325,47 @@ def panel_layer_matrices(mid, length, tangent, normal):
 def synthetic_tail_sequence(W: float, d: int, count: int) -> np.ndarray:
     k = np.arange(1, count + 1, dtype=float)
     return (W / k) ** (1.0 / d)
+
+
+# ---------------------------------------------------------------------------
+# distance to a polygon's boundary, every point against every segment in one
+# (points, segments, 2) broadcast: project onto each segment, clamp the
+# parameter to [0, 1], and take the nearest of the closest points.
+
+
+def boundary_distance(p, q, pts):
+    """Distance from each of ``pts`` to the segments from ``p[i]`` to ``q[i]``."""
+    d = q - p
+    L2 = np.sum(d * d, axis=1)
+    w = pts[:, None, :] - p[None, :, :]
+    t = np.clip(np.einsum("psk,sk->ps", w, d) / L2[None, :], 0.0, 1.0)
+    closest = p[None, :, :] + t[:, :, None] * d[None, :, :]
+    return np.linalg.norm(pts[:, None, :] - closest, axis=2).min(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# mesh measures and memory
+
+
+def triangle_areas(mesh) -> np.ndarray:
+    """Signed area of each triangle, positive for a CCW triangle."""
+    p = mesh.nodes
+    t = mesh.triangles
+    d1 = p[t[:, 1]] - p[t[:, 0]]
+    d2 = p[t[:, 2]] - p[t[:, 0]]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def boundary_nodes(mesh) -> np.ndarray:
+    """Sorted ids of the nodes on a boundary edge."""
+    return np.unique(mesh.boundary_edges)
+
+
+def traced_peak_mib(fn, *args) -> float:
+    """Peak of memory traced by ``tracemalloc`` during ``fn(*args)``, in MiB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

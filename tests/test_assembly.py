@@ -66,7 +66,7 @@ def test_boundary_weight_integrates_rho(square_mesh, square_domain):
     expected = np.dot([1.0, 2.0, -1.0, 0.5], square_domain.segment_lengths())
     assert ones @ (B @ ones) == pytest.approx(expected, rel=1e-12)
     # B is supported on boundary nodes only
-    interior = np.setdiff1d(np.arange(square_mesh.n_nodes), square_mesh.boundary_nodes())
+    interior = np.setdiff1d(np.arange(square_mesh.n_nodes), oracles.boundary_nodes(square_mesh))
     assert np.abs(B[interior].toarray()).max() == 0.0
 
 
@@ -180,6 +180,38 @@ def test_boundary_matched_rough_trace(square_domain):
     # pure interior field beyond the blend collar
     deep = np.array([[0.5, 0.5], [0.45, 0.55]])
     assert np.abs(fld(deep) - interior(deep)).max() < 1e-12
+
+
+@pytest.mark.parametrize("name,params", [
+    ("square", {}),
+    ("lshape", {}),
+    ("sawtooth-square", {}),
+    ("koch-prefractal", {"level": 2}),
+    ("regular-ngon", {"n": 96}),
+], ids=["square", "lshape", "sawtooth", "koch-l2", "ngon-96"])
+def test_boundary_distance_matches_the_all_pairs_reference_bitwise(name, params):
+    dom = geometry.make_domain(name, **params)
+    p, q = dom.segment_points()
+    gen = np.random.default_rng(36)
+    lo, hi = dom.vertices.min(axis=0), dom.vertices.max(axis=0)
+    box = gen.uniform(lo - 0.25 * dom.span, hi + 0.25 * dom.span, size=(4000, 2))
+    seg = gen.integers(0, dom.n_segments, 1000)
+    on_edges = p[seg] + gen.uniform(size=(1000, 1)) * (q - p)[seg]
+    pts = np.vstack([box, dom.vertices, on_edges])
+    assert dom.contains(box).any() and not dom.contains(box).all()
+    got = assembly._distance_to_boundary(dom, pts)
+    assert got.tobytes() == oracles.boundary_distance(p, q, pts).tobytes()
+    assert (got[len(box) : len(box) + dom.n_segments] == 0).all()
+
+
+def test_blended_assembly_memory_does_not_grow_with_the_segment_count():
+    # Koch L3 has 192 segments: the all-pairs formula of the oracle peaks at
+    # about 357 MiB on this input, one entry per quadrature point under 16 MiB
+    dom = geometry.make_domain("koch-prefractal", level=3)
+    mesh = geometry.triangulate(dom, 0.03)
+    rough = boundary_matched_rough(dom, checkerboard(cell=0.2, low=1.0, high=5.0), constant_matrix(1.0))
+    coeff = _cf(a=rough, v0=constant_potential(1.0))
+    assert oracles.traced_peak_mib(assembly.assemble_forms, mesh, coeff) < 16.0
 
 
 def test_catalog_rejects_unknown():

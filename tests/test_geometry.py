@@ -12,6 +12,8 @@ from steklovlab._mesher import DIAMETER_FACTOR, MIN_ANGLE_DEG
 from steklovlab.assembly import AssemblyError
 from steklovlab.geometry import GeometryError, make_domain, triangulate
 
+import oracles
+
 
 def test_catalog_closed_forms():
     sq = make_domain("square")
@@ -252,7 +254,7 @@ def test_mesh_covers_exactly_the_domain(case):
     dom, mesh = _catalog_mesh(case)
     centroids = mesh.nodes[mesh.triangles].mean(axis=1)
     assert dom.contains(centroids).all()
-    assert mesh.triangle_areas().sum() == pytest.approx(dom.area, rel=1e-12)
+    assert oracles.triangle_areas(mesh).sum() == pytest.approx(dom.area, rel=1e-12)
 
 
 def test_split_cavities_pass_flags_to_both_sides():
@@ -264,7 +266,7 @@ def test_split_cavities_pass_flags_to_both_sides():
     )
     mesh = triangulate(dom, 0.1)
     assert dom.contains(mesh.nodes[mesh.triangles].mean(axis=1)).all()
-    assert mesh.triangle_areas().sum() == pytest.approx(dom.area, rel=1e-12)
+    assert oracles.triangle_areas(mesh).sum() == pytest.approx(dom.area, rel=1e-12)
 
 
 def _star(points, inner):
@@ -285,7 +287,7 @@ def test_split_cavities_leave_no_degenerate_triangle(case):
         "star8": lambda: _star(8, 0.2),
         "star12": lambda: _star(12, 0.3),
     }[case]()
-    areas = triangulate(dom, 0.021).triangle_areas()
+    areas = oracles.triangle_areas(triangulate(dom, 0.021))
     assert (areas > 0).all()
     assert areas.sum() == pytest.approx(dom.area, rel=0, abs=1e-12)
 
@@ -319,7 +321,7 @@ def test_random_star_meshes_or_raises_meshing_error():
         mesh = triangulate(dom, 0.05)
     except geometry.MeshingError:
         return
-    areas = mesh.triangle_areas()
+    areas = oracles.triangle_areas(mesh)
     assert (areas > 0).all()
     assert areas.sum() == pytest.approx(dom.area, rel=1e-12)
     assert dom.contains(mesh.nodes[mesh.triangles].mean(axis=1)).all()
@@ -400,10 +402,10 @@ def test_straightening_matched_meshes():
     assert np.array_equal(src.triangles, img.triangles)
     assert src.n_nodes == img.n_nodes
     # the image of the chart side is flat
-    top = img.nodes[src.boundary_nodes()]
+    top = img.nodes[oracles.boundary_nodes(src)]
     # straightened picture is a rectangle: every y is within the slab
     assert img.nodes[:, 1].max() <= smap.base + 1.0 + 1e-12
-    assert top.shape[0] == src.boundary_nodes().shape[0]
+    assert top.shape[0] == oracles.boundary_nodes(src).shape[0]
     # positive jacobians everywhere (orientation preserved)
     p = img.nodes[img.triangles]
     u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
@@ -492,8 +494,8 @@ def test_a_graph_over_a_rectangle_outside_the_catalog_straightens():
     dom = geometry.PolygonDomain(verts, "roof")
     smap = geometry.build_straightening(dom, 0.1)
     src, img = smap.source, smap.image
-    assert src.triangle_areas().sum() == pytest.approx(dom.area, rel=1e-12)
-    assert (src.triangle_areas() > 0).all() and (img.triangle_areas() > 0).all()
+    assert oracles.triangle_areas(src).sum() == pytest.approx(dom.area, rel=1e-12)
+    assert (oracles.triangle_areas(src) > 0).all() and (oracles.triangle_areas(img) > 0).all()
     # each boundary edge lies on the segment its parent names
     p, q = dom.segment_points()
     par = src.boundary_parent
@@ -514,10 +516,44 @@ def test_straightening_refuses_a_non_finite_h(bad):
         geometry.build_straightening(make_domain("sawtooth-square"), bad)
 
 
-@pytest.mark.parametrize("name", ["square", "sawtooth-square"])
-@pytest.mark.parametrize("h", [0.06, 0.125])
+# a graph over [0, 2] x [-1, 0.5] whose piece from x = 1.1 to 1.5 rises with
+# slope 1.5; one column per h of width would give it edges up to 2.7 h
+STEEP_ROOF = [[0, -1], [2, -1], [2, 0.5], [1.5, 1.2], [1.1, 0.6], [0.7, 0.9], [0, 1]]
+
+
+@pytest.mark.parametrize("name", ["square", "sawtooth-square", "steep-roof"])
+@pytest.mark.parametrize("h", [0.2, 0.125, 0.1, 0.08, 0.06, 0.05, 0.04, 0.03, 0.02])
 def test_matched_source_mesh_keeps_the_mesher_edge_bound(name, h):
-    # the collar grid follows h, so no source edge exceeds what triangulate allows
-    src = geometry.build_straightening(make_domain(name), h).source
+    # no source edge exceeds what triangulate allows, on steep pieces too
+    dom = geometry.PolygonDomain(STEEP_ROOF, name) if name == "steep-roof" else make_domain(name)
+    src = geometry.build_straightening(dom, h).source
     assert src.h == h
     assert src.edge_lengths().max() <= DIAMETER_FACTOR * h
+
+
+@pytest.mark.parametrize("name,h,digest", [
+    ("square", 0.02, "9749ff5394d32ed29cb827f39f9f2cfc40bfd83062cff8d6906507abeef810f6"),
+    ("sawtooth-square", 0.06, "ef5d6ddee83288cdd67080a271ecf228e9b28e02a8e95c6ec315065966eed2c0"),
+    ("sawtooth-square", 0.125, "f0995ab9290e095f7a4dd7155efbcdf2c77ba0736d9c38edcca438e5c4e08375"),
+])
+def test_a_grid_within_the_edge_bound_is_not_refined(name, h, digest):
+    # one column per h of width: the grids of criterion 6 and its neighbours
+    smap = geometry.build_straightening(make_domain(name), h)
+    got = hashlib.sha256()
+    for arr in (smap.source.nodes, smap.image.nodes, smap.source.triangles,
+                smap.source.boundary_edges, smap.source.boundary_parent):
+        got.update(arr.tobytes())
+    assert got.hexdigest() == digest
+
+
+def test_only_the_rising_sawtooth_pieces_gain_columns():
+    # at h = 0.04 a tooth side 0.0625 wide takes 2 columns; on a rising side
+    # the cell diagonals climb with the slope and pass 1.5 h, on a falling
+    # side they do not
+    dom = make_domain("sawtooth-square")
+    graph = dom.vertices[:1:-1]
+    stations = geometry.build_straightening(dom, 0.04).stations
+    columns = np.diff(np.searchsorted(stations, graph[:, 0]))
+    rising = np.diff(graph[:, 1]) > 0
+    assert (columns[~rising] == 2).all()
+    assert (columns[rising] > 2).all()

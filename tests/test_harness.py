@@ -331,6 +331,20 @@ def test_straightened_collar_run_detects_weight_misuse(tmp_path):
         assert list(rep.provenance["timings"]) == ["mesh", "assembly", "solve", "control", "total"]
 
 
+def test_boundary_only_dependence_runs_on_a_koch_prefractal(tmp_path):
+    # criterion 5's fields on the 48-segment Koch L2 boundary; this records
+    # that the run completes, its verdict is not a criterion
+    text = test_acceptance.BOUNDARY_ONLY_CFG.replace(
+        "domain.name = square", "domain.name = koch-prefractal\ndomain.level = 2"
+    ).replace("mesh.levels = 0.04, 0.025", "mesh.levels = 0.02")
+    rep = run_experiment(ExperimentConfig.from_text(text), str(tmp_path))
+    assert rep.error is None
+    payload = json.loads((tmp_path / "report.json").read_text())
+    devs = payload["summary"]["deviation"]
+    assert sorted(devs) == ["mutual", "rough", "smooth"]
+    assert all(math.isfinite(v) for v in devs.values())
+
+
 def test_collar_grid_over_the_node_budget_fails_in_the_mesh_stage(tmp_path):
     # the matched grid would take ~1.07e6 nodes; it is refused before any of
     # it is allocated, and so are the straightening map's ~631 000 collar

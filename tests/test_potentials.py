@@ -379,12 +379,7 @@ def test_route_check_catches_a_nan_gap():
 def test_nd_operator_memory_is_bounded():
     op = build_layer_operators(geometry.make_domain("square"), 128)
     n = op.n
-    tracemalloc.start()
-    try:
-        nd_operator(op)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = oracles.traced_peak_mib(nd_operator, op) * 2**20
     # Ŝ and A = ½I + D̂* factored in place, plus thin probe products and bands
     assert peak <= 2.5 * n * n * 8, peak / (n * n * 8)
 
@@ -392,12 +387,7 @@ def test_nd_operator_memory_is_bounded():
 def test_jump_relation_error_memory_is_bounded():
     op = build_layer_operators(geometry.make_domain("square"), 128)
     n = op.n
-    tracemalloc.start()
-    try:
-        jump_relation_error(op)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = oracles.traced_peak_mib(jump_relation_error, op) * 2**20
     # row blocks of FILL_BLOCK entries, not a scaled copy of D
     assert peak <= 0.25 * n * n * 8, peak / (n * n * 8)
 
@@ -481,12 +471,7 @@ def test_block_temporaries_fit_their_budget(monkeypatch):
     monkeypatch.setattr(potentials, "FILL_BLOCK", 608 * 608)
     panels = potentials._build_panels(geometry.make_domain("sawtooth-square"), 32)
     n = len(panels)
-    tracemalloc.start()
-    try:
-        potentials._fill(panels)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = oracles.traced_peak_mib(potentials._fill, panels) * 2**20
     assert peak <= (2 + potentials._BLOCK_TEMPS) * n * n * 8, peak / (n * n * 8)
 
 

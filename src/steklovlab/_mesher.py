@@ -23,6 +23,17 @@ inputs whose segments meet at angles of 60 degrees or more, which covers every
 catalog domain.  Near smaller input angles refinement backs off instead of
 cascading.
 
+Refinement does only the work its result depends on.  Every inside triangle
+is queued when it is made, and its quality is tested when it is popped, if it
+is still alive: a live triangle's corners never move, so it is as good or bad
+then as when it was made, and the bad ones are fixed in the same order as if
+only they had been queued.  Most triangles die in a later cavity before they
+are popped and are never measured.  A circumcenter is located by a walk from
+its own triangle, a few steps away, not from the last insertion.  Where it
+lies within a tie margin of an edge, or while some triangle is flat enough to
+hold points beyond its edges, the containing triangle is not unique, and the
+walk from the last insertion decides, as it always did.
+
 Everything is deterministic: plain FIFO work queues, insertion in input order,
 no randomization anywhere.
 """
@@ -40,6 +51,9 @@ DIAMETER_FACTOR = 1.5
 MIN_ANGLE_DEG = 20.0
 # Point insertions allowed (recovery plus refinement) before giving up.
 MAX_INSERTIONS = 500_000
+# A point more than this many orientation tolerances inside every edge of a
+# triangle is located there by a walk from any start (see locate_from).
+TIE_MARGIN = 1000.0
 
 
 class MeshingError(RuntimeError):
@@ -48,24 +62,6 @@ class MeshingError(RuntimeError):
 
 def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def _incircle(ax, ay, bx, by, cx, cy, px, py):
-    # > 0 iff p lies strictly inside the circumcircle of CCW triangle (a, b, c).
-    adx = ax - px
-    ady = ay - py
-    bdx = bx - px
-    bdy = by - py
-    cdx = cx - px
-    cdy = cy - py
-    ad = adx * adx + ady * ady
-    bd = bdx * bdx + bdy * bdy
-    cd = cdx * cdx + cdy * cdy
-    return (
-        adx * (bdy * cd - bd * cdy)
-        - ady * (bdx * cd - bd * cdx)
-        + ad * (bdx * cdy - bdy * cdx)
-    )
 
 
 def _circumcenter(ax, ay, bx, by, cx, cy):
@@ -91,8 +87,13 @@ class _Triangulation:
         self.edge = {}  # directed edge (a, b) -> triangle index
         self.subseg = {}  # undirected (min, max) -> parent segment id
         self.eps_orient = 1e-13 * scale * scale
+        self.eps_tie = TIE_MARGIN * self.eps_orient
         self.eps_incircle = 1e-12 * scale ** 4
         self.hint = 0
+        # Live triangles of doubled area at most eps_tie: those with
+        # coincident vertices, and those that may hold a point within the
+        # orientation tolerance far beyond their edges.
+        self.flat = set()
 
     # -- point and triangle bookkeeping ------------------------------------
 
@@ -110,44 +111,53 @@ class _Triangulation:
         self.edge[(c, a)] = idx
         return idx
 
-    def _drop_tri(self, idx):
-        a, b, c = self.tris[idx]
-        for key in ((a, b), (b, c), (c, a)):
-            if self.edge.get(key) == idx:
-                del self.edge[key]
-        self.tris[idx] = None
-
     def seg_key(self, u, v):
         return (u, v) if u < v else (v, u)
 
     # -- location -----------------------------------------------------------
 
-    def locate(self, px, py):
-        """Walk to a triangle containing (px, py) and return its index.
+    def _walk(self, cur, px, py):
+        """Walk from triangle ``cur`` toward (px, py), across the first edge
+        that has the point beyond the orientation tolerance.
 
-        The walk passes freely through boundary subsegments; constraint
-        awareness lives in the cavity flood, not in location.
+        Returns (triangle, least orientation) where no edge does, (triangle,
+        None) where the walk would leave the hull, and (None, None) where it
+        cycles.  The walk passes freely through boundary subsegments;
+        constraint awareness lives in the cavity flood, not in location.
         """
+        x, y = self.pts_x, self.pts_y
+        tris, edge = self.tris, self.edge
+        eps = self.eps_orient
+        for _ in range(4 * len(tris) + 64):
+            a, b, c = tris[cur]
+            least = math.inf
+            for (u, v) in ((a, b), (b, c), (c, a)):
+                o = _orient(x[u], y[u], x[v], y[v], px, py)
+                if o < -eps:
+                    nxt = edge.get((v, u))
+                    if nxt is None:
+                        return cur, None
+                    cur = nxt
+                    break
+                if o < least:
+                    least = o
+            else:
+                return cur, least
+        return None, None
+
+    def locate(self, px, py):
+        """Walk from the hint to a triangle containing (px, py) and return
+        its index."""
         cur = self.hint
         if cur >= len(self.tris) or self.tris[cur] is None:
             cur = next(i for i, t in enumerate(self.tris) if t is not None)
-        x, y = self.pts_x, self.pts_y
-        for _ in range(4 * len(self.tris) + 64):
-            tri = self.tris[cur]
-            a, b, c = tri
-            moved = False
-            for (u, v) in ((a, b), (b, c), (c, a)):
-                if _orient(x[u], y[u], x[v], y[v], px, py) < -self.eps_orient:
-                    nxt = self.edge.get((v, u))
-                    if nxt is None:
-                        return cur
-                    cur = nxt
-                    moved = True
-                    break
-            if not moved:
+        cur, least = self._walk(cur, px, py)
+        if cur is not None:
+            if least is not None:
                 self.hint = cur
-                return cur
+            return cur
         # Fallback: linear scan (walk trapped by numerical ties).
+        x, y = self.pts_x, self.pts_y
         for i, tri in enumerate(self.tris):
             if tri is None:
                 continue
@@ -161,6 +171,26 @@ class _Triangulation:
                 return i
         raise MeshingError("point location failed")
 
+    def locate_from(self, start, px, py):
+        """``locate`` for a point near triangle ``start``, walking from there.
+
+        Where the walk ends more than ``eps_tie`` inside every edge of a
+        triangle, a triangle that is not flat could hold the point within the
+        walk's tolerance only if its edges were about ``TIE_MARGIN`` times
+        shorter, so the walk from the hint ends there too; the hint is left
+        as that walk leaves it.  A point near an edge may be claimed by
+        either side, and a flat triangle holds every point near the line it
+        spans, far beyond its edges; so near an edge, while any triangle is
+        flat (see ``flat``), and if the walk leaves the hull or cycles, the
+        answer is the hint walk's own.
+        """
+        if not self.flat:
+            cur, least = self._walk(start, px, py)
+            if least is not None and least > self.eps_tie:
+                self.hint = cur
+                return cur
+        return self.locate(px, py)
+
     # -- Bowyer-Watson ------------------------------------------------------
 
     def cavity(self, px, py, seeds):
@@ -173,33 +203,45 @@ class _Triangulation:
         point and ``owner`` is the cavity triangle it belongs to.
         """
         x, y = self.pts_x, self.pts_y
+        tris, edge, subseg = self.tris, self.edge, self.subseg
+        eps = self.eps_incircle
         t0 = seeds[0]
         cav = {t0}
         stack = [t0]
         boundary = []
         while stack:
             idx = stack.pop()
-            a, b, c = self.tris[idx]
+            a, b, c = tris[idx]
             for (u, v) in ((a, b), (b, c), (c, a)):
-                nbr = self.edge.get((v, u))
+                nbr = edge.get((v, u))
                 if nbr is not None and nbr in cav:
                     continue
-                crossing_blocked = self.seg_key(u, v) in self.subseg
-                take = False
-                if nbr is not None and not crossing_blocked:
-                    na, nb, nc = self.tris[nbr]
-                    if nbr in seeds or (
-                        _incircle(
-                            x[na], y[na], x[nb], y[nb], x[nc], y[nc], px, py
-                        )
-                        > self.eps_incircle
-                    ):
-                        take = True
-                if take:
-                    cav.add(nbr)
-                    stack.append(nbr)
-                else:
+                if nbr is None or ((u, v) if u < v else (v, u)) in subseg:
                     boundary.append((u, v, idx))
+                    continue
+                if nbr not in seeds:
+                    # in-circle test: > 0 iff (px, py) lies strictly inside
+                    # the circumcircle of the CCW neighbour
+                    na, nb, nc = tris[nbr]
+                    adx = x[na] - px
+                    ady = y[na] - py
+                    bdx = x[nb] - px
+                    bdy = y[nb] - py
+                    cdx = x[nc] - px
+                    cdy = y[nc] - py
+                    ad = adx * adx + ady * ady
+                    bd = bdx * bdx + bdy * bdy
+                    cd = cdx * cdx + cdy * cdy
+                    if not (
+                        adx * (bdy * cd - bd * cdy)
+                        - ady * (bdx * cd - bd * cdx)
+                        + ad * (bdx * cdy - bdy * cdx)
+                        > eps
+                    ):
+                        boundary.append((u, v, idx))
+                        continue
+                cav.add(nbr)
+                stack.append(nbr)
         return cav, boundary
 
     def insert(self, pidx, reject_encroached=False, seeds=None):
@@ -213,24 +255,41 @@ class _Triangulation:
         triangle takes the flag of the cavity triangle that owned its outer
         edge.
         """
-        px, py = self.pts_x[pidx], self.pts_y[pidx]
+        x, y = self.pts_x, self.pts_y
+        px, py = x[pidx], y[pidx]
         cav, boundary = self.cavity(px, py, seeds or [self.locate(px, py)])
         if reject_encroached:
             hit = []
             for (u, v, _) in boundary:
-                key = self.seg_key(u, v)
+                key = (u, v) if u < v else (v, u)
                 if key in self.subseg:
-                    ux, uy = self.pts_x[u], self.pts_y[u]
-                    vx, vy = self.pts_x[v], self.pts_y[v]
+                    ux, uy = x[u], y[u]
+                    vx, vy = x[v], y[v]
                     if (ux - px) * (vx - px) + (uy - py) * (vy - py) < 0.0:
                         hit.append(key)
             if hit:
                 return [], hit
+        tris, edge, flag, flat = self.tris, self.edge, self.flag, self.flat
         for idx in cav:
-            self._drop_tri(idx)
-        created = [
-            self._add_tri(pidx, u, v, self.flag[owner]) for (u, v, owner) in boundary
-        ]
+            a, b, c = tris[idx]
+            for key in ((a, b), (b, c), (c, a)):
+                if edge.get(key) == idx:
+                    del edge[key]
+            tris[idx] = None
+            if flat:
+                flat.discard(idx)
+        thin = self.eps_tie
+        created = []
+        for (u, v, owner) in boundary:
+            idx = len(tris)
+            tris.append((pidx, u, v))
+            flag.append(flag[owner])
+            edge[(pidx, u)] = idx
+            edge[(u, v)] = idx
+            edge[(v, pidx)] = idx
+            created.append(idx)
+            if (x[u] - px) * (y[v] - py) - (y[u] - py) * (x[v] - px) <= thin:
+                flat.add(idx)
         self.hint = created[0]
         return created, []
 
@@ -390,93 +449,110 @@ def triangulate_polygon(vertices, h):
         circumradius = lab * lbc * lca / (2.0 * area2)
         return longest, shortest, circumradius
 
-    def tri_is_bad(idx):
-        longest, shortest, circumradius = tri_metrics(idx)
+    def tri_is_bad(longest, shortest, circumradius):
         if longest > size_cap:
             return True
         if shortest == 0.0:
             raise MeshingError("refinement produced a triangle with coincident vertices")
         return circumradius / shortest > quality_cap
 
-    seg_queue = deque(k for k in tr.subseg if tr.seg_encroached(k))
-    tri_queue = deque(
-        i for i in range(len(tr.tris)) if tr.tris[i] is not None and tr.flag[i] and tri_is_bad(i)
-    )
+    def check_coincident(tris):
+        # The quality test raises on a triangle with coincident vertices when
+        # it is made, not when it is popped.  Such a triangle has zero area,
+        # so it is flat.
+        if tr.flat:
+            for t in tris:
+                if t in tr.flat and tr.flag[t]:
+                    tri_is_bad(*tri_metrics(t))
 
-    def after_insertion(created):
+    # Every inside triangle is queued and its quality tested when it is
+    # popped: a live triangle's corners never move, so it is then as good or
+    # bad as when it was made, and the bad ones are fixed in the same order.
+    inside = [i for i in range(len(tr.tris)) if tr.tris[i] is not None and tr.flag[i]]
+    check_coincident(inside)
+    seg_queue = deque(k for k in tr.subseg if tr.seg_encroached(k))
+    tri_queue = deque(inside)
+    subseg, tris, flag = tr.subseg, tr.tris, tr.flag
+
+    def after_insertion(created, split):
         nonlocal insertions
         insertions += 1
         if insertions > MAX_INSERTIONS:
             raise MeshingError("refinement did not converge")
+        check_coincident(created)
         for t in created:
-            key_edges = tr.tris[t]
-            a, b, c = key_edges
-            for (u, v) in ((a, b), (b, c), (c, a)):
-                k = tr.seg_key(u, v)
-                if k in tr.subseg and tr.seg_encroached(k):
+            p, u, v = tris[t]
+            # A created triangle's new edges join the new point p, which is on
+            # a subsegment only when a split made it; its outer edge (u, v)
+            # may be one in any insertion.
+            for k in (((p, u), (u, v), (v, p)) if split else ((u, v),)):
+                k = k if k[0] < k[1] else (k[1], k[0])
+                if k in subseg and tr.seg_encroached(k):
                     seg_queue.append(k)
-            if tr.flag[t] and tri_is_bad(t):
+            if flag[t]:
                 tri_queue.append(t)
+
+    def split_keys(keys):
+        """Split the given subsegments (length floor applies); returns
+        whether anything made progress."""
+        any_progress = False
+        for k in keys:
+            if k not in subseg:
+                any_progress = True
+                continue
+            kx = tr.pts_x[k[0]] - tr.pts_x[k[1]]
+            ky = tr.pts_y[k[0]] - tr.pts_y[k[1]]
+            if math.hypot(kx, ky) < 0.04 * h:
+                continue
+            _, made = tr.split_subsegment(k)
+            after_insertion(made, split=True)
+            any_progress = True
+        return any_progress
 
     while seg_queue or tri_queue:
         if seg_queue:
             key = seg_queue.popleft()
-            if key not in tr.subseg or not tr.seg_encroached(key):
+            if key not in subseg or not tr.seg_encroached(key):
                 continue
             u, v = key
             m, created = tr.split_subsegment(key)
-            after_insertion(created)
+            after_insertion(created, split=True)
             for half in (tr.seg_key(u, m), tr.seg_key(m, v)):
                 if tr.seg_encroached(half):
                     seg_queue.append(half)
             continue
 
         idx = tri_queue.popleft()
-        # A live entry is still bad: ids are never reused and neither a live
-        # triangle's corners nor points ever move, so it is as bad as queued.
-        if tr.tris[idx] is None:
+        # ids are never reused, so a dead entry stays dead
+        if tris[idx] is None:
             continue
-        a, b, c = tr.tris[idx]
+        longest, shortest, circumradius = tri_metrics(idx)
+        if not tri_is_bad(longest, shortest, circumradius):
+            continue
+        a, b, c = tris[idx]
         cc = _circumcenter(
             tr.pts_x[a], tr.pts_y[a], tr.pts_x[b], tr.pts_y[b], tr.pts_x[c], tr.pts_y[c]
         )
         if cc is None:
             continue
         ccx, ccy = cc
-        longest, shortest, _ = tri_metrics(idx)
         # Back off instead of cascading on tiny features (sub-h short edges on
         # the boundary mean the local feature size, not bad quality).
         if longest <= size_cap and shortest < 0.02 * h:
             continue
 
-        def split_keys(keys):
-            """Split the given subsegments (length floor applies); returns
-            whether anything made progress."""
-            any_progress = False
-            for k in keys:
-                if k not in tr.subseg:
-                    any_progress = True
-                    continue
-                kx = tr.pts_x[k[0]] - tr.pts_x[k[1]]
-                ky = tr.pts_y[k[0]] - tr.pts_y[k[1]]
-                if math.hypot(kx, ky) < 0.04 * h:
-                    continue
-                _, made = tr.split_subsegment(k)
-                after_insertion(made)
-                any_progress = True
-            return any_progress
-
-        t0 = tr.locate(ccx, ccy)
-        if not tr.flag[t0]:
+        # the circumcenter of a bad triangle lies a few triangles from it
+        t0 = tr.locate_from(idx, ccx, ccy)
+        if not flag[t0]:
             # With no encroached subsegment an inside triangle's circumcenter
             # lies in the domain; landing outside means a nearby boundary
             # subsegment needs splitting (numerical safety net).
             own = [
                 tr.seg_key(u, v)
                 for (u, v) in ((a, b), (b, c), (c, a))
-                if tr.seg_key(u, v) in tr.subseg
+                if tr.seg_key(u, v) in subseg
             ]
-            if split_keys(own) and tr.tris[idx] is not None:
+            if split_keys(own) and tris[idx] is not None:
                 tri_queue.append(idx)
             continue
         pid = tr.add_point(ccx, ccy)
@@ -486,10 +562,10 @@ def triangulate_polygon(vertices, h):
             tr.pts_y.pop()
             # The rejected circumcenter witnesses encroachment: split the hit
             # segments outright (the apex test cannot see the phantom point).
-            if split_keys(hit) and tr.tris[idx] is not None:
+            if split_keys(hit) and tris[idx] is not None:
                 tri_queue.append(idx)
             continue
-        after_insertion(created)
+        after_insertion(created, split=False)
 
     # ---- extraction ----------------------------------------------------------
     kept = [i for i, t in enumerate(tr.tris) if t is not None and tr.flag[i]]

@@ -66,11 +66,19 @@ class MatrixField:
     subtriangles, so interfaces crossing elements stay O(h) accurate.
     ``ellipticity`` is the declared lower bound on the smallest eigenvalue,
     checked at every quadrature point during assembly.
+
+    An isotropic field a(x) = s(x)·I (``constant``, ``checkerboard``, and a
+    mollification or boundary-matched blend of isotropic fields) carries
+    ``scalar``, the evaluator of s, and ``fn`` returns s(x)·I.  Assembly
+    samples s alone and never builds the 2x2 matrices; their entries would be
+    s·1 and s·0, so every sample and every assembled matrix keeps the bits of
+    the matrix path.  Other fields leave ``scalar`` as None.
     """
 
     name: str
     fn: object
     ellipticity: float = 1e-9
+    scalar: object = None
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -80,6 +88,12 @@ class MatrixField:
                 f"matrix field {self.name!r} returned shape {out.shape}"
             )
         return out
+
+
+def _isotropic(name: str, scalar, ellipticity: float) -> MatrixField:
+    """The field s(x)·I, given the evaluator of s."""
+    eye = np.eye(2)
+    return MatrixField(name, lambda pts: scalar(pts)[:, None, None] * eye, ellipticity, scalar)
 
 
 @dataclass(frozen=True)
@@ -140,12 +154,7 @@ def constant_matrix(value: float = 1.0) -> MatrixField:
     v = float(value)
     if not 0 < v < math.inf:
         raise AssemblyError("constant coefficient must be positive and finite")
-    mat = v * np.eye(2)
-
-    def fn(pts):
-        return np.broadcast_to(mat, (len(pts), 2, 2))
-
-    return MatrixField("constant", fn, ellipticity=v)
+    return _isotropic("constant", lambda pts: np.full(len(pts), v), ellipticity=v)
 
 
 def rotated_diagonal(p: float, q: float, angle: float) -> MatrixField:
@@ -184,9 +193,8 @@ def checkerboard(
     if not all(0 < v < math.inf for v in (cell, low, high)):
         raise AssemblyError("checkerboard needs positive, finite cell and values")
     ox, oy = _point("checkerboard", "origin", origin)
-    eye = np.eye(2)
 
-    def fn(pts):
+    def scalar(pts):
         try:
             # an index outside int64, an infinite one included, makes the cast invalid
             with np.errstate(over="ignore", invalid="raise"):
@@ -196,10 +204,9 @@ def checkerboard(
                 f"checkerboard cell = {cell!r} is too small: a cell index overflows int64"
             ) from None
         odd = (ij[:, 0] + ij[:, 1]) % 2 == 1  # a wrapped sum keeps its parity
-        vals = np.where(odd, high, low)
-        return vals[:, None, None] * eye
+        return np.where(odd, high, low)
 
-    return MatrixField("checkerboard", fn, ellipticity=min(low, high))
+    return _isotropic("checkerboard", scalar, ellipticity=min(low, high))
 
 
 def _distance_to_boundary(domain: PolygonDomain, pts: np.ndarray) -> np.ndarray:
@@ -228,18 +235,29 @@ def boundary_matched_rough(
 ) -> MatrixField:
     """Field equal to ``trace`` on the boundary, blended into ``interior``
     over a collar ``BLEND_WIDTH`` spans wide (smoothstep in boundary distance),
-    so the field scales with the domain."""
+    so the field scales with the domain.  The blend of two isotropic fields
+    is isotropic and blends their scalars."""
     w = BLEND_WIDTH * domain.span
+    name = "boundary-matched-rough"
+    ellipticity = min(interior.ellipticity, trace.ellipticity)
+
+    def step(pts):
+        t = np.clip(_distance_to_boundary(domain, pts) / w, 0.0, 1.0)
+        return t * t * (3.0 - 2.0 * t)
+
+    if interior.scalar is not None and trace.scalar is not None:
+
+        def scalar(pts):
+            s = step(pts)
+            return (1 - s) * trace.scalar(pts) + s * interior.scalar(pts)
+
+        return _isotropic(name, scalar, ellipticity)
 
     def fn(pts):
-        dist = _distance_to_boundary(domain, pts)
-        t = np.clip(dist / w, 0.0, 1.0)
-        s = t * t * (3.0 - 2.0 * t)
+        s = step(pts)
         return (1 - s)[:, None, None] * trace(pts) + s[:, None, None] * interior(pts)
 
-    return MatrixField(
-        "boundary-matched-rough", fn, ellipticity=min(interior.ellipticity, trace.ellipticity)
-    )
+    return MatrixField(name, fn, ellipticity)
 
 
 _MOLL_NODES, _MOLL_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -249,7 +267,9 @@ def mollified(base: MatrixField, eps: float) -> MatrixField:
     """Average of ``base`` over the square [-ε, ε]² (tensor Gauss rule).
 
     Averaging SPD matrices is a convex combination, so ellipticity bounds
-    carry over unchanged; the result is continuous in x.
+    carry over unchanged; the result is continuous in x.  The mollification
+    of an isotropic field is isotropic and averages its scalar, summing the
+    offsets in the same order.
     """
     eps = float(eps)
     if not 0 < eps < math.inf:
@@ -258,6 +278,16 @@ def mollified(base: MatrixField, eps: float) -> MatrixField:
     offsets = eps * np.stack([gx.ravel(), gy.ravel()], axis=1)
     wts = np.outer(_MOLL_WEIGHTS, _MOLL_WEIGHTS).ravel()
     wts = wts / wts.sum()
+
+    if base.scalar is not None:
+
+        def scalar(pts):
+            out = np.zeros(len(pts))
+            for off, w in zip(offsets, wts):
+                out += w * base.scalar(pts + off)
+            return out
+
+        return _isotropic("mollified", scalar, base.ellipticity)
 
     def fn(pts):
         out = np.zeros((len(pts), 2, 2))
@@ -416,6 +446,26 @@ def _element_forms(coords, a_sym, v_vals):
 # assembly
 
 
+def _packed_samples(a_field: MatrixField, points: np.ndarray) -> np.ndarray:
+    """Checked samples (a11, a12, a22) of ``a_field`` at ``points``, (N, 3).
+
+    An isotropic field is sampled as its scalar s: the matrix path would read
+    a11 = a22 = s·1, a12 = (s·0 + s·0)/2 = 0 and λ_min = (s/2 + s/2) − 0."""
+    if a_field.scalar is not None:
+        s = np.asarray(a_field.scalar(points), dtype=float)
+        if s.shape != (len(points),):
+            raise AssemblyError(f"matrix field {a_field.name!r} returned shape {s.shape}")
+        half = 0.5 * s
+        _check_ellipticity(a_field, half + half, points)
+        return np.stack([s, np.zeros_like(s), s], axis=1)
+    samples = a_field(points)
+    _check_spd_samples(a_field, samples, points)
+    return np.stack(
+        [samples[:, 0, 0], 0.5 * (samples[:, 0, 1] + samples[:, 1, 0]), samples[:, 1, 1]],
+        axis=1,
+    )
+
+
 def _check_spd_samples(a_field: MatrixField, samples: np.ndarray, points: np.ndarray):
     # Each guard here and on v0 is written so that a NaN sample fails it, as
     # every comparison with NaN is false; argmax and argmin pick the first NaN.
@@ -429,6 +479,10 @@ def _check_spd_samples(a_field: MatrixField, samples: np.ndarray, points: np.nda
     half = 0.5 * samples
     a12 = half[:, 0, 1] + half[:, 1, 0]
     lam_min = (half[:, 0, 0] + half[:, 1, 1]) - np.hypot(half[:, 0, 0] - half[:, 1, 1], a12)
+    _check_ellipticity(a_field, lam_min, points)
+
+
+def _check_ellipticity(a_field: MatrixField, lam_min: np.ndarray, points: np.ndarray):
     bad = ~(lam_min >= a_field.ellipticity * (1 - 1e-9))
     if bad.any():
         k = int(np.argmax(bad))
@@ -450,17 +504,13 @@ def assemble_energy_split(mesh: TriangleMesh, coeff: CoefficientField):
     cent = coords.mean(axis=1)
     pts = pts + 1e-9 * (cent[:, None, :] - pts)
     pts = pts.reshape(-1, 2)
-    a_raw = coeff.a(pts)
-    _check_spd_samples(coeff.a, a_raw, pts)
+    a_packed = _packed_samples(coeff.a, pts)
     v_raw = coeff.v0(pts)
     if not (v_raw >= -1e-14).all():
         k = int(np.argmin(v_raw))
         raise AssemblyError(f"potential negative or NaN at {pts[k].tolist()} (v0={v_raw[k]:.3e})")
     m, nq = len(mesh.triangles), len(_W_FINE)
-    a_sym = np.stack(
-        [a_raw[:, 0, 0], 0.5 * (a_raw[:, 0, 1] + a_raw[:, 1, 0]), a_raw[:, 1, 1]],
-        axis=1,
-    ).reshape(m, nq, 3)
+    a_sym = a_packed.reshape(m, nq, 3)
     v_vals = v_raw.reshape(m, nq)
     K_e, M_e = _element_forms(coords, a_sym, v_vals)
 

@@ -7,9 +7,9 @@ ellipsoid volumes by Monte Carlo, the boundary symbol integral by adaptive
 quadrature, the tangential co-metric Θ built in an explicit tangent basis,
 dense tensor quadrature for single-element energy integrals, the layer
 matrices from per-panel closed forms, the distance to a polygon's boundary
-over all point-segment pairs at once, and synthetic eigenvalue sequences with
-known tails.  Two mesh measures and a tracemalloc probe that only the tests
-read live here too.
+over all point-segment pairs at once, isotropic coefficient fields summed as
+2x2 matrices, and synthetic eigenvalue sequences with known tails.  Two mesh
+measures and a tracemalloc probe that only the tests read live here too.
 """
 
 import math
@@ -341,6 +341,39 @@ def boundary_distance(p, q, pts):
     t = np.clip(np.einsum("psk,sk->ps", w, d) / L2[None, :], 0.0, 1.0)
     closest = p[None, :, :] + t[:, :, None] * d[None, :, :]
     return np.linalg.norm(pts[:, None, :] - closest, axis=2).min(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# isotropic coefficient fields as 2x2 matrices, entry by entry: the two-phase
+# checkerboard, the 5 x 5 tensor-Gauss mollifier (weights normalised to sum
+# 1, offsets summed in row-major order) and the smoothstep boundary blend.
+
+
+def checkerboard_matrices(pts, cell, low, high, origin):
+    """``high``·I on cells of odd index sum, ``low``·I on the others."""
+    ij = np.floor((pts - np.asarray(origin)) / cell).astype(np.int64)
+    vals = np.where((ij[:, 0] + ij[:, 1]) % 2 == 1, high, low)
+    return vals[:, None, None] * np.eye(2)
+
+
+def mollified_matrices(base, eps, pts):
+    """Average of the matrix field ``base`` over [-eps, eps]² at ``pts``."""
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    gx, gy = np.meshgrid(nodes, nodes, indexing="ij")
+    offsets = eps * np.stack([gx.ravel(), gy.ravel()], axis=1)
+    wts = np.outer(weights, weights).ravel()
+    wts = wts / wts.sum()
+    out = np.zeros((len(pts), 2, 2))
+    for off, w in zip(offsets, wts):
+        out += w * base(pts + off)
+    return out
+
+
+def blended_matrices(distance, width, interior, trace, pts):
+    """(1 − s)·trace + s·interior, s the smoothstep of distance / width."""
+    t = np.clip(distance / width, 0.0, 1.0)
+    s = t * t * (3.0 - 2.0 * t)
+    return (1 - s)[:, None, None] * trace(pts) + s[:, None, None] * interior(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,70 @@ def test_blended_assembly_memory_does_not_grow_with_the_segment_count():
     assert oracles.traced_peak_mib(assembly.assemble_forms, mesh, coeff) < 16.0
 
 
+CHECKER = {"cell": 0.25, "low": 1.0, "high": 4.0, "origin": (0.0137, 0.0071)}
+
+
+def _checker_ref(pts):
+    return oracles.checkerboard_matrices(pts, **CHECKER)
+
+
+def _isotropic_case(case, dom):
+    """(field, matrix-valued reference) for each isotropic field the
+    experiments sample, the blend as criterion 5 builds it."""
+    if case == "constant":
+        return constant_matrix(2.5), lambda pts: 2.5 * np.eye(2) * np.ones((len(pts), 1, 1))
+    if case == "checkerboard":
+        return checkerboard(**CHECKER), _checker_ref
+    if case.startswith("mollified"):
+        eps = float(case.split("-")[1])
+        return mollified(checkerboard(**CHECKER), eps), (
+            lambda pts: oracles.mollified_matrices(_checker_ref, eps, pts)
+        )
+    interior = dict(CHECKER, cell=0.2, high=5.0)
+    p, q = dom.segment_points()
+    return boundary_matched_rough(dom, checkerboard(**interior), constant_matrix(1.0)), (
+        lambda pts: oracles.blended_matrices(
+            oracles.boundary_distance(p, q, pts),
+            assembly.BLEND_WIDTH * dom.span,
+            lambda x: oracles.checkerboard_matrices(x, **interior),
+            lambda x: np.eye(2) * np.ones((len(x), 1, 1)),
+            pts,
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["constant", "checkerboard", "mollified-0.16", "mollified-0.00125", "blend"]
+)
+def test_isotropic_fields_sample_their_scalar_bitwise(case, square_domain):
+    # The scalar path gives the matrix path's samples and forms bit for bit:
+    # each matrix entry is w·(s·1) or a sum of w·(s·0).
+    field, ref = _isotropic_case(case, square_domain)
+    assert field.scalar is not None
+    mesh = geometry.triangulate(square_domain, 0.04)
+    gen = np.random.default_rng(37)
+    pts = np.vstack([mesh.nodes, gen.uniform(-0.1, 1.1, size=(3000, 2))])
+    want = ref(pts)
+    assert field(pts).tobytes() == want.tobytes()
+    assert field.scalar(pts).tobytes() == want[:, 0, 0].tobytes()
+    assert (want[:, 0, 1] == 0).all() and (want[:, 1, 0] == 0).all()
+    assert want[:, 1, 1].tobytes() == want[:, 0, 0].tobytes()
+    # a field without the scalar evaluator takes the matrix path
+    as_matrices = assembly.MatrixField(field.name, ref, field.ellipticity)
+    A = assemble_energy(mesh, _cf(a=field, v0=constant_potential(1.0)))
+    A_ref = assemble_energy(mesh, _cf(a=as_matrices, v0=constant_potential(1.0)))
+    for got, exp in ((A.indptr, A_ref.indptr), (A.indices, A_ref.indices), (A.data, A_ref.data)):
+        assert got.tobytes() == exp.tobytes()
+
+
+def test_anisotropic_fields_keep_the_matrix_path(square_domain):
+    rot = rotated_diagonal(p=4.0, q=1.0, angle=0.5)
+    pts = np.random.default_rng(38).uniform(0.0, 1.0, size=(500, 2))
+    for field in (rot, mollified(rot, 0.08), boundary_matched_rough(square_domain, rot, constant_matrix(1.0))):
+        assert field.scalar is None
+    assert mollified(rot, 0.08)(pts).tobytes() == oracles.mollified_matrices(rot, 0.08, pts).tobytes()
+
+
 def test_catalog_rejects_unknown():
     with pytest.raises(AssemblyError):
         make_matrix_field("perlin-noise")

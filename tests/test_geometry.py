@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from steklovlab import assembly, geometry
+from steklovlab import _mesher, assembly, geometry
 from steklovlab._mesher import DIAMETER_FACTOR, MIN_ANGLE_DEG
 from steklovlab.assembly import AssemblyError
 from steklovlab.geometry import GeometryError, make_domain, triangulate
@@ -222,6 +222,62 @@ CATALOG_MESHES = {
 }
 
 
+# The meshes of the benchmark's fine workload, pinned at commit 64b9fe7, the
+# last whose mesher tested every created triangle's quality and located every
+# circumcenter from the last insertion (koch3-h0.012 is pinned above).
+FINE_MESHES = {
+    "koch3-h0.0065": (
+        "koch-prefractal", {"level": 3}, 0.0065,
+        "98423dda55f448660bd242ff9f6e61605d552fcfc65f566125eec10d26c4c446",
+    ),
+    "ngon256-h0.02": (
+        "regular-ngon", {"n": 256}, 0.02,
+        "c4b7440e6fff6349acab3423d6a3f9804a681e1d88dc13a8391bdbc7f39cd477",
+    ),
+}
+
+
+def _mesh_digest(mesh):
+    digest = hashlib.sha256()
+    for arr in (mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.boundary_parent):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(FINE_MESHES))
+def test_fine_mesh_bytes_match_golden(case):
+    name, params, h, expected = FINE_MESHES[case]
+    assert _mesh_digest(triangulate(make_domain(name, **params), h)) == expected
+
+
+def test_circumcenters_on_edges_are_located_by_the_walk_from_the_last_insertion(monkeypatch):
+    # The square's refinement makes right triangles whose circumcenters lie
+    # on their hypotenuses, within the tie margin of an edge: there the walk
+    # from the bad triangle hands the point to the walk from the last
+    # insertion, and the mesh keeps its bytes.
+    tri_cls = _mesher._Triangulation
+    locate, locate_from = tri_cls.locate, tri_cls.locate_from
+    walking, handed_over = [], []
+
+    def counting_locate_from(self, *args):
+        walking.append(args)
+        try:
+            return locate_from(self, *args)
+        finally:
+            walking.pop()
+
+    def counting_locate(self, *args):
+        if walking:
+            handed_over.append(args)
+        return locate(self, *args)
+
+    monkeypatch.setattr(tri_cls, "locate_from", counting_locate_from)
+    monkeypatch.setattr(tri_cls, "locate", counting_locate)
+    mesh = triangulate(make_domain("square"), 0.1)
+    assert handed_over
+    assert _mesh_digest(mesh) == CATALOG_MESHES["square-h0.1"][3]
+
+
 @functools.lru_cache(maxsize=None)
 def _catalog_mesh(case):
     name, params, h, _ = CATALOG_MESHES[case]
@@ -325,6 +381,22 @@ def test_random_star_meshes_or_raises_meshing_error():
     assert (areas > 0).all()
     assert areas.sum() == pytest.approx(dom.area, rel=1e-12)
     assert dom.contains(mesh.nodes[mesh.triangles].mean(axis=1)).all()
+
+
+@pytest.mark.parametrize("index,message", [
+    (1, "point location failed"),
+    (4, "longest element edge exceeds"),
+    (17, "longest element edge exceeds"),
+    (30, "longest element edge exceeds"),
+])
+def test_flat_triangles_leave_location_to_the_walk_from_the_last_insertion(index, message):
+    # Refinement of these stars leaves zero-area triangles, which hold points
+    # far beyond their edges within the walk's tolerance; a walk from the bad
+    # triangle would end elsewhere than the walk from the last insertion, and
+    # these inputs would mesh or fail differently from the mesher that always
+    # walked from the last insertion, whose outcome is pinned here.
+    with pytest.raises(geometry.MeshingError, match=message):
+        triangulate(_random_star(12345, index), 0.05)
 
 
 @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf")])
